@@ -20,6 +20,7 @@ certificates.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -354,8 +355,15 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     (check = hat), the most recent assignment is re-sampled; the budget is
     ``policy.max_backtracks``.  Fresh surd primes make assigned values
     pairwise distinct and rationally unrelated to everything already present.
+
+    The comparisons behind check and hat are float-filtered: each is first
+    tried on certified double-precision enclosures of the exact values and
+    decided on the exact values only where the enclosures cannot settle it,
+    so every result is the exact one.  Exact sums are built only for the
+    entries that the filter cannot show to be unchanged.
     """
     verts = list(g.vertices)
+    index = {v: k for k, v in enumerate(verts)}
     missing = [p for p in combinations(verts, 2) if p not in g.edges]
 
     used_primes = set()
@@ -367,19 +375,24 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     sampler = policy.dense_family or (
         lambda pair, lo, hi, r, prime: _default_sample(lo, hi, r, prime))
 
-    base_dist = _all_pairs(g)
+    # live edges as (i, j, w, lower bound of w, upper bound of w); the
+    # assigned ones follow the input's, in assignment order
+    edges = [(index[u], index[v], w, *_enclosure(w))
+             for (u, v), w in g.edges.items()]
+    base = _DistanceTable(g, verts, edges)
+    n_input = len(edges)
 
     assignments: dict = {}
     intervals: dict = {}
     order: list = []
-    dist = dict(base_dist)
-    live_edges = dict(g.edges)
+    table = base.copy()
     backtracks = 0
     idx = 0
     while idx < len(missing):
         pair = missing[idx]
-        lo = _check_from(dist, live_edges, pair)
-        hi = dist[pair]
+        i, j = index[pair[0]], index[pair[1]]
+        lo = table.check(i, j, edges)
+        hi = table.d[i][j]
         if lo < hi:
             value = sampler(pair, lo, hi, rng, next(prime_source))
             if not (lo < value < hi):
@@ -387,8 +400,8 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
             assignments[pair] = value
             intervals[pair] = (lo, hi)
             order.append(pair)
-            live_edges[pair] = value
-            _shrink(dist, verts, pair, value)
+            edges.append((i, j, value, *_enclosure(value)))
+            table.shrink(edges[-1])
             idx += 1
             continue
         # closed interval: re-sample the most recent assignment
@@ -396,15 +409,16 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
         if not order or backtracks > policy.max_backtracks:
             raise ExtensionExhausted(pair, backtracks)
         dropped = order.pop()
-        del assignments[dropped], intervals[dropped], live_edges[dropped]
-        dist = dict(base_dist)
-        for done in order:
-            _shrink(dist, verts, done, assignments[done])
+        del assignments[dropped], intervals[dropped]
+        edges.pop()
+        table = base.copy()
+        for edge in edges[n_input:]:
+            table.shrink(edge)
         idx = missing.index(dropped)
 
-    edges = dict(g.edges)
-    edges.update(assignments)
-    full = GraphMetric(verts, edges)
+    full_edges = dict(g.edges)
+    full_edges.update(assignments)
+    full = GraphMetric(verts, full_edges)
     ok, bad = validate_pseudometric(full)
     if not ok:
         raise RuntimeError(f"completed graph failed validation at {bad}")
@@ -412,40 +426,137 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
                            intervals=intervals, backtracks=backtracks)
 
 
-def _all_pairs(g: GraphMetric) -> dict:
-    dist = {}
-    for x in g.vertices:
-        from_x = GraphMetric.distances_from(g, x)
-        for y, d in from_x.items():
-            if x < y:
-                dist[(x, y)] = d
-    return dist
+def _enclosure(value: SurdValue) -> tuple[float, float]:
+    """Doubles lo <= value <= hi (up to the rounding of mid -+ err, see
+    _DistanceTable) from the value's midpoint and error radius.  Neither is
+    NaN: lo < inf and hi > -inf, and a value beyond the double range gives
+    (-inf, inf)."""
+    mid, err = value._float_interval()
+    return mid - err, mid + err
 
 
-def _lookup(dist, u, v):
-    return ZERO if u == v else dist[_pair(u, v)]
+class _DistanceTable:
+    """Shortest-path values of a growing graph, addressed by vertex index.
 
+    Entry d[i][j] is exact and lo[i][j], hi[i][j] enclose it in doubles.
+    The filters decide a comparison on the enclosures when they can prove
+    it and leave it to the exact values otherwise.  Their error bound, with
+    u = 2**-53 and B = ``bound`` >= |every enclosure end| seen so far:
 
-def _shrink(dist, verts, pair, w):
-    """Relax all shortest paths through a newly added edge (u, v) = w."""
-    u, v = pair
-    for i, j in dist:
-        through = min(_lookup(dist, i, u) + w + _lookup(dist, v, j),
-                      _lookup(dist, i, v) + w + _lookup(dist, u, j))
-        if through < dist[(i, j)]:
-            dist[(i, j)] = through
+    * each stored end is mid -+ err rounded once, so it misses a true bound
+      by at most u*B;
+    * a filter adds or subtracts three ends with two roundings, of partial
+      sums below 3B, so the sum misses its exact value by at most 3u*B
+      (the ends) + 5u*B (the roundings) = 8u*B;
+    * shrink compares such a sum with a fourth end (u*B) after subtracting
+      ``tol`` from it (one more rounding, about 2u*B): off by < 11u*B;
+      check compares two such sums, one after subtracting ``tol`` (3u*B):
+      off by < 19u*B;
+    * the comparison itself is exact, and rounding to nearest is monotone,
+      so the final addition of a test cannot turn a false one true.
 
+    A skip therefore asks for a margin of ``tol`` = 2**-48 * B = 32u*B.
+    Every skip test is false when an operand is infinite, and so is sent to
+    the exact values; ``tol`` is infinite when B is beyond [2**-900, 2**900]
+    (sums could overflow or fall into the subnormals).
+    """
 
-def _check_from(dist, edges, pair) -> SurdValue:
-    x, y = pair
-    best = ZERO
-    for (a, b), w in edges.items():
-        for ha, hb in ((_lookup(dist, a, x), _lookup(dist, b, y)),
-                       (_lookup(dist, b, x), _lookup(dist, a, y))):
-            cand = w - ha - hb
-            if best < cand:
-                best = cand
-    return best
+    __slots__ = ("d", "lo", "hi", "bound", "tol")
+
+    def __init__(self, g: GraphMetric, verts: list, edges: list):
+        n = len(verts)
+        self.d = [[ZERO] * n for _ in range(n)]
+        self.lo = [[0.0] * n for _ in range(n)]
+        self.hi = [[0.0] * n for _ in range(n)]
+        self.bound, self.tol = 0.0, math.inf     # until an entry is set
+        for i, x in enumerate(verts):
+            from_x = GraphMetric.distances_from(g, x)
+            for j in range(i + 1, n):
+                self.set(i, j, from_x[verts[j]])
+        for _, _, _, w_lo, w_hi in edges:
+            self._widen(w_lo, w_hi)
+
+    def copy(self) -> "_DistanceTable":
+        other = _DistanceTable.__new__(_DistanceTable)
+        other.d = [row[:] for row in self.d]
+        other.lo = [row[:] for row in self.lo]
+        other.hi = [row[:] for row in self.hi]
+        other.bound, other.tol = self.bound, self.tol
+        return other
+
+    def _widen(self, lo: float, hi: float) -> None:
+        m = max(abs(lo), abs(hi))
+        if m > self.bound:
+            self.bound = m
+            self.tol = m * 2.0 ** -48 if 2.0 ** -900 < m < 2.0 ** 900 \
+                else math.inf
+
+    def set(self, i: int, j: int, value: SurdValue) -> None:
+        lo, hi = _enclosure(value)
+        self.d[i][j] = self.d[j][i] = value
+        self.lo[i][j] = self.lo[j][i] = lo
+        self.hi[i][j] = self.hi[j][i] = hi
+        self._widen(lo, hi)
+
+    def shrink(self, edge) -> None:
+        """Relax every entry through the new edge (u, v) = w:
+        d[i][j] = min(d[i][j], d[i][u] + w + d[v][j], d[i][v] + w + d[u][j]).
+
+        Rows u and v are read as they were before the pass: a path that
+        uses the new edge twice is never shorter, so the exact result does
+        not depend on the order of the pass."""
+        u, v, w, w_lo, w_hi = edge
+        self._widen(w_lo, w_hi)
+        d, hi = self.d, self.hi
+        du, dv = d[u][:], d[v][:]
+        lu, lv = self.lo[u][:], self.lo[v][:]
+        w_low = w_lo - self.tol
+        n = len(d)
+        for i in range(n - 1):
+            # lower bounds of d(i,u) + w and d(i,v) + w, less the slack
+            via_u, via_v = lu[i] + w_low, lv[i] + w_low
+            hi_i = hi[i]
+            for j in range(i + 1, n):
+                h = hi_i[j]
+                u_side = via_u + lv[j] > h    # proven d(i,u)+w+d(v,j) > d(i,j)
+                v_side = via_v + lu[j] > h    # proven d(i,v)+w+d(u,j) > d(i,j)
+                if u_side and v_side:
+                    continue
+                if u_side:
+                    through = dv[i] + w + du[j]
+                elif v_side:
+                    through = du[i] + w + dv[j]
+                else:
+                    through = min(du[i] + w + dv[j], dv[i] + w + du[j])
+                if through < d[i][j]:
+                    self.set(i, j, through)
+
+    def check(self, x: int, y: int, edges: list) -> SurdValue:
+        """max(0, w - d(a,x) - d(b,y)) over the edges (a, b) = w in both
+        orientations: a certified lower bound of the maximum from the
+        enclosures, then the exact maximum over the candidates whose upper
+        bound does not fall below it."""
+        hx, hy = self.hi[x], self.hi[y]
+        best = 0.0                     # the exact 0 is always a candidate
+        for a, b, _, w_lo, _ in edges:
+            c = w_lo - hx[a] - hy[b]
+            if c > best:
+                best = c
+            c = w_lo - hx[b] - hy[a]
+            if c > best:
+                best = c
+        floor = best - self.tol
+        lx, ly = self.lo[x], self.lo[y]
+        dx, dy = self.d[x], self.d[y]
+        result = None if 0.0 < floor else ZERO
+        for a, b, w, _, w_hi in edges:
+            for p, q in ((a, b), (b, a)):
+                if w_hi - lx[p] - ly[q] < floor:
+                    continue
+                cand = w - dx[p] - dy[q]
+                if result is None or result < cand:
+                    result = cand
+        return result
 
 
 # ---------------------------------------------------------------------------

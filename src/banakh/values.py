@@ -29,7 +29,10 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as a rational")
 
 
@@ -256,15 +259,22 @@ class SurdValue:
         multiply, running sum) loses at most one ulp of the running
         magnitude, so 3 ops per surd term plus the rational part stay below
         (3k+3) ulps of the magnitude sum; the radius uses double that.
+        A value the doubles cannot hold gives (0.0, inf), which decides
+        nothing.
         """
         cached = self._approx
         if cached is None:
-            mid = float(self.rational_part)
-            mag = abs(mid)
-            for p, c in self.surd_coeffs.items():
-                term = float(c) * math.sqrt(p)
-                mid += term
-                mag += abs(term)
+            try:
+                mid = float(self.rational_part)
+                mag = abs(mid)
+                for p, c in self.surd_coeffs.items():
+                    term = float(c) * math.sqrt(p)
+                    mid += term
+                    mag += abs(term)
+            except OverflowError:
+                # a rational beyond the double range: nothing is decided
+                # here, the caller falls back to exact brackets
+                mid = mag = math.inf
             err = (3 * len(self.surd_coeffs) + 3) * 4.5e-16 * (mag + 1.0)
             cached = (mid, err) if math.isfinite(mid) and math.isfinite(err) \
                 else (0.0, math.inf)

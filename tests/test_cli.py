@@ -269,6 +269,16 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path):
     assert code == 2 and "malformed JSON" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("mu", "--gens", "1", "--r", "1/0", "--window", "2"),
+    ("ddot", "--gens", "1", "--window", "1/0"),
+])
+def test_zero_denominator_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and "zero denominator" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.values import SurdValue, ZERO
+from banakh.values import SurdValue, ZERO, primes_from
 from banakh.monoid_algebra import MonoidDesc, is_floppy
 from banakh.graph_metric import (GraphMetric, MuGraph, ScaledMu, build_mu,
                                  validate_pseudometric, is_floppy_graph,
                                  extend_to_full, ExtensionPolicy,
-                                 ExtensionExhausted, floppy_union,
-                                 ConditionViolation)
+                                 ExtensionExhausted, ExtensionResult,
+                                 floppy_union, ConditionViolation,
+                                 _default_sample)
 
 
 OMEGA1 = MonoidDesc.closure("omega-minus-1")
@@ -245,6 +247,246 @@ def test_extension_guards_against_rogue_samplers():
                           dense_family=lambda pair, lo, hi, rng, p: hi + 1)
     with pytest.raises(RuntimeError, match="escaped"):
         extend_to_full(four_cycle(), bad)
+
+
+# -- the exact completion the filtered engine must reproduce --------------------
+
+
+def reference_extend_to_full(g, policy):
+    """extend_to_full as a plain exact computation over a dict of vertex
+    pairs: every comparison and sum on SurdValues, the relaxation in place,
+    the check maximum over every live edge.  Same sampler, prime source and
+    backtracking as the library."""
+    verts = list(g.vertices)
+    missing = [p for p in itertools.combinations(verts, 2)
+               if p not in g.edges]
+
+    used_primes = set()
+    for w in g.edges.values():
+        used_primes |= w.primes()
+    prime_source = (p for p in primes_from(2) if p not in used_primes)
+
+    rng = random.Random(policy.seed)
+    sampler = policy.dense_family or (
+        lambda pair, lo, hi, r, prime: _default_sample(lo, hi, r, prime))
+
+    base_dist = _all_pairs(g)
+
+    assignments = {}
+    intervals = {}
+    order = []
+    dist = dict(base_dist)
+    live_edges = dict(g.edges)
+    backtracks = 0
+    idx = 0
+    while idx < len(missing):
+        pair = missing[idx]
+        lo = _check_from(dist, live_edges, pair)
+        hi = dist[pair]
+        if lo < hi:
+            value = sampler(pair, lo, hi, rng, next(prime_source))
+            if not (lo < value < hi):
+                raise RuntimeError(f"sampled value {value} escaped ({lo}, {hi})")
+            assignments[pair] = value
+            intervals[pair] = (lo, hi)
+            order.append(pair)
+            live_edges[pair] = value
+            _shrink(dist, verts, pair, value)
+            idx += 1
+            continue
+        backtracks += 1
+        if not order or backtracks > policy.max_backtracks:
+            raise ExtensionExhausted(pair, backtracks)
+        dropped = order.pop()
+        del assignments[dropped], intervals[dropped], live_edges[dropped]
+        dist = dict(base_dist)
+        for done in order:
+            _shrink(dist, verts, done, assignments[done])
+        idx = missing.index(dropped)
+
+    edges = dict(g.edges)
+    edges.update(assignments)
+    full = GraphMetric(verts, edges)
+    ok, bad = validate_pseudometric(full)
+    if not ok:
+        raise RuntimeError(f"completed graph failed validation at {bad}")
+    return ExtensionResult(full=full, assignments=assignments,
+                           intervals=intervals, backtracks=backtracks)
+
+
+def _all_pairs(g):
+    dist = {}
+    for x in g.vertices:
+        from_x = GraphMetric.distances_from(g, x)
+        for y, d in from_x.items():
+            if x < y:
+                dist[(x, y)] = d
+    return dist
+
+
+def _lookup(dist, u, v):
+    if u == v:
+        return ZERO
+    return dist[(u, v) if u <= v else (v, u)]
+
+
+def _shrink(dist, verts, pair, w):
+    u, v = pair
+    for i, j in dist:
+        through = min(_lookup(dist, i, u) + w + _lookup(dist, v, j),
+                      _lookup(dist, i, v) + w + _lookup(dist, u, j))
+        if through < dist[(i, j)]:
+            dist[(i, j)] = through
+
+
+def _check_from(dist, edges, pair):
+    x, y = pair
+    best = ZERO
+    for (a, b), w in edges.items():
+        for ha, hb in ((_lookup(dist, a, x), _lookup(dist, b, y)),
+                       (_lookup(dist, b, x), _lookup(dist, a, y))):
+            cand = w - ha - hb
+            if best < cand:
+                best = cand
+    return best
+
+
+def near_hi(pair, lo, hi, rng, prime):
+    """A dense family that crowds the upper end: hi - (hi - lo)/k."""
+    return hi - (hi - lo) / rng.choice((2, 7, 1000, 10 ** 9))
+
+
+def outcome(engine, g, policy):
+    """Everything an engine decides: each sampler call with its interval,
+    then the result, or how it failed."""
+    calls = []
+    family = policy.dense_family or (
+        lambda pair, lo, hi, rng, prime: _default_sample(lo, hi, rng, prime))
+
+    def recording(pair, lo, hi, rng, prime):
+        calls.append((pair, lo, hi, prime))
+        return family(pair, lo, hi, rng, prime)
+
+    logged = ExtensionPolicy(seed=policy.seed,
+                             max_backtracks=policy.max_backtracks,
+                             dense_family=recording)
+    try:
+        res = engine(g, logged)
+    except ExtensionExhausted as exc:
+        return calls, ("exhausted", exc.pair, exc.backtracks)
+    except RuntimeError as exc:         # the final validation failed
+        return calls, ("invalid", str(exc))
+    return calls, (list(res.assignments.items()), list(res.intervals.items()),
+                   res.backtracks, res.full.edges)
+
+
+def assert_engines_agree(g, policy):
+    got = outcome(extend_to_full, g, policy)
+    assert got == outcome(reference_extend_to_full, g, policy)
+    return got
+
+
+FLOPPY_MONOIDS = [MonoidDesc.fingen([2, 3]), MonoidDesc.fingen([3, 5]),
+                  MonoidDesc.fingen([3, 4]), MonoidDesc.fingen([2, 5]), OMEGA1]
+SCALES = [SurdValue(1), SurdValue(0, {2: 1}), SurdValue(1, {3: 1}),
+          SurdValue(0, {5: Fraction(3, 2)})]
+families = st.sampled_from([None, near_hi])
+
+
+@given(st.sampled_from(FLOPPY_MONOIDS),
+       st.sampled_from([(1, 4), (Fraction(1, 2), 2), (2, 8)]),
+       st.sampled_from(SCALES), families, st.integers(0, 10 ** 6))
+@settings(max_examples=25, deadline=None)
+def test_engine_matches_reference_on_difference_windows(monoid, r_window,
+                                                         scale, family, seed):
+    g = build_mu(monoid, *r_window)
+    if scale != SurdValue(1):
+        g = ScaledMu(g, scale, {v: f"s{v}" for v in g.vertices})
+    calls, result = assert_engines_agree(
+        g, ExtensionPolicy(seed=seed, dense_family=family))
+    assert calls and result[2] == 0
+
+
+@given(st.sampled_from(FLOPPY_MONOIDS), st.sampled_from(SCALES),
+       st.sampled_from([("0", "2"), ("-1", "2"), ("0", "3")]), families,
+       st.integers(0, 10 ** 6))
+@settings(max_examples=15, deadline=None)
+def test_engine_matches_reference_on_a_floppy_union(monoid, scale, glue,
+                                                    family, seed):
+    # two rescaled copies of a window glued along a base pair, as the
+    # builder glues copies onto its current fragment
+    template = build_mu(monoid, 1, 3)
+    x, y = glue
+    base = GraphMetric(["gx", "gy"], {("gx", "gy"): scale * template.hat(x, y)})
+    copies = []
+    for tag in "ab":
+        rename = {v: f"{tag}{v}" for v in template.vertices}
+        rename.update({x: "gx", y: "gy"})
+        copies.append(ScaledMu(template, scale, rename))
+    union, _ = floppy_union(base, copies)
+    assert_engines_agree(union, ExtensionPolicy(seed=seed, dense_family=family))
+
+
+@st.composite
+def weighted_graphs(draw):
+    """Small connected graphs with weights from a short list, so that exact
+    ties are common; the weights need not be shortest paths, so some pairs
+    are pinched (check >= hat) and the completion backtracks or gives up,
+    and some completions fail the final validation."""
+    n = draw(st.integers(min_value=3, max_value=6))
+    verts = [f"v{i}" for i in range(n)]
+    weights = st.sampled_from([SurdValue(1), SurdValue(2), SurdValue(3),
+                               SurdValue(Fraction(3, 2)), SurdValue(0, {2: 1}),
+                               SurdValue(1, {2: 1})])
+    edges = {(verts[i], verts[i + 1]): draw(weights) for i in range(n - 1)}
+    for u, v in itertools.combinations(verts, 2):
+        if (u, v) not in edges and draw(st.booleans()):
+            edges[(u, v)] = draw(weights)
+    return GraphMetric(verts, edges)
+
+
+@given(weighted_graphs(), families, st.integers(0, 10 ** 6),
+       st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_engine_matches_reference_on_small_graphs(g, family, seed, budget):
+    assert_engines_agree(g, ExtensionPolicy(seed=seed, max_backtracks=budget,
+                                            dense_family=family))
+
+
+def test_engines_backtrack_alike_before_a_pinched_pair():
+    # "0" puts three open pairs before the pinched (a, c): every attempt
+    # re-samples ("0", "d") at the upper end of its interval, and both
+    # engines give up on the same pair after the same re-samples
+    g = GraphMetric(["0", "a", "b", "c", "d"],
+                    {("0", "a"): 1, ("a", "d"): 4, ("a", "b"): 1,
+                     ("b", "c"): 1, ("c", "d"): 2})
+    calls, result = assert_engines_agree(
+        g, ExtensionPolicy(seed=4, max_backtracks=3, dense_family=near_hi))
+    assert result == ("exhausted", ("a", "c"), 4)
+    assert [pair for pair, *_ in calls] == [("0", "b"), ("0", "c")] + \
+        [("0", "d")] * 4
+
+
+def test_engines_exhaust_alike_on_the_pinched_four_vertex_graph():
+    g = GraphMetric(["a", "b", "c", "d"],
+                    {("a", "d"): 4, ("a", "b"): 1, ("b", "c"): 1,
+                     ("c", "d"): 2})
+    _, result = assert_engines_agree(g, ExtensionPolicy(seed=0))
+    assert result == ("exhausted", ("a", "c"), 1)
+
+
+def test_extension_beyond_the_double_range():
+    # both edges overflow a double: every comparison goes to the brackets
+    huge = 10 ** 400
+    g = GraphMetric(["a", "b", "c"],
+                    {("a", "b"): SurdValue(huge, {2: 1}),
+                     ("b", "c"): SurdValue(huge, {3: 1})})
+    result = extend_to_full(g, ExtensionPolicy(seed=2))
+    lo, hi = result.intervals[("a", "c")]
+    assert lo == SurdValue(0, {2: -1, 3: 1})
+    assert hi == SurdValue(2 * huge, {2: 1, 3: 1})
+    assert lo < result.assignments[("a", "c")] < hi
+    assert_engines_agree(g, ExtensionPolicy(seed=2))
 
 
 # -- scaling and unions ----------------------------------------------------------

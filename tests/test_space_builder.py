@@ -1,3 +1,4 @@
+import hashlib
 from collections import Counter
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 from banakh.banakh_space import MetricFragment
 from banakh.monoid_algebra import MonoidDesc
+from banakh.serialize import certificate_to_json, dumps, fragment_to_json
 from banakh.space_builder import (RadiusClass, BuildSpec, Certificate,
                                   SpecRejected, BuildExhausted, build,
                                   verify_certificate)
@@ -152,6 +154,24 @@ def test_incommensurable_two_class_build():
     # both classes keep their own realized windows
     realized = set(cert.realized_distances)
     assert SurdValue(1) in realized and SQRT2 in realized
+
+
+@pytest.mark.parametrize("radii, digest", [
+    ((SurdValue(1), SQRT2),
+     "d7f5cc7f8a30707b63b5b29f6aec193b2e2ddb3898fa8ad334d5b7f2df22c8ff"),
+    ((SurdValue(1), SQRT2, SurdValue(0, {3: 1})),
+     "05c18c122565224a2f4cac9b3391305181397bcaf0d6444ca2ce1c35803706c5"),
+], ids=["29-points", "49-points"])
+def test_build_output_bytes_are_pinned(radii, digest):
+    # the canonical JSON that `banakh build` prints, for the two- and
+    # three-class builds (29 and 49 points) at seed 5; any change to the
+    # completion or the sampler that moves one byte shows here
+    spec = BuildSpec(radii=tuple(RadiusClass(r, ZP) for r in radii),
+                     stages=2, window=Fraction(2), seed=5)
+    frag, cert = build(spec)
+    text = dumps({"fragment": fragment_to_json(frag),
+                  "certificate": certificate_to_json(cert)})
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 # -- independent recheck ------------------------------------------------------------

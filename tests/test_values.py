@@ -187,6 +187,22 @@ def test_sign_of_tiny_surd_difference():
 # -- rational proportionality -----------------------------------------------
 
 
+def test_order_and_sign_beyond_the_double_range():
+    # float(10**400) overflows: the float filter must step aside for the
+    # exact brackets instead of raising
+    huge = 10 ** 400
+    a, b = SurdValue(huge, {2: 1}), SurdValue(huge, {3: 1})
+    assert a._float_interval() == (0.0, math.inf)
+    assert a < b and not b < a
+    assert a.sign() == 1 and (a - b).sign() == -1
+    assert SurdValue(-huge, {3: 1}).sign() == -1
+
+
+def test_rat_turns_a_zero_denominator_into_value_error():
+    with pytest.raises(ValueError, match="zero denominator"):
+        rat("1/0")
+
+
 def test_ratio_to_cases():
     r2 = SurdValue.sqrt(2)
     assert (3 * r2).ratio_to(r2) == 3
