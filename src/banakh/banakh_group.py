@@ -199,6 +199,17 @@ def sphere(c: GroupElement, t: DistToken):
     return tuple(sorted((c + t.rep, c - t.rep)))
 
 
+def _pivot_ratio(a: GroupElement, b: GroupElement) -> Optional[Fraction]:
+    """The signed q with a = q·b for nonzero a and b, or None."""
+    if a.support() != b.support():
+        return None
+    pivot = min(b.coeffs)
+    q = a.coeffs[pivot] / b.coeffs[pivot]
+    if all(a.coeffs[i] == q * c for i, c in b.coeffs.items()):
+        return q
+    return None
+
+
 def ratio_in_Q(s: DistToken, t: DistToken) -> Optional[Fraction]:
     """q > 0 with rep(s) = ±q·rep(t); None when the vectors are not
     rationally proportional.  Both zero → 1; one zero → None."""
@@ -206,14 +217,8 @@ def ratio_in_Q(s: DistToken, t: DistToken) -> Optional[Fraction]:
         return Fraction(1)
     if s.is_zero() or t.is_zero():
         return None
-    a, b = s.rep, t.rep
-    if a.support() != b.support():
-        return None
-    pivot = min(b.coeffs)
-    q = a.coeffs[pivot] / b.coeffs[pivot]
-    if all(a.coeffs[i] == q * c for i, c in b.coeffs.items()):
-        return abs(q)
-    return None
+    q = _pivot_ratio(s.rep, t.rep)
+    return None if q is None else abs(q)
 
 
 def between(x: GroupElement, y: GroupElement, z: GroupElement) -> bool:
@@ -226,11 +231,8 @@ def between(x: GroupElement, y: GroupElement, z: GroupElement) -> bool:
     u, v = x - y, y - z
     if u.is_zero() or v.is_zero():
         return True
-    if u.support() != v.support():
-        return False
-    pivot = min(v.coeffs)
-    q = u.coeffs[pivot] / v.coeffs[pivot]
-    return q > 0 and all(u.coeffs[i] == q * c for i, c in v.coeffs.items())
+    q = _pivot_ratio(u, v)
+    return q is not None and q > 0
 
 
 def is_p_divisible_elem(x: GroupElement, p: int, lattice: str = "H") -> bool:

@@ -18,7 +18,8 @@ metric fragments, and the symbolic group coordinates of
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
@@ -58,11 +59,13 @@ __all__ = [
 
 
 class MetricFragment:
-    """Finite point set with a full, exact distance table.
+    """Finite point set with a full, exact, positive distance table.
 
-    The constructor validates shape only (full symmetric table, zero
-    diagonal, values coercible); the metric and two-point-sphere axioms are
-    checked by :func:`verify_fragment`, never assumed.
+    The constructor validates the table (full, symmetric, zero diagonal,
+    every off-diagonal value coercible and positive); the triangle
+    inequality and the two-point-sphere law are checked by
+    :func:`verify_fragment`, never assumed.  The fragment is immutable, so
+    its sphere index :attr:`spheres` is built once, on first use.
     """
 
     def __init__(self, points, dist):
@@ -77,6 +80,8 @@ class MetricFragment:
             if x == y:
                 raise ValueError("diagonal entries must be omitted")
             v = v if isinstance(v, SurdValue) else SurdValue.of(v)
+            if not v.sign() > 0:
+                raise ValueError(f"distance ({x!r},{y!r}) is not positive: {v}")
             key = (x, y) if x < y else (y, x)
             if key in self._dist and self._dist[key] != v:
                 raise ValueError(f"conflicting distances for {key}")
@@ -84,6 +89,17 @@ class MetricFragment:
         want = len(self.points) * (len(self.points) - 1) // 2
         if len(self._dist) != want:
             raise ValueError(f"distance table incomplete: {len(self._dist)}/{want}")
+
+    @cached_property
+    def spheres(self) -> dict:
+        """center ↦ {distance value ↦ tuple of the points at that distance
+        from center, in point order}; zero radii are not listed."""
+        index = {c: {} for c in self.points}
+        for (x, y), v in self._dist.items():
+            index[x].setdefault(v, []).append(y)
+            index[y].setdefault(v, []).append(x)
+        return {c: {v: tuple(sorted(ms)) for v, ms in by_value.items()}
+                for c, by_value in index.items()}
 
     def distance(self, x, y) -> SurdValue:
         if x == y:
@@ -108,20 +124,18 @@ class FragmentReport:
 
 
 def verify_fragment(f: MetricFragment) -> FragmentReport:
-    """Exact check of the metric axioms and the two-point-sphere law.
+    """Exact check of the triangle inequality and the two-point-sphere law.
 
-    A sphere with one member is *incomplete*, not inconsistent: no finite
-    table can realize both members of every sphere.  Violations are spheres
-    with three or more members, or two-member spheres whose mutual distance
-    differs from twice the radius, plus any metric-axiom failure.
+    Positivity is already guaranteed by the :class:`MetricFragment`
+    constructor.  The spheres are read from ``f.spheres``, each center's in
+    the order of their member lists.  A sphere with one member is
+    *incomplete*, not inconsistent: no finite table can realize both
+    members of every sphere.  Violations are spheres with three or more
+    members, or two-member spheres whose mutual distance differs from twice
+    the radius, plus any triangle failure.
     """
     violations = []
     metric_ok = True
-    for (x, y), v in f.pairs():
-        if not (v.sign() > 0):
-            metric_ok = False
-            violations.append({"kind": "identity", "points": [x, y],
-                               "detail": "zero or negative distance"})
     for x, y, z in combinations(f.points, 3):
         dxy, dyz, dxz = f.distance(x, y), f.distance(y, z), f.distance(x, z)
         for a, b, c, names in (
@@ -134,21 +148,17 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     incomplete = []
     banakh = True
     for c in f.points:
-        buckets = {}
-        for p in f.points:
-            if p != c:
-                buckets.setdefault(f.distance(c, p), []).append(p)
-        for r, members in sorted(buckets.items(), key=lambda kv: kv[1]):
+        for r, members in sorted(f.spheres[c].items(), key=lambda kv: kv[1]):
             if len(members) > 2:
                 banakh = False
                 violations.append({"kind": "sphere-size", "center": c,
-                                   "radius": r, "members": members})
+                                   "radius": r, "members": list(members)})
             elif len(members) == 2:
                 u, v = members
                 if f.distance(u, v) != 2 * r:
                     banakh = False
                     violations.append({"kind": "sphere-diameter", "center": c,
-                                       "radius": r, "members": members})
+                                       "radius": r, "members": list(members)})
             else:
                 incomplete.append((c, r))
     return FragmentReport(metric_ok=metric_ok, banakh_consistent=banakh,
@@ -263,7 +273,12 @@ class ZLineOracle(SphereOracle):
 
 
 class FragmentOracle(SphereOracle):
-    """Spheres read off a finite exact distance table."""
+    """Spheres read off a finite exact distance table.
+
+    ``sphere(c, r)`` is one lookup in the fragment's sphere index: ``(c,)``
+    at radius zero, ``()`` at a radius no point realizes from c, and a
+    KeyError for an unknown center at a nonzero radius.
+    """
 
     def __init__(self, fragment: MetricFragment):
         self.fragment = fragment
@@ -274,8 +289,7 @@ class FragmentOracle(SphereOracle):
     def sphere(self, c, r):
         if r.is_zero():
             return (c,)
-        return tuple(p for p in self.fragment.points
-                     if p != c and self.fragment.distance(c, p) == r)
+        return self.fragment.spheres[c].get(r, ())
 
     def describe(self):
         return f"fragment({len(self.fragment)} points)"

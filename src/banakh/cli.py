@@ -147,7 +147,7 @@ def cmd_halfgroup(args) -> int:
 
 def cmd_floppy(args) -> int:
     monoid = _monoid_from_args(args)
-    verdict, witness = is_floppy(monoid, args.window and rat(args.window))
+    verdict, witness = is_floppy(monoid)
     payload = {"verdict": verdict}
     if witness is not None:
         payload["witness"] = format_rat(witness)
@@ -351,7 +351,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = new("floppy", cmd_floppy, "floppiness verdict for a monoid")
     _add_monoid_flags(sp)
-    sp.add_argument("--window", help="optional window (rational)")
 
     sp = new("ddot", cmd_ddot, "two-term-indecomposable members up to a window")
     _add_monoid_flags(sp)

@@ -601,7 +601,7 @@ def _assert_counterexample(monoid, p, domain, s):
         raise RuntimeError(f"stored divisibility witness {s} failed its facts")
 
 
-def is_floppy(monoid: MonoidDesc, window=None, denom_bound: int = 64):
+def is_floppy(monoid: MonoidDesc):
     """Decide floppiness: any r attaining r = inf{a+b : a,b in M, r = b-a}
     must already belong to M.
 

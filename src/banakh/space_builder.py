@@ -17,8 +17,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .banakh_space import MetricFragment, verify_fragment
-from .graph_metric import (ExtensionExhausted, ExtensionPolicy, GraphMetric,
-                           MuGraph, ScaledMu, extend_to_full, floppy_union)
+from .graph_metric import (ExtensionExhausted, ExtensionPolicy, MuGraph,
+                           ScaledMu, extend_to_full, floppy_union)
 from .monoid_algebra import MonoidDesc, is_floppy
 from .values import SurdValue, rat
 
@@ -132,16 +132,15 @@ def _units_window(window: Fraction, r: SurdValue) -> Fraction:
     return bound.brackets(16)[0]
 
 
-def _class_sphere(f: GraphMetric, x: str, cls: RadiusClass):
-    """Vertices whose distance to x lies in r·(N \\ {0}), with unit ratios."""
-    out = []
-    for y in f.vertices:
-        if y == x:
-            continue
-        q = f.edge_value(x, y).ratio_to(cls.r)
+def _class_units(f: MetricFragment, x: str, cls: RadiusClass) -> dict:
+    """Unit ratio q ∈ N \\ {0} ↦ the sorted points at distance q·r from x,
+    read from the fragment's sphere index."""
+    units = {}
+    for v, members in f.spheres[x].items():
+        q = v.ratio_to(cls.r)
         if q is not None and q > 0 and cls.monoid.member(q):
-            out.append((y, q))
-    return out
+            units[q] = members
+    return units
 
 
 def build(spec: BuildSpec):
@@ -175,6 +174,7 @@ def build(spec: BuildSpec):
     generic_log = []
     targets_seen = []  # (point, class, deficient radii) of every glued copy
     f_full, backtracks = _complete(g, spec, stage=0)
+    fragment = MetricFragment(f_full.vertices, f_full.edges)
     generic_log.extend(f_full.edges[p] for p in sorted(set(f_full.edges) - set(g.edges)))
     stage_log.append({"stage": 0, "copies": 0, "union_certified": True,
                       "member_floppy": [], "new_vertices": len(g.vertices),
@@ -185,17 +185,20 @@ def build(spec: BuildSpec):
         stage_targets = []
         deferred = []
         skipped = []
-        for x in f_full.vertices:
+        for x in fragment.points:
             for ci, (cls, uw, tmpl) in enumerate(templates):
-                deficient = _deficient_radii(f_full, x, cls, uw,
-                                             spec.denom_bound)
+                units = _class_units(fragment, x, cls)
+                deficient = [n for n in cls.monoid.elements(uw, spec.denom_bound)
+                             if n > 0 and len(units.get(n, ())) <= 1]
                 if not deficient:
                     continue
-                sphere = _class_sphere(f_full, x, cls)
+                sphere = sorted((y, q) for q, members in units.items()
+                                for y in members)
                 glue = frozenset([x] + [y for y, _ in sphere])
                 key = (glue, ci)
                 if key not in copies:
-                    positions = _lattice_positions(f_full, x, sphere, cls.r, tmpl)
+                    positions = _lattice_positions(fragment, x, sphere, cls.r,
+                                                   tmpl)
                     if positions is None:
                         skipped.append((x, ci,
                                         "sphere not placeable in the copy lattice"))
@@ -226,6 +229,7 @@ def build(spec: BuildSpec):
         new_count = len(union.vertices) - len(f_full.vertices)
         g = union
         f_full, backtracks = _complete(g, spec, stage=stage)
+        fragment = MetricFragment(f_full.vertices, f_full.edges)
         generic_log.extend(f_full.edges[p]
                            for p in sorted(set(f_full.edges) - set(g.edges)))
         stage_log.append({"stage": stage, "copies": len(ordered),
@@ -237,11 +241,11 @@ def build(spec: BuildSpec):
                           "new_vertices": new_count,
                           "extension_backtracks": backtracks})
 
-    growth_ok = _sphere_growth_check(f_full, classes, targets_seen)
+    growth_ok = _sphere_growth_check(fragment, classes, targets_seen)
     if not growth_ok:
         raise BuildExhausted(spec.stages, None,
                              "a targeted sphere failed to reach two points")
-    spheres, law_ok = _sphere_ledger(f_full, templates, spec.denom_bound)
+    spheres, law_ok = _sphere_ledger(fragment, templates, spec.denom_bound)
     if not law_ok:
         raise BuildExhausted(spec.stages, None,
                              "two-point sphere law violated on a class radius")
@@ -249,43 +253,28 @@ def build(spec: BuildSpec):
     cert = Certificate(seed=spec.seed, stages=stage_log, classes=cert_classes,
                        realized_distances=realized, generic_values=generic_log,
                        spheres=spheres, sphere_law_ok=law_ok, growth_ok=growth_ok)
-    fragment = MetricFragment(f_full.vertices, f_full.edges)
     return fragment, cert
 
 
-def _deficient_radii(f: GraphMetric, x: str, cls: RadiusClass, uw: Fraction,
-                     denom_bound: int):
-    """Windowed radii n·r (n in the unit monoid, 0 < n ≤ window) whose
-    sphere around x has at most one member."""
-    counts = {}
-    for _, q in _class_sphere(f, x, cls):
-        counts[q] = counts.get(q, 0) + 1
-    return [n for n in cls.monoid.elements(uw, denom_bound)
-            if n > 0 and counts.get(n, 0) <= 1]
-
-
-def _lattice_positions(f: GraphMetric, x: str, sphere, r, tmpl: MuGraph):
-    """Signed template units for the glue: the anchor sits at 0, each sphere
-    member at ±(its unit ratio), signs chosen so that all pairwise distances
-    match the lattice.  None when no consistent placement exists."""
+def _lattice_positions(f: MetricFragment, x: str, sphere, r, tmpl: MuGraph):
+    """Signed template units for the glue, from the sorted (member, unit
+    ratio q) pairs of the sphere: the anchor sits at 0, each member at ±q,
+    signs chosen so that all pairwise distances match the lattice.  None
+    when no consistent placement exists."""
     units = set(tmpl.unit_of.values())
     pos = {x: Fraction(0)}
-    for y, q in sorted(sphere):
+    for y, q in sphere:
         picks = []
         for s in ((q,) if len(pos) == 1 else (q, -q)):
             if s not in units:
                 continue
-            if all(_matches(f, y, z, abs(s - pz), r) for z, pz in pos.items()):
+            if all(f.distance(y, z).ratio_to(r) == abs(s - pz)
+                   for z, pz in pos.items()):
                 picks.append(s)
         if not picks:
             return None
         pos[y] = picks[0]
     return pos
-
-
-def _matches(f: GraphMetric, y: str, z: str, expected_units: Fraction, r) -> bool:
-    q = f.edge_value(y, z).ratio_to(r) if y != z else Fraction(0)
-    return q == expected_units
 
 
 def _make_copy(tmpl: MuGraph, cls: RadiusClass, stage: int, idx: int,
@@ -300,15 +289,12 @@ def _make_copy(tmpl: MuGraph, cls: RadiusClass, stage: int, idx: int,
     return ScaledMu(tmpl, cls.r, rename)
 
 
-def _sphere_growth_check(f: GraphMetric, classes, targets) -> bool:
+def _sphere_growth_check(f: MetricFragment, classes, targets) -> bool:
     """Every (point, radius) pair that received a copy must end with a
     complete two-point sphere."""
     for x, ci, radii in targets:
-        cls = classes[ci]
-        counts = {}
-        for _, q in _class_sphere(f, x, cls):
-            counts[q] = counts.get(q, 0) + 1
-        if any(counts.get(n, 0) != 2 for n in radii):
+        units = _class_units(f, x, classes[ci])
+        if any(len(units.get(n, ())) != 2 for n in radii):
             return False
     return True
 
@@ -323,7 +309,7 @@ def _complete(g, spec: BuildSpec, stage: int):
     return result.full, result.backtracks
 
 
-def _sphere_ledger(f: GraphMetric, templates, denom_bound: int):
+def _sphere_ledger(f: MetricFragment, templates, denom_bound: int):
     """Nonempty spheres at every windowed class radius on the final object.
     A deficient sphere is recorded (a later stage would complete it); more
     than two members, or a complete pair at the wrong mutual distance, is a
@@ -332,12 +318,10 @@ def _sphere_ledger(f: GraphMetric, templates, denom_bound: int):
     ok = True
     for ci, (cls, uw, _) in enumerate(templates):
         radii = [n for n in cls.monoid.elements(uw, denom_bound) if n > 0]
-        for x in f.vertices:
-            by_unit = {}
-            for y, q in _class_sphere(f, x, cls):
-                by_unit.setdefault(q, []).append(y)
+        for x in f.points:
+            units = _class_units(f, x, cls)
             for n in radii:
-                members = sorted(by_unit.get(n, ()))
+                members = list(units.get(n, ()))
                 if not members:
                     continue
                 entry = {"center": x, "class": ci, "unit": n,
@@ -345,7 +329,7 @@ def _sphere_ledger(f: GraphMetric, templates, denom_bound: int):
                          "complete": len(members) == 2}
                 if len(members) == 2:
                     u, v = members
-                    entry["diameter_ok"] = (f.edge_value(u, v) == cls.r * (2 * n))
+                    entry["diameter_ok"] = (f.distance(u, v) == cls.r * (2 * n))
                     ok = ok and entry["diameter_ok"]
                 ok = ok and len(members) <= 2
                 ledger.append(entry)
@@ -412,8 +396,7 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     ledger_ok = True
     for entry in cert.spheres:
         center, radius = entry["center"], entry["radius"]
-        members = sorted(y for y in fragment.points
-                         if y != center and fragment.distance(center, y) == radius)
+        members = list(fragment.spheres[center].get(radius, ()))
         if members != list(entry["members"]) or len(members) > 2:
             ledger_ok = False
         if len(members) == 2:

@@ -6,6 +6,8 @@ import pytest
 import oracles
 from conftest import line_fragment
 from banakh.values import SurdValue, ZERO
+from banakh.monoid_algebra import MonoidDesc
+from banakh.space_builder import BuildSpec, RadiusClass, build
 from banakh.banakh_space import (MetricFragment, verify_fragment,
                                  real_line_banakh_check, ZLineOracle,
                                  FragmentOracle, Orientation, gps_locate,
@@ -25,6 +27,11 @@ def fragment_of(table):
     return MetricFragment(pts, {k: SurdValue(v) for k, v in table.items()})
 
 
+# the sphere of radius 1 at c has three members
+CROWDED = {("c", "x"): 1, ("c", "y"): 1, ("c", "z"): 1,
+           ("x", "y"): 2, ("x", "z"): 2, ("y", "z"): 2}
+
+
 # -- fragments -------------------------------------------------------------------
 
 
@@ -40,6 +47,8 @@ def test_fragment_constructor_validation():
     with pytest.raises(ValueError, match="conflicting"):
         MetricFragment(["a", "b"], {("a", "b"): SurdValue(1),
                                     ("b", "a"): SurdValue(2)})
+    with pytest.raises(ValueError, match="not positive"):
+        MetricFragment(["a", "b"], {("a", "b"): ZERO})
 
 
 def test_fragment_distance_is_symmetric_with_zero_diagonal():
@@ -66,9 +75,7 @@ def test_verify_fragment_flags_triangle_violation():
 
 
 def test_verify_fragment_flags_crowded_sphere():
-    table = {("c", "x"): 1, ("c", "y"): 1, ("c", "z"): 1,
-             ("x", "y"): 2, ("x", "z"): 2, ("y", "z"): 2}
-    report = verify_fragment(fragment_of(table))
+    report = verify_fragment(fragment_of(CROWDED))
     assert report.metric_ok
     assert not report.banakh_consistent
     assert any(v["kind"] == "sphere-size" for v in report.violations)
@@ -86,6 +93,36 @@ def test_verify_fragment_agrees_with_brute_law_scan(z_line_window):
     assert oracles.banakh_law_scan(f.points, f.distance) == []
     bad = fragment_of({("c", "u"): 1, ("c", "v"): 1, ("u", "v"): 1})
     assert oracles.banakh_law_scan(bad.points, bad.distance) != []
+
+
+def _two_class_build():
+    """The 29-point build with radii 1 and √2 at seed 5: surd distances."""
+    zp = MonoidDesc.fingen([1])
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), zp),
+                            RadiusClass(SurdValue(0, {2: 1}), zp)),
+                     stages=2, window=Fraction(2), seed=5)
+    return build(spec)[0]
+
+
+@pytest.mark.parametrize("make, largest", [
+    (lambda request: request.getfixturevalue("z_line_window"), 2),
+    (lambda request: fragment_of(CROWDED), 3),
+    (lambda request: _two_class_build(), 2),
+], ids=["z-line-window", "crowded-sphere", "two-class-seed-5"])
+def test_sphere_index_matches_the_reference_scan(request, make, largest):
+    f = make(request)
+    oracle = FragmentOracle(f)
+    absent = SurdValue(Fraction(1, 7))
+    sizes = set()
+    for c in f.points:
+        values = {f.distance(c, p) for p in f.points if p != c}
+        assert absent not in values
+        for v in values | {absent}:
+            members = oracle.sphere(c, v)
+            assert members == tuple(oracles.sphere_scan(f.points, f.distance,
+                                                        c, v))
+            sizes.add(len(members))
+    assert max(sizes) == largest and 0 in sizes
 
 
 def test_real_line_closure_condition():

@@ -279,6 +279,30 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("line", "{frag}", "--a", "a", "--b", "b", "-n", "2"),
+    ("gps", "{frag}", "--a", "a", "--ra", "1", "--b", "b", "--rb", "1"),
+    ("orient", "{frag}", "--origin", "a", "--x", "b", "--y", "b"),
+    ("segment", "{frag}", "--x", "a", "--y", "b", "--r", "1"),
+    ("verify", "{frag}"),
+    ("embed", "{frag}"),
+    ("certify", "{built}", "{spec}"),
+], ids=lambda argv: argv[0])
+def test_zero_distance_is_a_usage_error(capsys, tmp_path, argv):
+    # a fragment whose two points sit at distance 0 is rejected on load,
+    # before any geometry can answer from it
+    fragment = {"points": ["a", "b"], "dist": [["a", "b", "0"]]}
+    paths = {"frag": tmp_path / "frag.json", "built": tmp_path / "built.json",
+             "spec": tmp_path / "spec.json"}
+    paths["frag"].write_text(json.dumps(fragment))
+    paths["built"].write_text(json.dumps({"fragment": fragment,
+                                          "certificate": {}}))
+    paths["spec"].write_text(json.dumps({"radii": []}))
+    code, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert code == 2 and out == "" and "not positive" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
