@@ -364,3 +364,6 @@ class GroupOracle(SphereOracle):
 
     def value_is_zero(self, v):
         return v.is_zero()
+
+    def value_le(self, v, w):
+        return None         # tokens are unordered

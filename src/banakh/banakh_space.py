@@ -9,21 +9,25 @@ fragments and real-line embeddability.
 
 Geometry runs against :class:`SphereOracle`, which abstracts both the point
 set and the *value algebra* of distances: values only ever need equality,
-rational-ratio testing, and scaling by rationals.  That keeps one
-implementation of each construction working over integer points, exact
-metric fragments, and the symbolic group coordinates of
-:mod:`banakh.banakh_group`.
+rational-ratio testing, scaling by rationals, and an order where the
+algebra has one.  That keeps one implementation of each construction
+working over integer points, exact metric fragments, and the symbolic
+group coordinates of :mod:`banakh.banakh_group`.
+
+The finite fragments are :class:`banakh.graph_metric.MetricFragment`, the
+full graph metrics, re-exported here; this module checks their axioms and
+answers their spheres from the fragment's own sphere index.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from functools import cached_property
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+from .graph_metric import MetricFragment
 from .monoid_algebra import MonoidDesc
 from .values import SurdValue, ZERO, rat
 
@@ -56,63 +60,6 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # fragments
 # ---------------------------------------------------------------------------
-
-
-class MetricFragment:
-    """Finite point set with a full, exact, positive distance table.
-
-    The constructor validates the table (full, symmetric, zero diagonal,
-    every off-diagonal value coercible and positive); the triangle
-    inequality and the two-point-sphere law are checked by
-    :func:`verify_fragment`, never assumed.  The fragment is immutable, so
-    its sphere index :attr:`spheres` is built once, on first use.
-    """
-
-    def __init__(self, points, dist):
-        given = list(points)
-        self.points = tuple(sorted(set(given)))
-        if len(self.points) != len(given):
-            raise ValueError("duplicate point ids")
-        self._dist = {}
-        for (x, y), v in dict(dist).items():
-            if x not in self.points or y not in self.points:
-                raise ValueError(f"distance entry for unknown point ({x!r},{y!r})")
-            if x == y:
-                raise ValueError("diagonal entries must be omitted")
-            v = v if isinstance(v, SurdValue) else SurdValue.of(v)
-            if not v.sign() > 0:
-                raise ValueError(f"distance ({x!r},{y!r}) is not positive: {v}")
-            key = (x, y) if x < y else (y, x)
-            if key in self._dist and self._dist[key] != v:
-                raise ValueError(f"conflicting distances for {key}")
-            self._dist[key] = v
-        want = len(self.points) * (len(self.points) - 1) // 2
-        if len(self._dist) != want:
-            raise ValueError(f"distance table incomplete: {len(self._dist)}/{want}")
-
-    @cached_property
-    def spheres(self) -> dict:
-        """center ↦ {distance value ↦ tuple of the points at that distance
-        from center, in point order}; zero radii are not listed."""
-        index = {c: {} for c in self.points}
-        for (x, y), v in self._dist.items():
-            index[x].setdefault(v, []).append(y)
-            index[y].setdefault(v, []).append(x)
-        return {c: {v: tuple(sorted(ms)) for v, ms in by_value.items()}
-                for c, by_value in index.items()}
-
-    def distance(self, x, y) -> SurdValue:
-        if x == y:
-            if x not in self.points:
-                raise KeyError(f"unknown point {x!r}")
-            return ZERO
-        return self._dist[(x, y) if x < y else (y, x)]
-
-    def pairs(self):
-        return self._dist.items()
-
-    def __len__(self):
-        return len(self.points)
 
 
 @dataclass
@@ -248,6 +195,10 @@ class SphereOracle:
 
     def value_is_zero(self, v) -> bool:
         return v.is_zero()
+
+    def value_le(self, v, w) -> Optional[bool]:
+        """v ≤ w, or None when the values have no order."""
+        return not w < v
 
 
 class ZLineOracle(SphereOracle):
@@ -555,13 +506,9 @@ def hypersphere_map(o: SphereOracle, a, b, window, denom_bound: int = 64,
         extra = N.min_add(delta)
         entry = {"s": s, "t": t, "delta": delta,
                  "upper_verified": extra is not None,
-                 "lower_ok": None, "upper_ok": None}
-        try:
-            entry["lower_ok"] = not (d < lower)
-            if extra is not None:
-                entry["upper_ok"] = not (o.value_scale(delta + 2 * extra, r) < d)
-        except TypeError:
-            pass  # unordered value algebra: bounds not comparable
+                 "lower_ok": o.value_le(lower, d), "upper_ok": None}
+        if extra is not None:
+            entry["upper_ok"] = o.value_le(d, o.value_scale(delta + 2 * extra, r))
         entry["tight"] = (d == lower)
         entry["member"] = N.member(delta)
         entry["equivalence_ok"] = entry["tight"] == entry["member"]

@@ -89,6 +89,17 @@ def _monoid_from_args(args) -> MonoidDesc:
     return MonoidDesc.closure(args.monoid)
 
 
+def _fragment_oracle(path) -> FragmentOracle:
+    """Sphere oracle over the fragment stored at ``path``; a ValueError
+    unless the fragment is a metric that keeps the two-point-sphere law."""
+    fragment = fragment_from_json(_load_json(path))
+    report = verify_fragment(fragment)
+    if not (report.metric_ok and report.banakh_consistent):
+        raise ValueError("fragment fails verify: "
+                         + dumps(_plain(report.violations[0])))
+    return FragmentOracle(fragment)
+
+
 def _dot_text(g: GraphMetric) -> str:
     lines = ["graph G {"]
     for v in g.vertices:
@@ -212,8 +223,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_line(args) -> int:
-    fragment = fragment_from_json(_load_json(args.fragment))
-    oracle = FragmentOracle(fragment)
+    oracle = _fragment_oracle(args.fragment)
     try:
         points = discrete_line(oracle, args.a, args.b, args.n)
     except (SphereDeficiency, NoSuchRadius) as exc:
@@ -224,8 +234,7 @@ def cmd_line(args) -> int:
 
 
 def cmd_gps(args) -> int:
-    fragment = fragment_from_json(_load_json(args.fragment))
-    oracle = FragmentOracle(fragment)
+    oracle = _fragment_oracle(args.fragment)
     try:
         point = gps_locate(oracle, args.a, args.b,
                            _parse_value(args.ra), _parse_value(args.rb))
@@ -237,16 +246,18 @@ def cmd_gps(args) -> int:
 
 
 def cmd_orient(args) -> int:
-    fragment = fragment_from_json(_load_json(args.fragment))
-    oracle = FragmentOracle(fragment)
-    sense = orientation(oracle, args.origin, args.x, args.y)
+    oracle = _fragment_oracle(args.fragment)
+    try:
+        sense = orientation(oracle, args.origin, args.x, args.y)
+    except (SphereDeficiency, NoSuchRadius) as exc:
+        _emit({"orientation": None, "reason": str(exc)}, args)
+        return 0
     _emit({"orientation": sense.name.lower()}, args)
     return 0
 
 
 def cmd_segment(args) -> int:
-    fragment = fragment_from_json(_load_json(args.fragment))
-    oracle = FragmentOracle(fragment)
+    oracle = _fragment_oracle(args.fragment)
     try:
         point = segment_construct(oracle, args.x, args.y, _parse_value(args.r))
     except (SphereDeficiency, NoSuchRadius) as exc:

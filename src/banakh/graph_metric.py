@@ -15,6 +15,13 @@ from a dense family.  ``build_mu`` makes the canonical difference graph of a
 monoid, ``extend_to_full`` completes floppy graphs with certified-generic
 surd values, and ``floppy_union`` glues fragments with positivity
 certificates.
+
+Every graph answers ``hat`` and ``check`` from one all-pairs table,
+:class:`_DistanceTable`, built on first use from the class's one hook,
+``_hat_row``: shortest paths for a plain graph, the closed difference
+formula for :class:`MuGraph` and :class:`ScaledMu`.  A full table is a
+:class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
+:mod:`banakh.banakh_space` reads its geometry from.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import isqrt
 from typing import Callable, Optional
@@ -33,6 +41,7 @@ from .values import SurdValue, ZERO, primes_from, rat, rational_between, format_
 
 __all__ = [
     "GraphMetric",
+    "MetricFragment",
     "MuGraph",
     "ScaledMu",
     "ExtensionPolicy",
@@ -55,7 +64,11 @@ def _pair(u: str, v: str) -> tuple[str, str]:
 
 
 class GraphMetric:
-    """Connected graph with exact positive edge values."""
+    """Connected graph with exact positive edge values.
+
+    Immutable after construction: ``hat`` and ``check`` read one table of
+    ``_hat_row`` values, built on the first call and kept.
+    """
 
     def __init__(self, vertices, edges):
         """edges: mapping from 2-tuples of vertex ids to positive values."""
@@ -126,22 +139,85 @@ class GraphMetric:
                     heapq.heappush(heap, (cand, v))
         return dist
 
+    def _hat_row(self, x: str) -> dict:
+        """hat(x, y) for every vertex y: the shortest-path values."""
+        return self.distances_from(x)
+
+    @cached_property
+    def _hat_table(self):
+        """(vertex index, edge list in _DistanceTable form, the table)."""
+        index = {v: k for k, v in enumerate(self.vertices)}
+        edges = [(index[u], index[v], w, *_enclosure(w))
+                 for (u, v), w in self.edges.items()]
+        return index, edges, _DistanceTable(self._hat_row, self.vertices, edges)
+
     def hat(self, x: str, y: str) -> SurdValue:
-        return self.hat_path(x, y)
+        index, _, table = self._hat_table
+        return table.d[index[x]][index[y]]
 
     def check(self, x: str, y: str) -> SurdValue:
         """Largest edge-forced lower bound for the pair (both orientations)."""
-        if x not in self.adj or y not in self.adj:
-            raise KeyError("unknown vertex")
-        from_x = self.distances_from(x)
-        from_y = self.distances_from(y)
-        best = ZERO
-        for (a, b), w in self.edges.items():
-            for ha, hb in ((from_x[a], from_y[b]), (from_x[b], from_y[a])):
-                cand = w - ha - hb
-                if best < cand:
-                    best = cand
-        return best
+        index, edges, table = self._hat_table
+        return table.check(index[x], index[y], edges)
+
+
+class MetricFragment(GraphMetric):
+    """Finite point set with a full, exact, positive distance table: a
+    complete graph metric.
+
+    The constructor validates the table (full, symmetric, zero diagonal,
+    every off-diagonal value coercible and positive); the triangle
+    inequality and the two-point-sphere law are checked by
+    :func:`banakh.banakh_space.verify_fragment`, never assumed.
+    """
+
+    def __init__(self, points, dist):
+        given = list(points)
+        points = tuple(sorted(set(given)))
+        if len(points) != len(given):
+            raise ValueError("duplicate point ids")
+        table = {}
+        for (x, y), v in dict(dist).items():
+            if x not in points or y not in points:
+                raise ValueError(f"distance entry for unknown point ({x!r},{y!r})")
+            if x == y:
+                raise ValueError("diagonal entries must be omitted")
+            v = v if isinstance(v, SurdValue) else SurdValue.of(v)
+            if not v.sign() > 0:
+                raise ValueError(f"distance ({x!r},{y!r}) is not positive: {v}")
+            key = _pair(x, y)
+            if key in table and table[key] != v:
+                raise ValueError(f"conflicting distances for {key}")
+            table[key] = v
+        want = len(points) * (len(points) - 1) // 2
+        if len(table) != want:
+            raise ValueError(f"distance table incomplete: {len(table)}/{want}")
+        super().__init__(points, table)
+        self.points = self.vertices
+
+    @cached_property
+    def spheres(self) -> dict:
+        """center ↦ {distance value ↦ tuple of the points at that distance
+        from center, in point order}; zero radii are not listed."""
+        index = {c: {} for c in self.points}
+        for (x, y), v in self.edges.items():
+            index[x].setdefault(v, []).append(y)
+            index[y].setdefault(v, []).append(x)
+        return {c: {v: tuple(sorted(ms)) for v, ms in by_value.items()}
+                for c, by_value in index.items()}
+
+    def distance(self, x, y) -> SurdValue:
+        if x == y:
+            if x not in self.adj:
+                raise KeyError(f"unknown point {x!r}")
+            return ZERO
+        return self.edges[(x, y) if x < y else (y, x)]
+
+    def pairs(self):
+        return self.edges.items()
+
+    def __len__(self):
+        return len(self.points)
 
 
 class MuGraph(GraphMetric):
@@ -150,7 +226,7 @@ class MuGraph(GraphMetric):
     Vertices are the elements of (M - M) scaled by r inside [-window, window];
     two vertices are joined exactly when their distance lies in r*(M\\{0}),
     with that distance as the edge value.  The underlying object is infinite;
-    ``hat`` therefore uses the closed difference formula
+    ``hat`` and ``check`` therefore read the closed difference formula
     |x-y| + 2*inf{v in M : v + |x-y| in M}, which is the true value on the
     infinite graph, while ``hat_path`` remains the windowed search
     (they agree given enough window slack).
@@ -168,14 +244,13 @@ class MuGraph(GraphMetric):
                    if t > 0]
         if not nonzero:
             raise ValueError("monoid has no nonzero elements in the window")
-        self.value_of = {format_rat(t * self.r): t * self.r for t in units}
         self.unit_of = {format_rat(t * self.r): t for t in units}
         edges = {}
         for ta, tb in combinations(units, 2):
             if monoid.member(abs(ta - tb)):
                 edges[(format_rat(ta * self.r), format_rat(tb * self.r))] = \
                     SurdValue(abs(ta - tb) * self.r)
-        super().__init__(self.value_of, edges)
+        super().__init__(self.unit_of, edges)
         self._hat_units_cache = {}
 
     def _hat_units(self, delta: Fraction) -> Fraction:
@@ -187,33 +262,16 @@ class MuGraph(GraphMetric):
             self._hat_units_cache[delta] = delta + 2 * extra
         return self._hat_units_cache[delta]
 
-    def unit_of_pair(self, u: str, v: str) -> Fraction:
-        return abs(self.unit_of[u] - self.unit_of[v])
-
-    def hat(self, x: str, y: str) -> SurdValue:
-        return SurdValue(self._hat_units(self.unit_of[x] - self.unit_of[y]) * self.r)
-
-    def check(self, x: str, y: str) -> SurdValue:
-        return SurdValue(self._check_units(x, y) * self.r)
-
-    def _check_units(self, x: str, y: str) -> Fraction:
-        tx, ty = self.unit_of[x], self.unit_of[y]
-        best = Fraction(0)
-        for (a, b), _ in self.edges.items():
-            ta, tb = self.unit_of[a], self.unit_of[b]
-            w = abs(ta - tb)
-            for ha, hb in ((self._hat_units(ta - tx), self._hat_units(tb - ty)),
-                           (self._hat_units(tb - tx), self._hat_units(ta - ty))):
-                cand = w - ha - hb
-                if cand > best:
-                    best = cand
-        return best
+    def _hat_row(self, x: str) -> dict:
+        tx = self.unit_of[x]
+        return {y: SurdValue(self._hat_units(self.unit_of[y] - tx) * self.r)
+                for y in self.vertices}
 
 
 class ScaledMu(GraphMetric):
     """A difference graph rescaled by a positive (possibly irrational) factor
     and relabeled.  Vertices carry new names; edge values and the closed
-    hat/check formulas are the template's, multiplied by the scale.  This is
+    hat formula are the template's, multiplied by the scale.  This is
     how copies with irrational radii attach to a build without leaving exact
     arithmetic: the template stays rational, the scale carries the surd.
     """
@@ -230,18 +288,16 @@ class ScaledMu(GraphMetric):
         self.template = template
         self.scale = scale
         self._back = {new: old for old, new in rename.items()}
-        edges = {(rename[u], rename[v]): scale * template.unit_of_pair(u, v)
+        t = template.unit_of
+        edges = {(rename[u], rename[v]): scale * abs(t[u] - t[v])
                  for (u, v) in template.edges}
         super().__init__(rename.values(), edges)
 
-    def hat(self, x: str, y: str) -> SurdValue:
+    def _hat_row(self, x: str) -> dict:
         t = self.template
-        return self.scale * t._hat_units(t.unit_of[self._back[x]]
-                                         - t.unit_of[self._back[y]])
-
-    def check(self, x: str, y: str) -> SurdValue:
-        return self.scale * self.template._check_units(self._back[x],
-                                                       self._back[y])
+        tx = t.unit_of[self._back[x]]
+        return {y: self.scale * t._hat_units(t.unit_of[self._back[y]] - tx)
+                for y in self.vertices}
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +372,7 @@ class ExtensionPolicy:
 
 @dataclass
 class ExtensionResult:
-    full: GraphMetric
+    full: MetricFragment
     assignments: dict
     intervals: dict
     backtracks: int
@@ -361,6 +417,11 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     decided on the exact values only where the enclosures cannot settle it,
     so every result is the exact one.  Exact sums are built only for the
     entries that the filter cannot show to be unchanged.
+
+    The table starts from the path values of ``g`` itself, not from
+    ``g.hat``: a difference graph's closed formula is the value on the
+    infinite graph and can fall below the windowed path near the window
+    edge.  The result is a :class:`MetricFragment`.
     """
     verts = list(g.vertices)
     index = {v: k for k, v in enumerate(verts)}
@@ -379,7 +440,8 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     # assigned ones follow the input's, in assignment order
     edges = [(index[u], index[v], w, *_enclosure(w))
              for (u, v), w in g.edges.items()]
-    base = _DistanceTable(g, verts, edges)
+    base = _DistanceTable(lambda x: GraphMetric.distances_from(g, x), verts,
+                          edges)
     n_input = len(edges)
 
     assignments: dict = {}
@@ -418,7 +480,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
 
     full_edges = dict(g.edges)
     full_edges.update(assignments)
-    full = GraphMetric(verts, full_edges)
+    full = MetricFragment(verts, full_edges)
     ok, bad = validate_pseudometric(full)
     if not ok:
         raise RuntimeError(f"completed graph failed validation at {bad}")
@@ -436,7 +498,8 @@ def _enclosure(value: SurdValue) -> tuple[float, float]:
 
 
 class _DistanceTable:
-    """Shortest-path values of a growing graph, addressed by vertex index.
+    """The hat values of a graph, addressed by vertex index; ``shrink``
+    relaxes them through each added edge.
 
     Entry d[i][j] is exact and lo[i][j], hi[i][j] enclose it in doubles.
     The filters decide a comparison on the enclosures when they can prove
@@ -463,14 +526,15 @@ class _DistanceTable:
 
     __slots__ = ("d", "lo", "hi", "bound", "tol")
 
-    def __init__(self, g: GraphMetric, verts: list, edges: list):
+    def __init__(self, row: Callable, verts, edges: list):
+        """Entry (i, j) is row(verts[i])[verts[j]]."""
         n = len(verts)
         self.d = [[ZERO] * n for _ in range(n)]
         self.lo = [[0.0] * n for _ in range(n)]
         self.hi = [[0.0] * n for _ in range(n)]
         self.bound, self.tol = 0.0, math.inf     # until an entry is set
         for i, x in enumerate(verts):
-            from_x = GraphMetric.distances_from(g, x)
+            from_x = row(x)
             for j in range(i + 1, n):
                 self.set(i, j, from_x[verts[j]])
         for _, _, _, w_lo, w_hi in edges:
@@ -625,15 +689,13 @@ def floppy_union(p: GraphMetric, family: list) -> tuple[GraphMetric, UnionReport
     for f, shared in zip(family, shares):
         verdict, _ = is_floppy_graph(f)
         member_floppy.append(verdict)
-        inner = _positivity_min(
-            [f.hat(a, x) + f.hat(x, b) - f.hat(a, b)
-             for x in set(f.vertices) - base_verts
-             for a in shared for b in shared])
-        outer = _positivity_min(
-            [p.edge_value(a, y) + p.edge_value(y, b)
-             - (ZERO if a == b else p.edge_value(a, b))
-             for y in base_verts - set(f.vertices)
-             for a in shared for b in shared])
+        inner = min((f.hat(a, x) + f.hat(x, b) - f.hat(a, b)
+                     for x in set(f.vertices) - base_verts
+                     for a in shared for b in shared), default=None)
+        outer = min((p.edge_value(a, y) + p.edge_value(y, b)
+                     - (ZERO if a == b else p.edge_value(a, b))
+                     for y in base_verts - set(f.vertices)
+                     for a in shared for b in shared), default=None)
         lambdas.append((inner, outer))
         for bound in (inner, outer):
             if bound is not None and not bound.sign() > 0:
@@ -644,10 +706,3 @@ def floppy_union(p: GraphMetric, family: list) -> tuple[GraphMetric, UnionReport
                          member_floppy=member_floppy, lambdas=lambdas)
     return union, report
 
-
-def _positivity_min(values):
-    best = None
-    for v in values:
-        if best is None or v < best:
-            best = v
-    return best

@@ -173,9 +173,7 @@ def build(spec: BuildSpec):
     stage_log = []
     generic_log = []
     targets_seen = []  # (point, class, deficient radii) of every glued copy
-    f_full, backtracks = _complete(g, spec, stage=0)
-    fragment = MetricFragment(f_full.vertices, f_full.edges)
-    generic_log.extend(f_full.edges[p] for p in sorted(set(f_full.edges) - set(g.edges)))
+    fragment, backtracks = _complete(g, spec, 0, generic_log)
     stage_log.append({"stage": 0, "copies": 0, "union_certified": True,
                       "member_floppy": [], "new_vertices": len(g.vertices),
                       "extension_backtracks": backtracks})
@@ -225,13 +223,9 @@ def build(spec: BuildSpec):
                               "union_certified": True, "member_floppy": [],
                               "new_vertices": 0, "extension_backtracks": 0})
             continue
-        union, report = floppy_union(f_full, ordered)
-        new_count = len(union.vertices) - len(f_full.vertices)
-        g = union
-        f_full, backtracks = _complete(g, spec, stage=stage)
-        fragment = MetricFragment(f_full.vertices, f_full.edges)
-        generic_log.extend(f_full.edges[p]
-                           for p in sorted(set(f_full.edges) - set(g.edges)))
+        g, report = floppy_union(fragment, ordered)
+        new_count = len(g.vertices) - len(fragment.vertices)
+        fragment, backtracks = _complete(g, spec, stage, generic_log)
         stage_log.append({"stage": stage, "copies": len(ordered),
                           "targets": stage_targets, "deferred": deferred,
                           "skipped": skipped,
@@ -249,7 +243,7 @@ def build(spec: BuildSpec):
     if not law_ok:
         raise BuildExhausted(spec.stages, None,
                              "two-point sphere law violated on a class radius")
-    realized = sorted(set(f_full.edges.values()))
+    realized = sorted(set(fragment.edges.values()))
     cert = Certificate(seed=spec.seed, stages=stage_log, classes=cert_classes,
                        realized_distances=realized, generic_values=generic_log,
                        spheres=spheres, sphere_law_ok=law_ok, growth_ok=growth_ok)
@@ -299,13 +293,16 @@ def _sphere_growth_check(f: MetricFragment, classes, targets) -> bool:
     return True
 
 
-def _complete(g, spec: BuildSpec, stage: int):
+def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
+    """The stage's fragment, completed from g, and its backtracks; the
+    assigned values go to generic_log in pair order."""
     policy = ExtensionPolicy(seed=spec.seed + 7919 * stage)
     try:
         result = extend_to_full(g, policy)
     except ExtensionExhausted as exc:
         raise BuildExhausted(stage, exc.pair,
                              f"extension budget spent ({exc.backtracks})") from exc
+    generic_log.extend(result.assignments[p] for p in sorted(result.assignments))
     return result.full, result.backtracks
 
 

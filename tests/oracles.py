@@ -148,6 +148,21 @@ def edges_zero(edges):
     return Fraction(0)
 
 
+def check_scan(vertices, edges, hat, x, y):
+    """The edge-forced lower bound, by the plain formula: the largest of 0
+    and w - hat(a, x) - hat(b, y) over every edge (a, b) -> w of ``edges``,
+    taken in both orientations."""
+    if x not in vertices or y not in vertices:
+        raise KeyError((x, y))
+    best = edges_zero(edges)
+    for (a, b), w in edges.items():
+        for p, q in ((a, b), (b, a)):
+            cand = w - hat(p, x) - hat(q, y)
+            if best < cand:
+                best = cand
+    return best
+
+
 def all_triangles_ok(points, dist):
     """Every triple satisfies all three triangle inequalities."""
     pts = list(points)

@@ -8,11 +8,12 @@ from conftest import line_fragment
 from banakh.values import SurdValue, ZERO
 from banakh.monoid_algebra import MonoidDesc
 from banakh.space_builder import BuildSpec, RadiusClass, build
+from banakh.banakh_group import GroupOracle, basis, zero
 from banakh.banakh_space import (MetricFragment, verify_fragment,
                                  real_line_banakh_check, ZLineOracle,
                                  FragmentOracle, Orientation, gps_locate,
                                  discrete_line, orientation,
-                                 segment_construct, split_segment,
+                                 segment_construct, split_segment, SphereOracle,
                                  directed_point, zr_sphere_map,
                                  hypersphere_map, embed_in_real_line,
                                  SphereDeficiency, NoSuchRadius,
@@ -239,6 +240,23 @@ def test_hypersphere_map_on_the_integer_line():
         assert entry["lower_ok"] and entry["upper_ok"] is not False
         assert entry["equivalence_ok"]
         assert entry["tight"]     # on the line every distance collapses
+
+
+def test_hypersphere_bounds_are_unknown_over_unordered_tokens():
+    mapping, report = hypersphere_map(GroupOracle("L"), zero(), basis(0), 2)
+    assert len(mapping) == 5 and report.pairs
+    for entry in report.pairs:
+        assert entry["lower_ok"] is None and entry["upper_ok"] is None
+
+
+def test_hypersphere_map_lets_a_comparison_error_through():
+    # an oracle that keeps the default order hook over unordered tokens is a
+    # bug, and the TypeError it raises must reach the caller
+    class UndeclaredOrder(GroupOracle):
+        value_le = SphereOracle.value_le
+
+    with pytest.raises(TypeError):
+        hypersphere_map(UndeclaredOrder("L"), zero(), basis(0), 2)
 
 
 def test_hypersphere_map_detects_monoid_mismatch():

@@ -303,6 +303,37 @@ def test_zero_distance_is_a_usage_error(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("dist, argv", [
+    # the triangle inequality fails: a-c is 5, a-b-c is 2
+    ([["a", "b", "1"], ["b", "c", "1"], ["a", "c", "5"]],
+     ("gps", "--a", "a", "--ra", "5", "--b", "b", "--rb", "1")),
+    # the sphere of radius 1 at o has three members
+    ([["a", "o", "1"], ["b", "o", "1"], ["c", "o", "1"], ["a", "b", "2"],
+      ["a", "c", "2"], ["b", "c", "2"]],
+     ("line", "--a", "a", "--b", "o", "-n", "2")),
+], ids=["triangle", "crowded-sphere"])
+def test_geometry_refuses_a_fragment_that_fails_verify(capsys, tmp_path, dist,
+                                                       argv):
+    points = sorted({p for row in dist for p in row[:2]})
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps({"points": points, "dist": dist}))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2 and out == "" and "bad input" in err
+    assert "Traceback" not in err
+
+
+def test_orient_past_the_fragment_is_a_null_outcome(capsys, tmp_path):
+    # the ray from a through b must reach length 3, beyond the table
+    path = tmp_path / "frag.json"
+    path.write_text(json.dumps({"points": ["a", "b", "c"],
+                                "dist": [["a", "b", "1"], ["b", "c", "2"],
+                                         ["a", "c", "3"]]}))
+    code, doc, err = run_json(capsys, "orient", str(path),
+                              "--origin", "a", "--x", "b", "--y", "c")
+    assert code == 0 and doc["orientation"] is None and "reason" in doc
+    assert "Traceback" not in err
+
+
 def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

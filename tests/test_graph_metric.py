@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 import oracles
 from banakh.values import SurdValue, ZERO, primes_from
 from banakh.monoid_algebra import MonoidDesc, is_floppy
+import banakh.banakh_space
+import banakh.graph_metric
 from banakh.graph_metric import (GraphMetric, MuGraph, ScaledMu, build_mu,
                                  validate_pseudometric, is_floppy_graph,
                                  extend_to_full, ExtensionPolicy,
                                  ExtensionExhausted, ExtensionResult,
                                  floppy_union, ConditionViolation,
-                                 _default_sample)
+                                 MetricFragment, _default_sample)
 
 
 OMEGA1 = MonoidDesc.closure("omega-minus-1")
@@ -94,6 +96,58 @@ def test_check_never_exceeds_hat_on_pseudometrics(data):
     assert validate_pseudometric(g) == (True, None)
     for u, v in itertools.combinations(verts, 2):
         assert not g.hat(u, v) < g.check(u, v), (u, v)
+
+
+@given(random_graphs())
+@settings(max_examples=50, deadline=None)
+def test_hat_and_check_match_the_plain_scan(data):
+    verts, edges = data
+    g = GraphMetric(verts, {k: SurdValue(w) for k, w in edges.items()})
+    paths = {v: oracles.dijkstra(verts, edges, v) for v in verts}
+
+    def hat(a, b):
+        return paths[a][b]
+
+    for x, y in itertools.product(verts, repeat=2):
+        assert g.hat(x, y).as_rational() == paths[x][y], (x, y)
+        assert (g.check(x, y).as_rational()
+                == oracles.check_scan(verts, edges, hat, x, y)), (x, y)
+
+
+@pytest.mark.parametrize("monoid, scale", [
+    (OMEGA1, SurdValue(1)),
+    (MonoidDesc.fingen([2, 3]), SurdValue(1)),
+    (MonoidDesc.fingen([2, 3]), SurdValue.sqrt(2)),
+], ids=["omega-minus-1", "fingen-2-3", "fingen-2-3-sqrt2"])
+def test_difference_graph_hat_and_check_match_the_plain_scan(monoid, scale):
+    # both monoids are {0, 2, 3, 4, ...}; hat is the closed formula on the
+    # infinite graph, so pairs at the window edge are included on purpose
+    template = build_mu(monoid, 1, 6)
+    units = {v: Fraction(v) for v in template.vertices}
+
+    def gap(a, b):
+        return abs(units[a] - units[b])
+
+    members = oracles.closure_ints([2, 3], 40)
+    edges = {(a, b): gap(a, b)
+             for a, b in itertools.combinations(template.vertices, 2)
+             if gap(a, b) in members}
+    hats = {(a, b): gap(a, b) + 2 * oracles.min_add_brute(
+                members.__contains__, gap(a, b), sorted(members))
+            for a, b in itertools.product(template.vertices, repeat=2)}
+
+    def hat(a, b):
+        return hats[a, b]
+
+    g = template
+    name = {v: v for v in template.vertices}
+    if scale != SurdValue(1):
+        name = {v: f"s{v}" for v in template.vertices}
+        g = ScaledMu(template, scale, name)
+    for x, y in itertools.product(template.vertices, repeat=2):
+        assert g.hat(name[x], name[y]) == scale * hats[x, y], (x, y)
+        want = oracles.check_scan(template.vertices, edges, hat, x, y)
+        assert g.check(name[x], name[y]) == scale * want, (x, y)
 
 
 # -- the worked difference-graph values ----------------------------------------
@@ -194,6 +248,13 @@ def test_four_cycle_diagonals_land_strictly_inside():
         assert (w - ZERO).sign() == 1
         assert (SurdValue(2) - w).sign() == 1
     assert result.assignments[("a", "c")] != result.assignments[("b", "d")]
+
+
+def test_completion_is_a_metric_fragment():
+    result = extend_to_full(four_cycle(), ExtensionPolicy(seed=11))
+    assert isinstance(result.full, MetricFragment)
+    assert result.full.distance("a", "c") == result.assignments[("a", "c")]
+    assert banakh.banakh_space.MetricFragment is banakh.graph_metric.MetricFragment
 
 
 def test_extension_preserves_input_and_satisfies_triangles():
