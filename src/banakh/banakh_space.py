@@ -74,24 +74,20 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     """Exact check of the triangle inequality and the two-point-sphere law.
 
     Positivity is already guaranteed by the :class:`MetricFragment`
-    constructor.  The spheres are read from ``f.spheres``, each center's in
-    the order of their member lists.  A sphere with one member is
-    *incomplete*, not inconsistent: no finite table can realize both
-    members of every sphere.  Violations are spheres with three or more
-    members, or two-member spheres whose mutual distance differs from twice
-    the radius, plus any triangle failure.
+    constructor.  The triangle failures come from
+    :meth:`MetricFragment.triangle_failures`, the float-filtered exact scan
+    that also validates every :func:`banakh.graph_metric.extend_to_full`
+    result; on a full table it agrees with the path check
+    :func:`banakh.graph_metric.validate_pseudometric`.  The spheres are
+    read from ``f.spheres``, each center's in the order of their member
+    lists.  A sphere with one member is *incomplete*, not inconsistent: no
+    finite table can realize both members of every sphere.  Violations are
+    the triangle failures, then spheres with three or more members, or
+    two-member spheres whose mutual distance differs from twice the radius.
     """
-    violations = []
-    metric_ok = True
-    for x, y, z in combinations(f.points, 3):
-        dxy, dyz, dxz = f.distance(x, y), f.distance(y, z), f.distance(x, z)
-        for a, b, c, names in (
-                (dxy, dyz, dxz, (x, z, y)),
-                (dxy, dxz, dyz, (y, z, x)),
-                (dyz, dxz, dxy, (x, y, z))):
-            if c > a + b:
-                metric_ok = False
-                violations.append({"kind": "triangle", "points": list(names)})
+    violations = [{"kind": "triangle", "points": list(names)}
+                  for names in f.triangle_failures()]
+    metric_ok = not violations
     incomplete = []
     banakh = True
     for c in f.points:

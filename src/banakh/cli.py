@@ -2,9 +2,12 @@
 
 Every subcommand is a thin adapter around one module operation.  Output is
 canonical JSON on stdout (``--human`` switches to indented rendering); exit
-codes are 0 for a true verdict / successful construction / null geometric
-outcome, 1 for a false verdict with a machine-readable witness, and 2 for
-usage or format errors (diagnostics on stderr).
+codes are 0 for a true verdict / successful construction, 1 for a false
+verdict with a machine-readable witness, and 2 for usage or format errors
+(diagnostics on stderr).  A null geometric outcome (no such point, or a
+sphere the fragment cannot supply) prints a ``null`` answer and exits 0
+from ``gps``, ``orient`` and ``segment``, but 1 from ``line``, whose walk
+stopped short of the points it was asked for.
 """
 
 from __future__ import annotations

@@ -70,29 +70,46 @@ class GraphMetric:
     ``_hat_row`` values, built on the first call and kept.
     """
 
+    # the messages of the entry checks in _set_edges; a subclass words them
+    # for its own kind of table
+    _ENTRY_ERRORS = {
+        "unknown": "edge ({u!r},{v!r}) uses an unknown vertex",
+        "loop": "self-loop at {u!r}",
+        "sign": "edge ({u!r},{v!r}) has nonpositive value {w}",
+        "conflict": "conflicting values for edge {key}",
+    }
+
     def __init__(self, vertices, edges):
         """edges: mapping from 2-tuples of vertex ids to positive values."""
+        self._set_edges(vertices, edges)
+        if not self._connected():
+            raise ValueError("graph is not connected")
+
+    def _set_edges(self, vertices, edges) -> None:
+        """Set ``vertices``, ``edges`` and ``adj`` in one validation pass:
+        every entry joins two distinct known vertices, is coerced to a
+        :class:`SurdValue`, is positive and agrees with its other
+        orientation."""
         self.vertices = tuple(sorted(set(vertices)))
         vertex_set = set(self.vertices)
+        errors = self._ENTRY_ERRORS
         self.edges = {}
         for (u, v), w in dict(edges).items():
-            if u == v:
-                raise ValueError(f"self-loop at {u!r}")
             if u not in vertex_set or v not in vertex_set:
-                raise ValueError(f"edge ({u!r},{v!r}) uses an unknown vertex")
+                raise ValueError(errors["unknown"].format(u=u, v=v))
+            if u == v:
+                raise ValueError(errors["loop"].format(u=u))
             w = w if isinstance(w, SurdValue) else SurdValue.of(w)
             if not w.sign() > 0:
-                raise ValueError(f"edge ({u!r},{v!r}) has nonpositive value {w}")
+                raise ValueError(errors["sign"].format(u=u, v=v, w=w))
             key = _pair(u, v)
             if key in self.edges and self.edges[key] != w:
-                raise ValueError(f"conflicting values for edge {key}")
+                raise ValueError(errors["conflict"].format(key=key))
             self.edges[key] = w
         self.adj = {v: [] for v in self.vertices}
         for (u, v), w in self.edges.items():
             self.adj[u].append((v, w))
             self.adj[v].append((u, w))
-        if not self._connected():
-            raise ValueError("graph is not connected")
 
     def _connected(self) -> bool:
         if not self.vertices:
@@ -166,34 +183,89 @@ class MetricFragment(GraphMetric):
     complete graph metric.
 
     The constructor validates the table (full, symmetric, zero diagonal,
-    every off-diagonal value coercible and positive); the triangle
-    inequality and the two-point-sphere law are checked by
-    :func:`banakh.banakh_space.verify_fragment`, never assumed.
+    every off-diagonal value coercible and positive) in the one pass of
+    ``_set_edges``; a full table is connected, so no search follows.  The
+    triangle inequality is :meth:`triangle_failures`, and the two-point-sphere
+    law is checked by :func:`banakh.banakh_space.verify_fragment`; neither is
+    assumed.
     """
+
+    _ENTRY_ERRORS = {
+        "unknown": "distance entry for unknown point ({u!r},{v!r})",
+        "loop": "diagonal entries must be omitted",
+        "sign": "distance ({u!r},{v!r}) is not positive: {w}",
+        "conflict": "conflicting distances for {key}",
+    }
 
     def __init__(self, points, dist):
         given = list(points)
-        points = tuple(sorted(set(given)))
-        if len(points) != len(given):
+        if len(set(given)) != len(given):
             raise ValueError("duplicate point ids")
-        table = {}
-        for (x, y), v in dict(dist).items():
-            if x not in points or y not in points:
-                raise ValueError(f"distance entry for unknown point ({x!r},{y!r})")
-            if x == y:
-                raise ValueError("diagonal entries must be omitted")
-            v = v if isinstance(v, SurdValue) else SurdValue.of(v)
-            if not v.sign() > 0:
-                raise ValueError(f"distance ({x!r},{y!r}) is not positive: {v}")
-            key = _pair(x, y)
-            if key in table and table[key] != v:
-                raise ValueError(f"conflicting distances for {key}")
-            table[key] = v
-        want = len(points) * (len(points) - 1) // 2
-        if len(table) != want:
-            raise ValueError(f"distance table incomplete: {len(table)}/{want}")
-        super().__init__(points, table)
+        self._set_edges(given, dist)
+        want = len(given) * (len(given) - 1) // 2
+        if len(self.edges) != want:
+            raise ValueError(f"distance table incomplete: {len(self.edges)}/{want}")
         self.points = self.vertices
+
+    def triangle_failures(self) -> list:
+        """The strict triangle failures, as name triples.
+
+        Triples x < y < z come in ``combinations`` order; each tests the
+        sides d(x,z), d(y,z), d(x,y) in turn against the sum of the other
+        two, and a failing side is named by its ends, then the third point:
+        (x, z, y), (y, z, x) or (x, y, z).
+
+        A side c passes on the enclosures when c_hi < a_lo + b_lo - tol,
+        which proves c < a + b: three ends off by u*B and two roundings off
+        by 2u*B each stay far inside ``tol`` = ``_tolerance(B)``, B the
+        largest |enclosure end| of the table (see :class:`_DistanceTable`).
+        Every other side is decided exactly.  Only ``self.edges`` is read
+        and no verdict is kept, so each call checks the table afresh.
+
+        For a full table of positive values the list is empty exactly when
+        every edge is its shortest path (:func:`validate_pseudometric`): a
+        failure c > a + b is a two-edge path shorter than c, and without
+        one, the first two edges of any path can be replaced by the edge
+        between their ends, down to a single edge, never lengthening it.
+        """
+        points = self.points
+        n = len(points)
+        index = {p: k for k, p in enumerate(points)}
+        d = [[ZERO] * n for _ in range(n)]
+        lo = [[0.0] * n for _ in range(n)]
+        hi = [[0.0] * n for _ in range(n)]
+        bound = 0.0
+        for (u, v), w in self.edges.items():
+            i, j = index[u], index[v]
+            w_lo, w_hi = _enclosure(w)
+            d[i][j] = d[j][i] = w
+            lo[i][j] = lo[j][i] = w_lo
+            hi[i][j] = hi[j][i] = w_hi
+            bound = max(bound, abs(w_lo), abs(w_hi))
+        tol = _tolerance(bound)
+        failures = []
+        for i in range(n - 2):
+            lo_i, hi_i = lo[i], hi[i]
+            for j in range(i + 1, n - 1):
+                lo_j, hi_j = lo[j], hi[j]
+                xy_lo, xy_hi = lo_i[j], hi_i[j]
+                for k in range(j + 1, n):
+                    xz_lo, xz_hi = lo_i[k], hi_i[k]
+                    yz_lo, yz_hi = lo_j[k], hi_j[k]
+                    xz_ok = xz_hi < xy_lo + yz_lo - tol
+                    yz_ok = yz_hi < xy_lo + xz_lo - tol
+                    xy_ok = xy_hi < yz_lo + xz_lo - tol
+                    if xz_ok and yz_ok and xy_ok:
+                        continue
+                    x, y, z = points[i], points[j], points[k]
+                    dxy, dyz, dxz = d[i][j], d[j][k], d[i][k]
+                    if not xz_ok and _exceeds(dxz, dxy, dyz):
+                        failures.append((x, z, y))
+                    if not yz_ok and _exceeds(dyz, dxy, dxz):
+                        failures.append((y, z, x))
+                    if not xy_ok and _exceeds(dxy, dyz, dxz):
+                        failures.append((x, y, z))
+        return failures
 
     @cached_property
     def spheres(self) -> dict:
@@ -421,7 +493,11 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     The table starts from the path values of ``g`` itself, not from
     ``g.hat``: a difference graph's closed formula is the value on the
     infinite graph and can fall below the windowed path near the window
-    edge.  The result is a :class:`MetricFragment`.
+    edge.  The result is a :class:`MetricFragment`, validated by the scan
+    that :func:`banakh.banakh_space.verify_fragment` also uses,
+    :meth:`MetricFragment.triangle_failures`.  On a full positive table it
+    fails exactly when :func:`validate_pseudometric` does (see there), so
+    that path check runs only to name the witness edge of a failure.
     """
     verts = list(g.vertices)
     index = {v: k for k, v in enumerate(verts)}
@@ -481,8 +557,10 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     full_edges = dict(g.edges)
     full_edges.update(assignments)
     full = MetricFragment(verts, full_edges)
-    ok, bad = validate_pseudometric(full)
-    if not ok:
+    if full.triangle_failures():
+        # name the first edge that is not its shortest path, as the path
+        # check does on any graph
+        _, bad = validate_pseudometric(full)
         raise RuntimeError(f"completed graph failed validation at {bad}")
     return ExtensionResult(full=full, assignments=assignments,
                            intervals=intervals, backtracks=backtracks)
@@ -495,6 +573,22 @@ def _enclosure(value: SurdValue) -> tuple[float, float]:
     (-inf, inf)."""
     mid, err = value._float_interval()
     return mid - err, mid + err
+
+
+def _tolerance(bound: float) -> float:
+    """The skip margin of the float filters, 2**-48 * bound, for ``bound``
+    >= |every enclosure end| involved (see _DistanceTable); infinite, so
+    that nothing is skipped, when ``bound`` is outside [2**-900, 2**900]."""
+    return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 \
+        else math.inf
+
+
+def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
+    """c > a + b, exactly; on the rational parts when all three are
+    rational."""
+    if c.surd_coeffs or a.surd_coeffs or b.surd_coeffs:
+        return a + b < c
+    return c.rational_part > a.rational_part + b.rational_part
 
 
 class _DistanceTable:
@@ -518,10 +612,11 @@ class _DistanceTable:
     * the comparison itself is exact, and rounding to nearest is monotone,
       so the final addition of a test cannot turn a false one true.
 
-    A skip therefore asks for a margin of ``tol`` = 2**-48 * B = 32u*B.
-    Every skip test is false when an operand is infinite, and so is sent to
-    the exact values; ``tol`` is infinite when B is beyond [2**-900, 2**900]
-    (sums could overflow or fall into the subnormals).
+    A skip therefore asks for a margin of ``tol`` = ``_tolerance(B)`` =
+    2**-48 * B = 32u*B.  Every skip test is false when an operand is
+    infinite, and so is sent to the exact values; ``tol`` is infinite when
+    B is beyond [2**-900, 2**900] (sums could overflow or fall into the
+    subnormals).
     """
 
     __slots__ = ("d", "lo", "hi", "bound", "tol")
@@ -551,9 +646,7 @@ class _DistanceTable:
     def _widen(self, lo: float, hi: float) -> None:
         m = max(abs(lo), abs(hi))
         if m > self.bound:
-            self.bound = m
-            self.tol = m * 2.0 ** -48 if 2.0 ** -900 < m < 2.0 ** 900 \
-                else math.inf
+            self.bound, self.tol = m, _tolerance(m)
 
     def set(self, i: int, j: int, value: SurdValue) -> None:
         lo, hi = _enclosure(value)

@@ -32,6 +32,8 @@ __all__ = [
     "DivisibilityWitness",
     "DzikResult",
     "MonoidMembershipError",
+    "MonoidTooLarge",
+    "APERY_CAP",
     "delta_p",
     "div_p",
     "dzik_reduce",
@@ -130,6 +132,22 @@ def _require_prime(p: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+# the largest least reduced generator whose Apery set is built: one entry
+# per residue, so a larger one asks for an allocation of that size
+APERY_CAP = 100_000
+
+
+class MonoidTooLarge(ValueError):
+    """A finitely generated monoid whose least reduced generator is above
+    APERY_CAP; its Apery set is not built."""
+
+    def __init__(self, least: int):
+        self.least = least
+        super().__init__(
+            f"least reduced generator {least} is above {APERY_CAP}: its "
+            f"Apery set would need one entry per residue")
+
+
 class _Semigroup:
     """Integer numerical semigroup <gens> with complete membership."""
 
@@ -161,8 +179,11 @@ class _Semigroup:
 
 
 def _apery_set(reduced_gens: tuple[int, ...]) -> list[int]:
-    """Minimal semigroup element in each residue class mod the least generator."""
+    """Minimal semigroup element in each residue class mod the least
+    generator; MonoidTooLarge, before any allocation, above APERY_CAP."""
     m0 = reduced_gens[0]
+    if m0 > APERY_CAP:
+        raise MonoidTooLarge(m0)
     dist = [None] * m0
     dist[0] = 0
     heap = [(0, 0)]

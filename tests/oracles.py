@@ -163,17 +163,26 @@ def check_scan(vertices, edges, hat, x, y):
     return best
 
 
-def all_triangles_ok(points, dist):
-    """Every triple satisfies all three triangle inequalities."""
+def triangle_scan(points, distance):
+    """Every strict triangle failure, by the plain exact triple loop.
+
+    For each triple x < y < z (in the order of ``points``) the sides
+    d(x,z), d(y,z) and d(x,y) are tested, in that order, against the sum
+    of the other two; a failing side gives its two ends, then the third
+    point: (x, z, y), (y, z, x) or (x, y, z)."""
     pts = list(points)
+    failures = []
     for i, x in enumerate(pts):
         for j in range(i + 1, len(pts)):
             for k in range(j + 1, len(pts)):
                 y, z = pts[j], pts[k]
-                a, b, c = dist(x, y), dist(y, z), dist(x, z)
-                if c > a + b or a > c + b or b > a + c:
-                    return False, (x, y, z)
-    return True, None
+                dxy, dyz, dxz = distance(x, y), distance(y, z), distance(x, z)
+                for a, b, c, names in ((dxy, dyz, dxz, (x, z, y)),
+                                       (dxy, dxz, dyz, (y, z, x)),
+                                       (dyz, dxz, dxy, (x, y, z))):
+                    if c > a + b:
+                        failures.append(names)
+    return failures
 
 
 # -- spheres -----------------------------------------------------------------

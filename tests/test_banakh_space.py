@@ -126,6 +126,24 @@ def test_sphere_index_matches_the_reference_scan(request, make, largest):
     assert max(sizes) == largest and 0 in sizes
 
 
+@pytest.mark.parametrize("make, failures", [
+    (lambda request: request.getfixturevalue("z_line_window"), []),
+    (lambda request: fragment_of(CROWDED), []),
+    (lambda request: fragment_of({("a", "b"): 1, ("b", "c"): 1,
+                                  ("a", "c"): 5}), [("a", "c", "b")]),
+    (lambda request: _two_class_build(), []),
+], ids=["z-line-window", "crowded-sphere", "broken-triangle",
+        "two-class-seed-5"])
+def test_triangle_failures_on_the_fixtures(request, make, failures):
+    f = make(request)
+    assert f.triangle_failures() == failures
+    assert failures == oracles.triangle_scan(f.points, f.distance)
+    report = verify_fragment(f)
+    assert [v["points"] for v in report.violations
+            if v["kind"] == "triangle"] == [list(t) for t in failures]
+    assert report.metric_ok == (not failures)
+
+
 def test_real_line_closure_condition():
     assert real_line_banakh_check([0, 1, 2, 3]) == (True, None)
     verdict, witness = real_line_banakh_check([0, 1, 3])

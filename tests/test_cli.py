@@ -11,6 +11,7 @@ import banakh
 from banakh.cli import main
 from banakh.serialize import dumps, fragment_to_json, graph_to_json
 from banakh.graph_metric import GraphMetric
+from banakh.monoid_algebra import APERY_CAP
 from banakh.values import SurdValue
 
 from conftest import line_fragment
@@ -88,6 +89,20 @@ def test_halfgroup_verdicts(capsys):
     assert doc == {"verdict": False, "witness": "1 = 3-2 not in M"}
     code, out, err = run(capsys, "halfgroup", "--gens", "2,3", "--bound", "1")
     assert code == 2 and out == "" and "inconclusive" in err
+
+
+def test_monoid_above_the_apery_cap_is_bad_input(capsys):
+    # the same check stops `--gens 1000000007,1000000009` before it asks
+    # for a list of 10**9 entries; just above the cap, a missing check
+    # would only allocate APERY_CAP entries and answer
+    gens = f"{2 * (APERY_CAP + 1)},{2 * (APERY_CAP + 2)}"
+    for sub in ("halfgroup", "floppy"):
+        code, out, err = run(capsys, sub, "--gens", gens)
+        assert code == 2 and out == ""
+        assert err.startswith("bad input:") and str(APERY_CAP + 1) in err
+    # a group cone builds no Apery set, so it has no such cap
+    code, doc, _ = run_json(capsys, "halfgroup", "--cone", gens)
+    assert code == 0 and doc == {"verdict": True}
 
 
 def test_floppy_verdicts(capsys):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -231,6 +232,87 @@ def test_validate_pseudometric_finds_shortcuts():
     assert verdict is False and set(witness) == {"a", "c"}
 
 
+# -- the triangle scan of a full table --------------------------------------------
+
+
+TINY = Fraction(1, 2 ** 60)
+HUGE = 10 ** 400
+# added to a line distance: nothing, a last-bits change of either sign
+# (rational, one surd, four surds whose enclosure is wider than the filter's
+# margin), or a plain surd or rational
+NUDGES = [ZERO, SurdValue(TINY), SurdValue(-TINY),
+          SurdValue(0, {2: TINY}), SurdValue(0, {3: -TINY}),
+          SurdValue(0, {2: TINY, 3: TINY, 5: -TINY, 7: TINY}),
+          SurdValue(0, {5: 1}), SurdValue(Fraction(1, 2))]
+
+
+@st.composite
+def full_tables(draw):
+    """Full tables on 3-7 points: distances of points on a line (so that
+    collinear ties are everywhere), each entry nudged or not, the whole
+    table optionally scaled beyond the double range or below it."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    points = [f"p{i}" for i in range(n)]
+    coords = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    scale = draw(st.sampled_from([1, 1, HUGE, Fraction(1, HUGE)]))
+    table = {}
+    for i, j in itertools.combinations(range(n), 2):
+        base = abs(coords[i] - coords[j]) or draw(st.integers(1, 12))
+        table[(points[i], points[j])] = \
+            (SurdValue(base) + draw(st.sampled_from(NUDGES))) * scale
+    return MetricFragment(points, table)
+
+
+@given(full_tables())
+@settings(max_examples=150, deadline=None)
+def test_triangle_failures_match_the_plain_scan(f):
+    failures = f.triangle_failures()
+    assert failures == oracles.triangle_scan(f.points, f.distance)
+    # the two checks of a full table agree
+    assert (not failures) == validate_pseudometric(f)[0]
+
+
+@pytest.mark.parametrize("over", [
+    SurdValue(2 + TINY),
+    SurdValue(2, {2: TINY, 3: TINY, 5: TINY, 7: TINY}),
+    SurdValue(2 * HUGE + 1),
+], ids=["rational", "four-surds", "beyond-doubles"])
+def test_triangle_failures_find_a_last_bits_failure(over):
+    scale = HUGE if over > HUGE else 1
+    one = SurdValue(scale)
+    f = MetricFragment(["x", "y", "z"], {("x", "y"): one, ("y", "z"): one,
+                                         ("x", "z"): over})
+    assert f.triangle_failures() == [("x", "z", "y")]
+    tie = MetricFragment(["x", "y", "z"], {("x", "y"): one, ("y", "z"): one,
+                                           ("x", "z"): one * 2})
+    assert tie.triangle_failures() == []
+
+
+def test_triangle_filter_margin_covers_rounded_ends(monkeypatch):
+    # ends that miss the value by up to one ulp the wrong way, more than a
+    # stored end ever does: the filter's margin still sends the failing
+    # side to the exact comparison
+    def off_by_an_ulp(value):
+        mid = float(value)
+        return math.nextafter(mid, math.inf), math.nextafter(mid, -math.inf)
+
+    monkeypatch.setattr(banakh.graph_metric, "_enclosure", off_by_an_ulp)
+    one = SurdValue(1)
+    f = MetricFragment(["x", "y", "z"], {("x", "y"): one, ("y", "z"): one,
+                                         ("x", "z"): SurdValue(2 + TINY)})
+    assert f.triangle_failures() == [("x", "z", "y")]
+
+
+def test_completion_is_validated_without_the_path_check(monkeypatch):
+    def refuse(g):
+        raise AssertionError("validate_pseudometric ran on a valid completion")
+
+    monkeypatch.setattr(banakh.graph_metric, "validate_pseudometric", refuse)
+    result = extend_to_full(build_mu(MonoidDesc.fingen([2, 3]), 1, 6),
+                            ExtensionPolicy(seed=3))
+    assert result.full.triangle_failures() == []
+
+
 # -- generic completion ---------------------------------------------------------
 
 
@@ -263,9 +345,7 @@ def test_extension_preserves_input_and_satisfies_triangles():
     full = result.full
     for key, w in g.edges.items():
         assert full.edges[key] == w
-    ok, triple = oracles.all_triangles_ok(
-        full.vertices, lambda x, y: ZERO if x == y else full.edge_value(x, y))
-    assert ok, triple
+    assert oracles.triangle_scan(full.vertices, full.distance) == []
     values = list(result.assignments.values())
     assert len(set(values)) == len(values)            # pairwise distinct
     for pair, w in result.assignments.items():

@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.monoid_algebra import (MonoidDesc, MonoidMembershipError,
+from banakh.monoid_algebra import (APERY_CAP, MonoidDesc, MonoidTooLarge,
+                                   MonoidMembershipError,
                                    dzik_reduce, delta_p, div_p,
                                    is_half_group, is_p_divisible_in,
                                    is_floppy, ddot_set, CLOSURES)
@@ -112,6 +113,19 @@ def test_elements_enumeration_matches_brute():
     m = MonoidDesc.fingen([3, 5])
     assert m.elements(13) == sorted(oracles.closure_ints([3, 5], 13))
     assert m.diff_elements(4) == [-4, -3, -2, -1, 0, 1, 2, 3, 4]
+
+
+def test_apery_cap_applies_to_the_least_reduced_generator():
+    at_cap = MonoidDesc.fingen([APERY_CAP, APERY_CAP + 1])
+    assert at_cap.member(2 * APERY_CAP + 1)
+    assert not at_cap.member(APERY_CAP - 1)
+    with pytest.raises(MonoidTooLarge) as info:
+        MonoidDesc.fingen([3 * (APERY_CAP + 1), 3 * (APERY_CAP + 2)])
+    assert info.value.least == APERY_CAP + 1
+    assert isinstance(info.value, ValueError)
+    # scaled to the integers first: 10**-9 and 1 reduce to 1 and 10**9
+    tiny = MonoidDesc.fingen([Fraction(1, 10 ** 9), 1])
+    assert tiny.member(Fraction(7, 10 ** 9))
 
 
 def test_zero_monoid_degenerate_cases():

@@ -1,4 +1,5 @@
 import hashlib
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +7,8 @@ import pytest
 
 from banakh.banakh_space import MetricFragment
 from banakh.monoid_algebra import MonoidDesc
-from banakh.serialize import certificate_to_json, dumps, fragment_to_json
+from banakh.serialize import (certificate_from_json, certificate_to_json,
+                              dumps, fragment_from_json, fragment_to_json)
 from banakh.space_builder import (RadiusClass, BuildSpec, Certificate,
                                   SpecRejected, BuildExhausted, build,
                                   verify_certificate)
@@ -181,6 +183,25 @@ def _tampered(frag: MetricFragment, key, value) -> MetricFragment:
     table = dict(frag.pairs())
     table[key] = value
     return MetricFragment(frag.points, table)
+
+
+def test_verifier_gives_the_same_report_on_a_fragment_read_back():
+    # the fragment read back from JSON has fresh values and no caches, so
+    # the second report is computed from nothing the build left behind
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                            RadiusClass(SQRT2, ZP)),
+                     stages=2, window=Fraction(2), seed=5)
+    frag, cert = build(spec)
+    text = dumps({"fragment": fragment_to_json(frag),
+                  "certificate": certificate_to_json(cert)})
+    doc = json.loads(text)
+    again = fragment_from_json(doc["fragment"])
+    assert again.edges == frag.edges
+    assert all(again.edges[k] is not w for k, w in frag.edges.items())
+    report = verify_certificate(frag, spec, cert)
+    assert report["all_ok"], report
+    assert verify_certificate(again, spec,
+                              certificate_from_json(doc["certificate"])) == report
 
 
 def test_verifier_catches_edited_distance():
