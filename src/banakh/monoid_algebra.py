@@ -437,8 +437,7 @@ class MonoidDesc:
             return self._closure.diff_member(x)
         if self.is_zero_monoid():
             return x == 0
-        step = self.cone_step if self.variant == "groupcone" else self._step()
-        return (x / step).denominator == 1
+        return (x / self._step()).denominator == 1
 
     def _step(self) -> Fraction:
         """The gcd of M: M - M is exactly its integer multiples."""

@@ -213,6 +213,8 @@ def certificate_from_json(obj) -> Certificate:
         spheres = []
         for entry in obj["spheres"]:
             entry = dict(entry)
+            entry["center"] = str(entry["center"])
+            entry["members"] = [str(m) for m in entry["members"]]
             entry["radius"] = value_from_json(entry["radius"])
             entry["class"] = int(entry["class"])
             spheres.append(entry)

@@ -124,22 +124,41 @@ def _invert(r: SurdValue) -> SurdValue:
     raise SpecRejected("radii must be rational or pure single-surd values")
 
 
-def _units_window(window: Fraction, r: SurdValue) -> Fraction:
-    """A rational w with w ≤ window/r (exact when r is rational)."""
-    if r.is_rational():
-        return window / r.as_rational()
-    bound = _invert(r) * window
-    return bound.brackets(16)[0]
+def _units_window(spec: BuildSpec, cls: RadiusClass):
+    """A rational w with w ≤ window/r (exact when r is rational), and the
+    positive units of the class monoid up to w: the class's windowed radii
+    are r times these."""
+    if cls.r.is_rational():
+        uw = spec.window / cls.r.as_rational()
+    else:
+        uw = (_invert(cls.r) * spec.window).brackets(16)[0]
+    return uw, [n for n in cls.monoid.elements(uw, spec.denom_bound) if n > 0]
 
 
-def _class_units(f: MetricFragment, x: str, cls: RadiusClass) -> dict:
+def _unit_fits(values, classes) -> dict:
+    """Each value that is a positive rational multiple q·r of a class radius
+    r ↦ (that class's index, q).  At most one class fits: canonical classes
+    are pairwise rationally unrelated (`canonical_classes` merges or rejects
+    two radii with a rational ratio), and q·r = q'·r' would make r/r' = q'/q
+    rational."""
+    fits = {}
+    for v in values:
+        for ci, cls in enumerate(classes):
+            q = v.ratio_to(cls.r)
+            if q is not None and q > 0:
+                fits[v] = (ci, q)
+                break
+    return fits
+
+
+def _class_units(f: MetricFragment, x: str, ci: int, cls, fits) -> dict:
     """Unit ratio q ∈ N \\ {0} ↦ the sorted points at distance q·r from x,
-    read from the fragment's sphere index."""
+    read from the fragment's sphere index and its unit fits."""
     units = {}
     for v, members in f.spheres[x].items():
-        q = v.ratio_to(cls.r)
-        if q is not None and q > 0 and cls.monoid.member(q):
-            units[q] = members
+        fit = fits.get(v)
+        if fit is not None and fit[0] == ci and cls.monoid.member(fit[1]):
+            units[fit[1]] = members
     return units
 
 
@@ -149,14 +168,14 @@ def build(spec: BuildSpec):
     cert_classes = []
     templates = []
     for cls in classes:
-        uw = _units_window(spec.window, cls.r)
+        uw, radii = _units_window(spec, cls)
         if uw < 1:
             raise SpecRejected(
                 f"window {spec.window} cannot host a single step of radius {cls.r}")
         # copies carry double slack so every glued sphere member fits and
         # shortest paths inside the copy match the closed hat formula
         tmpl = MuGraph(cls.monoid, 1, 2 * uw, spec.denom_bound)
-        templates.append((cls, uw, tmpl))
+        templates.append((cls, uw, tmpl, radii))
         cert_classes.append({"r": cls.r, "floppy": True, "units_window": uw})
 
     if not classes:
@@ -166,14 +185,15 @@ def build(spec: BuildSpec):
                            spheres=[], sphere_law_ok=True)
         return fragment, cert
 
-    cls0, uw0, _ = templates[0]
+    cls0, uw0, _, _ = templates[0]
     base = MuGraph(cls0.monoid, 1, uw0, spec.denom_bound)
     rename0 = {tid: f"a{tid}" for tid in base.vertices}
     g = ScaledMu(base, cls0.r, rename0)
     stage_log = []
     generic_log = []
-    targets_seen = []  # (point, class, deficient radii) of every glued copy
+    targets_seen = set()  # (point, class, unit) that a glued copy completes
     fragment, backtracks = _complete(g, spec, 0, generic_log)
+    fits = _unit_fits(set(fragment.edges.values()), classes)
     stage_log.append({"stage": 0, "copies": 0, "union_certified": True,
                       "member_floppy": [], "new_vertices": len(g.vertices),
                       "extension_backtracks": backtracks})
@@ -184,10 +204,9 @@ def build(spec: BuildSpec):
         deferred = []
         skipped = []
         for x in fragment.points:
-            for ci, (cls, uw, tmpl) in enumerate(templates):
-                units = _class_units(fragment, x, cls)
-                deficient = [n for n in cls.monoid.elements(uw, spec.denom_bound)
-                             if n > 0 and len(units.get(n, ())) <= 1]
+            for ci, (cls, _, tmpl, radii) in enumerate(templates):
+                units = _class_units(fragment, x, ci, cls, fits)
+                deficient = [n for n in radii if len(units.get(n, ())) <= 1]
                 if not deficient:
                     continue
                 sphere = sorted((y, q) for q, members in units.items()
@@ -195,8 +214,8 @@ def build(spec: BuildSpec):
                 glue = frozenset([x] + [y for y, _ in sphere])
                 key = (glue, ci)
                 if key not in copies:
-                    positions = _lattice_positions(fragment, x, sphere, cls.r,
-                                                   tmpl)
+                    positions = _lattice_positions(fragment, x, sphere, ci,
+                                                   fits, tmpl)
                     if positions is None:
                         skipped.append((x, ci,
                                         "sphere not placeable in the copy lattice"))
@@ -216,7 +235,7 @@ def build(spec: BuildSpec):
                 if rest:
                     deferred.append((x, ci, rest))
         ordered = [mu for mu, _ in copies.values()]
-        targets_seen.extend(stage_targets)
+        targets_seen.update((x, ci, n) for x, ci, ns in stage_targets for n in ns)
         if not ordered:
             stage_log.append({"stage": stage, "copies": 0, "targets": stage_targets,
                               "deferred": deferred, "skipped": skipped,
@@ -226,6 +245,7 @@ def build(spec: BuildSpec):
         g, report = floppy_union(fragment, ordered)
         new_count = len(g.vertices) - len(fragment.vertices)
         fragment, backtracks = _complete(g, spec, stage, generic_log)
+        fits = _unit_fits(set(fragment.edges.values()), classes)
         stage_log.append({"stage": stage, "copies": len(ordered),
                           "targets": stage_targets, "deferred": deferred,
                           "skipped": skipped,
@@ -235,11 +255,13 @@ def build(spec: BuildSpec):
                           "new_vertices": new_count,
                           "extension_backtracks": backtracks})
 
-    growth_ok = _sphere_growth_check(fragment, classes, targets_seen)
+    spheres, law_ok = _sphere_ledger(fragment, templates, fits)
+    # every targeted (point, class, unit) ends with a two-member entry
+    growth_ok = targets_seen <= {(e["center"], e["class"], e["unit"])
+                                 for e in spheres if e["complete"]}
     if not growth_ok:
         raise BuildExhausted(spec.stages, None,
                              "a targeted sphere failed to reach two points")
-    spheres, law_ok = _sphere_ledger(fragment, templates, spec.denom_bound)
     if not law_ok:
         raise BuildExhausted(spec.stages, None,
                              "two-point sphere law violated on a class radius")
@@ -250,11 +272,11 @@ def build(spec: BuildSpec):
     return fragment, cert
 
 
-def _lattice_positions(f: MetricFragment, x: str, sphere, r, tmpl: MuGraph):
+def _lattice_positions(f: MetricFragment, x: str, sphere, ci, fits, tmpl):
     """Signed template units for the glue, from the sorted (member, unit
-    ratio q) pairs of the sphere: the anchor sits at 0, each member at ±q,
-    signs chosen so that all pairwise distances match the lattice.  None
-    when no consistent placement exists."""
+    ratio q) pairs of the class-ci sphere: the anchor sits at 0, each member
+    at ±q, signs chosen so that all pairwise distances match the lattice.
+    None when no consistent placement exists."""
     units = set(tmpl.unit_of.values())
     pos = {x: Fraction(0)}
     for y, q in sphere:
@@ -262,7 +284,7 @@ def _lattice_positions(f: MetricFragment, x: str, sphere, r, tmpl: MuGraph):
         for s in ((q,) if len(pos) == 1 else (q, -q)):
             if s not in units:
                 continue
-            if all(f.distance(y, z).ratio_to(r) == abs(s - pz)
+            if all(fits.get(f.distance(y, z)) == (ci, abs(s - pz))
                    for z, pz in pos.items()):
                 picks.append(s)
         if not picks:
@@ -283,16 +305,6 @@ def _make_copy(tmpl: MuGraph, cls: RadiusClass, stage: int, idx: int,
     return ScaledMu(tmpl, cls.r, rename)
 
 
-def _sphere_growth_check(f: MetricFragment, classes, targets) -> bool:
-    """Every (point, radius) pair that received a copy must end with a
-    complete two-point sphere."""
-    for x, ci, radii in targets:
-        units = _class_units(f, x, classes[ci])
-        if any(len(units.get(n, ())) != 2 for n in radii):
-            return False
-    return True
-
-
 def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
     """The stage's fragment, completed from g, and its backtracks; the
     assigned values go to generic_log in pair order."""
@@ -306,17 +318,16 @@ def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
     return result.full, result.backtracks
 
 
-def _sphere_ledger(f: MetricFragment, templates, denom_bound: int):
+def _sphere_ledger(f: MetricFragment, templates, fits: dict):
     """Nonempty spheres at every windowed class radius on the final object.
     A deficient sphere is recorded (a later stage would complete it); more
     than two members, or a complete pair at the wrong mutual distance, is a
     law violation."""
     ledger = []
     ok = True
-    for ci, (cls, uw, _) in enumerate(templates):
-        radii = [n for n in cls.monoid.elements(uw, denom_bound) if n > 0]
+    for ci, (cls, _, _, radii) in enumerate(templates):
         for x in f.points:
-            units = _class_units(f, x, cls)
+            units = _class_units(f, x, ci, cls, fits)
             for n in radii:
                 members = list(units.get(n, ()))
                 if not members:
@@ -326,7 +337,7 @@ def _sphere_ledger(f: MetricFragment, templates, denom_bound: int):
                          "complete": len(members) == 2}
                 if len(members) == 2:
                     u, v = members
-                    entry["diameter_ok"] = (f.distance(u, v) == cls.r * (2 * n))
+                    entry["diameter_ok"] = fits.get(f.distance(u, v)) == (ci, 2 * n)
                     ok = ok and entry["diameter_ok"]
                 ok = ok and len(members) <= 2
                 ledger.append(entry)
@@ -345,7 +356,11 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     Checks the metric and sphere axioms, that the realized distance set
     matches the certificate and decomposes into class values plus logged
     generics, and that each class's realized window is contained in its
-    monoid and closed under in-window addition.
+    monoid and closed under in-window addition.  The sphere ledger must be
+    complete: one entry for each nonempty sphere at a windowed class radius,
+    each naming that sphere's members, with diameter twice its radius when
+    it has two.  Completeness is checked by counting those spheres in the
+    fragment's sphere index, not by rebuilding the ledger.
     """
     report = {}
     frag_report = verify_fragment(fragment)
@@ -354,31 +369,20 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     report["violations"] = frag_report.violations
 
     classes = spec.canonical_classes()
-    realized = sorted(set(v for _, v in fragment.pairs()))
-    report["distances_match_cert"] = realized == sorted(set(cert.realized_distances))
+    realized = set(fragment.edges.values())
+    report["distances_match_cert"] = realized == set(cert.realized_distances)
+    fits = _unit_fits(realized, classes)
 
     generics = set(cert.generic_values)
-    stray = []
-    for v in realized:
-        if v in generics:
-            continue
-        if any((q := v.ratio_to(cls.r)) is not None and q > 0
-               and cls.monoid.member(q) for cls in classes):
-            continue
-        stray.append(v)
+    in_class = {v for v, (ci, q) in fits.items() if classes[ci].monoid.member(q)}
+    stray = sorted(realized - generics - in_class)
     report["realized_subset_ok"] = not stray
     report["stray_distances"] = stray
 
-    class_windows_ok = True
+    class_windows_ok = len(in_class) == len(fits)  # each fit is a member
     class_floppy_ok = True
-    for cls in classes:
-        qs = set()
-        for v in realized:
-            q = v.ratio_to(cls.r)
-            if q is not None and q > 0:
-                qs.add(q)
-        if not all(cls.monoid.member(q) for q in qs):
-            class_windows_ok = False
+    for ci in range(len(classes)):
+        qs = {q for cj, q in fits.values() if cj == ci}
         top = max(qs, default=Fraction(0))
         for q1 in qs:
             for q2 in qs:
@@ -390,16 +394,21 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     report["class_windows_ok"] = class_windows_ok
     report["class_floppy_ok"] = class_floppy_ok
 
-    ledger_ok = True
+    windows = [set(_units_window(spec, cls)[1]) for cls in classes]
+    windowed = {v for v, (ci, q) in fits.items() if q in windows[ci]}
+    keys = {(e["center"], e["class"], e["radius"]) for e in cert.spheres}
+    ledger_ok = len(keys) == len(cert.spheres) == sum(
+        len(windowed.intersection(by_value))
+        for by_value in fragment.spheres.values())
     for entry in cert.spheres:
-        center, radius = entry["center"], entry["radius"]
-        members = list(fragment.spheres[center].get(radius, ()))
-        if members != list(entry["members"]) or len(members) > 2:
+        radius = entry["radius"]
+        ci, q = fits.get(radius, (None, None))
+        members = list(fragment.spheres.get(entry["center"], {}).get(radius, ()))
+        if (radius not in windowed or ci != entry["class"] or not members
+                or members != list(entry["members"]) or len(members) > 2):
             ledger_ok = False
-        if len(members) == 2:
-            u, v = members
-            if fragment.distance(u, v) != radius * 2:
-                ledger_ok = False
+        elif len(members) == 2:  # the diameter is 2q·r
+            ledger_ok &= fits.get(fragment.distance(*members)) == (ci, 2 * q)
     report["sphere_ledger_ok"] = ledger_ok
 
     report["all_ok"] = all((report["metric_ok"], report["banakh_consistent"],

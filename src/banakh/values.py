@@ -19,8 +19,6 @@ from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
 
-Rat = Fraction
-
 
 def rat(value) -> Fraction:
     """Coerce an int, string ("p/q" or "p"), or Fraction to a Fraction."""

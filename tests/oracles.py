@@ -210,3 +210,35 @@ def banakh_law_scan(points, dist):
                 if dist(u, v) != r + r:
                     bad.append(("diameter", c, r, members))
     return bad
+
+
+def class_sphere_ledger(points, dist, classes):
+    """The class-radius sphere ledger by the plain per-pair formula.
+
+    ``classes`` lists, per radius class, its radius r, the membership test
+    of its unit monoid N and its positive windowed units.  Every pair is
+    asked for its unit ratio q with d(x, y) == q·r; the points at a q in
+    N \\ {0} form x's class sphere at q·r.  One entry per class, center (in
+    point order) and windowed unit whose sphere is nonempty."""
+    pts = sorted(points)
+    ledger = []
+    for ci, (r, member, window) in enumerate(classes):
+        for x in pts:
+            units = {}
+            for y in pts:
+                if y == x:
+                    continue
+                q = dist(x, y).ratio_to(r)
+                if q is not None and q > 0 and member(q):
+                    units.setdefault(q, []).append(y)
+            for n in window:
+                members = units.get(n, [])
+                if not members:
+                    continue
+                entry = {"center": x, "class": ci, "unit": n,
+                         "radius": r * n, "members": members,
+                         "complete": len(members) == 2}
+                if len(members) == 2:
+                    entry["diameter_ok"] = dist(*members) == r * (2 * n)
+                ledger.append(entry)
+    return ledger

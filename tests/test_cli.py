@@ -259,6 +259,35 @@ def test_build_and_certify_round_trip(capsys, tmp_path):
     assert code == 1 and doc["all_ok"] is False
 
 
+@pytest.mark.parametrize("forge", [
+    lambda spheres: [],
+    lambda spheres: spheres[1:],
+    lambda spheres: [dict(spheres[0], center="zz")] + spheres[1:],
+    lambda spheres: [dict(spheres[0], center=["a0"])] + spheres[1:],
+], ids=["emptied", "dropped", "unknown-center", "list-center"])
+def test_certify_fails_an_incomplete_sphere_ledger(capsys, tmp_path, forge):
+    # a verdict (exit 1), not a usage error: the fragment is well formed,
+    # its certificate just does not list every class sphere
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "stages": 1, "window": "5"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "built.json"
+    code, _, _ = run(capsys, "build", "--spec", str(spec_path), "--seed", "1",
+                     "--out", str(out_path))
+    assert code == 0
+    built = json.loads(out_path.read_text())
+    cert = built["certificate"]
+    cert["spheres"] = forge(cert["spheres"])
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(built))
+    code, doc, err = run_json(capsys, "certify", str(forged), str(spec_path))
+    assert code == 1 and err == ""
+    assert doc["sphere_ledger_ok"] is False and doc["all_ok"] is False
+    assert doc["metric_ok"] is True and doc["distances_match_cert"] is True
+
+
 def test_build_rejects_bad_spec(capsys, tmp_path):
     spec = {"radii": [{"r": "1",
                        "monoid": {"variant": "closure",

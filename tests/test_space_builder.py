@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
+from banakh import space_builder
 from banakh.banakh_space import MetricFragment
 from banakh.monoid_algebra import MonoidDesc
 from banakh.serialize import (certificate_from_json, certificate_to_json,
@@ -17,6 +19,7 @@ from banakh.values import SurdValue
 ZP = MonoidDesc.fingen([1])
 OMEGA = MonoidDesc.closure("omega-minus-1")
 SQRT2 = SurdValue(0, {2: 1})
+SQRT3 = SurdValue(0, {3: 1})
 
 
 def zp_spec(window=5, seed=1, stages=1):
@@ -158,10 +161,61 @@ def test_incommensurable_two_class_build():
     assert SurdValue(1) in realized and SQRT2 in realized
 
 
+@pytest.mark.parametrize("spec", [
+    BuildSpec(radii=(RadiusClass(SurdValue(1), ZP), RadiusClass(SQRT2, ZP)),
+              stages=2, window=Fraction(2), seed=5),
+    BuildSpec(radii=tuple(RadiusClass(r, ZP) for r in (SurdValue(1), SQRT2,
+                                                        SQRT3)),
+              stages=2, window=Fraction(2), seed=5),
+    BuildSpec(radii=(RadiusClass(SurdValue(1), OMEGA),),
+              stages=1, window=Fraction(7), seed=3),
+], ids=["two-classes", "three-classes", "omega-minus-1"])
+def test_sphere_ledger_matches_the_per_pair_formula(spec):
+    # the ledger the build reads from its unit fits, against every pair's
+    # own unit ratio
+    frag, cert = build(spec)
+    classes = [(cls.r, cls.monoid.member,
+                [n for n in cls.monoid.elements(c["units_window"],
+                                                spec.denom_bound) if n > 0])
+               for cls, c in zip(spec.canonical_classes(), cert.classes)]
+    assert cert.spheres
+    assert cert.spheres == oracles.class_sphere_ledger(frag.points,
+                                                       frag.distance, classes)
+
+
+@pytest.mark.parametrize("thin, law_ok, message", [
+    (True, False, "a targeted sphere failed to reach two points"),
+    (True, True, "a targeted sphere failed to reach two points"),
+    (False, False, "two-point sphere law violated"),
+], ids=["both", "growth", "law"])
+def test_growth_verdict_reads_the_ledger_before_the_law(monkeypatch, thin,
+                                                        law_ok, message):
+    # a targeted sphere left with one member fails the build; when the law
+    # fails too, the growth message still wins
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                            RadiusClass(SQRT2, ZP)),
+                     stages=2, window=Fraction(2), seed=5)
+    _, cert = build(spec)
+    x, ci, units = cert.stages[1]["targets"][0]
+    ledger = space_builder._sphere_ledger
+
+    def forged(*args):
+        entries, _ = ledger(*args)
+        for e in entries:
+            if thin and (e["center"], e["class"], e["unit"]) == (x, ci,
+                                                                  units[0]):
+                e["members"], e["complete"] = e["members"][:1], False
+        return entries, law_ok
+
+    monkeypatch.setattr(space_builder, "_sphere_ledger", forged)
+    with pytest.raises(BuildExhausted, match=message):
+        build(spec)
+
+
 @pytest.mark.parametrize("radii, digest", [
     ((SurdValue(1), SQRT2),
      "d7f5cc7f8a30707b63b5b29f6aec193b2e2ddb3898fa8ad334d5b7f2df22c8ff"),
-    ((SurdValue(1), SQRT2, SurdValue(0, {3: 1})),
+    ((SurdValue(1), SQRT2, SQRT3),
      "05c18c122565224a2f4cac9b3391305181397bcaf0d6444ca2ce1c35803706c5"),
 ], ids=["29-points", "49-points"])
 def test_build_output_bytes_are_pinned(radii, digest):
@@ -220,15 +274,32 @@ def test_verifier_catches_stripped_generic_log():
     spec = BuildSpec(radii=(RadiusClass(SurdValue(1), OMEGA),),
                      stages=1, window=Fraction(7), seed=3)
     frag, cert = build(spec)
-    hollow = Certificate(seed=cert.seed, stages=cert.stages,
-                         classes=cert.classes,
-                         realized_distances=cert.realized_distances,
-                         generic_values=cert.generic_values[1:],
-                         spheres=cert.spheres)
-    report = verify_certificate(frag, spec, hollow)
-    assert not report["all_ok"]
-    assert not report["realized_subset_ok"]
-    assert report["stray_distances"] == [cert.generic_values[0]]
+    # logged values 3 and 4 are in decreasing order, so stripping both
+    # checks that the strays come out sorted
+    log = cert.generic_values
+    assert log[4] < log[3]
+    for stripped in ((0,), (3, 4)):
+        hollow = Certificate(seed=cert.seed, stages=cert.stages,
+                             classes=cert.classes,
+                             realized_distances=cert.realized_distances,
+                             generic_values=[v for i, v in enumerate(log)
+                                             if i not in stripped],
+                             spheres=cert.spheres)
+        report = verify_certificate(frag, spec, hollow)
+        assert not report["all_ok"]
+        assert not report["realized_subset_ok"]
+        assert report["stray_distances"] == sorted(log[i] for i in stripped)
+
+
+def test_verifier_catches_class_values_outside_the_monoid():
+    # the unit line checked against a spec whose class monoid lacks 1
+    frag, cert = build(zp_spec())
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1),
+                                        MonoidDesc.fingen([2, 3])),),
+                     window=Fraction(5), seed=1)
+    report = verify_certificate(frag, spec, cert)
+    assert not report["class_windows_ok"] and not report["all_ok"]
+    assert report["stray_distances"] == [SurdValue(1)]
 
 
 def test_verifier_catches_edited_sphere_ledger():
@@ -243,3 +314,85 @@ def test_verifier_catches_edited_sphere_ledger():
                          spheres=[entry] + cert.spheres[1:])
     report = verify_certificate(frag, spec, forged)
     assert not report["sphere_ledger_ok"] and not report["all_ok"]
+
+
+def test_verifier_asks_each_value_its_class_once(monkeypatch):
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                            RadiusClass(SQRT2, ZP)),
+                     stages=2, window=Fraction(2), seed=5)
+    frag, cert = build(spec)
+    calls = []
+    ratio_to = SurdValue.ratio_to
+
+    def counted(self, other):
+        calls.append((self, other))
+        return ratio_to(self, other)
+
+    monkeypatch.setattr(SurdValue, "ratio_to", counted)
+    classes = spec.canonical_classes()
+    merging = len(calls)  # the calls that canonical_classes makes itself
+    calls.clear()
+    assert verify_certificate(frag, spec, cert)["all_ok"]
+    realized = set(frag.edges.values())
+    assert len(calls) - merging <= len(realized) * len(classes)
+
+
+def _with_ledger(cert: Certificate, spheres) -> Certificate:
+    return Certificate(seed=cert.seed, stages=cert.stages,
+                       classes=cert.classes,
+                       realized_distances=cert.realized_distances,
+                       generic_values=cert.generic_values, spheres=spheres)
+
+
+def _ledger_forgeries(frag, cert, foreign_radius):
+    """Sphere ledgers that do not list every nonempty windowed class sphere
+    exactly once; in each but the first two, every entry names the true
+    members of its sphere and the entry count is right."""
+    spheres = cert.spheres
+    center = frag.points[0]
+    foreign = {"center": center, "class": 0, "unit": 1,
+               "radius": foreign_radius,
+               "members": list(frag.spheres[center][foreign_radius])}
+    return {"emptied": [], "dropped": spheres[:-1],
+            "repeated": spheres[:-1] + spheres[:1],
+            "unknown-center": [dict(spheres[0], center="zz", members=[])]
+                              + spheres[1:],
+            "wrong-class": [dict(spheres[0], **{"class": 1})] + spheres[1:],
+            "foreign-radius": [foreign] + spheres[1:]}
+
+
+@pytest.mark.parametrize("spec, foreign", [
+    (zp_spec(), "outside the window"),
+    (BuildSpec(radii=(RadiusClass(SurdValue(1), OMEGA),),
+               stages=1, window=Fraction(7), seed=3), "generic"),
+], ids=["unit-line", "omega-minus-1"])
+def test_verifier_requires_a_complete_sphere_ledger(spec, foreign):
+    frag, cert = build(spec)
+    assert verify_certificate(frag, spec, cert)["sphere_ledger_ok"]
+    if foreign == "generic":
+        radius = min(cert.generic_values)
+    else:
+        radius = SurdValue(cert.classes[0]["units_window"] + 1)
+    assert radius in frag.spheres[frag.points[0]]
+    for name, spheres in _ledger_forgeries(frag, cert, radius).items():
+        report = verify_certificate(frag, spec, _with_ledger(cert, spheres))
+        assert not report["sphere_ledger_ok"], name
+        assert not report["all_ok"], name
+        assert report["metric_ok"] and report["realized_subset_ok"], name
+
+
+def test_verifier_checks_the_diameter_of_each_two_point_sphere():
+    # the two ends of the line (-5 and 5) moved to distance 19/2: the
+    # sphere of radius 5 at the middle keeps its two members, but its
+    # diameter is no longer 10, and no sphere at a windowed radius gains
+    # or loses a member.  The ledger is the true one of the edited
+    # fragment, so only the diameter can fail.
+    spec = zp_spec()
+    frag, cert = build(spec)
+    (ends,) = [k for k, v in frag.pairs() if v == SurdValue(10)]
+    bad = _tampered(frag, ends, SurdValue(Fraction(19, 2)))
+    classes = [(SurdValue(1), ZP.member, [Fraction(n) for n in range(1, 6)])]
+    ledger = oracles.class_sphere_ledger(bad.points, bad.distance, classes)
+    assert [e for e in ledger if e["complete"] and not e["diameter_ok"]]
+    report = verify_certificate(bad, spec, _with_ledger(cert, ledger))
+    assert not report["sphere_ledger_ok"]
