@@ -351,9 +351,6 @@ class GroupOracle(SphereOracle):
             return ()  # no integer point realizes a fractional difference
         return sphere(c, t)
 
-    def describe(self):
-        return f"symbolic group ({self.lattice})"
-
     # token value algebra ---------------------------------------------------
 
     def value_scale(self, q, t):

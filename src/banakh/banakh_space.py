@@ -176,9 +176,6 @@ class SphereOracle:
     def sphere(self, c, r):
         raise NotImplementedError
 
-    def describe(self) -> str:
-        return type(self).__name__
-
     # value algebra -------------------------------------------------------
 
     def value_scale(self, q, v):
@@ -215,9 +212,6 @@ class ZLineOracle(SphereOracle):
             return (c,)
         return (c - int(k), c + int(k))
 
-    def describe(self):
-        return "integer line"
-
 
 class FragmentOracle(SphereOracle):
     """Spheres read off a finite exact distance table.
@@ -237,9 +231,6 @@ class FragmentOracle(SphereOracle):
         if r.is_zero():
             return (c,)
         return self.fragment.spheres[c].get(r, ())
-
-    def describe(self):
-        return f"fragment({len(self.fragment)} points)"
 
 
 # ---------------------------------------------------------------------------
@@ -541,12 +532,20 @@ def _trichotomy_triple(f: MetricFragment):
 def embed_in_real_line(f: MetricFragment) -> EmbedResult:
     """Exact coordinates on ℝ realizing the fragment, or a witness that
     none exist: a triple violating the three-point collinearity criterion,
-    or (only possible at exactly 4 points) the full 4-point witness."""
+    or (only possible at exactly 4 points) the full 4-point witness.
+
+    One placement is complete at every size: with p0 at 0 and p1 at
+    d(p0, p1) > 0, any other point q sits at ±d(p0, q), and both signs
+    give the distance d(p1, q) only when d(p0, q) = 0 or d(p0, p1) = 0,
+    which a fragment's positive distances exclude.  So an embedding, if one
+    exists, is the one built here.  When the placement fails, a triple with
+    no collinear split names the obstruction; at four points every triple
+    can split and the set still not embed (Menger's pseudo-linear
+    quadruple), and then the whole set is the witness.
+    """
     pts = f.points
     if len(pts) <= 1:
         return EmbedResult(coords={p: ZERO for p in pts})
-    if len(pts) == 4:
-        return _embed_four(f)
     p0, p1 = pts[0], pts[1]
     d01 = f.distance(p0, p1)
     coords = {p0: ZERO, p1: d01}
@@ -559,28 +558,6 @@ def embed_in_real_line(f: MetricFragment) -> EmbedResult:
     for u, v in combinations(pts, 2):
         if abs(coords[u] - coords[v]) != f.distance(u, v):
             bad = _trichotomy_triple(f)
-            if bad is None:
-                # cannot happen away from 4 points; defensive
-                return EmbedResult(obstruction=tuple(pts))
-            return EmbedResult(obstruction=bad)
+            return EmbedResult(obstruction=bad if bad is not None
+                               else tuple(pts))
     return EmbedResult(coords=coords)
-
-
-def _embed_four(f: MetricFragment) -> EmbedResult:
-    """Exhaustive sign search: the three-point criterion is not valid at
-    exactly four points, so try all placements before giving up."""
-    pts = f.points
-    p0 = pts[0]
-    for anchor in pts[1:]:
-        d0a = f.distance(p0, anchor)
-        rest = [p for p in pts if p not in (p0, anchor)]
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                coords = {p0: ZERO, anchor: d0a,
-                          rest[0]: f.distance(p0, rest[0]) * s1,
-                          rest[1]: f.distance(p0, rest[1]) * s2}
-                if all(abs(coords[u] - coords[v]) == f.distance(u, v)
-                       for u, v in combinations(pts, 2)):
-                    return EmbedResult(coords=coords)
-    bad = _trichotomy_triple(f)
-    return EmbedResult(obstruction=bad if bad is not None else tuple(pts))

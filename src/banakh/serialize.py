@@ -217,16 +217,23 @@ def certificate_from_json(obj) -> Certificate:
             entry["members"] = [str(m) for m in entry["members"]]
             entry["radius"] = value_from_json(entry["radius"])
             entry["class"] = int(entry["class"])
+            entry["unit"] = _rat_from(entry["unit"])
             spheres.append(entry)
+        classes = []
+        for cls in obj["classes"]:
+            cls = dict(cls)
+            cls["r"] = value_from_json(cls["r"])
+            cls["units_window"] = _rat_from(cls["units_window"])
+            classes.append(cls)
         return Certificate(
             seed=int(obj["seed"]),
             stages=obj["stages"],
-            classes=obj["classes"],
+            classes=classes,
             realized_distances=[value_from_json(v)
                                 for v in obj["realized_distances"]],
             generic_values=[value_from_json(v) for v in obj["generic_values"]],
             spheres=spheres,
-            sphere_law_ok=bool(obj["sphere_law_ok"]),
-            growth_ok=bool(obj.get("growth_ok", True)))
+            sphere_law_ok=obj["sphere_law_ok"],
+            growth_ok=obj["growth_ok"])
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"not a certificate: {exc}") from exc

@@ -353,14 +353,23 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
                        cert: Certificate) -> dict:
     """Recheck a build output without rerunning the build.
 
-    Checks the metric and sphere axioms, that the realized distance set
-    matches the certificate and decomposes into class values plus logged
-    generics, and that each class's realized window is contained in its
-    monoid and closed under in-window addition.  The sphere ledger must be
-    complete: one entry for each nonempty sphere at a windowed class radius,
-    each naming that sphere's members, with diameter twice its radius when
-    it has two.  Completeness is checked by counting those spheres in the
-    fragment's sphere index, not by rebuilding the ledger.
+    Checks:
+    - the metric and sphere axioms of the fragment;
+    - that the realized distances are the certificate's, and that each is
+      a class value or a logged generic;
+    - that each class's realized window lies in its monoid and is closed
+      under in-window addition;
+    - that the certificate's classes are the spec's canonical classes, with
+      their `r`, `floppy: true` and `units_window`;
+    - that the sphere ledger is complete and true: one entry for each
+      nonempty sphere at a windowed class radius, each naming that sphere's
+      class, unit and members, `complete` when it has two, and then with
+      `diameter_ok` and diameter twice its radius; and that the
+      certificate's `sphere_law_ok` and `growth_ok` are both `true`.
+      Completeness is checked by counting those spheres in the fragment's
+      sphere index, not by rebuilding the ledger.
+    The `stages` log is not checked.  `class_floppy_ok` is always true:
+    realized windows generate finitely generated monoids, which are floppy.
     """
     report = {}
     frag_report = verify_fragment(fragment)
@@ -380,7 +389,6 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     report["stray_distances"] = stray
 
     class_windows_ok = len(in_class) == len(fits)  # each fit is a member
-    class_floppy_ok = True
     for ci in range(len(classes)):
         qs = {q for cj, q in fits.values() if cj == ci}
         top = max(qs, default=Fraction(0))
@@ -388,14 +396,14 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
             for q2 in qs:
                 if q1 + q2 <= top and q1 + q2 not in qs:
                     class_windows_ok = False
-        if qs:
-            verdict, _ = is_floppy(MonoidDesc.fingen(sorted(qs)))
-            class_floppy_ok = class_floppy_ok and verdict
     report["class_windows_ok"] = class_windows_ok
-    report["class_floppy_ok"] = class_floppy_ok
+    report["class_floppy_ok"] = True
 
-    windows = [set(_units_window(spec, cls)[1]) for cls in classes]
-    windowed = {v for v, (ci, q) in fits.items() if q in windows[ci]}
+    windows = [_units_window(spec, cls) for cls in classes]
+    report["classes_match_cert"] = cert.classes == [
+        {"r": cls.r, "floppy": True, "units_window": uw}
+        for cls, (uw, _) in zip(classes, windows)]
+    windowed = {v for v, (ci, q) in fits.items() if q in windows[ci][1]}
     keys = {(e["center"], e["class"], e["radius"]) for e in cert.spheres}
     ledger_ok = len(keys) == len(cert.spheres) == sum(
         len(windowed.intersection(by_value))
@@ -404,15 +412,21 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
         radius = entry["radius"]
         ci, q = fits.get(radius, (None, None))
         members = list(fragment.spheres.get(entry["center"], {}).get(radius, ()))
+        pair = len(members) == 2
         if (radius not in windowed or ci != entry["class"] or not members
-                or members != list(entry["members"]) or len(members) > 2):
+                or members != list(entry["members"]) or len(members) > 2
+                or entry.get("unit") != q or entry.get("complete") is not pair):
             ledger_ok = False
-        elif len(members) == 2:  # the diameter is 2q·r
-            ledger_ok &= fits.get(fragment.distance(*members)) == (ci, 2 * q)
+        elif pair:  # the diameter is 2q·r
+            ledger_ok &= (entry.get("diameter_ok") is True and
+                          fits.get(fragment.distance(*members)) == (ci, 2 * q))
+        else:
+            ledger_ok &= "diameter_ok" not in entry
+    ledger_ok &= cert.sphere_law_ok is True and cert.growth_ok is True
     report["sphere_ledger_ok"] = ledger_ok
 
     report["all_ok"] = all((report["metric_ok"], report["banakh_consistent"],
                             report["distances_match_cert"],
                             report["realized_subset_ok"], class_windows_ok,
-                            class_floppy_ok, ledger_ok))
+                            report["classes_match_cert"], ledger_ok))
     return report

@@ -84,7 +84,7 @@ def sqrt_brackets(n: int, scale: int) -> tuple[Fraction, Fraction]:
 class SurdValue:
     """Immutable exact value rational_part + sum surd_coeffs[p]*sqrt(p)."""
 
-    __slots__ = ("rational_part", "surd_coeffs", "_hash", "_bounds", "_approx")
+    __slots__ = ("rational_part", "surd_coeffs", "_hash", "_approx")
 
     def __init__(self, rational_part=0, surd_coeffs=None):
         self.rational_part = rat(rational_part)
@@ -100,7 +100,6 @@ class SurdValue:
                 coeffs[p] = c
         self.surd_coeffs = coeffs
         self._hash = None
-        self._bounds = None
         self._approx = None
 
     # -- construction helpers -------------------------------------------
@@ -113,7 +112,6 @@ class SurdValue:
         v.rational_part = rational_part
         v.surd_coeffs = coeffs
         v._hash = None
-        v._bounds = None
         v._approx = None
         return v
 
@@ -239,17 +237,6 @@ class SurdValue:
                 hi += c * slo
         return lo, hi
 
-    def _bounds_at(self, scale: int) -> tuple[Fraction, Fraction]:
-        """Like brackets, but cached on the (immutable) instance; the cache
-        may hold tighter bounds than requested.  Comparison plumbing only —
-        callers that need reproducible bounds use brackets()."""
-        cached = self._bounds
-        if cached is not None and cached[2] >= scale:
-            return cached[0], cached[1]
-        lo, hi = self.brackets(scale)
-        self._bounds = (lo, hi, scale)
-        return lo, hi
-
     def _float_interval(self) -> tuple[float, float]:
         """(midpoint, rigorous error radius) in double precision.
 
@@ -290,7 +277,7 @@ class SurdValue:
             return -1
         scale = 16
         while scale <= (1 << 20):
-            lo, hi = self._bounds_at(scale)
+            lo, hi = self.brackets(scale)
             if lo > 0:
                 return 1
             if hi < 0:
@@ -320,16 +307,6 @@ class SurdValue:
             return True
         if fb + eb < fa - ea:
             return False
-        # interval comparison on cached bounds; refine until separated
-        scale = 16
-        while scale <= (1 << 20):
-            alo, ahi = self._bounds_at(scale)
-            blo, bhi = other._bounds_at(scale)
-            if ahi < blo:
-                return True
-            if bhi < alo:
-                return False
-            scale *= 4
         return (self - other).sign() < 0
 
     def __hash__(self):

@@ -6,6 +6,7 @@ shares no code with src/.  When a test disagrees, trust the oracle.
 """
 
 from fractions import Fraction
+from itertools import combinations, product
 from math import gcd
 
 
@@ -183,6 +184,25 @@ def triangle_scan(points, distance):
                     if c > a + b:
                         failures.append(names)
     return failures
+
+
+def embed_scan(points, distance):
+    """Real-line coordinates for the points, or None, by trying every sign
+    vector: the first point at 0 and each other point q at +d or -d, with
+    d its distance to the first point, accepted when every pair's gap (in
+    either direction) equals its distance."""
+    pts = list(points)
+    first, rest = pts[0], pts[1:]
+    zero = distance(first, first)
+    for signs in product((1, -1), repeat=len(rest)):
+        coords = {first: zero}
+        for q, s in zip(rest, signs):
+            d = distance(first, q)
+            coords[q] = d if s == 1 else -d
+        if all(distance(x, y) in (coords[x] - coords[y], coords[y] - coords[x])
+               for x, y in combinations(pts, 2)):
+            return coords
+    return None
 
 
 # -- spheres -----------------------------------------------------------------

@@ -76,8 +76,11 @@ def test_criterion_1_indecomposable_members(capfd):
 
 
 def _p_free_table(n, p):
-    """p-free part of every integer in [0, n], by repeated division."""
-    tab = np.arange(n + 1, dtype=np.int64)
+    """p-free part of every integer in [0, n], by repeated division.
+
+    int32 holds every value here (n is at most 10,000), and the twin
+    reduction runs faster on it than on int64."""
+    tab = np.arange(n + 1, dtype=np.int32)
     while True:
         mask = (tab > 0) & (tab % p == 0)
         if not mask.any():
@@ -92,7 +95,7 @@ def _twin_reduce(A, B, p, tab):
     to the p-free part of larger + k*smaller), asserting the strict decrease
     of every active pair sum at every round.
     """
-    inv_tab = np.zeros(p, dtype=np.int64)
+    inv_tab = np.zeros(p, dtype=np.int32)
     for a in range(1, p):
         inv_tab[a] = pow(a, -1, p)
     X = tab[A].copy()
@@ -120,8 +123,11 @@ def test_criterion_2_reduction_equals_p_free_gcd(capfd):
         G = np.gcd(A, B)
         for p in (2, 3, 5):
             tab = _p_free_table(2000 * p, p)
-            values = _twin_reduce(A, B, p, tab)
-            assert (values == tab[G]).all()
+            # blocks of 2**18 pairs keep each round's arrays in cache
+            for s in range(0, A.size, 1 << 18):
+                block = slice(s, s + (1 << 18))
+                values = _twin_reduce(A[block], B[block], p, tab)
+                assert (values == tab[G[block]]).all()
 
         # pin the scalar implementation (with its full traces) to the same
         # answers on an exhaustive corner plus a seeded full-range sample

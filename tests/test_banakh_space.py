@@ -2,6 +2,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import line_fragment
@@ -330,6 +332,64 @@ def test_embed_four_point_diamond_fails_with_witness():
     result = embed_in_real_line(fragment_of(table))
     assert not result.embeddable
     assert len(result.obstruction) == 3
+
+
+def test_embed_pseudo_linear_quadruple_names_all_four_points():
+    # the 4-cycle with sides 1 and diagonals 2: every triple splits
+    # collinearly, yet the four points do not embed (Menger)
+    table = {("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1, ("a", "d"): 1,
+             ("a", "c"): 2, ("b", "d"): 2}
+    f = fragment_of(table)
+    assert oracles.embed_scan(f.points, f.distance) is None
+    result = embed_in_real_line(f)
+    assert not result.embeddable
+    assert result.obstruction == ("a", "b", "c", "d")
+
+
+def _splits_collinearly(f, triple):
+    x, y, z = triple
+    a, b, c = f.distance(y, z), f.distance(x, z), f.distance(x, y)
+    return a == b + c or b == a + c or c == a + b
+
+
+@st.composite
+def near_line_fragments(draw):
+    """2-6 points on the integer line, with up to two pair distances nudged
+    (each kept positive)."""
+    n = draw(st.integers(min_value=2, max_value=6))
+    xs = draw(st.lists(st.integers(min_value=0, max_value=8), min_size=n,
+                       max_size=n, unique=True))
+    pts = [f"p{i}" for i in range(n)]
+    table = {(pts[i], pts[j]): SurdValue(abs(xs[i] - xs[j]))
+             for i, j in itertools.combinations(range(n), 2)}
+    for pair in draw(st.sets(st.sampled_from(sorted(table)), max_size=2)):
+        nudged = table[pair] + draw(st.sampled_from(
+            [SurdValue(1), SurdValue(-1), SurdValue(2), SurdValue(-2),
+             SurdValue(Fraction(1, 2)), SurdValue.sqrt(2)]))
+        if nudged.sign() > 0:
+            table[pair] = nudged
+    return MetricFragment(pts, table)
+
+
+@given(near_line_fragments())
+@settings(max_examples=300, deadline=None)
+def test_embed_agrees_with_the_sign_vector_scan(f):
+    result = embed_in_real_line(f)
+    assert result.embeddable == (oracles.embed_scan(f.points, f.distance)
+                                 is not None)
+    if result.embeddable:
+        coords = result.coords
+        for x, y in itertools.combinations(f.points, 2):
+            assert f.distance(x, y) in (coords[x] - coords[y],
+                                        coords[y] - coords[x])
+        return
+    split = [t for t in itertools.combinations(f.points, 3)
+             if not _splits_collinearly(f, t)]
+    if split:
+        assert len(result.obstruction) == 3
+        assert not _splits_collinearly(f, result.obstruction)
+    else:
+        assert result.obstruction == tuple(f.points) and len(f.points) == 4
 
 
 def test_embed_trivial_sizes():

@@ -259,6 +259,27 @@ def test_build_and_certify_round_trip(capsys, tmp_path):
     assert code == 1 and doc["all_ok"] is False
 
 
+def _certify_forged(capsys, tmp_path, stages, window, forge):
+    """Build the unit line at seed 1, let forge edit the certificate in
+    place, and certify the result: the exit code, the report (None when
+    there is none) and stderr."""
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "stages": stages, "window": window}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "built.json"
+    code, _, _ = run(capsys, "build", "--spec", str(spec_path), "--seed", "1",
+                     "--out", str(out_path))
+    assert code == 0
+    built = json.loads(out_path.read_text())
+    forge(built["certificate"])
+    forged = tmp_path / "forged.json"
+    forged.write_text(json.dumps(built))
+    code, out, err = run(capsys, "certify", str(forged), str(spec_path))
+    return code, json.loads(out) if out else None, err
+
+
 @pytest.mark.parametrize("forge", [
     lambda spheres: [],
     lambda spheres: spheres[1:],
@@ -268,24 +289,67 @@ def test_build_and_certify_round_trip(capsys, tmp_path):
 def test_certify_fails_an_incomplete_sphere_ledger(capsys, tmp_path, forge):
     # a verdict (exit 1), not a usage error: the fragment is well formed,
     # its certificate just does not list every class sphere
-    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
-                                            "generators": ["1"]}}],
-            "stages": 1, "window": "5"}
-    spec_path = tmp_path / "spec.json"
-    spec_path.write_text(json.dumps(spec))
-    out_path = tmp_path / "built.json"
-    code, _, _ = run(capsys, "build", "--spec", str(spec_path), "--seed", "1",
-                     "--out", str(out_path))
-    assert code == 0
-    built = json.loads(out_path.read_text())
-    cert = built["certificate"]
-    cert["spheres"] = forge(cert["spheres"])
-    forged = tmp_path / "forged.json"
-    forged.write_text(json.dumps(built))
-    code, doc, err = run_json(capsys, "certify", str(forged), str(spec_path))
+    code, doc, err = _certify_forged(
+        capsys, tmp_path, 1, "5",
+        lambda cert: cert.update(spheres=forge(cert["spheres"])))
     assert code == 1 and err == ""
     assert doc["sphere_ledger_ok"] is False and doc["all_ok"] is False
     assert doc["metric_ok"] is True and doc["distances_match_cert"] is True
+
+
+def _edit_first_entry(key, value):
+    def edit(cert):
+        assert cert["spheres"][0]["complete"] is True
+        cert["spheres"][0][key] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit", [
+    _edit_first_entry("unit", "7"),
+    _edit_first_entry("complete", False),
+    _edit_first_entry("diameter_ok", False),
+    lambda cert: cert["classes"][0].update(units_window="99"),
+    lambda cert: cert.update(sphere_law_ok=False),
+    lambda cert: cert.update(growth_ok=False),
+    lambda cert: cert.update(sphere_law_ok="false"),
+], ids=["unit", "complete", "diameter_ok", "units_window", "sphere_law_ok",
+        "growth_ok", "string-flag"])
+def test_certify_fails_an_edited_certificate_field(capsys, tmp_path, edit):
+    code, doc, err = _certify_forged(capsys, tmp_path, 2, "3", edit)
+    assert code == 1 and err == ""
+    assert doc["all_ok"] is False and doc["metric_ok"] is True
+
+
+def test_certify_needs_both_certified_flags(capsys, tmp_path):
+    for flag in ("sphere_law_ok", "growth_ok"):
+        code, _, err = _certify_forged(capsys, tmp_path, 2, "3",
+                                       lambda cert: cert.pop(flag))
+        assert code == 2 and "not a certificate" in err, flag
+
+
+def test_certify_gives_a_verdict_on_a_window_with_large_units(capsys,
+                                                              tmp_path):
+    # the realized units 100001, 100002 and 200003 miss 2*100001: a class
+    # window verdict (exit 1), with no monoid built from the units
+    fragment = {"points": ["a", "b", "c"],
+                "dist": [["a", "b", "100001"], ["b", "c", "100002"],
+                         ["a", "c", "200003"]]}
+    cert = {"seed": 0, "stages": [],
+            "classes": [{"r": "1", "floppy": True, "units_window": "5"}],
+            "realized_distances": ["100001", "100002", "200003"],
+            "generic_values": [], "spheres": [],
+            "sphere_law_ok": True, "growth_ok": True}
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}]}
+    built_path, spec_path = tmp_path / "built.json", tmp_path / "spec.json"
+    built_path.write_text(json.dumps({"fragment": fragment,
+                                      "certificate": cert}))
+    spec_path.write_text(json.dumps(spec))
+    code, doc, err = run_json(capsys, "certify", str(built_path),
+                              str(spec_path))
+    assert code == 1 and err == ""
+    assert doc["class_windows_ok"] is False and doc["all_ok"] is False
+    assert doc["metric_ok"] is True and doc["sphere_ledger_ok"] is True
 
 
 def test_build_rejects_bad_spec(capsys, tmp_path):

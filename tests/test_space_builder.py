@@ -1,6 +1,7 @@
 import hashlib
 import json
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -396,3 +397,54 @@ def test_verifier_checks_the_diameter_of_each_two_point_sphere():
     assert [e for e in ledger if e["complete"] and not e["diameter_ok"]]
     report = verify_certificate(bad, spec, _with_ledger(cert, ledger))
     assert not report["sphere_ledger_ok"]
+
+
+def _edit_entry(cert, pair, **changes):
+    """The certificate with its first two-member (pair) or one-member ledger
+    entry changed."""
+    i = next(i for i, e in enumerate(cert.spheres)
+             if (len(e["members"]) == 2) is pair)
+    spheres = list(cert.spheres)
+    spheres[i] = dict(spheres[i], **changes)
+    return replace(cert, spheres=spheres)
+
+
+CERT_EDITS = {
+    "unit": (lambda c: _edit_entry(c, True, unit=Fraction(7)),
+             "sphere_ledger_ok"),
+    "complete": (lambda c: _edit_entry(c, True, complete=False),
+                 "sphere_ledger_ok"),
+    "diameter_ok": (lambda c: _edit_entry(c, True, diameter_ok=False),
+                    "sphere_ledger_ok"),
+    "one-member-diameter_ok": (lambda c: _edit_entry(c, False,
+                                                     diameter_ok=True),
+                               "sphere_ledger_ok"),
+    "units_window": (lambda c: replace(c, classes=[
+        dict(c.classes[0], units_window=Fraction(99))]), "classes_match_cert"),
+    "floppy": (lambda c: replace(c, classes=[
+        dict(c.classes[0], floppy=False)]), "classes_match_cert"),
+    "classes-dropped": (lambda c: replace(c, classes=[]),
+                        "classes_match_cert"),
+    "sphere_law_ok": (lambda c: replace(c, sphere_law_ok=False),
+                      "sphere_ledger_ok"),
+    "growth_ok": (lambda c: replace(c, growth_ok=False), "sphere_ledger_ok"),
+}
+
+
+@pytest.fixture(scope="module")
+def zp_two_stage():
+    spec = zp_spec(window=3, stages=2)
+    frag, cert = build(spec)
+    return spec, frag, cert
+
+
+@pytest.mark.parametrize("name", CERT_EDITS)
+def test_verifier_reads_every_certified_field(zp_two_stage, name):
+    spec, frag, cert = zp_two_stage
+    assert verify_certificate(frag, spec, cert)["all_ok"]
+    edit, key = CERT_EDITS[name]
+    for forged in (edit(cert),
+                   certificate_from_json(certificate_to_json(edit(cert)))):
+        report = verify_certificate(frag, spec, forged)
+        assert report[key] is False and report["all_ok"] is False, name
+        assert report["metric_ok"] and report["realized_subset_ok"], name

@@ -184,6 +184,44 @@ def test_sign_of_tiny_surd_difference():
     assert (-v).sign() == 1
 
 
+def _doubles_overlap(a, b):
+    (fa, ea), (fb, eb) = a._float_interval(), b._float_interval()
+    return fa - ea <= fb + eb and fb - eb <= fa + ea
+
+
+# p**2 - 2*q**2 is +1 above sqrt(2) and -1 below: each gap to sqrt(2) is
+# under 1e-16, below the double enclosure radius, so only the exact
+# fallback can order them
+PELL_ABOVE = SurdValue(Fraction(131836323, 93222358))
+PELL_BELOW = SurdValue(Fraction(54608393, 38613965))
+
+
+@pytest.mark.parametrize("q, above", [(PELL_ABOVE, True), (PELL_BELOW, False)],
+                         ids=["above", "below"])
+def test_near_tie_with_a_rational_takes_the_exact_path(q, above):
+    r2 = SurdValue.sqrt(2)
+    x = q.as_rational()
+    assert (x.numerator ** 2 - 2 * x.denominator ** 2 > 0) == above
+    assert _doubles_overlap(r2, q)
+    assert (r2 < q) == above and (q < r2) == (not above)
+    assert (q - r2).sign() == (1 if above else -1)
+    assert sorted([q, r2]) == ([r2, q] if above else [q, r2])
+    assert sorted([r2, PELL_ABOVE, PELL_BELOW]) == [PELL_BELOW, r2, PELL_ABOVE]
+
+
+def test_near_tie_between_two_surds_and_a_rational():
+    # x < sqrt(2) + sqrt(3) exactly when (x**2 - 1)**2 < 8*x**2 (for x > 1);
+    # the gap is about 7e-17
+    v = SurdValue(0, {2: 1, 3: 1})
+    q = SurdValue(Fraction(241985545, 76912019))
+    x = q.as_rational()
+    below = (x * x - 1) ** 2 < 8 * x * x
+    assert below and _doubles_overlap(v, q)
+    assert q < v and not v < q
+    assert (v - q).sign() == 1
+    assert sorted([v, q]) == [q, v]
+
+
 # -- rational proportionality -----------------------------------------------
 
 
