@@ -161,21 +161,17 @@ class GraphMetric:
         return self.distances_from(x)
 
     @cached_property
-    def _hat_table(self):
-        """(vertex index, edge list in _DistanceTable form, the table)."""
-        index = {v: k for k, v in enumerate(self.vertices)}
-        edges = [(index[u], index[v], w, *_enclosure(w))
-                 for (u, v), w in self.edges.items()]
-        return index, edges, _DistanceTable(self._hat_row, self.vertices, edges)
+    def _hat_table(self) -> "_DistanceTable":
+        return _DistanceTable(self.vertices, self.edges, self._hat_row)
 
     def hat(self, x: str, y: str) -> SurdValue:
-        index, _, table = self._hat_table
-        return table.d[index[x]][index[y]]
+        table = self._hat_table
+        return table.d[table.index[x]][table.index[y]]
 
     def check(self, x: str, y: str) -> SurdValue:
         """Largest edge-forced lower bound for the pair (both orientations)."""
-        index, edges, table = self._hat_table
-        return table.check(index[x], index[y], edges)
+        table = self._hat_table
+        return table.check(table.index[x], table.index[y])
 
 
 class MetricFragment(GraphMetric):
@@ -208,19 +204,9 @@ class MetricFragment(GraphMetric):
         self.points = self.vertices
 
     def triangle_failures(self) -> list:
-        """The strict triangle failures, as name triples.
-
-        Triples x < y < z come in ``combinations`` order; each tests the
-        sides d(x,z), d(y,z), d(x,y) in turn against the sum of the other
-        two, and a failing side is named by its ends, then the third point:
-        (x, z, y), (y, z, x) or (x, y, z).
-
-        A side c passes on the enclosures when c_hi < a_lo + b_lo - tol,
-        which proves c < a + b: three ends off by u*B and two roundings off
-        by 2u*B each stay far inside ``tol`` = ``_tolerance(B)``, B the
-        largest |enclosure end| of the table (see :class:`_DistanceTable`).
-        Every other side is decided exactly.  Only ``self.edges`` is read
-        and no verdict is kept, so each call checks the table afresh.
+        """The strict triangle failures, as name triples (see
+        :meth:`_DistanceTable.triangle_failures`).  Only ``self.edges`` is
+        read and no verdict is kept, so each call checks the table afresh.
 
         For a full table of positive values the list is empty exactly when
         every edge is its shortest path (:func:`validate_pseudometric`): a
@@ -228,44 +214,7 @@ class MetricFragment(GraphMetric):
         one, the first two edges of any path can be replaced by the edge
         between their ends, down to a single edge, never lengthening it.
         """
-        points = self.points
-        n = len(points)
-        index = {p: k for k, p in enumerate(points)}
-        d = [[ZERO] * n for _ in range(n)]
-        lo = [[0.0] * n for _ in range(n)]
-        hi = [[0.0] * n for _ in range(n)]
-        bound = 0.0
-        for (u, v), w in self.edges.items():
-            i, j = index[u], index[v]
-            w_lo, w_hi = _enclosure(w)
-            d[i][j] = d[j][i] = w
-            lo[i][j] = lo[j][i] = w_lo
-            hi[i][j] = hi[j][i] = w_hi
-            bound = max(bound, abs(w_lo), abs(w_hi))
-        tol = _tolerance(bound)
-        failures = []
-        for i in range(n - 2):
-            lo_i, hi_i = lo[i], hi[i]
-            for j in range(i + 1, n - 1):
-                lo_j, hi_j = lo[j], hi[j]
-                xy_lo, xy_hi = lo_i[j], hi_i[j]
-                for k in range(j + 1, n):
-                    xz_lo, xz_hi = lo_i[k], hi_i[k]
-                    yz_lo, yz_hi = lo_j[k], hi_j[k]
-                    xz_ok = xz_hi < xy_lo + yz_lo - tol
-                    yz_ok = yz_hi < xy_lo + xz_lo - tol
-                    xy_ok = xy_hi < yz_lo + xz_lo - tol
-                    if xz_ok and yz_ok and xy_ok:
-                        continue
-                    x, y, z = points[i], points[j], points[k]
-                    dxy, dyz, dxz = d[i][j], d[j][k], d[i][k]
-                    if not xz_ok and _exceeds(dxz, dxy, dyz):
-                        failures.append((x, z, y))
-                    if not yz_ok and _exceeds(dyz, dxy, dxz):
-                        failures.append((y, z, x))
-                    if not xy_ok and _exceeds(dxy, dyz, dxz):
-                        failures.append((x, y, z))
-        return failures
+        return _DistanceTable(self.points, self.edges).triangle_failures()
 
     @cached_property
     def spheres(self) -> dict:
@@ -359,17 +308,15 @@ class ScaledMu(GraphMetric):
             raise ValueError("rename must be injective")
         self.template = template
         self.scale = scale
+        self._rename = dict(rename)
         self._back = {new: old for old, new in rename.items()}
-        t = template.unit_of
-        edges = {(rename[u], rename[v]): scale * abs(t[u] - t[v])
-                 for (u, v) in template.edges}
+        edges = {(rename[u], rename[v]): scale * w
+                 for (u, v), w in template.edges.items()}
         super().__init__(rename.values(), edges)
 
     def _hat_row(self, x: str) -> dict:
-        t = self.template
-        tx = t.unit_of[self._back[x]]
-        return {y: self.scale * t._hat_units(t.unit_of[self._back[y]] - tx)
-                for y in self.vertices}
+        row = self.template._hat_row(self._back[x])
+        return {self._rename[y]: self.scale * h for y, h in row.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -500,7 +447,6 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     that path check runs only to name the witness edge of a failure.
     """
     verts = list(g.vertices)
-    index = {v: k for k, v in enumerate(verts)}
     missing = [p for p in combinations(verts, 2) if p not in g.edges]
 
     used_primes = set()
@@ -512,13 +458,9 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     sampler = policy.dense_family or (
         lambda pair, lo, hi, r, prime: _default_sample(lo, hi, r, prime))
 
-    # live edges as (i, j, w, lower bound of w, upper bound of w); the
-    # assigned ones follow the input's, in assignment order
-    edges = [(index[u], index[v], w, *_enclosure(w))
-             for (u, v), w in g.edges.items()]
-    base = _DistanceTable(lambda x: GraphMetric.distances_from(g, x), verts,
-                          edges)
-    n_input = len(edges)
+    base = _DistanceTable(verts, g.edges,
+                          lambda x: GraphMetric.distances_from(g, x))
+    index = base.index
 
     assignments: dict = {}
     intervals: dict = {}
@@ -529,7 +471,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     while idx < len(missing):
         pair = missing[idx]
         i, j = index[pair[0]], index[pair[1]]
-        lo = table.check(i, j, edges)
+        lo = table.check(i, j)
         hi = table.d[i][j]
         if lo < hi:
             value = sampler(pair, lo, hi, rng, next(prime_source))
@@ -538,8 +480,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
             assignments[pair] = value
             intervals[pair] = (lo, hi)
             order.append(pair)
-            edges.append((i, j, value, *_enclosure(value)))
-            table.shrink(edges[-1])
+            table.add_edge(i, j, value)
             idx += 1
             continue
         # closed interval: re-sample the most recent assignment
@@ -548,10 +489,9 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
             raise ExtensionExhausted(pair, backtracks)
         dropped = order.pop()
         del assignments[dropped], intervals[dropped]
-        edges.pop()
         table = base.copy()
-        for edge in edges[n_input:]:
-            table.shrink(edge)
+        for u, v in order:
+            table.add_edge(index[u], index[v], assignments[(u, v)])
         idx = missing.index(dropped)
 
     full_edges = dict(g.edges)
@@ -575,14 +515,6 @@ def _enclosure(value: SurdValue) -> tuple[float, float]:
     return mid - err, mid + err
 
 
-def _tolerance(bound: float) -> float:
-    """The skip margin of the float filters, 2**-48 * bound, for ``bound``
-    >= |every enclosure end| involved (see _DistanceTable); infinite, so
-    that nothing is skipped, when ``bound`` is outside [2**-900, 2**900]."""
-    return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 \
-        else math.inf
-
-
 def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
     """c > a + b, exactly; on the rational parts when all three are
     rational."""
@@ -592,10 +524,12 @@ def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
 
 
 class _DistanceTable:
-    """The hat values of a graph, addressed by vertex index; ``shrink``
-    relaxes them through each added edge.
+    """A graph's vertex index, its live edges and its hat values, addressed
+    by vertex index.  ``add_edge`` is the one place where edges and entries
+    change: it adds an edge and relaxes every entry through it.
 
-    Entry d[i][j] is exact and lo[i][j], hi[i][j] enclose it in doubles.
+    Entry d[i][j] is exact and lo[i][j], hi[i][j] enclose it in doubles;
+    each edge is kept as (i, j, w, lower bound of w, upper bound of w).
     The filters decide a comparison on the enclosures when they can prove
     it and leave it to the exact values otherwise.  Their error bound, with
     u = 2**-53 and B = ``bound`` >= |every enclosure end| seen so far:
@@ -605,38 +539,51 @@ class _DistanceTable:
     * a filter adds or subtracts three ends with two roundings, of partial
       sums below 3B, so the sum misses its exact value by at most 3u*B
       (the ends) + 5u*B (the roundings) = 8u*B;
-    * shrink compares such a sum with a fourth end (u*B) after subtracting
-      ``tol`` from it (one more rounding, about 2u*B): off by < 11u*B;
-      check compares two such sums, one after subtracting ``tol`` (3u*B):
-      off by < 19u*B;
+    * add_edge compares such a sum with a fourth end (u*B) after
+      subtracting ``tol`` from it (one more rounding, about 2u*B): off by
+      < 11u*B; check compares two such sums, one after subtracting ``tol``
+      (3u*B): off by < 19u*B; triangle_failures compares one end with the
+      sum of two less ``tol``: three ends and two roundings of 2u*B each,
+      off by < 7u*B;
     * the comparison itself is exact, and rounding to nearest is monotone,
       so the final addition of a test cannot turn a false one true.
 
-    A skip therefore asks for a margin of ``tol`` = ``_tolerance(B)`` =
-    2**-48 * B = 32u*B.  Every skip test is false when an operand is
-    infinite, and so is sent to the exact values; ``tol`` is infinite when
-    B is beyond [2**-900, 2**900] (sums could overflow or fall into the
-    subnormals).
+    A skip therefore asks for a margin of ``tol`` = 2**-48 * B = 32u*B.
+    Every skip test is false when an operand is infinite, and so is sent to
+    the exact values; ``tol`` is infinite when B is beyond [2**-900, 2**900]
+    (sums could overflow or fall into the subnormals).
     """
 
-    __slots__ = ("d", "lo", "hi", "bound", "tol")
+    __slots__ = ("verts", "index", "edges", "d", "lo", "hi", "bound", "tol")
 
-    def __init__(self, row: Callable, verts, edges: list):
-        """Entry (i, j) is row(verts[i])[verts[j]]."""
+    def __init__(self, verts, edges: dict, row: Optional[Callable] = None):
+        """``edges`` maps vertex pairs to values.  Entry (i, j) is
+        row(verts[i])[verts[j]]; without ``row`` it is the edge value, for a
+        full table."""
+        self.verts = verts = tuple(verts)
+        self.index = {v: k for k, v in enumerate(verts)}
         n = len(verts)
         self.d = [[ZERO] * n for _ in range(n)]
         self.lo = [[0.0] * n for _ in range(n)]
         self.hi = [[0.0] * n for _ in range(n)]
         self.bound, self.tol = 0.0, math.inf     # until an entry is set
+        self.edges = [(self.index[u], self.index[v], w, *_enclosure(w))
+                      for (u, v), w in edges.items()]
+        if row is None:
+            for i, j, w, _, _ in self.edges:
+                self.set(i, j, w)
+            return
         for i, x in enumerate(verts):
             from_x = row(x)
             for j in range(i + 1, n):
                 self.set(i, j, from_x[verts[j]])
-        for _, _, _, w_lo, w_hi in edges:
+        for _, _, _, w_lo, w_hi in self.edges:
             self._widen(w_lo, w_hi)
 
     def copy(self) -> "_DistanceTable":
         other = _DistanceTable.__new__(_DistanceTable)
+        other.verts, other.index = self.verts, self.index
+        other.edges = self.edges[:]
         other.d = [row[:] for row in self.d]
         other.lo = [row[:] for row in self.lo]
         other.hi = [row[:] for row in self.hi]
@@ -646,7 +593,9 @@ class _DistanceTable:
     def _widen(self, lo: float, hi: float) -> None:
         m = max(abs(lo), abs(hi))
         if m > self.bound:
-            self.bound, self.tol = m, _tolerance(m)
+            self.bound = m
+            self.tol = m * 2.0 ** -48 if 2.0 ** -900 < m < 2.0 ** 900 \
+                else math.inf
 
     def set(self, i: int, j: int, value: SurdValue) -> None:
         lo, hi = _enclosure(value)
@@ -655,14 +604,15 @@ class _DistanceTable:
         self.hi[i][j] = self.hi[j][i] = hi
         self._widen(lo, hi)
 
-    def shrink(self, edge) -> None:
-        """Relax every entry through the new edge (u, v) = w:
+    def add_edge(self, u: int, v: int, w: SurdValue) -> None:
+        """Add the edge (u, v) = w and relax every entry through it:
         d[i][j] = min(d[i][j], d[i][u] + w + d[v][j], d[i][v] + w + d[u][j]).
 
         Rows u and v are read as they were before the pass: a path that
         uses the new edge twice is never shorter, so the exact result does
         not depend on the order of the pass."""
-        u, v, w, w_lo, w_hi = edge
+        w_lo, w_hi = _enclosure(w)
+        self.edges.append((u, v, w, w_lo, w_hi))
         self._widen(w_lo, w_hi)
         d, hi = self.d, self.hi
         du, dv = d[u][:], d[v][:]
@@ -688,11 +638,12 @@ class _DistanceTable:
                 if through < d[i][j]:
                     self.set(i, j, through)
 
-    def check(self, x: int, y: int, edges: list) -> SurdValue:
+    def check(self, x: int, y: int) -> SurdValue:
         """max(0, w - d(a,x) - d(b,y)) over the edges (a, b) = w in both
         orientations: a certified lower bound of the maximum from the
         enclosures, then the exact maximum over the candidates whose upper
         bound does not fall below it."""
+        edges = self.edges
         hx, hy = self.hi[x], self.hi[y]
         best = 0.0                     # the exact 0 is always a candidate
         for a, b, _, w_lo, _ in edges:
@@ -714,6 +665,41 @@ class _DistanceTable:
                 if result is None or result < cand:
                     result = cand
         return result
+
+    def triangle_failures(self) -> list:
+        """The strict triangle failures of the entries, as name triples.
+
+        Triples x < y < z (by index) come in ``combinations`` order; each
+        tests the sides d(x,z), d(y,z), d(x,y) in turn against the sum of
+        the other two, and a failing side is named by its ends, then the
+        third point: (x, z, y), (y, z, x) or (x, y, z).  A side c passes on
+        the enclosures when c_hi < a_lo + b_lo - tol, which proves c < a + b;
+        every other side is decided exactly."""
+        points, d, lo, hi, tol = self.verts, self.d, self.lo, self.hi, self.tol
+        n = len(points)
+        failures = []
+        for i in range(n - 2):
+            lo_i, hi_i = lo[i], hi[i]
+            for j in range(i + 1, n - 1):
+                lo_j, hi_j = lo[j], hi[j]
+                xy_lo, xy_hi = lo_i[j], hi_i[j]
+                for k in range(j + 1, n):
+                    xz_lo, xz_hi = lo_i[k], hi_i[k]
+                    yz_lo, yz_hi = lo_j[k], hi_j[k]
+                    xz_ok = xz_hi < xy_lo + yz_lo - tol
+                    yz_ok = yz_hi < xy_lo + xz_lo - tol
+                    xy_ok = xy_hi < yz_lo + xz_lo - tol
+                    if xz_ok and yz_ok and xy_ok:
+                        continue
+                    x, y, z = points[i], points[j], points[k]
+                    dxy, dyz, dxz = d[i][j], d[j][k], d[i][k]
+                    if not xz_ok and _exceeds(dxz, dxy, dyz):
+                        failures.append((x, z, y))
+                    if not yz_ok and _exceeds(dyz, dxy, dxz):
+                        failures.append((y, z, x))
+                    if not xy_ok and _exceeds(dxy, dyz, dxz):
+                        failures.append((x, y, z))
+        return failures
 
 
 # ---------------------------------------------------------------------------

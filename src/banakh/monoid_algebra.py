@@ -11,10 +11,12 @@ description classes are supported:
                    (see ``CLOSURES``).
 
 Finitely generated monoids are scaled by the lcm of the generator
-denominators to a numerical semigroup in the nonnegative integers.  Its
-Apery set (computed by a shortest-path search over residues modulo the
-smallest generator) yields the conductor, so membership, half-group and
-divisibility verdicts below are complete, never sampled.
+denominators to a numerical semigroup in the nonnegative integers; a group
+cone is the one-generator semigroup of its step, since every finitely
+generated subgroup of Q is cyclic.  The Apery set (computed by a
+shortest-path search over residues modulo the smallest generator) yields
+the conductor, so membership, half-group and divisibility verdicts below
+are complete, never sampled.
 """
 
 from __future__ import annotations
@@ -152,8 +154,7 @@ class _Semigroup:
     """Integer numerical semigroup <gens> with complete membership."""
 
     def __init__(self, gens: tuple[int, ...]):
-        self.gens = gens
-        self.step = gcd(*gens) if len(gens) > 1 else gens[0]
+        self.step = gcd(*gens)
         reduced = tuple(sorted({g // self.step for g in gens}))
         self.reduced = reduced
         self.apery = _apery_set(reduced)
@@ -364,7 +365,6 @@ class MonoidDesc:
         self._closure = None
         self._semigroup = None
         self.scale = 1
-        self.cone_step = None
 
         if variant == "closure":
             if closure_id not in CLOSURES:
@@ -376,14 +376,12 @@ class MonoidDesc:
             raise ValueError("generators must be positive")
         if not self.generators:
             return  # the zero monoid
-        self.scale = lcm(*(g.denominator for g in self.generators)) \
-            if len(self.generators) > 1 else self.generators[0].denominator
+        self.scale = lcm(*(g.denominator for g in self.generators))
         scaled = tuple(int(g * self.scale) for g in self.generators)
-        if variant == "fingen":
-            self._semigroup = _Semigroup(scaled)
-        else:
-            self.cone_step = Fraction(gcd(*scaled) if len(scaled) > 1
-                                      else scaled[0], self.scale)
+        # a group cone is the nonnegative multiples of its step, the
+        # one-generator semigroup of that step
+        self._semigroup = _Semigroup(scaled if variant == "fingen"
+                                     else (gcd(*scaled),))
 
     # -- identity --------------------------------------------------------
 
@@ -425,8 +423,6 @@ class MonoidDesc:
             return self._closure.member(x)
         if self.is_zero_monoid():
             return x == 0
-        if self.variant == "groupcone":
-            return x >= 0 and (x / self.cone_step).denominator == 1
         scaled = x * self.scale
         return scaled.denominator == 1 and self._semigroup.member(scaled.numerator)
 
@@ -441,17 +437,13 @@ class MonoidDesc:
 
     def _step(self) -> Fraction:
         """The gcd of M: M - M is exactly its integer multiples."""
-        if self.variant == "groupcone":
-            return self.cone_step
         return Fraction(self._semigroup.step, self.scale)
 
     def conductor(self) -> Optional[Fraction]:
         """Least c with every multiple of the gcd above c a member; None if n/a."""
-        if self.variant == "fingen" and not self.is_zero_monoid():
-            return Fraction(self._semigroup.conductor(), self.scale)
-        if self.variant == "groupcone" and not self.is_zero_monoid():
-            return Fraction(0)
-        return None
+        if self._semigroup is None:
+            return None
+        return Fraction(self._semigroup.conductor(), self.scale)
 
     # -- infima -------------------------------------------------------------
 
@@ -468,8 +460,6 @@ class MonoidDesc:
             return Fraction(0)
         if self.is_zero_monoid() or not self.diff_member(d):
             return None
-        if self.variant == "groupcone":
-            return max(Fraction(0), -d)
         sg = self._semigroup
         n = int(d * self.scale) // sg.step  # reduced units
         start = max(0, -n)
@@ -546,6 +536,8 @@ def is_half_group(monoid: MonoidDesc, bound=None):
     False verdict is a pair (a, b) of members whose difference b - a is in
     (M - M) but not in M.
     """
+    # a cone is a half-group whatever the bound; the semigroup path would
+    # call a bound below its conductor 0 inconclusive
     if monoid.variant == "groupcone" or monoid.is_zero_monoid():
         return True, None
     if monoid.variant == "closure":
@@ -586,8 +578,6 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
 
     if domain == "M_minus_M":
         step = monoid._step()
-        if monoid.variant == "groupcone":
-            return DivisibilityWitness("divisible")
         sg = monoid._semigroup
         for k in range(sg.reduced_conductor):
             s = k * step
@@ -599,8 +589,7 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
     # s and p*s depends only on s modulo the scaled step, so one extra
     # period suffices for completeness
     conductor = monoid.conductor()
-    period = (monoid._semigroup.step if monoid.variant == "fingen"
-              else monoid.cone_step.numerator)
+    period = monoid._semigroup.step
     top = int(conductor) + p * period + 2
     if bound is not None:
         top = min(top, int(rat(bound)))

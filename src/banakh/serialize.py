@@ -16,7 +16,7 @@ from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
 from .monoid_algebra import CLOSURES, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
-from .values import SurdValue, format_rat, is_prime
+from .values import SurdValue, format_rat
 
 __all__ = [
     "dumps",
@@ -65,13 +65,15 @@ def value_from_json(obj) -> SurdValue:
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         return SurdValue(_rat_from(obj))
     if isinstance(obj, dict):
-        coeffs = {}
-        for key, c in obj.get("surds", {}).items():
-            p = int(key)
-            if not is_prime(p):
-                raise FormatError(f"surd index {key} is not prime")
-            coeffs[p] = _rat_from(c)
-        return SurdValue(_rat_from(obj.get("rat", 0)), coeffs)
+        surds = obj.get("surds", {})
+        if not isinstance(surds, dict):
+            raise FormatError(f"surds must be an object: {surds!r}")
+        coeffs = {key: _rat_from(c) for key, c in surds.items()}
+        rational = _rat_from(obj.get("rat", 0))
+        try:
+            return SurdValue(rational, coeffs)
+        except ValueError as exc:    # an index that is not a prime
+            raise FormatError(str(exc)) from exc
     raise FormatError(f"not a value: {obj!r}")
 
 
@@ -162,7 +164,7 @@ def element_to_json(x: GroupElement) -> dict:
 
 
 def element_from_json(obj) -> GroupElement:
-    if not isinstance(obj, dict) or "coeffs" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
         raise FormatError(f"not a group element: {obj!r}")
     try:
         coeffs = {int(a): _rat_from(c) for a, c in obj["coeffs"].items()}

@@ -194,9 +194,8 @@ def build(spec: BuildSpec):
     targets_seen = set()  # (point, class, unit) that a glued copy completes
     fragment, backtracks = _complete(g, spec, 0, generic_log)
     fits = _unit_fits(set(fragment.edges.values()), classes)
-    stage_log.append({"stage": 0, "copies": 0, "union_certified": True,
-                      "member_floppy": [], "new_vertices": len(g.vertices),
-                      "extension_backtracks": backtracks})
+    stage_log.append(_stage_entry(0, new_vertices=len(g.vertices),
+                                  extension_backtracks=backtracks))
 
     for stage in range(1, spec.stages):
         copies = {}
@@ -236,24 +235,20 @@ def build(spec: BuildSpec):
                     deferred.append((x, ci, rest))
         ordered = [mu for mu, _ in copies.values()]
         targets_seen.update((x, ci, n) for x, ci, ns in stage_targets for n in ns)
+        entry = _stage_entry(stage, targets=stage_targets, deferred=deferred,
+                             skipped=skipped)
+        stage_log.append(entry)
         if not ordered:
-            stage_log.append({"stage": stage, "copies": 0, "targets": stage_targets,
-                              "deferred": deferred, "skipped": skipped,
-                              "union_certified": True, "member_floppy": [],
-                              "new_vertices": 0, "extension_backtracks": 0})
             continue
         g, report = floppy_union(fragment, ordered)
         new_count = len(g.vertices) - len(fragment.vertices)
         fragment, backtracks = _complete(g, spec, stage, generic_log)
         fits = _unit_fits(set(fragment.edges.values()), classes)
-        stage_log.append({"stage": stage, "copies": len(ordered),
-                          "targets": stage_targets, "deferred": deferred,
-                          "skipped": skipped,
-                          "union_certified": report.certified_floppy,
-                          "member_floppy": report.member_floppy,
-                          "lambdas": report.lambdas,
-                          "new_vertices": new_count,
-                          "extension_backtracks": backtracks})
+        entry.update(copies=len(ordered),
+                     union_certified=report.certified_floppy,
+                     member_floppy=report.member_floppy,
+                     lambdas=report.lambdas, new_vertices=new_count,
+                     extension_backtracks=backtracks)
 
     spheres, law_ok = _sphere_ledger(fragment, templates, fits)
     # every targeted (point, class, unit) ends with a two-member entry
@@ -270,6 +265,14 @@ def build(spec: BuildSpec):
                        realized_distances=realized, generic_values=generic_log,
                        spheres=spheres, sphere_law_ok=law_ok, growth_ok=growth_ok)
     return fragment, cert
+
+
+def _stage_entry(stage: int, **fields) -> dict:
+    """A stage's log entry: the values of a stage that glued no copies,
+    updated by ``fields``."""
+    return {"stage": stage, "copies": 0, "union_certified": True,
+            "member_floppy": [], "new_vertices": 0,
+            "extension_backtracks": 0, **fields}
 
 
 def _lattice_positions(f: MetricFragment, x: str, sphere, ci, fits, tmpl):
@@ -368,8 +371,11 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
       certificate's `sphere_law_ok` and `growth_ok` are both `true`.
       Completeness is checked by counting those spheres in the fragment's
       sphere index, not by rebuilding the ledger.
-    The `stages` log is not checked.  `class_floppy_ok` is always true:
-    realized windows generate finitely generated monoids, which are floppy.
+    - that the `stages` log has one entry per stage, numbered from 0 (none
+      when the spec has no classes), whose integer `new_vertices` sum to
+      the fragment's point count.
+    `class_floppy_ok` is always true: realized windows generate finitely
+    generated monoids, which are floppy.
     """
     report = {}
     frag_report = verify_fragment(fragment)
@@ -425,8 +431,20 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     ledger_ok &= cert.sphere_law_ok is True and cert.growth_ok is True
     report["sphere_ledger_ok"] = ledger_ok
 
+    # a malformed log or entry reads as false, never as a format error
+    log = cert.stages if isinstance(cert.stages, list) else [None]
+    fields = [(e.get("stage"), e.get("new_vertices")) if isinstance(e, dict)
+              else (None, None) for e in log]
+    stages_ok = (len(fields) == (spec.stages if classes else 0)
+                 and all(type(k) is int and k == pos and type(n) is int
+                         for pos, (k, n) in enumerate(fields))
+                 and sum(n for _, n in fields)
+                 == (len(fragment.points) if classes else 0))
+    report["stages_ok"] = stages_ok
+
     report["all_ok"] = all((report["metric_ok"], report["banakh_consistent"],
                             report["distances_match_cert"],
                             report["realized_subset_ok"], class_windows_ok,
-                            report["classes_match_cert"], ledger_ok))
+                            report["classes_match_cert"], ledger_ok,
+                            stages_ok))
     return report

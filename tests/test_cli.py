@@ -250,7 +250,7 @@ def test_build_and_certify_round_trip(capsys, tmp_path):
     assert built["certificate"]["seed"] == 3
     assert built["certificate"]["sphere_law_ok"] is True
     code, doc, _ = run_json(capsys, "certify", str(out_path), str(spec_path))
-    assert code == 0 and doc["all_ok"] is True
+    assert code == 0 and doc["all_ok"] is True and doc["stages_ok"] is True
     # a tampered fragment must fail certification
     built["fragment"]["dist"][0][2] = "1/7"
     forged = tmp_path / "forged.json"
@@ -320,6 +320,24 @@ def test_certify_fails_an_edited_certificate_field(capsys, tmp_path, edit):
     assert doc["all_ok"] is False and doc["metric_ok"] is True
 
 
+@pytest.mark.parametrize("edit", [
+    lambda stages: stages.clear(),
+    lambda stages: stages.pop(),
+    lambda stages: stages[1].update(stage=2),
+    lambda stages: stages[0].update(new_vertices=stages[0]["new_vertices"] + 1),
+    lambda stages: stages[0].update(new_vertices=str(stages[0]["new_vertices"])),
+    lambda stages: stages.__setitem__(1, "stage 1"),
+], ids=["emptied", "dropped", "renumbered", "new_vertices", "string-count",
+        "string-entry"])
+def test_certify_fails_an_edited_stages_log(capsys, tmp_path, edit):
+    # a verdict (exit 1) on a wrong or malformed log, never a format error
+    code, doc, err = _certify_forged(capsys, tmp_path, 2, "3",
+                                     lambda cert: edit(cert["stages"]))
+    assert code == 1 and err == ""
+    assert doc["stages_ok"] is False and doc["all_ok"] is False
+    assert doc["metric_ok"] is True and doc["sphere_ledger_ok"] is True
+
+
 def test_certify_needs_both_certified_flags(capsys, tmp_path):
     for flag in ("sphere_law_ok", "growth_ok"):
         code, _, err = _certify_forged(capsys, tmp_path, 2, "3",
@@ -384,6 +402,36 @@ def test_malformed_json_is_a_usage_error(capsys, tmp_path):
 def test_zero_denominator_is_a_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == "" and "zero denominator" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["x", None, []], ids=["string", "null", "list"])
+@pytest.mark.parametrize("task", ["verify", "gps", "certify", "group-dist"])
+def test_a_malformed_surds_or_coeffs_object_is_a_format_error(
+        capsys, tmp_path, line_file, task, bad):
+    value = {"rat": "1", "surds": bad}
+    path = tmp_path / "doc.json"
+    if task == "verify":
+        path.write_text(json.dumps({"points": ["a", "b"],
+                                    "dist": [["a", "b", value]]}))
+        argv = ("verify", str(path))
+    elif task == "gps":
+        argv = ("gps", line_file, "--a", "p+0", "--ra", json.dumps(value),
+                "--b", "p+1", "--rb", "1")
+    elif task == "certify":
+        cert = {"seed": 0, "stages": [], "classes": [],
+                "realized_distances": [value], "generic_values": [],
+                "spheres": [], "sphere_law_ok": True, "growth_ok": True}
+        path.write_text(json.dumps({"fragment": {"points": ["a"], "dist": []},
+                                    "certificate": cert}))
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"radii": []}))
+        argv = ("certify", str(path), str(spec))
+    else:
+        path.write_text(json.dumps({"coeffs": bad}))
+        argv = ("group", "dist", str(path), str(path))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("format error")
     assert "Traceback" not in err
 
 

@@ -642,6 +642,22 @@ def test_scaled_mu_carries_the_surd():
     assert scaled.check("s0", "s1") == template.check("0", "1") * SurdValue.sqrt(2)
 
 
+@pytest.mark.parametrize("r", [2, Fraction(1, 2)])
+@pytest.mark.parametrize("scale", [SurdValue(1), SurdValue(1, {3: 1})])
+def test_scaled_mu_scales_its_template_at_any_radius(r, scale):
+    # the template's own values, radius included, times the scale
+    template = build_mu(MonoidDesc.fingen([2, 3]), r, 5 * r)
+    rename = {v: f"s{v}" for v in template.vertices}
+    scaled = ScaledMu(template, scale, rename)
+    assert len(scaled.edges) == len(template.edges)
+    for (u, v), w in template.edges.items():
+        assert scaled.edge_value(rename[u], rename[v]) == scale * w
+    for x, y in itertools.product(template.vertices, repeat=2):
+        assert scaled.hat(rename[x], rename[y]) == scale * template.hat(x, y)
+        assert scaled.check(rename[x], rename[y]) == \
+            scale * template.check(x, y)
+
+
 def test_scaled_mu_rejects_bad_scale_and_rename():
     template = build_mu(MonoidDesc.fingen([1]), 1, 2)
     with pytest.raises(ValueError):

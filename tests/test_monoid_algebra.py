@@ -168,6 +168,50 @@ def test_groupcone_membership():
     assert cone.member(2) and not cone.member(3) and cone.member(0)
 
 
+rational_gens = st.lists(st.fractions(min_value=Fraction(1, 12),
+                                      max_value=12, max_denominator=12),
+                         min_size=1, max_size=4)
+
+
+def _rational_gcd(gens):
+    """The least positive element of the subgroup of Q the gens generate:
+    gcd(a/b, c/d) = gcd(ad, cb) / bd."""
+    step = gens[0]
+    for g in gens[1:]:
+        step = Fraction(gcd(step.numerator * g.denominator,
+                            g.numerator * step.denominator),
+                        step.denominator * g.denominator)
+    return step
+
+
+@given(rational_gens, st.fractions(min_value=-30, max_value=30,
+                                   max_denominator=24))
+@settings(max_examples=80, deadline=None)
+def test_groupcone_is_the_semigroup_of_its_step(gens, x):
+    cone = MonoidDesc.groupcone(gens)
+    step = _rational_gcd(gens)
+    line = MonoidDesc.fingen([step])
+    assert cone.member(x) == line.member(x) == (x >= 0
+                                                and (x / step).denominator == 1)
+    assert cone.diff_member(x) == line.diff_member(x)
+    assert cone.min_add(x) == line.min_add(x)
+    assert cone.conductor() == line.conductor() == 0
+    window = 8 * step
+    assert cone.elements(window) == line.elements(window)
+    assert cone.diff_elements(window) == line.diff_elements(window)
+    for bound in (None, 0, 7):
+        assert is_half_group(cone, bound) == is_half_group(line, bound) \
+            == (True, None)
+    assert is_half_group(cone, -1) == (True, None)
+    assert is_floppy(cone) == is_floppy(line)
+    assert ddot_set(cone, window) == ddot_set(line, window) == [step]
+    for p in (2, 3, 5):
+        for domain in ("Z_plus", "M_minus_M"):
+            for bound in (None, 4):
+                assert is_p_divisible_in(cone, p, domain, bound) == \
+                    is_p_divisible_in(line, p, domain, bound), (p, domain)
+
+
 # -- divisibility --------------------------------------------------------------
 
 

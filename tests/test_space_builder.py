@@ -90,9 +90,14 @@ def test_exception_taxonomy():
 
 
 def test_empty_radius_list_builds_a_single_point():
-    frag, cert = build(BuildSpec(radii=()))
+    spec = BuildSpec(radii=())
+    frag, cert = build(spec)
     assert frag.points == ("a0",)
     assert cert.realized_distances == [] and cert.stages == []
+    report = verify_certificate(frag, spec, cert)
+    assert report["stages_ok"] and report["all_ok"]
+    forged = replace(cert, stages=[{"stage": 0, "new_vertices": 1}])
+    assert not verify_certificate(frag, spec, forged)["stages_ok"]
 
 
 def test_unit_line_build():
@@ -428,6 +433,14 @@ CERT_EDITS = {
     "sphere_law_ok": (lambda c: replace(c, sphere_law_ok=False),
                       "sphere_ledger_ok"),
     "growth_ok": (lambda c: replace(c, growth_ok=False), "sphere_ledger_ok"),
+    "stages-emptied": (lambda c: replace(c, stages=[]), "stages_ok"),
+    "stage-dropped": (lambda c: replace(c, stages=c.stages[:-1]),
+                      "stages_ok"),
+    "stage-renumbered": (lambda c: replace(c, stages=[
+        c.stages[0], dict(c.stages[1], stage=2)]), "stages_ok"),
+    "new_vertices": (lambda c: replace(c, stages=[
+        dict(c.stages[0], new_vertices=c.stages[0]["new_vertices"] + 1)]
+        + c.stages[1:]), "stages_ok"),
 }
 
 
@@ -436,6 +449,14 @@ def zp_two_stage():
     spec = zp_spec(window=3, stages=2)
     frag, cert = build(spec)
     return spec, frag, cert
+
+
+def test_the_stages_log_counts_every_point(zp_two_stage):
+    spec, frag, cert = zp_two_stage
+    assert [e["stage"] for e in cert.stages] == [0, 1]
+    assert cert.stages[1]["copies"] > 0
+    assert sum(e["new_vertices"] for e in cert.stages) == len(frag.points)
+    assert verify_certificate(frag, spec, cert)["stages_ok"]
 
 
 @pytest.mark.parametrize("name", CERT_EDITS)
