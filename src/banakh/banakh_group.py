@@ -17,6 +17,15 @@ Numeric norms exist for display only.
 The integer-coefficient lattice H is discrete (‖x‖ ≥ 1 off zero); the
 rational lattice L is divisible.  Both satisfy the two-point-sphere law
 by construction: S(c; t) = {c + v, c − v}.
+
+Representation: an element stores one positive common denominator ``den``
+and a tuple ``items`` of ``(index, numerator)`` int pairs sorted by index,
+with no zero numerator, in lowest terms (the gcd of ``den`` and every
+numerator is 1; the zero element is ``den == 1, items == ()``).  The form
+is unique, so equality and hashing compare ints, and arithmetic never
+builds a ``Fraction``.  Only the public constructor validates its input;
+arithmetic builds results through ``GroupElement._raw``, whose caller
+guarantees that form.  ``coeffs`` is a read-only {index: Fraction} view.
 """
 
 from __future__ import annotations
@@ -24,7 +33,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import index
+from types import MappingProxyType
 from typing import Optional
 
 from .banakh_space import SphereOracle
@@ -58,62 +69,110 @@ __all__ = [
 class GroupElement:
     """Immutable finite map index → nonzero rational coefficient."""
 
-    __slots__ = ("coeffs", "_hash")
+    __slots__ = ("_den", "_items", "_hash")
 
     def __init__(self, coeffs=None):
         clean = {}
         for a, c in dict(coeffs or {}).items():
-            a = int(a)
+            a = index(a)    # a float or string index raises, never truncates
             if a < 0:
                 raise ValueError("coordinate indices are nonnegative")
             c = rat(c)
             if c != 0:
                 clean[a] = c
-        self.coeffs = clean
-        self._hash = hash(tuple(sorted(clean.items())))
+        den = lcm(*(c.denominator for c in clean.values())) if clean else 1
+        self._den = den
+        self._items = tuple(sorted((a, c.numerator * (den // c.denominator))
+                                   for a, c in clean.items()))
+        self._hash = None
+
+    @classmethod
+    def _raw(cls, den: int, items: tuple) -> "GroupElement":
+        """Trusted constructor for arithmetic: the caller guarantees den > 0,
+        items sorted by index with int numerators, no zero numerator, and
+        lowest terms."""
+        x = cls.__new__(cls)
+        x._den = den
+        x._items = items
+        x._hash = None
+        return x
+
+    @classmethod
+    def _reduced(cls, den: int, items: tuple) -> "GroupElement":
+        """_raw after dividing out the common factor of den and items."""
+        if den != 1:
+            g = gcd(den, *(n for _, n in items))
+            if g != 1:
+                den //= g
+                items = tuple((a, n // g) for a, n in items)
+        return cls._raw(den, items)
+
+    @property
+    def coeffs(self):
+        return MappingProxyType({a: Fraction(n, self._den)
+                                 for a, n in self._items})
 
     def support(self):
-        return frozenset(self.coeffs)
+        return frozenset(a for a, _ in self._items)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._items
 
     def sort_key(self):
-        return tuple(sorted(self.coeffs.items()))
+        return tuple((a, Fraction(n, self._den)) for a, n in self._items)
 
     def __eq__(self, other):
-        return isinstance(other, GroupElement) and self.coeffs == other.coeffs
+        return (isinstance(other, GroupElement) and self._den == other._den
+                and self._items == other._items)
 
     def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._den, self._items))
         return self._hash
 
     def __lt__(self, other):
+        if self._den == other._den:
+            return self._items < other._items
         return self.sort_key() < other.sort_key()
 
-    def __add__(self, other):
-        merged = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            merged[a] = merged.get(a, Fraction(0)) + c
-        return GroupElement(merged)
+    def _combine(self, other, sign: int) -> "GroupElement":
+        """self + sign·other for sign = ±1."""
+        d1, d2 = self._den, other._den
+        if d1 == d2:
+            den, m1, m2 = d1, 1, sign
+        else:
+            g = gcd(d1, d2)
+            den, m1, m2 = d1 // g * d2, d2 // g, sign * (d1 // g)
+        acc = dict(self._items) if m1 == 1 else {a: n * m1 for a, n in self._items}
+        for a, n in other._items:
+            acc[a] = acc.get(a, 0) + n * m2
+        return GroupElement._reduced(
+            den, tuple(sorted(item for item in acc.items() if item[1])))
 
-    def __neg__(self):
-        return GroupElement({a: -c for a, c in self.coeffs.items()})
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return GroupElement._raw(self._den,
+                                 tuple((a, -n) for a, n in self._items))
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self._items:
             return "0"
         parts = []
-        for a in sorted(self.coeffs):
-            c = self.coeffs[a]
+        for a, c in self.coeffs.items():
             parts.append(f"{c}*e{a}" if c != 1 else f"e{a}")
         return " + ".join(parts).replace("+ -", "- ")
 
 
+_ZERO = GroupElement._raw(1, ())
+
+
 def zero() -> GroupElement:
-    return GroupElement()
+    return _ZERO
 
 
 def basis(alpha: int) -> GroupElement:
@@ -133,14 +192,18 @@ def scale(q, x: GroupElement, lattice: str = "L") -> GroupElement:
     q = rat(q)
     if lattice == "H" and q.denominator != 1:
         raise ValueError(f"scaling by {q} leaves the integer lattice")
-    return GroupElement({a: q * c for a, c in x.coeffs.items()})
+    if q == 0:
+        return _ZERO
+    num = q.numerator
+    return GroupElement._reduced(x._den * q.denominator,
+                                 tuple((a, n * num) for a, n in x._items))
 
 
 def in_lattice(x: GroupElement, lattice: str) -> bool:
     if lattice == "L":
         return True
     if lattice == "H":
-        return all(c.denominator == 1 for c in x.coeffs.values())
+        return x._den == 1
     raise ValueError(f"unknown lattice {lattice!r}")
 
 
@@ -156,8 +219,8 @@ class NormSq:
 
 
 def normsq(x: GroupElement) -> NormSq:
-    tail = sum((c * c for a, c in x.coeffs.items() if a != 0), Fraction(0))
-    return NormSq(linear=x, tail=tail)
+    tail = sum(n * n for a, n in x._items if a != 0)
+    return NormSq(linear=x, tail=Fraction(tail, x._den * x._den))
 
 
 class DistToken:
@@ -182,10 +245,9 @@ class DistToken:
 
 
 def _canonical_sign(v: GroupElement) -> GroupElement:
-    if v.is_zero():
+    if not v._items:
         return v
-    lead = v.coeffs[min(v.coeffs)]
-    return v if lead > 0 else -v
+    return v if v._items[0][1] > 0 else -v
 
 
 def dist_token(x: GroupElement, y: GroupElement) -> DistToken:
@@ -196,18 +258,22 @@ def sphere(c: GroupElement, t: DistToken):
     """S(c; t) = {c + v, c − v}: two points exactly when t is nonzero."""
     if t.is_zero():
         return (c,)
-    return tuple(sorted((c + t.rep, c - t.rep)))
+    a, b = c + t.rep, c - t.rep
+    return (b, a) if b < a else (a, b)
 
 
-def _pivot_ratio(a: GroupElement, b: GroupElement) -> Optional[Fraction]:
-    """The signed q with a = q·b for nonzero a and b, or None."""
-    if a.support() != b.support():
+def _pivots(a: GroupElement, b: GroupElement):
+    """The pivot numerators (pa, pb) when a = q·b for nonzero a and b,
+    else None; then q = (pa/a.den)/(pb/b.den), decided on cross-multiplied
+    ints."""
+    ia, ib = a._items, b._items
+    if len(ia) != len(ib):
         return None
-    pivot = min(b.coeffs)
-    q = a.coeffs[pivot] / b.coeffs[pivot]
-    if all(a.coeffs[i] == q * c for i, c in b.coeffs.items()):
-        return q
-    return None
+    pa, pb = ia[0][1], ib[0][1]
+    for (i, x), (j, y) in zip(ia, ib):
+        if i != j or x * pb != pa * y:
+            return None
+    return pa, pb
 
 
 def ratio_in_Q(s: DistToken, t: DistToken) -> Optional[Fraction]:
@@ -217,8 +283,11 @@ def ratio_in_Q(s: DistToken, t: DistToken) -> Optional[Fraction]:
         return Fraction(1)
     if s.is_zero() or t.is_zero():
         return None
-    q = _pivot_ratio(s.rep, t.rep)
-    return None if q is None else abs(q)
+    piv = _pivots(s.rep, t.rep)
+    if piv is None:
+        return None
+    pa, pb = piv
+    return Fraction(abs(pa) * t.rep._den, abs(pb) * s.rep._den)
 
 
 def between(x: GroupElement, y: GroupElement, z: GroupElement) -> bool:
@@ -231,8 +300,8 @@ def between(x: GroupElement, y: GroupElement, z: GroupElement) -> bool:
     u, v = x - y, y - z
     if u.is_zero() or v.is_zero():
         return True
-    q = _pivot_ratio(u, v)
-    return q is not None and q > 0
+    piv = _pivots(u, v)
+    return piv is not None and (piv[0] > 0) == (piv[1] > 0)
 
 
 def is_p_divisible_elem(x: GroupElement, p: int, lattice: str = "H") -> bool:
@@ -244,7 +313,7 @@ def is_p_divisible_elem(x: GroupElement, p: int, lattice: str = "H") -> bool:
         raise ValueError(f"unknown lattice {lattice!r}")
     if not in_lattice(x, "H"):
         raise ValueError("element is not in the integer lattice")
-    return all(c.numerator % p == 0 for c in x.coeffs.values())
+    return all(n % p == 0 for _, n in x._items)
 
 
 def numeric_norm(x: GroupElement, sample_seed: int = 0) -> float:
@@ -252,11 +321,12 @@ def numeric_norm(x: GroupElement, sample_seed: int = 0) -> float:
     (1, 2) for α ≠ 0 and w(0) = 1.  Never used for decisions."""
     linear = 0.0
     tail = 0.0
-    for a, c in x.coeffs.items():
+    for a, n in x._items:
+        c = n / x._den
         w = 1.0 if a == 0 else random.Random(f"{sample_seed}:{a}").uniform(1, 2)
-        linear += float(c) * w
+        linear += c * w
         if a != 0:
-            tail += float(c) * float(c)
+            tail += c * c
     return (linear * linear + tail) ** 0.5
 
 
@@ -272,8 +342,8 @@ def h_norm_certificate(x: GroupElement) -> dict:
         return {"holds": False, "reason": "zero", "quantity": Fraction(0)}
     ns = normsq(x)
     if x.support() <= {0}:
-        return {"holds": abs(x.coeffs[0]) >= 1, "reason": "linear",
-                "quantity": abs(x.coeffs[0])}
+        lead = Fraction(abs(x._items[0][1]))
+        return {"holds": lead >= 1, "reason": "linear", "quantity": lead}
     return {"holds": ns.tail >= 1, "reason": "tail", "quantity": ns.tail}
 
 

@@ -329,6 +329,8 @@ def cmd_certify(args) -> int:
     fragment = fragment_from_json(doc["fragment"])
     cert = certificate_from_json(doc["certificate"])
     spec_obj = _load_json(args.spec)
+    if not isinstance(spec_obj, dict):
+        raise FormatError("expected a build spec object")
     spec = buildspec_from_json(spec_obj, seed=spec_obj.get("seed", cert.seed))
     report = verify_certificate(fragment, spec, cert)
     _emit(_plain(report), args)

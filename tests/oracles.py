@@ -262,3 +262,93 @@ def class_sphere_ledger(points, dist, classes):
                     entry["diameter_ok"] = dist(*members) == r * (2 * n)
                 ledger.append(entry)
     return ledger
+
+
+# -- group vectors -----------------------------------------------------------
+#
+# A group element as a plain {index: Fraction} dict with no zero values; the
+# order of two elements is that of their sorted (index, coefficient) lists.
+
+
+def vec(coeffs) -> dict:
+    return {a: Fraction(c) for a, c in coeffs.items() if Fraction(c) != 0}
+
+
+def vec_add(x: dict, y: dict) -> dict:
+    keys = set(x) | set(y)
+    return vec({a: x.get(a, Fraction(0)) + y.get(a, Fraction(0)) for a in keys})
+
+
+def vec_neg(x: dict) -> dict:
+    return {a: -c for a, c in x.items()}
+
+
+def vec_sub(x: dict, y: dict) -> dict:
+    return vec_add(x, vec_neg(y))
+
+
+def vec_scale(q, x: dict) -> dict:
+    return vec({a: Fraction(q) * c for a, c in x.items()})
+
+
+def vec_sort_key(x: dict):
+    return sorted(x.items())
+
+
+def vec_token(x: dict, y: dict) -> dict:
+    """The sign-normalized x − y: its lowest-index coefficient is positive."""
+    d = vec_sub(x, y)
+    if d and d[min(d)] < 0:
+        return vec_neg(d)
+    return d
+
+
+def vec_sphere(c: dict, v: dict) -> list:
+    """{c + v, c − v} in sort-key order, or [c] for v = 0."""
+    if not v:
+        return [c]
+    return sorted([vec_add(c, v), vec_sub(c, v)], key=vec_sort_key)
+
+
+def vec_ratio(s: dict, t: dict):
+    """q > 0 with s = ±q·t, by comparing every quotient; None if none."""
+    if not s and not t:
+        return Fraction(1)
+    if not s or not t or set(s) != set(t):
+        return None
+    quotients = {s[a] / t[a] for a in s}
+    return abs(quotients.pop()) if len(quotients) == 1 else None
+
+
+def vec_between(x: dict, y: dict, z: dict) -> bool:
+    """x − y = q·(y − z) for some q ≥ 0 (or one of them is zero)."""
+    u, v = vec_sub(x, y), vec_sub(y, z)
+    if not u or not v:
+        return True
+    if set(u) != set(v):
+        return False
+    quotients = {u[a] / v[a] for a in u}
+    return len(quotients) == 1 and quotients.pop() > 0
+
+
+def vec_in_h(x: dict) -> bool:
+    return all(c.denominator == 1 for c in x.values())
+
+
+def vec_p_divisible(x: dict, p: int) -> bool:
+    return all(c.numerator % p == 0 for c in x.values())
+
+
+def vec_tail(x: dict) -> Fraction:
+    return sum((c * c for a, c in x.items() if a != 0), Fraction(0))
+
+
+def vec_h_norm_certificate(x: dict) -> dict:
+    """The ‖x‖ ≥ 1 certificate of an integer vector."""
+    if not x:
+        return {"holds": False, "reason": "zero", "quantity": Fraction(0)}
+    if set(x) == {0}:
+        return {"holds": abs(x[0]) >= 1, "reason": "linear",
+                "quantity": abs(x[0])}
+    tail = vec_tail(x)
+    return {"holds": tail >= 1, "reason": "tail", "quantity": tail}

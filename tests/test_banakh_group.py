@@ -14,6 +14,8 @@ from banakh.banakh_group import (GroupElement, zero, basis, add, neg, scale,
 from banakh.banakh_space import discrete_line, gps_locate, orientation
 from banakh.banakh_space import Orientation
 
+import oracles
+
 
 coeff = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 elements = st.builds(GroupElement,
@@ -54,6 +56,115 @@ def test_basis_and_scale():
     assert scale(2, e1, lattice="H") == GroupElement({1: 2})
     with pytest.raises(ValueError):
         GroupElement({-1: 1})
+    for bad in (1.5, "1"):
+        with pytest.raises(TypeError):
+            GroupElement({bad: 1})
+
+
+def test_coeffs_is_a_read_only_view():
+    x = GroupElement({0: 1})
+    before = hash(x)
+    with pytest.raises(TypeError):
+        x.coeffs[0] = Fraction(2)
+    copy = dict(x.coeffs)
+    copy[0] = Fraction(2)
+    assert x == GroupElement({0: 1}) and hash(x) == before
+    assert x != GroupElement({0: 2})
+    assert x in {GroupElement({0: 1})}
+
+
+def test_results_are_in_lowest_terms():
+    half = GroupElement({0: Fraction(1, 2)})
+    assert half + half == basis(0) and hash(half + half) == hash(basis(0))
+    assert in_lattice(half + half, "H")
+    x = GroupElement({0: Fraction(1, 6), 1: Fraction(1, 3)})
+    y = GroupElement({0: Fraction(1, 6), 1: Fraction(2, 3)})
+    assert x + y == GroupElement({0: Fraction(1, 3), 1: 1})
+    assert hash(x + y) == hash(GroupElement({0: Fraction(1, 3), 1: 1}))
+    assert x - x == zero() and hash(x - x) == hash(zero())
+    assert scale(0, x) == zero() and scale(0, x).is_zero()
+    assert scale(6, x) == GroupElement({0: 1, 1: 2})
+    assert scale(Fraction(1, 3), GroupElement({0: 3, 1: 6})) == \
+        GroupElement({0: 1, 1: 2})
+    assert GroupElement({0: "2/4", 3: "0"}) == half
+    assert hash(GroupElement({0: "2/4"})) == hash(half)
+
+
+# mixed denominators up to 12 over indices 0-5
+coeff12 = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+vectors = st.dictionaries(st.integers(min_value=0, max_value=5), coeff12,
+                          max_size=4)
+
+
+@given(vectors, vectors, vectors, coeff12)
+@settings(max_examples=300, deadline=None)
+def test_integer_path_matches_the_fraction_oracle(fx, fy, fz, q):
+    x, y, z = GroupElement(fx), GroupElement(fy), GroupElement(fz)
+    ox, oy, oz = oracles.vec(fx), oracles.vec(fy), oracles.vec(fz)
+    assert dict(x.coeffs) == ox
+    # arithmetic
+    assert dict((x + y).coeffs) == oracles.vec_add(ox, oy)
+    assert dict((x - y).coeffs) == oracles.vec_sub(ox, oy)
+    assert dict(neg(x).coeffs) == oracles.vec_neg(ox)
+    assert dict(scale(q, x).coeffs) == oracles.vec_scale(q, ox)
+    # equality, hashing and order
+    assert (x == y) == (ox == oy)
+    for w in (x + y, x - y, neg(x), scale(q, x)):
+        twin = GroupElement(dict(w.coeffs))
+        assert twin == w and hash(twin) == hash(w)
+    if x == y:
+        assert hash(x) == hash(y)
+    assert (x < y) == (oracles.vec_sort_key(ox) < oracles.vec_sort_key(oy))
+    # tokens and spheres
+    t = dist_token(x, y)
+    assert dict(t.rep.coeffs) == oracles.vec_token(ox, oy)
+    members = sphere(z, t)
+    assert [dict(m.coeffs) for m in members] == \
+        oracles.vec_sphere(oz, oracles.vec_token(ox, oy))
+    assert GroupOracle("L").sphere(z, t) == members
+    # ratios and collinearity, with a proportional pair and a free pair
+    s = DistToken(scale(q, t.rep))
+    assert ratio_in_Q(s, t) == oracles.vec_ratio(dict(s.rep.coeffs),
+                                                 dict(t.rep.coeffs))
+    r = dist_token(z, zero())
+    assert ratio_in_Q(r, t) == oracles.vec_ratio(dict(r.rep.coeffs),
+                                                 dict(t.rep.coeffs))
+    w = y + scale(q, y - x)
+    assert between(x, y, w) == oracles.vec_between(ox, oy, dict(w.coeffs))
+    assert between(x, y, z) == oracles.vec_between(ox, oy, oz)
+    # the integer lattice
+    assert in_lattice(x, "H") == oracles.vec_in_h(ox)
+    hx = GroupElement({a: c.numerator for a, c in ox.items()})
+    ohx = dict(hx.coeffs)
+    for p in (2, 3, 5):
+        assert is_p_divisible_elem(hx, p) == oracles.vec_p_divisible(ohx, p)
+    assert normsq(x).tail == oracles.vec_tail(ox)
+    assert h_norm_certificate(hx) == oracles.vec_h_norm_certificate(ohx)
+
+
+def test_hot_path_makes_no_validating_constructor_calls(monkeypatch):
+    x = GroupElement({0: Fraction(1, 2), 2: -3})
+    y = GroupElement({1: Fraction(2, 3), 2: 1})
+    h = GroupElement({0: 2, 1: -1})
+    lo, ho = GroupOracle("L"), GroupOracle("H")
+    calls = []
+    validating = GroupElement.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        validating(self, *args, **kwargs)
+
+    monkeypatch.setattr(GroupElement, "__init__", counted)
+    t = dist_token(x, y)
+    ht = lo.dist(h, zero())
+    arithmetic = [x + y, x - y, -x, neg(x), scale(Fraction(3, 4), x),
+                  scale(0, x), scale(2, h, lattice="H"), lo.value_scale(2, t)]
+    spheres = [sphere(x, t), sphere(x, dist_token(x, x)), lo.sphere(x, t),
+               ho.sphere(h, ht), ho.sphere(h, t)]
+    assert calls == []
+    assert len(arithmetic) == 8 and [len(m) for m in spheres] == [2, 1, 2, 2, 0]
+    GroupElement({0: 1})               # the wrapper is in place
+    assert len(calls) == 1
 
 
 @given(elements)

@@ -235,6 +235,59 @@ def test_group_tasks(capsys, elem_file):
     assert code == 2 and "a1,a2,a3,b1,b2,b3" in err
 
 
+GROUP_ELEMENTS = {
+    "x": {0: Fraction(1, 2), 2: Fraction(-3, 4), 5: Fraction(2, 3)},
+    "y": {0: Fraction(-1, 3), 1: Fraction(5, 6), 2: Fraction(1, 4)},
+    "t": {1: Fraction(-7, 6), 3: Fraction(3, 10)},
+    "c": {0: 2, 3: -1},
+    "u": {1: -2, 3: 3},
+    "h": {1: 2, 4: -1},
+    "k": {0: -3},
+}
+
+# stdout captured from the {index: Fraction} implementation, before elements
+# were stored on one common denominator: member order, canonical sign and
+# lowest terms must not move
+GROUP_OUTPUT_BYTES = [
+    (("dist", "x", "y"),
+     '{"coeffs":{"0":"5/6","1":"-5/6","2":"-1","5":"2/3"},'
+     '"sign_normalized":true}\n'),
+    (("dist", "y", "x"),
+     '{"coeffs":{"0":"5/6","1":"-5/6","2":"-1","5":"2/3"},'
+     '"sign_normalized":true}\n'),
+    (("dist", "t", "c"),
+     '{"coeffs":{"0":"2","1":"7/6","3":"-13/10"},"sign_normalized":true}\n'),
+    (("sphere", "x", "t"),
+     '{"sphere":[{"coeffs":{"0":"1/2","1":"-7/6","2":"-3/4","3":"3/10",'
+     '"5":"2/3"}},{"coeffs":{"0":"1/2","1":"7/6","2":"-3/4","3":"-3/10",'
+     '"5":"2/3"}}]}\n'),
+    (("sphere", "y", "x"),
+     '{"sphere":[{"coeffs":{"0":"-5/6","1":"5/6","2":"1","5":"-2/3"}},'
+     '{"coeffs":{"0":"1/6","1":"5/6","2":"-1/2","5":"2/3"}}]}\n'),
+    (("sphere", "c", "u", "--lattice", "H"),
+     '{"sphere":[{"coeffs":{"0":"2","1":"-2","3":"2"}},'
+     '{"coeffs":{"0":"2","1":"2","3":"-4"}}]}\n'),
+    (("sphere", "u", "c", "--lattice", "H"),
+     '{"sphere":[{"coeffs":{"0":"-2","1":"-2","3":"4"}},'
+     '{"coeffs":{"0":"2","1":"-2","3":"2"}}]}\n'),
+    (("sphere", "c", "t", "--lattice", "H"), '{"sphere":[]}\n'),
+    (("hnorm", "h"), '{"holds":true,"quantity":"5","reason":"tail"}\n'),
+    (("hnorm", "k"), '{"holds":true,"quantity":"3","reason":"linear"}\n'),
+    (("hnorm", "c"), '{"holds":true,"quantity":"1","reason":"tail"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv,expected", GROUP_OUTPUT_BYTES,
+                         ids=[" ".join(a) for a, _ in GROUP_OUTPUT_BYTES])
+def test_group_output_bytes_are_pinned(capsys, elem_file, argv, expected):
+    paths = {name: elem_file(name, coeffs)
+             for name, coeffs in GROUP_ELEMENTS.items()}
+    task, *rest = argv
+    code, out, err = run(capsys, "group", task,
+                         *(paths.get(a, a) for a in rest))
+    assert (code, out, err) == (0, expected, "")
+
+
 def test_build_and_certify_round_trip(capsys, tmp_path):
     spec = {"radii": [{"r": "1",
                        "monoid": {"variant": "closure",
@@ -368,6 +421,24 @@ def test_certify_gives_a_verdict_on_a_window_with_large_units(capsys,
     assert code == 1 and err == ""
     assert doc["class_windows_ok"] is False and doc["all_ok"] is False
     assert doc["metric_ok"] is True and doc["sphere_ledger_ok"] is True
+
+
+@pytest.mark.parametrize("spec", [[1], "spec"], ids=["list", "string"])
+def test_certify_rejects_a_spec_that_is_not_an_object(capsys, tmp_path, spec):
+    # a format error (exit 2), not a false verdict (exit 1) or a traceback
+    good_path, spec_path = tmp_path / "good.json", tmp_path / "spec.json"
+    good_path.write_text(json.dumps(
+        {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                         "generators": ["1"]}}],
+         "window": "2"}))
+    built_path = tmp_path / "built.json"
+    code, _, _ = run(capsys, "build", "--spec", str(good_path), "--seed", "3",
+                     "--out", str(built_path))
+    assert code == 0
+    spec_path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "certify", str(built_path), str(spec_path))
+    assert code == 2 and out == ""
+    assert "format error" in err and "build spec" in err
 
 
 def test_build_rejects_bad_spec(capsys, tmp_path):
