@@ -397,16 +397,6 @@ class ExtensionResult:
     backtracks: int
 
 
-def _rational_floor_positive(value: SurdValue) -> Fraction:
-    """A positive rational certified below a positive value."""
-    scale = 8
-    while True:
-        lo, _ = value.brackets(scale)
-        if lo > 0:
-            return lo
-        scale *= 2
-
-
 def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
                     prime: int) -> SurdValue:
     """c + eps*sqrt(prime) strictly inside (lo, hi), c random inside the
@@ -416,8 +406,9 @@ def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
     # a seeded rational in [core_lo, core_hi]
     c = core_lo + (core_hi - core_lo) * Fraction(rng.randrange(0, 256), 256)
     gap = min(SurdValue(c) - lo, hi - SurdValue(c))
-    margin = _rational_floor_positive(gap)
-    eps = margin / (2 * (isqrt(prime) + 1))
+    # half a rational below gap, over an integer above sqrt(prime): so
+    # eps*sqrt(prime) < gap/2
+    eps = rational_between(ZERO, gap) / (isqrt(prime) + 1)
     return SurdValue(c, {prime: eps})
 
 

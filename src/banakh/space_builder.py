@@ -124,15 +124,22 @@ def _invert(r: SurdValue) -> SurdValue:
     raise SpecRejected("radii must be rational or pure single-surd values")
 
 
-def _units_window(spec: BuildSpec, cls: RadiusClass):
-    """A rational w with w ≤ window/r (exact when r is rational), and the
-    positive units of the class monoid up to w: the class's windowed radii
-    are r times these."""
-    if cls.r.is_rational():
-        uw = spec.window / cls.r.as_rational()
-    else:
+def _class_table(spec: BuildSpec, classes) -> list:
+    """Per canonical class: (the class, a rational units window w ≤
+    window/r, exact when r is rational, and the positive units of the class
+    monoid up to w).  The class's windowed radii are r times these units."""
+    table = []
+    for cls in classes:
         uw = (_invert(cls.r) * spec.window).brackets(16)[0]
-    return uw, [n for n in cls.monoid.elements(uw, spec.denom_bound) if n > 0]
+        table.append((cls, uw, [n for n in cls.monoid.elements(
+            uw, spec.denom_bound) if n > 0]))
+    return table
+
+
+def _certified_classes(table) -> list:
+    """The certificate's ``classes`` field for a class table."""
+    return [{"r": cls.r, "floppy": True, "units_window": uw}
+            for cls, uw, _ in table]
 
 
 def _unit_fits(values, classes) -> dict:
@@ -151,13 +158,15 @@ def _unit_fits(values, classes) -> dict:
     return fits
 
 
-def _class_units(f: MetricFragment, x: str, ci: int, cls, fits) -> dict:
-    """Unit ratio q ∈ N \\ {0} ↦ the sorted points at distance q·r from x,
-    read from the fragment's sphere index and its unit fits."""
+def _class_units(f: MetricFragment, x: str, ci: int, fits) -> dict:
+    """Unit ratio q > 0 ↦ the sorted points at distance q·r from x, for the
+    radius r of class ci, read from the fragment's sphere index and its
+    unit fits.  A q outside the class monoid N is kept: readers that look
+    up windowed units, which lie in N, need no membership test."""
     units = {}
     for v, members in f.spheres[x].items():
         fit = fits.get(v)
-        if fit is not None and fit[0] == ci and cls.monoid.member(fit[1]):
+        if fit is not None and fit[0] == ci:
             units[fit[1]] = members
     return units
 
@@ -165,18 +174,16 @@ def _class_units(f: MetricFragment, x: str, ci: int, cls, fits) -> dict:
 def build(spec: BuildSpec):
     """Run the staged construction.  Deterministic for a given seed."""
     classes = spec.canonical_classes()
-    cert_classes = []
-    templates = []
-    for cls in classes:
-        uw, radii = _units_window(spec, cls)
+    table = _class_table(spec, classes)
+    templates = []  # per class: the copy template and its lattice units
+    for cls, uw, _ in table:
         if uw < 1:
             raise SpecRejected(
                 f"window {spec.window} cannot host a single step of radius {cls.r}")
         # copies carry double slack so every glued sphere member fits and
         # shortest paths inside the copy match the closed hat formula
         tmpl = MuGraph(cls.monoid, 1, 2 * uw, spec.denom_bound)
-        templates.append((cls, uw, tmpl, radii))
-        cert_classes.append({"r": cls.r, "floppy": True, "units_window": uw})
+        templates.append((tmpl, frozenset(tmpl.unit_of.values())))
 
     if not classes:
         fragment = MetricFragment(["a0"], {})
@@ -185,7 +192,7 @@ def build(spec: BuildSpec):
                            spheres=[], sphere_law_ok=True)
         return fragment, cert
 
-    cls0, uw0, _, _ = templates[0]
+    cls0, uw0, _ = table[0]
     base = MuGraph(cls0.monoid, 1, uw0, spec.denom_bound)
     rename0 = {tid: f"a{tid}" for tid in base.vertices}
     g = ScaledMu(base, cls0.r, rename0)
@@ -203,18 +210,19 @@ def build(spec: BuildSpec):
         deferred = []
         skipped = []
         for x in fragment.points:
-            for ci, (cls, _, tmpl, radii) in enumerate(templates):
-                units = _class_units(fragment, x, ci, cls, fits)
+            for ci, ((cls, _, radii), (tmpl, lattice)) in enumerate(
+                    zip(table, templates)):
+                units = _class_units(fragment, x, ci, fits)
                 deficient = [n for n in radii if len(units.get(n, ())) <= 1]
                 if not deficient:
                     continue
                 sphere = sorted((y, q) for q, members in units.items()
-                                for y in members)
+                                if cls.monoid.member(q) for y in members)
                 glue = frozenset([x] + [y for y, _ in sphere])
                 key = (glue, ci)
                 if key not in copies:
                     positions = _lattice_positions(fragment, x, sphere, ci,
-                                                   fits, tmpl)
+                                                   fits, lattice)
                     if positions is None:
                         skipped.append((x, ci,
                                         "sphere not placeable in the copy lattice"))
@@ -224,10 +232,9 @@ def build(spec: BuildSpec):
                 # the shared copy completes a radius only when both lattice
                 # neighbours of x at that offset exist in the window
                 _, positions = copies[key]
-                units = set(tmpl.unit_of.values())
                 px = positions[x]
                 covered = [n for n in deficient
-                           if px + n in units and px - n in units]
+                           if px + n in lattice and px - n in lattice]
                 if covered:
                     stage_targets.append((x, ci, covered))
                 rest = [n for n in deficient if n not in covered]
@@ -250,7 +257,7 @@ def build(spec: BuildSpec):
                      lambdas=report.lambdas, new_vertices=new_count,
                      extension_backtracks=backtracks)
 
-    spheres, law_ok = _sphere_ledger(fragment, templates, fits)
+    spheres, law_ok = _sphere_ledger(fragment, table, fits)
     # every targeted (point, class, unit) ends with a two-member entry
     growth_ok = targets_seen <= {(e["center"], e["class"], e["unit"])
                                  for e in spheres if e["complete"]}
@@ -261,7 +268,8 @@ def build(spec: BuildSpec):
         raise BuildExhausted(spec.stages, None,
                              "two-point sphere law violated on a class radius")
     realized = sorted(set(fragment.edges.values()))
-    cert = Certificate(seed=spec.seed, stages=stage_log, classes=cert_classes,
+    cert = Certificate(seed=spec.seed, stages=stage_log,
+                       classes=_certified_classes(table),
                        realized_distances=realized, generic_values=generic_log,
                        spheres=spheres, sphere_law_ok=law_ok, growth_ok=growth_ok)
     return fragment, cert
@@ -275,17 +283,17 @@ def _stage_entry(stage: int, **fields) -> dict:
             "extension_backtracks": 0, **fields}
 
 
-def _lattice_positions(f: MetricFragment, x: str, sphere, ci, fits, tmpl):
+def _lattice_positions(f: MetricFragment, x: str, sphere, ci, fits, lattice):
     """Signed template units for the glue, from the sorted (member, unit
     ratio q) pairs of the class-ci sphere: the anchor sits at 0, each member
-    at ±q, signs chosen so that all pairwise distances match the lattice.
-    None when no consistent placement exists."""
-    units = set(tmpl.unit_of.values())
+    at ±q in the template's ``lattice`` units, signs chosen so that all
+    pairwise distances match the lattice.  None when no consistent placement
+    exists."""
     pos = {x: Fraction(0)}
     for y, q in sphere:
         picks = []
         for s in ((q,) if len(pos) == 1 else (q, -q)):
-            if s not in units:
+            if s not in lattice:
                 continue
             if all(fits.get(f.distance(y, z)) == (ci, abs(s - pz))
                    for z, pz in pos.items()):
@@ -321,22 +329,23 @@ def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
     return result.full, result.backtracks
 
 
-def _sphere_ledger(f: MetricFragment, templates, fits: dict):
-    """Nonempty spheres at every windowed class radius on the final object.
-    A deficient sphere is recorded (a later stage would complete it); more
-    than two members, or a complete pair at the wrong mutual distance, is a
-    law violation."""
+def _sphere_ledger(f: MetricFragment, table, fits: dict):
+    """Nonempty spheres at every windowed class radius of the class table,
+    and the two-point law's verdict on them.  A deficient sphere is recorded
+    (a later stage would complete it); more than two members, or a complete
+    pair at the wrong mutual distance, is a law violation."""
     ledger = []
     ok = True
-    for ci, (cls, _, _, radii) in enumerate(templates):
+    for ci, (cls, _, radii) in enumerate(table):
+        windowed = {n: cls.r * n for n in radii}  # unit ↦ radius, made once
         for x in f.points:
-            units = _class_units(f, x, ci, cls, fits)
-            for n in radii:
+            units = _class_units(f, x, ci, fits)
+            for n, radius in windowed.items():
                 members = list(units.get(n, ()))
                 if not members:
                     continue
                 entry = {"center": x, "class": ci, "unit": n,
-                         "radius": cls.r * n, "members": members,
+                         "radius": radius, "members": members,
                          "complete": len(members) == 2}
                 if len(members) == 2:
                     u, v = members
@@ -364,13 +373,10 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
       under in-window addition;
     - that the certificate's classes are the spec's canonical classes, with
       their `r`, `floppy: true` and `units_window`;
-    - that the sphere ledger is complete and true: one entry for each
-      nonempty sphere at a windowed class radius, each naming that sphere's
-      class, unit and members, `complete` when it has two, and then with
-      `diameter_ok` and diameter twice its radius; and that the
-      certificate's `sphere_law_ok` and `growth_ok` are both `true`.
-      Completeness is checked by counting those spheres in the fragment's
-      sphere index, not by rebuilding the ledger.
+    - that the sphere ledger equals the ledger rebuilt from the fragment
+      and spec, with the two-point law holding on it and its `complete`
+      and `diameter_ok` flags bools; and that the certificate's
+      `sphere_law_ok` and `growth_ok` are both `true`;
     - that the `stages` log has one entry per stage, numbered from 0 (none
       when the spec has no classes), whose integer `new_vertices` sum to
       the fragment's point count.
@@ -405,30 +411,15 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     report["class_windows_ok"] = class_windows_ok
     report["class_floppy_ok"] = True
 
-    windows = [_units_window(spec, cls) for cls in classes]
-    report["classes_match_cert"] = cert.classes == [
-        {"r": cls.r, "floppy": True, "units_window": uw}
-        for cls, (uw, _) in zip(classes, windows)]
-    windowed = {v for v, (ci, q) in fits.items() if q in windows[ci][1]}
-    keys = {(e["center"], e["class"], e["radius"]) for e in cert.spheres}
-    ledger_ok = len(keys) == len(cert.spheres) == sum(
-        len(windowed.intersection(by_value))
-        for by_value in fragment.spheres.values())
-    for entry in cert.spheres:
-        radius = entry["radius"]
-        ci, q = fits.get(radius, (None, None))
-        members = list(fragment.spheres.get(entry["center"], {}).get(radius, ()))
-        pair = len(members) == 2
-        if (radius not in windowed or ci != entry["class"] or not members
-                or members != list(entry["members"]) or len(members) > 2
-                or entry.get("unit") != q or entry.get("complete") is not pair):
-            ledger_ok = False
-        elif pair:  # the diameter is 2q·r
-            ledger_ok &= (entry.get("diameter_ok") is True and
-                          fits.get(fragment.distance(*members)) == (ci, 2 * q))
-        else:
-            ledger_ok &= "diameter_ok" not in entry
-    ledger_ok &= cert.sphere_law_ok is True and cert.growth_ok is True
+    table = _class_table(spec, classes)
+    report["classes_match_cert"] = cert.classes == _certified_classes(table)
+    ledger, law_ok = _sphere_ledger(fragment, table, fits)
+    # 1 == True: the equal ledger's flags must also be bools
+    ledger_ok = (law_ok and ledger == cert.spheres
+                 and all(type(e["complete"]) is bool
+                         and type(e.get("diameter_ok", False)) is bool
+                         for e in cert.spheres)
+                 and cert.sphere_law_ok is True and cert.growth_ok is True)
     report["sphere_ledger_ok"] = ledger_ok
 
     # a malformed log or entry reads as false, never as a format error

@@ -18,6 +18,7 @@ import math
 from fractions import Fraction
 from functools import total_ordering
 from math import isqrt
+from types import MappingProxyType
 
 
 def rat(value) -> Fraction:
@@ -82,7 +83,11 @@ def sqrt_brackets(n: int, scale: int) -> tuple[Fraction, Fraction]:
 
 @total_ordering
 class SurdValue:
-    """Immutable exact value rational_part + sum surd_coeffs[p]*sqrt(p)."""
+    """Immutable exact value rational_part + sum surd_coeffs[p]*sqrt(p).
+
+    ``surd_coeffs`` is a read-only view: the hash and the float enclosure
+    are cached, so the coefficients must never change under them.
+    """
 
     __slots__ = ("rational_part", "surd_coeffs", "_hash", "_approx")
 
@@ -98,7 +103,7 @@ class SurdValue:
                 if not is_prime(p):
                     raise ValueError(f"surd index {p} is not prime")
                 coeffs[p] = c
-        self.surd_coeffs = coeffs
+        self.surd_coeffs = MappingProxyType(coeffs)
         self._hash = None
         self._approx = None
 
@@ -107,10 +112,11 @@ class SurdValue:
     @classmethod
     def _raw(cls, rational_part: Fraction, coeffs: dict) -> "SurdValue":
         """Trusted constructor for arithmetic: the caller guarantees Fraction
-        parts, prime keys, and no zero coefficients."""
+        parts, prime keys, and no zero coefficients, and hands over a dict
+        that nothing else writes to."""
         v = cls.__new__(cls)
         v.rational_part = rational_part
-        v.surd_coeffs = coeffs
+        v.surd_coeffs = MappingProxyType(coeffs)
         v._hash = None
         v._approx = None
         return v
@@ -150,7 +156,7 @@ class SurdValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        coeffs = dict(self.surd_coeffs)
+        coeffs = self.surd_coeffs.copy()
         for p, c in other.surd_coeffs.items():
             s = coeffs.get(p)
             if s is None:
@@ -173,7 +179,7 @@ class SurdValue:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        coeffs = dict(self.surd_coeffs)
+        coeffs = self.surd_coeffs.copy()
         for p, c in other.surd_coeffs.items():
             s = coeffs.get(p)
             if s is None:
@@ -325,11 +331,18 @@ class SurdValue:
         other = _coerce(other)
         if other.is_zero():
             return Fraction(1) if self.is_zero() else None
+        if self.is_zero():
+            return Fraction(0)
+        # q*other has other's surd primes, and a rational part exactly when
+        # other has one
+        if (self.surd_coeffs.keys() != other.surd_coeffs.keys()
+                or (self.rational_part == 0) != (other.rational_part == 0)):
+            return None
         if other.rational_part != 0:
             q = self.rational_part / other.rational_part
         else:
             p = min(other.surd_coeffs)
-            q = self.coefficient(p) / other.surd_coeffs[p]
+            q = self.surd_coeffs[p] / other.surd_coeffs[p]
         return q if self == other * q else None
 
     # -- display -----------------------------------------------------------

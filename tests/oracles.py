@@ -42,6 +42,23 @@ def p_free_gcd(a: int, b: int, p: int) -> int:
     return p_free_part(gcd(a, b), p)
 
 
+# -- surd values -------------------------------------------------------------
+
+
+def surd_ratio(a, b):
+    """The q with a == q·b for two SurdValues, or None; both zero gives 1.
+    The quotient of one nonzero coordinate of b, checked by multiplying
+    back, with no shortcut on the shape of either value."""
+    if b.is_zero():
+        return Fraction(1) if a.is_zero() else None
+    if b.rational_part != 0:
+        q = a.rational_part / b.rational_part
+    else:
+        p = min(b.surd_coeffs)
+        q = a.coefficient(p) / b.surd_coeffs[p]
+    return q if a == b * q else None
+
+
 # -- monoid closures ---------------------------------------------------------
 
 

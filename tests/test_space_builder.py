@@ -424,6 +424,15 @@ CERT_EDITS = {
     "one-member-diameter_ok": (lambda c: _edit_entry(c, False,
                                                      diameter_ok=True),
                                "sphere_ledger_ok"),
+    # 1 == True and 0 == False, so an int flag compares equal to its bool
+    "complete-as-int": (lambda c: _edit_entry(c, True, complete=1),
+                        "sphere_ledger_ok"),
+    "incomplete-as-int": (lambda c: _edit_entry(c, False, complete=0),
+                          "sphere_ledger_ok"),
+    "diameter_ok-as-int": (lambda c: _edit_entry(c, True, diameter_ok=1),
+                           "sphere_ledger_ok"),
+    "extra-key": (lambda c: _edit_entry(c, True, note="x"),
+                  "sphere_ledger_ok"),
     "units_window": (lambda c: replace(c, classes=[
         dict(c.classes[0], units_window=Fraction(99))]), "classes_match_cert"),
     "floppy": (lambda c: replace(c, classes=[
@@ -469,3 +478,27 @@ def test_verifier_reads_every_certified_field(zp_two_stage, name):
         report = verify_certificate(frag, spec, forged)
         assert report[key] is False and report["all_ok"] is False, name
         assert report["metric_ok"] and report["realized_subset_ok"], name
+
+
+@pytest.mark.parametrize("spec", [
+    BuildSpec(radii=(RadiusClass(SurdValue(1), ZP), RadiusClass(SQRT2, ZP)),
+              stages=2, window=Fraction(2), seed=5),
+    BuildSpec(radii=(RadiusClass(SurdValue(1), OMEGA),),
+              stages=1, window=Fraction(7), seed=3),
+], ids=["two-classes", "omega-minus-1"])
+def test_verifier_accepts_the_per_pair_ledger_of_a_fragment_read_back(spec):
+    # the ledger the verifier rebuilds is the plain per-pair one, computed
+    # here on the fragment and certificate as read back from JSON
+    frag, cert = build(spec)
+    doc = json.loads(dumps({"fragment": fragment_to_json(frag),
+                            "certificate": certificate_to_json(cert)}))
+    again = fragment_from_json(doc["fragment"])
+    read = certificate_from_json(doc["certificate"])
+    classes = [(cls.r, cls.monoid.member,
+                [n for n in cls.monoid.elements(c["units_window"],
+                                                spec.denom_bound) if n > 0])
+               for cls, c in zip(spec.canonical_classes(), read.classes)]
+    ledger = oracles.class_sphere_ledger(again.points, again.distance, classes)
+    assert ledger
+    report = verify_certificate(again, spec, replace(read, spheres=ledger))
+    assert report["sphere_ledger_ok"] and report["all_ok"], report

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from banakh.values import (SurdValue, ZERO, rat, format_rat, is_prime,
                            primes_from, rational_between, sqrt_brackets)
 
@@ -259,6 +260,39 @@ def test_ratio_roundtrip(a, q):
     if a.is_zero():
         return
     assert (a * q).ratio_to(a) == q
+
+
+@given(surds(), surds(), rationals, st.sampled_from(
+    ["free", "multiple", "shifted", "zero"]))
+@settings(max_examples=300)
+def test_ratio_to_matches_the_reference(a, b, q, how):
+    # b is free, a rational multiple of a (q may be 0), such a multiple
+    # plus 1, or zero; both orders, so a zero lands on each side
+    if how == "multiple":
+        b = a * q
+    elif how == "shifted":
+        b = a * q + 1
+    elif how == "zero":
+        b = ZERO
+    for x, y in ((a, b), (b, a)):
+        want = oracles.surd_ratio(x, y)
+        got = x.ratio_to(y)
+        assert got == want and (got is None) == (want is None), (x, y)
+
+
+def test_surd_coeffs_is_a_read_only_view():
+    # the hash and the float enclosure are cached before the write
+    x = SurdValue(0, {2: 1})
+    h = hash(x)
+    assert x < 2
+    with pytest.raises(TypeError):
+        x.surd_coeffs[2] = Fraction(3)
+    assert x == SurdValue(0, {2: 1}) and hash(x) == h
+    assert hash(SurdValue(0, {2: 1})) == h and x < 2
+    for y in (x + x, x - 1, 1 - x, -x, 3 * x):
+        with pytest.raises(TypeError):
+            y.surd_coeffs[3] = Fraction(1)
+    assert x.surd_coeffs == {2: 1}
 
 
 # -- helpers -----------------------------------------------------------------
