@@ -429,8 +429,5 @@ class GroupOracle(SphereOracle):
     def value_ratio(self, v, w):
         return ratio_in_Q(v, w)
 
-    def value_is_zero(self, v):
-        return v.is_zero()
-
     def value_le(self, v, w):
         return None         # tokens are unordered

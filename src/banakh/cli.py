@@ -1,13 +1,20 @@
 """Command-line frontend: file-based workflows over the library modules.
 
-Every subcommand is a thin adapter around one module operation.  Output is
-canonical JSON on stdout (``--human`` switches to indented rendering); exit
+Every subcommand is a thin adapter around one module operation.  Exit
 codes are 0 for a true verdict / successful construction, 1 for a false
 verdict with a machine-readable witness, and 2 for usage or format errors
 (diagnostics on stderr).  A null geometric outcome (no such point, or a
 sphere the fragment cannot supply) prints a ``null`` answer and exits 0
 from ``gps``, ``orient`` and ``segment``, but 1 from ``line``, whose walk
 stopped short of the points it was asked for.
+
+Output has one path.  A handler returns ``(payload, exit code)`` and writes
+nothing; ``main`` renders the payload inside its error mapping.  A payload
+is a JSON value (canonical, or indented under ``--human``), finished text
+(``mu --dot``, ``ddot --human``), or ``None`` when the handler has written
+its one stderr line.  It goes to ``--out`` on exit 0 and to stdout
+otherwise, so a failed ``extend`` or ``build`` prints its error object and
+writes no file.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from .serialize import (FormatError, buildspec_from_json,
                         certificate_from_json, certificate_to_json, dumps,
                         element_from_json, element_to_json,
                         fragment_from_json, fragment_to_json, graph_from_json,
-                        graph_to_json, monoid_to_json, token_to_json,
+                        graph_to_json, token_to_json,
                         value_from_json, value_to_json, _plain)
 from .space_builder import BuildExhausted, SpecRejected, build, verify_certificate
 from .values import format_rat, rat
@@ -41,16 +48,6 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 # small plumbing helpers
 # ---------------------------------------------------------------------------
-
-
-def _emit(obj, args, path=None) -> None:
-    text = (json.dumps(obj, sort_keys=True, indent=2)
-            if getattr(args, "human", False) else dumps(obj)) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _load_json(path):
@@ -114,215 +111,171 @@ def _dot_text(g: GraphMetric) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (payload, exit code) and writes nothing
 # ---------------------------------------------------------------------------
 
 
-def cmd_verify(args) -> int:
-    fragment = fragment_from_json(_load_json(args.fragment))
-    report = verify_fragment(fragment)
-    ok = report.metric_ok and report.banakh_consistent
-    _emit({"metric_ok": report.metric_ok,
-           "banakh_consistent": report.banakh_consistent,
-           "incomplete_spheres": _plain(report.incomplete_spheres),
-           "violations": _plain(report.violations)}, args)
-    return 0 if ok else 1
+def cmd_verify(args):
+    report = verify_fragment(fragment_from_json(_load_json(args.fragment)))
+    return ({"metric_ok": report.metric_ok,
+             "banakh_consistent": report.banakh_consistent,
+             "incomplete_spheres": _plain(report.incomplete_spheres),
+             "violations": _plain(report.violations)},
+            0 if report.metric_ok and report.banakh_consistent else 1)
 
 
-def cmd_embed(args) -> int:
-    fragment = fragment_from_json(_load_json(args.fragment))
-    result = embed_in_real_line(fragment)
+def cmd_embed(args):
+    result = embed_in_real_line(fragment_from_json(_load_json(args.fragment)))
     if result.embeddable:
-        _emit({"embeddable": True,
-               "coords": {p: value_to_json(c) for p, c in result.coords.items()}},
-              args)
-        return 0
-    _emit({"embeddable": False, "obstruction": list(result.obstruction)}, args)
-    return 1
+        return {"embeddable": True,
+                "coords": {p: value_to_json(c)
+                           for p, c in result.coords.items()}}, 0
+    return {"embeddable": False, "obstruction": list(result.obstruction)}, 1
 
 
-def cmd_halfgroup(args) -> int:
+def cmd_halfgroup(args):
     monoid = _monoid_from_args(args)
     bound = rat(args.bound) if args.bound else None
     verdict, witness = is_half_group(monoid, bound)
     if verdict is None:
         print("verdict inconclusive: raise --bound above the conductor",
               file=sys.stderr)
-        return 2
+        return None, 2
     if verdict:
-        _emit({"verdict": True}, args)
-        return 0
+        return {"verdict": True}, 0
     a, b = witness
-    _emit({"verdict": False,
-           "witness": f"{format_rat(b - a)} = {format_rat(b)}-{format_rat(a)} not in M"},
-          args)
-    return 1
+    return {"verdict": False,
+            "witness": f"{format_rat(b - a)} = {format_rat(b)}-{format_rat(a)} not in M"}, 1
 
 
-def cmd_floppy(args) -> int:
-    monoid = _monoid_from_args(args)
-    verdict, witness = is_floppy(monoid)
+def cmd_floppy(args):
+    verdict, witness = is_floppy(_monoid_from_args(args))
     payload = {"verdict": verdict}
     if witness is not None:
         payload["witness"] = format_rat(witness)
-    _emit(payload, args)
-    return 0 if verdict else 1
+    return payload, 0 if verdict else 1
 
 
-def cmd_ddot(args) -> int:
-    monoid = _monoid_from_args(args)
-    values = ddot_set(monoid, rat(args.window), args.denom_bound)
-    if getattr(args, "human", False):
-        sys.stdout.write("{" + ", ".join(format_rat(v) for v in values) + "}\n")
-    else:
-        _emit({"ddot": [format_rat(v) for v in values]}, args)
-    return 0
+def cmd_ddot(args):
+    values = ddot_set(_monoid_from_args(args), rat(args.window),
+                      args.denom_bound)
+    if args.human:
+        return "{" + ", ".join(format_rat(v) for v in values) + "}\n", 0
+    return {"ddot": [format_rat(v) for v in values]}, 0
 
 
-def cmd_dzik(args) -> int:
+def cmd_dzik(args):
     member = None
     if any(flag is not None for flag in (args.gens, args.cone, args.monoid)):
         member = _monoid_from_args(args).member
     try:
         result = dzik_reduce(args.a, args.b, args.p, member=member)
     except MonoidMembershipError as exc:
-        _emit({"error": "membership", "element": exc.element}, args)
-        return 1
-    _emit({"value": result.value, "trace": [list(pair) for pair in result.trace]},
-          args)
-    return 0
+        return {"error": "membership", "element": exc.element}, 1
+    return {"value": result.value,
+            "trace": [list(pair) for pair in result.trace]}, 0
 
 
-def cmd_mu(args) -> int:
-    monoid = _monoid_from_args(args)
-    g = build_mu(monoid, rat(args.r), rat(args.window), args.denom_bound)
-    if args.dot:
-        text = _dot_text(g)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
-        return 0
-    _emit(graph_to_json(g), args, path=args.out)
-    return 0
+def cmd_mu(args):
+    g = build_mu(_monoid_from_args(args), rat(args.r), rat(args.window),
+                 args.denom_bound)
+    return (_dot_text(g) if args.dot else graph_to_json(g)), 0
 
 
-def cmd_extend(args) -> int:
+def cmd_extend(args):
     g = graph_from_json(_load_json(args.graph))
     try:
         result = extend_to_full(g, ExtensionPolicy(seed=args.seed,
                                                    max_backtracks=args.budget))
     except ExtensionExhausted as exc:
-        _emit({"error": "extension-exhausted", "pair": list(exc.pair),
-               "backtracks": exc.backtracks}, args)
-        return 1
-    payload = {"graph": graph_to_json(result.full),
-               "assignments": [[u, v, value_to_json(w)]
-                               for (u, v), w in sorted(result.assignments.items())],
-               "backtracks": result.backtracks}
-    _emit(payload, args, path=args.out)
-    return 0
+        return {"error": "extension-exhausted", "pair": list(exc.pair),
+                "backtracks": exc.backtracks}, 1
+    return {"graph": graph_to_json(result.full),
+            "assignments": [[u, v, value_to_json(w)]
+                            for (u, v), w in sorted(result.assignments.items())],
+            "backtracks": result.backtracks}, 0
 
 
-def cmd_line(args) -> int:
+def cmd_line(args):
     oracle = _fragment_oracle(args.fragment)
     try:
-        points = discrete_line(oracle, args.a, args.b, args.n)
+        return {"line": list(discrete_line(oracle, args.a, args.b, args.n))}, 0
     except (SphereDeficiency, NoSuchRadius) as exc:
-        _emit({"line": None, "reason": str(exc)}, args)
-        return 1
-    _emit({"line": list(points)}, args)
-    return 0
+        return {"line": None, "reason": str(exc)}, 1
 
 
-def cmd_gps(args) -> int:
+def cmd_gps(args):
     oracle = _fragment_oracle(args.fragment)
     try:
-        point = gps_locate(oracle, args.a, args.b,
-                           _parse_value(args.ra), _parse_value(args.rb))
+        return {"point": gps_locate(oracle, args.a, args.b,
+                                    _parse_value(args.ra),
+                                    _parse_value(args.rb))}, 0
     except BanakhLawViolation as exc:
-        _emit({"error": "two-point-intersection", "detail": str(exc)}, args)
-        return 1
-    _emit({"point": point}, args)
-    return 0
+        return {"error": "two-point-intersection", "detail": str(exc)}, 1
 
 
-def cmd_orient(args) -> int:
+def cmd_orient(args):
     oracle = _fragment_oracle(args.fragment)
     try:
         sense = orientation(oracle, args.origin, args.x, args.y)
+        return {"orientation": sense.name.lower()}, 0
     except (SphereDeficiency, NoSuchRadius) as exc:
-        _emit({"orientation": None, "reason": str(exc)}, args)
-        return 0
-    _emit({"orientation": sense.name.lower()}, args)
-    return 0
+        return {"orientation": None, "reason": str(exc)}, 0
 
 
-def cmd_segment(args) -> int:
+def cmd_segment(args):
     oracle = _fragment_oracle(args.fragment)
     try:
-        point = segment_construct(oracle, args.x, args.y, _parse_value(args.r))
+        return {"point": segment_construct(oracle, args.x, args.y,
+                                           _parse_value(args.r))}, 0
     except (SphereDeficiency, NoSuchRadius) as exc:
-        _emit({"point": None, "reason": str(exc)}, args)
-        return 0
+        return {"point": None, "reason": str(exc)}, 0
     except AmbiguityViolation as exc:
-        _emit({"error": "ambiguous-extension", "detail": str(exc)}, args)
-        return 1
-    _emit({"point": point}, args)
-    return 0
+        return {"error": "ambiguous-extension", "detail": str(exc)}, 1
 
 
-def cmd_group(args) -> int:
+def cmd_group(args):
     task = args.task
     if task == "dist":
         x = element_from_json(_load_json(args.paths[0]))
         y = element_from_json(_load_json(args.paths[1]))
-        _emit(token_to_json(banakh_group.dist_token(x, y)), args)
-        return 0
+        return token_to_json(banakh_group.dist_token(x, y)), 0
     if task == "sphere":
         c = element_from_json(_load_json(args.paths[0]))
         t = banakh_group.DistToken(element_from_json(_load_json(args.paths[1])))
         members = banakh_group.GroupOracle(args.lattice).sphere(c, t)
-        _emit({"sphere": [element_to_json(m) for m in members]}, args)
-        return 0
+        return {"sphere": [element_to_json(m) for m in members]}, 0
     if task == "normeq":
         x = element_from_json(_load_json(args.paths[0]))
         y = element_from_json(_load_json(args.paths[1]))
         verdict = banakh_group.norm_equal(x, y)
-        _emit({"norm_equal": verdict}, args)
-        return 0 if verdict else 1
+        return {"norm_equal": verdict}, 0 if verdict else 1
     if task == "hnorm":
-        x = element_from_json(_load_json(args.paths[0]))
-        cert = banakh_group.h_norm_certificate(x)
-        _emit(_plain(cert), args)
-        return 0 if cert["holds"] else 1
+        cert = banakh_group.h_norm_certificate(
+            element_from_json(_load_json(args.paths[0])))
+        return _plain(cert), 0 if cert["holds"] else 1
     if task == "solve":
         coeffs = _rat_list(args.coeffs or "")
         if len(coeffs) != 6:
             raise FormatError("--coeffs needs a1,a2,a3,b1,b2,b3")
         result = banakh_group.solve_norm_equation(*coeffs)
-        _emit({"infinite": result.infinite,
-               "solutions": [format_rat(t) for t in result.solutions]}, args)
-        return 0
+        return {"infinite": result.infinite,
+                "solutions": [format_rat(t) for t in result.solutions]}, 0
     raise FormatError(f"unknown group task {task!r}")
 
 
-def cmd_build(args) -> int:
+def cmd_build(args):
     spec = buildspec_from_json(_load_json(args.spec), seed=args.seed)
     try:
         fragment, cert = build(spec)
     except BuildExhausted as exc:
-        _emit({"error": "build-exhausted", "stage": exc.stage,
-               "pair": _plain(exc.pair)}, args)
-        return 1
-    payload = {"fragment": fragment_to_json(fragment),
-               "certificate": certificate_to_json(cert)}
-    _emit(payload, args, path=args.out)
-    return 0
+        return {"error": "build-exhausted", "stage": exc.stage,
+                "pair": _plain(exc.pair)}, 1
+    return {"fragment": fragment_to_json(fragment),
+            "certificate": certificate_to_json(cert)}, 0
 
 
-def cmd_certify(args) -> int:
+def cmd_certify(args):
     doc = _load_json(args.fragment)
     if not isinstance(doc, dict) or "fragment" not in doc or "certificate" not in doc:
         raise FormatError("expected a build output with 'fragment' and 'certificate'")
@@ -333,8 +286,7 @@ def cmd_certify(args) -> int:
         raise FormatError("expected a build spec object")
     spec = buildspec_from_json(spec_obj, seed=spec_obj.get("seed", cert.seed))
     report = verify_certificate(fragment, spec, cert)
-    _emit(_plain(report), args)
-    return 0 if report["all_ok"] else 1
+    return _plain(report), 0 if report["all_ok"] else 1
 
 
 # ---------------------------------------------------------------------------
@@ -437,11 +389,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write(payload, args, code: int) -> None:
+    """The one writer of a handler's answer (see the module docstring)."""
+    if not isinstance(payload, str):
+        payload = (json.dumps(payload, sort_keys=True, indent=2)
+                   if args.human else dumps(payload)) + "\n"
+    path = getattr(args, "out", None) if code == 0 else None
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        payload, code = args.func(args)
+        if payload is not None:
+            _write(payload, args, code)
+        return code
     except FormatError as exc:
         print(f"format error: {exc}", file=sys.stderr)
         return 2

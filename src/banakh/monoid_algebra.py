@@ -24,10 +24,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import count
+from math import floor, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
-from .values import rat
+from .values import InputTooLarge, is_prime, rat
 
 __all__ = [
     "MonoidDesc",
@@ -36,6 +37,7 @@ __all__ = [
     "MonoidMembershipError",
     "MonoidTooLarge",
     "APERY_CAP",
+    "ENUMERATION_CAP",
     "delta_p",
     "div_p",
     "dzik_reduce",
@@ -124,7 +126,6 @@ def dzik_reduce(a: int, b: int, p: int,
 
 
 def _require_prime(p: int) -> None:
-    from .values import is_prime
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
 
@@ -139,7 +140,7 @@ def _require_prime(p: int) -> None:
 APERY_CAP = 100_000
 
 
-class MonoidTooLarge(ValueError):
+class MonoidTooLarge(InputTooLarge):
     """A finitely generated monoid whose least reduced generator is above
     APERY_CAP; its Apery set is not built."""
 
@@ -353,6 +354,19 @@ CLOSURE_IDS = tuple(sorted(CLOSURES))
 # ---------------------------------------------------------------------------
 
 
+# the most points one enumeration visits: the step multiples in a window, or
+# a closure's grid of num/q over its denominators q
+ENUMERATION_CAP = 100_000
+
+
+def _check_enumeration(points: int) -> None:
+    """InputTooLarge, before any loop, when an enumeration would visit more
+    than ENUMERATION_CAP points."""
+    if points > ENUMERATION_CAP:
+        raise InputTooLarge(f"the enumeration would visit {points} points, "
+                            f"above the cap of {ENUMERATION_CAP}")
+
+
 class MonoidDesc:
     """A decidable description of a submonoid of the nonnegative rationals."""
 
@@ -472,27 +486,28 @@ class MonoidDesc:
 
     # -- enumeration ----------------------------------------------------------
 
+    def _closure_grid(self, window: Fraction, denom_bound: int, start: int,
+                      keep: Callable[[Fraction], bool]) -> set:
+        """The grid points num/q <= window with num >= start, over the
+        closure's denominators q up to denom_bound, that pass ``keep``."""
+        qs = self._closure.denominators(denom_bound)
+        _check_enumeration(sum(max(0, int(window * q) + 1 - start)
+                               for q in qs))
+        return {x for q in qs for num in range(start, int(window * q) + 1)
+                if (x := Fraction(num, q)) <= window and keep(x)}
+
     def elements(self, window, denom_bound: int = 64) -> list[Fraction]:
         """Sorted members of M in [0, window] (denominator-bounded for closures)."""
         window = rat(window)
         if self.is_zero_monoid():
             return [Fraction(0)]
         if self._closure:
-            seen = set()
-            for q in self._closure.denominators(denom_bound):
-                for num in range(0, int(window * q) + 1):
-                    x = Fraction(num, q)
-                    if x <= window and self.member(x):
-                        seen.add(x)
-            return sorted(seen)
+            return sorted(self._closure_grid(window, denom_bound, 0,
+                                             self.member))
         step = self._step()
-        out = []
-        k = 0
-        while k * step <= window:
-            if self.member(k * step):
-                out.append(k * step)
-            k += 1
-        return out
+        top = floor(window / step)
+        _check_enumeration(top + 1)
+        return [k * step for k in range(top + 1) if self.member(k * step)]
 
     def diff_elements(self, window, denom_bound: int = 64) -> list[Fraction]:
         """Sorted members of M - M in [-window, window]."""
@@ -500,15 +515,11 @@ class MonoidDesc:
         if self.is_zero_monoid():
             return [Fraction(0)]
         if self._closure:
-            seen = {Fraction(0)}
-            for q in self._closure.denominators(denom_bound):
-                for num in range(1, int(window * q) + 1):
-                    x = Fraction(num, q)
-                    if x <= window and self.diff_member(x):
-                        seen.update((x, -x))
-            return sorted(seen)
+            half = self._closure_grid(window, denom_bound, 1, self.diff_member)
+            return sorted(half | {-x for x in half} | {Fraction(0)})
         step = self._step()
         top = int(window / step)
+        _check_enumeration(2 * top + 1)
         return [k * step for k in range(-top, top + 1)]
 
 
@@ -550,8 +561,10 @@ def is_half_group(monoid: MonoidDesc, bound=None):
     if gap is None:
         return True, None
     gap_q = Fraction(gap, monoid.scale)
-    a = next(x for x in monoid.elements(conductor + gap_q)
-             if x > 0 and monoid.member(x + gap_q))
+    step = monoid._step()
+    # the least positive member a with a + gap a member; the conductor is one
+    a = next(k * step for k in count(1)
+             if monoid.member(k * step) and monoid.member(k * step + gap_q))
     return False, (a, a + gap_q)
 
 

@@ -16,7 +16,7 @@ from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
 from .monoid_algebra import CLOSURES, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
-from .values import SurdValue, format_rat
+from .values import InputTooLarge, SurdValue, format_rat
 
 __all__ = [
     "dumps",
@@ -72,6 +72,8 @@ def value_from_json(obj) -> SurdValue:
         rational = _rat_from(obj.get("rat", 0))
         try:
             return SurdValue(rational, coeffs)
+        except InputTooLarge:
+            raise
         except ValueError as exc:    # an index that is not a prime
             raise FormatError(str(exc)) from exc
     raise FormatError(f"not a value: {obj!r}")

@@ -43,7 +43,20 @@ def format_rat(q: Fraction) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+class InputTooLarge(ValueError):
+    """An input that would start more work than a cap of the library
+    allows; raised before the work starts."""
+
+
+# trial division decides primality up to here in a few milliseconds
+PRIME_CAP = 2 ** 32
+
+
 def is_prime(n: int) -> bool:
+    """Trial division; InputTooLarge above PRIME_CAP."""
+    if n > PRIME_CAP:
+        raise InputTooLarge(f"{n} is above {PRIME_CAP}, the largest number "
+                            "whose primality is decided")
     if n < 2:
         return False
     if n < 4:

@@ -1,7 +1,9 @@
+import hashlib
 import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -9,9 +11,11 @@ import pytest
 
 import banakh
 from banakh.cli import main
-from banakh.serialize import dumps, fragment_to_json, graph_to_json
+from banakh.serialize import (buildspec_from_json, certificate_to_json, dumps,
+                              fragment_to_json, graph_to_json)
 from banakh.graph_metric import GraphMetric
 from banakh.monoid_algebra import APERY_CAP
+from banakh.space_builder import build
 from banakh.values import SurdValue
 
 from conftest import line_fragment
@@ -103,6 +107,24 @@ def test_monoid_above_the_apery_cap_is_bad_input(capsys):
     # a group cone builds no Apery set, so it has no such cap
     code, doc, _ = run_json(capsys, "halfgroup", "--cone", gens)
     assert code == 0 and doc == {"verdict": True}
+
+
+@pytest.mark.parametrize("argv", [
+    ("dzik", "--a", "6", "--b", "10", "--p", "100000000000000000039"),
+    ("gps", "{line}", "--a", "p+0",
+     "--ra", '{"rat":"0","surds":{"100000000000000000039":"1"}}',
+     "--b", "p+1", "--rb", "1"),
+    ("ddot", "--gens", "1", "--window", "1000000000"),
+    ("mu", "--monoid", "dyadic", "--r", "1", "--window", "1",
+     "--denom-bound", "1000000"),
+], ids=["dzik-prime", "gps-surd-index", "ddot-window", "mu-denom-bound"])
+def test_work_above_a_cap_is_bad_input(capsys, line_file, argv):
+    # primality above 2**32 and enumerations above ENUMERATION_CAP points
+    # are refused before the work starts
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.replace("{line}", line_file) for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("bad input:")
 
 
 def test_floppy_verdicts(capsys):
@@ -286,6 +308,191 @@ def test_group_output_bytes_are_pinned(capsys, elem_file, argv, expected):
     code, out, err = run(capsys, "group", task,
                          *(paths.get(a, a) for a in rest))
     assert (code, out, err) == (0, expected, "")
+
+
+@pytest.fixture
+def pinned_inputs(tmp_path, line_file, elem_file):
+    """Input files of the pinned commands, by the names their argv uses."""
+    def write(name, obj):
+        path = tmp_path / f"{name}.json"
+        path.write_text(dumps(obj))
+        return str(path)
+
+    def graph(edges):
+        return graph_to_json(GraphMetric("abcd", {e: SurdValue(w)
+                                                  for e, w in edges.items()}))
+
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "stages": 1, "window": "2"}
+    fragment, cert = build(buildspec_from_json(spec, seed=1))
+    built = {"fragment": fragment_to_json(fragment),
+             "certificate": certificate_to_json(cert)}
+    forged = json.loads(dumps(built))
+    forged["fragment"]["dist"][0][2] = "1/7"
+    return {
+        "line": line_file, "spec": write("spec", spec),
+        "built": write("built", built), "forged": write("forged", forged),
+        "x": elem_file("x", GROUP_ELEMENTS["x"]),
+        "y": elem_file("y", GROUP_ELEMENTS["y"]),
+        "cycle": write("cycle", graph({("a", "b"): 1, ("b", "c"): 1,
+                                       ("c", "d"): 1, ("d", "a"): 1})),
+        "pinched": write("pinched", graph({("a", "d"): 4, ("a", "b"): 1,
+                                           ("b", "c"): 1, ("c", "d"): 2})),
+        # the ray from a through b must reach length 3, beyond the table
+        "short": write("short", {"points": ["a", "b", "c"],
+                                 "dist": [["a", "b", "1"], ["b", "c", "2"],
+                                          ["a", "c", "3"]]}),
+        "out": str(tmp_path / "out.txt"),
+    }
+
+
+def _pinned(text):
+    """Short output as it is, longer output by (half) its SHA-256."""
+    if text is None or len(text) <= 120:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()[:32]
+
+
+# (argv, exit code, stdout, first stderr line, --out file or None), captured
+# before the handlers returned their answers to one writer in `main`; an
+# argument in braces names a file of `pinned_inputs`
+CLI_OUTPUT_BYTES = [
+    (("verify", "{line}"), 0,
+     'sha256:b91d3fc649d41f5c3ca2b5d486aae746',
+     '', None),
+    (("embed", "{line}"), 0,
+     '{"coords":{"p+0":"0","p+1":"1","p+2":"2","p+3":"3",'
+     '"p-1":"-1","p-2":"-2","p-3":"-3"},"embeddable":true}\n',
+     '', None),
+    (("halfgroup", "--gens", "2,3"), 1,
+     '{"verdict":false,"witness":"1 = 3-2 not in M"}\n',
+     '', None),
+    (("halfgroup", "--gens", "2,3", "--human"), 1,
+     '{\n  "verdict": false,\n  "witness": "1 = 3-2 not in M"\n}\n',
+     '', None),
+    (("halfgroup", "--gens", "2,3", "--bound", "1"), 2,
+     '',
+     'verdict inconclusive: raise --bound above the conductor',
+     None),
+    (("floppy", "--monoid", "dyadic-plus-thirds"), 1,
+     '{"verdict":false,"witness":"1/3"}\n',
+     '', None),
+    (("ddot", "--monoid", "omega-minus-1", "--window", "6"), 0,
+     '{"ddot":["2","3"]}\n',
+     '', None),
+    (("ddot", "--monoid", "omega-minus-1", "--window", "6", "--human"), 0,
+     '{2, 3}\n',
+     '', None),
+    (("dzik", "--a", "4", "--b", "6", "--p", "2"), 0,
+     '{"trace":[[1,3],[1,1]],"value":1}\n',
+     '', None),
+    (("dzik", "--a", "4", "--b", "6", "--p", "2", "--gens", "4,6"), 1,
+     '{"element":1,"error":"membership"}\n',
+     '', None),
+    (("mu", "--gens", "1", "--r", "1", "--window", "1"), 0,
+     '{"edges":[["-1","0","1"],["-1","1","2"],["0","1","1"]]'
+     ',"vertices":["-1","0","1"]}\n',
+     '', None),
+    (("mu", "--gens", "1", "--r", "1", "--window", "1", "--human"), 0,
+     'sha256:2b9c7ad9b0f13f69691bccb7a49d9cbf',
+     '', None),
+    (("mu", "--gens", "1", "--r", "1", "--window", "1", "--out", "{out}"), 0,
+     '', '',
+     '{"edges":[["-1","0","1"],["-1","1","2"],["0","1","1"]]'
+     ',"vertices":["-1","0","1"]}\n'),
+    (("mu", "--gens", "1", "--r", "1", "--window", "1", "--dot"), 0,
+     'graph G {\n  "-1";\n  "0";\n  "1";\n'
+     '  "-1" -- "0" [label="1"];\n  "-1" -- "1" [label="2"];\n'
+     '  "0" -- "1" [label="1"];\n}\n',
+     '', None),
+    (("mu", "--gens", "1", "--r",
+      "1", "--window", "1", "--dot", "--out", "{out}"), 0,
+     '', '',
+     'graph G {\n  "-1";\n  "0";\n  "1";\n'
+     '  "-1" -- "0" [label="1"];\n  "-1" -- "1" [label="2"];\n'
+     '  "0" -- "1" [label="1"];\n}\n'),
+    (("extend", "{cycle}", "--seed", "5"), 0,
+     'sha256:7290a7b6d64f0bc921ab5460c9033177',
+     '', None),
+    (("extend", "{cycle}", "--seed", "5", "--out", "{out}"), 0,
+     '', '',
+     'sha256:7290a7b6d64f0bc921ab5460c9033177'),
+    (("extend", "{pinched}", "--seed", "1", "--out", "{out}"), 1,
+     '{"backtracks":1,"error":"extension-exhausted","pair":["a","c"]}\n',
+     '', None),
+    (("line", "{line}", "--a", "p+0", "--b", "p+1", "-n", "2"), 0,
+     '{"line":["p-2","p-1","p+0","p+1","p+2"]}\n',
+     '', None),
+    (("line", "{line}", "--a", "p+0", "--b", "p+1", "-n", "4"), 1,
+     '{"line":null,"reason":"sphere at \'p+3\' radius 1 is deficient"}\n',
+     '', None),
+    (("gps", "{line}", "--a", "p+0",
+      "--ra", "2", "--b", "p+3", "--rb", "1"), 0,
+     '{"point":"p+2"}\n',
+     '', None),
+    (("gps", "{line}", "--a", "p+0",
+      "--ra", "1", "--b", "p+3", "--rb", "1"), 0,
+     '{"point":null}\n',
+     '', None),
+    (("orient", "{line}", "--origin", "p+0", "--x", "p+1", "--y", "p-2"), 0,
+     '{"orientation":"antiparallel"}\n',
+     '', None),
+    (("orient", "{short}", "--origin", "a", "--x", "b", "--y", "c"), 0,
+     '{"orientation":null,"reason":"sphere at \'b\' radius 1 is deficient"}\n',
+     '', None),
+    (("segment", "{line}", "--x", "p-1", "--y", "p+1", "--r", "2"), 0,
+     '{"point":"p+3"}\n',
+     '', None),
+    (("segment", "{line}", "--x", "p+0", "--y", "p+3", "--r", "3"), 0,
+     '{"point":null,"reason":"sphere at \'p+3\' radius 3 is deficient"}\n',
+     '', None),
+    (("group", "dist", "{x}", "{y}"), 0,
+     '{"coeffs":{"0":"5/6","1":"-5/6","2":"-1","5":"2/3"},'
+     '"sign_normalized":true}\n',
+     '', None),
+    (("group", "normeq", "{x}", "{y}"), 1,
+     '{"norm_equal":false}\n',
+     '', None),
+    (("group", "solve", "--coeffs", "1,0,0,0,2,0", "--human"), 0,
+     '{\n  "infinite": false,\n  "solutions": [\n    "-2",\n    "2"\n  ]\n}\n',
+     '', None),
+    (("build", "--spec", "{spec}", "--seed", "1"), 0,
+     'sha256:011a69b82e0440b64b70e36c44ae64dc',
+     '', None),
+    (("build", "--spec", "{spec}", "--seed", "1", "--out", "{out}"), 0,
+     '', '',
+     'sha256:011a69b82e0440b64b70e36c44ae64dc'),
+    (("build", "--spec", "{spec}", "--seed", "1", "--human"), 0,
+     'sha256:db2823acbeca79b66b88ebb1abac0d8b',
+     '', None),
+    (("certify", "{built}", "{spec}"), 0,
+     'sha256:4c97336bdad913cf4b7444329387d8c8',
+     '', None),
+    (("certify", "{forged}", "{spec}"), 1,
+     'sha256:911bf215ea93909fd57dba2cb93e7f02',
+     '', None),
+]
+
+
+@pytest.mark.parametrize("argv,code,out,err,written", CLI_OUTPUT_BYTES,
+                         ids=[" ".join(case[0]) for case in CLI_OUTPUT_BYTES])
+def test_cli_output_bytes_are_pinned(capsys, pinned_inputs, argv, code, out,
+                                     err, written):
+    got_code, got_out, got_err = run(capsys, *(a.format(**pinned_inputs)
+                                               for a in argv))
+    dest = Path(pinned_inputs["out"])
+    got_written = dest.read_text() if dest.exists() else None
+    assert (got_code, _pinned(got_out), got_err.split("\n")[0],
+            _pinned(got_written)) == (code, out, err, written)
+
+
+def test_an_unwritable_out_path_is_an_io_error(capsys, tmp_path):
+    dest = tmp_path / "missing" / "x.json"
+    code, out, err = run(capsys, "mu", "--gens", "1", "--r", "1",
+                         "--window", "2", "--out", str(dest))
+    assert code == 2 and out == "" and err.startswith("io error:")
+    assert not dest.parent.exists()
 
 
 def test_build_and_certify_round_trip(capsys, tmp_path):

@@ -7,7 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.monoid_algebra import (APERY_CAP, MonoidDesc, MonoidTooLarge,
+from banakh.values import InputTooLarge
+from banakh.monoid_algebra import (APERY_CAP, ENUMERATION_CAP, MonoidDesc,
+                                   MonoidTooLarge,
                                    MonoidMembershipError,
                                    dzik_reduce, delta_p, div_p,
                                    is_half_group, is_p_divisible_in,
@@ -126,6 +128,42 @@ def test_apery_cap_applies_to_the_least_reduced_generator():
     # scaled to the integers first: 10**-9 and 1 reduce to 1 and 10**9
     tiny = MonoidDesc.fingen([Fraction(1, 10 ** 9), 1])
     assert tiny.member(Fraction(7, 10 ** 9))
+
+
+def test_step_enumerations_are_capped():
+    # one step multiple past the cap: a missing check would allocate
+    # ENUMERATION_CAP + 1 entries and answer
+    line = MonoidDesc.fingen([1])
+    with pytest.raises(InputTooLarge):
+        line.elements(ENUMERATION_CAP)
+    top = (ENUMERATION_CAP - 1) // 2
+    assert len(line.diff_elements(top)) == 2 * top + 1 <= ENUMERATION_CAP
+    with pytest.raises(InputTooLarge):
+        line.diff_elements(top + 1)
+    with pytest.raises(InputTooLarge):
+        MonoidDesc.groupcone([Fraction(1, 3)]).elements(
+            Fraction(ENUMERATION_CAP, 3))
+
+
+def test_closure_grids_are_capped():
+    # omega-minus-1 has the one denominator 1; dyadic 1, 2, 4, ... up to the
+    # bound, so a 2**17 bound puts 2**18 + 17 points on [0, 1]
+    with pytest.raises(InputTooLarge):
+        OMEGA1.elements(ENUMERATION_CAP)
+    with pytest.raises(InputTooLarge):
+        OMEGA1.diff_elements(ENUMERATION_CAP + 1)
+    with pytest.raises(InputTooLarge):
+        DYADIC.elements(1, denom_bound=2 ** 17)
+    with pytest.raises(InputTooLarge):
+        DYADIC.diff_elements(1, denom_bound=2 ** 17)
+    assert isinstance(MonoidTooLarge(APERY_CAP + 1), InputTooLarge)
+
+
+def test_half_group_witness_needs_no_window_enumeration():
+    # the conductor of <1000, 1001> is 999000, so the window up to it holds
+    # more step multiples than ENUMERATION_CAP; the witness is found first
+    verdict, witness = is_half_group(MonoidDesc.fingen([1000, 1001]))
+    assert verdict is False and witness == (1000, 1001)
 
 
 def test_zero_monoid_degenerate_cases():

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.values import (SurdValue, ZERO, rat, format_rat, is_prime,
-                           primes_from, rational_between, sqrt_brackets)
+from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
+                           format_rat, is_prime, primes_from, rational_between,
+                           sqrt_brackets)
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -310,3 +311,14 @@ def test_primes_from_skips_composites():
     gen = primes_from(90)
     assert [next(gen) for _ in range(3)] == [97, 101, 103]
     assert is_prime(2) and not is_prime(1) and not is_prime(91)
+
+
+def test_primality_is_capped_above_two_to_the_32():
+    # trial division at the cap takes milliseconds; far above it, hours
+    assert PRIME_CAP == 2 ** 32
+    assert is_prime(4294967291)          # the largest prime below 2**32
+    with pytest.raises(InputTooLarge):
+        is_prime(4294967311)             # the least prime above it
+    with pytest.raises(InputTooLarge):
+        SurdValue(0, {100000000000000000039: 1})
+    assert issubclass(InputTooLarge, ValueError)
