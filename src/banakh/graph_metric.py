@@ -34,10 +34,12 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
 from math import isqrt
+from operator import sub
 from typing import Callable, Optional
 
-from .monoid_algebra import MonoidDesc
-from .values import SurdValue, ZERO, primes_from, rat, rational_between, format_rat
+from .monoid_algebra import ENUMERATION_CAP, MonoidDesc
+from .values import (InputTooLarge, SurdValue, ZERO, primes_from, rat,
+                     rational_between, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -250,7 +252,9 @@ class MuGraph(GraphMetric):
     ``hat`` and ``check`` therefore read the closed difference formula
     |x-y| + 2*inf{v in M : v + |x-y| in M}, which is the true value on the
     infinite graph, while ``hat_path`` remains the windowed search
-    (they agree given enough window slack).
+    (they agree given enough window slack).  Every pair of units takes a
+    membership test, so more than ``ENUMERATION_CAP`` pairs raise
+    :class:`~banakh.values.InputTooLarge` before the first one.
     """
 
     def __init__(self, monoid: MonoidDesc, r, window, denom_bound: int = 64):
@@ -261,6 +265,11 @@ class MuGraph(GraphMetric):
         if self.r <= 0:
             raise ValueError("radius must be positive")
         units = monoid.diff_elements(self.window / self.r, denom_bound)
+        pairs = len(units) * (len(units) - 1) // 2
+        if pairs > ENUMERATION_CAP:
+            raise InputTooLarge(
+                f"the difference graph would test {pairs} unit pairs, "
+                f"above the cap of {ENUMERATION_CAP}")
         nonzero = [t for t in monoid.elements(2 * self.window / self.r, denom_bound)
                    if t > 0]
         if not nonzero:
@@ -428,6 +437,17 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     so every result is the exact one.  Exact sums are built only for the
     entries that the filter cannot show to be unchanged.
 
+    A new edge (u, v) = w is relaxed only over A x B and B x A, where A
+    holds the i with d(i,u) + w < d(i,v) and B the j with
+    d(j,v) + w < d(j,u): by the triangle inequality of the entries no
+    other pair can get shorter through it (see :class:`_DistanceTable`).
+    The entries start as the path values of ``g`` and stay shortest paths
+    of the growing graph, so that precondition holds throughout.  ``check``
+    reads one column cached for the pair's first point, which the
+    lexicographic order asks for pair after pair; the column stays valid
+    across ``add_edge`` because entries only shrink and edges are only
+    added.
+
     The table starts from the path values of ``g`` itself, not from
     ``g.hat``: a difference graph's closed formula is the value on the
     infinite graph and can fall below the windowed path near the window
@@ -517,10 +537,35 @@ def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
 class _DistanceTable:
     """A graph's vertex index, its live edges and its hat values, addressed
     by vertex index.  ``add_edge`` is the one place where edges and entries
-    change: it adds an edge and relaxes every entry through it.
+    change: it adds an edge and relaxes the entries through it.
 
     Entry d[i][j] is exact and lo[i][j], hi[i][j] enclose it in doubles;
     each edge is kept as (i, j, w, lower bound of w, upper bound of w).
+
+    ``add_edge`` needs entries that satisfy the triangle inequality, as the
+    shortest-path values of any graph do, and keeps them shortest paths of
+    the grown graph.  Then d(i,u) + w + d(v,j) < d(i,j) gives, through
+    d(i,j) <= d(i,v) + d(v,j), that d(i,u) + w < d(i,v), and through
+    d(i,j) <= d(i,u) + d(u,j), that w + d(v,j) < d(u,j).  So a path through
+    the new edge (u, v) = w, entered at u, shortens only pairs in A x B, for
+    A = {i : d(i,u) + w < d(i,v)} and B = {j : d(j,v) + w < d(j,u)}; entered
+    at v, only pairs in B x A.  Only those pairs are tested; an i is left out
+    of A (or B) only when the enclosures prove the opposite strict
+    inequality, so a tie stays in.
+
+    ``check`` reads one cached column, for one key vertex x: for every
+    vertex q, bounds col_lo[q] <= M(q) <= col_hi[q] of M(q) = max over the
+    edges (q, p) = w of w - d(p,x), so that check(x,y) = max(0, max over q
+    of M(q) - d(q,y)).  The column and the per-vertex adjacency behind it
+    are built on the first ``check`` and kept while the key is asked again
+    (completion asks its pairs in lexicographic order).  Entries only shrink
+    and edges are only added, so M only grows, and the bounds are only
+    raised: ``add_edge`` raises them with the new edge and ``set`` with
+    each new entry in row x.  A lower bound kept from an earlier, larger
+    entry stays below M; the upper bounds are raised with every current
+    entry, so they stay above M.  ``copy`` drops the column, and a table
+    that never calls ``check`` keeps none.
+
     The filters decide a comparison on the enclosures when they can prove
     it and leave it to the exact values otherwise.  Their error bound, with
     u = 2**-53 and B = ``bound`` >= |every enclosure end| seen so far:
@@ -532,10 +577,20 @@ class _DistanceTable:
       (the ends) + 5u*B (the roundings) = 8u*B;
     * add_edge compares such a sum with a fourth end (u*B) after
       subtracting ``tol`` from it (one more rounding, about 2u*B): off by
-      < 11u*B; check compares two such sums, one after subtracting ``tol``
-      (3u*B): off by < 19u*B; triangle_failures compares one end with the
-      sum of two less ``tol``: three ends and two roundings of 2u*B each,
-      off by < 7u*B;
+      < 11u*B; its A and B tests drop one end and one rounding of that
+      sum, so they are off by less; check compares two such sums, one
+      after subtracting ``tol`` (3u*B): off by < 19u*B; triangle_failures
+      compares one end with the sum of two less ``tol``: three ends and
+      two roundings of 2u*B each, off by < 7u*B;
+    * the column holds check's per-edge sums after their first rounding:
+      col_lo[q] is the largest w_lo - hi(x,p) and col_hi[q] at least the
+      largest w_hi - lo(x,p) over the edges (q, p) = w.  The second
+      subtraction rounds monotonically, so the first pass finds the
+      largest per-edge lower sum, and col_hi[q] - lo(q,y) < floor holds
+      only when every edge at q fails its own test.  A lower sum kept from
+      an earlier, larger entry bounds w - d(p,x) at that entry, with a B no
+      larger than now, so it is no larger than the current candidate up to
+      the same error: the column adds no error term;
     * the comparison itself is exact, and rounding to nearest is monotone,
       so the final addition of a test cannot turn a false one true.
 
@@ -545,7 +600,8 @@ class _DistanceTable:
     (sums could overflow or fall into the subnormals).
     """
 
-    __slots__ = ("verts", "index", "edges", "d", "lo", "hi", "bound", "tol")
+    __slots__ = ("verts", "index", "edges", "d", "lo", "hi", "bound", "tol",
+                 "adj", "key", "col_lo", "col_hi")
 
     def __init__(self, verts, edges: dict, row: Optional[Callable] = None):
         """``edges`` maps vertex pairs to values.  Entry (i, j) is
@@ -558,6 +614,7 @@ class _DistanceTable:
         self.lo = [[0.0] * n for _ in range(n)]
         self.hi = [[0.0] * n for _ in range(n)]
         self.bound, self.tol = 0.0, math.inf     # until an entry is set
+        self.adj = self.key = None                # until the first check
         self.edges = [(self.index[u], self.index[v], w, *_enclosure(w))
                       for (u, v), w in edges.items()]
         if row is None:
@@ -572,6 +629,7 @@ class _DistanceTable:
             self._widen(w_lo, w_hi)
 
     def copy(self) -> "_DistanceTable":
+        """The entries and edges; the column is built again on demand."""
         other = _DistanceTable.__new__(_DistanceTable)
         other.verts, other.index = self.verts, self.index
         other.edges = self.edges[:]
@@ -579,6 +637,7 @@ class _DistanceTable:
         other.lo = [row[:] for row in self.lo]
         other.hi = [row[:] for row in self.hi]
         other.bound, other.tol = self.bound, self.tol
+        other.adj = other.key = None
         return other
 
     def _widen(self, lo: float, hi: float) -> None:
@@ -594,10 +653,42 @@ class _DistanceTable:
         self.lo[i][j] = self.lo[j][i] = lo
         self.hi[i][j] = self.hi[j][i] = hi
         self._widen(lo, hi)
+        if self.key == i:
+            self._lift(j)
+        elif self.key == j:
+            self._lift(i)
+
+    def _lift(self, p: int) -> None:
+        """Raise the column's bounds at every neighbour q of p by its edge
+        (q, p) = w and the current enclosure of d(p, key)."""
+        key = self.key
+        lo_p, hi_p = self.lo[key][p], self.hi[key][p]
+        col_lo, col_hi = self.col_lo, self.col_hi
+        for q, _, w_lo, w_hi in self.adj[p]:
+            c = w_lo - hi_p
+            if c > col_lo[q]:
+                col_lo[q] = c
+            c = w_hi - lo_p
+            if c > col_hi[q]:
+                col_hi[q] = c
+
+    def _build_column(self, x: int) -> None:
+        """The column for key x, and the adjacency if there is none yet."""
+        n = len(self.verts)
+        if self.adj is None:
+            self.adj = [[] for _ in range(n)]
+            for a, b, w, w_lo, w_hi in self.edges:
+                self.adj[a].append((b, w, w_lo, w_hi))
+                self.adj[b].append((a, w, w_lo, w_hi))
+        self.key = x
+        self.col_lo, self.col_hi = [-math.inf] * n, [-math.inf] * n
+        for p in range(n):
+            self._lift(p)
 
     def add_edge(self, u: int, v: int, w: SurdValue) -> None:
-        """Add the edge (u, v) = w and relax every entry through it:
-        d[i][j] = min(d[i][j], d[i][u] + w + d[v][j], d[i][v] + w + d[u][j]).
+        """Add the edge (u, v) = w and relax the entries through it:
+        d[i][j] = min(d[i][j], d[i][u] + w + d[v][j], d[i][v] + w + d[u][j]),
+        tested only on the pairs of A x B and B x A (see the class).
 
         Rows u and v are read as they were before the pass: a path that
         uses the new edge twice is never shorter, so the exact result does
@@ -605,52 +696,56 @@ class _DistanceTable:
         w_lo, w_hi = _enclosure(w)
         self.edges.append((u, v, w, w_lo, w_hi))
         self._widen(w_lo, w_hi)
+        if self.adj is not None:
+            self.adj[u].append((v, w, w_lo, w_hi))
+            self.adj[v].append((u, w, w_lo, w_hi))
+            key = self.key
+            if key is not None:
+                lk, hk = self.lo[key], self.hi[key]
+                col_lo, col_hi = self.col_lo, self.col_hi
+                for q, p in ((u, v), (v, u)):
+                    col_lo[q] = max(col_lo[q], w_lo - hk[p])
+                    col_hi[q] = max(col_hi[q], w_hi - lk[p])
         d, hi = self.d, self.hi
         du, dv = d[u][:], d[v][:]
         lu, lv = self.lo[u][:], self.lo[v][:]
         w_low = w_lo - self.tol
-        n = len(d)
-        for i in range(n - 1):
-            # lower bounds of d(i,u) + w and d(i,v) + w, less the slack
-            via_u, via_v = lu[i] + w_low, lv[i] + w_low
+        # i leaves A only on a proven d(i,u) + w > d(i,v), j leaves B only on
+        # a proven d(j,v) + w > d(j,u)
+        in_a = [i for i, h in enumerate(hi[v]) if not lu[i] + w_low > h]
+        in_b = [j for j, h in enumerate(hi[u]) if not lv[j] + w_low > h]
+        for i in in_a:
+            # a lower bound of d(i,u) + w, less the slack
+            via_u = lu[i] + w_low
             hi_i = hi[i]
-            for j in range(i + 1, n):
-                h = hi_i[j]
-                u_side = via_u + lv[j] > h    # proven d(i,u)+w+d(v,j) > d(i,j)
-                v_side = via_v + lu[j] > h    # proven d(i,v)+w+d(u,j) > d(i,j)
-                if u_side and v_side:
+            for j in in_b:
+                # skip a proven d(i,u) + w + d(v,j) > d(i,j)
+                if via_u + lv[j] > hi_i[j] or i == j:
                     continue
-                if u_side:
-                    through = dv[i] + w + du[j]
-                elif v_side:
-                    through = du[i] + w + dv[j]
-                else:
-                    through = min(du[i] + w + dv[j], dv[i] + w + du[j])
+                through = du[i] + w + dv[j]
                 if through < d[i][j]:
                     self.set(i, j, through)
 
     def check(self, x: int, y: int) -> SurdValue:
         """max(0, w - d(a,x) - d(b,y)) over the edges (a, b) = w in both
-        orientations: a certified lower bound of the maximum from the
-        enclosures, then the exact maximum over the candidates whose upper
-        bound does not fall below it."""
-        edges = self.edges
-        hx, hy = self.hi[x], self.hi[y]
-        best = 0.0                     # the exact 0 is always a candidate
-        for a, b, _, w_lo, _ in edges:
-            c = w_lo - hx[a] - hy[b]
-            if c > best:
-                best = c
-            c = w_lo - hx[b] - hy[a]
-            if c > best:
-                best = c
+        orientations, from the column of x: a certified lower bound of the
+        maximum from the column's lower bounds, then the exact maximum over
+        the edges whose upper bound reaches it, at the vertices whose column
+        bound does."""
+        if self.key != x:
+            self._build_column(x)
+        # the exact 0 is always a candidate
+        best = max(0.0, max(map(sub, self.col_lo, self.hi[y])))
         floor = best - self.tol
-        lx, ly = self.lo[x], self.lo[y]
+        adj, lx, ly = self.adj, self.lo[x], self.lo[y]
         dx, dy = self.d[x], self.d[y]
         result = None if 0.0 < floor else ZERO
-        for a, b, w, _, w_hi in edges:
-            for p, q in ((a, b), (b, a)):
-                if w_hi - lx[p] - ly[q] < floor:
+        for q, c in enumerate(map(sub, self.col_hi, ly)):
+            if c < floor:
+                continue
+            l_q = ly[q]
+            for p, w, _, w_hi in adj[q]:
+                if w_hi - lx[p] - l_q < floor:
                     continue
                 cand = w - dx[p] - dy[q]
                 if result is None or result < cand:

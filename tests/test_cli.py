@@ -117,10 +117,14 @@ def test_monoid_above_the_apery_cap_is_bad_input(capsys):
     ("ddot", "--gens", "1", "--window", "1000000000"),
     ("mu", "--monoid", "dyadic", "--r", "1", "--window", "1",
      "--denom-bound", "1000000"),
-], ids=["dzik-prime", "gps-surd-index", "ddot-window", "mu-denom-bound"])
+    # 2,001 units, so about 2·10⁶ pairs of membership tests
+    ("mu", "--gens", "1", "--r", "1", "--window", "1000"),
+], ids=["dzik-prime", "gps-surd-index", "ddot-window", "mu-denom-bound",
+        "mu-unit-pairs"])
 def test_work_above_a_cap_is_bad_input(capsys, line_file, argv):
-    # primality above 2**32 and enumerations above ENUMERATION_CAP points
-    # are refused before the work starts
+    # primality above 2**32, enumerations above ENUMERATION_CAP points and
+    # difference graphs above ENUMERATION_CAP unit pairs are refused before
+    # the work starts
     start = time.perf_counter()
     code, out, err = run(capsys, *(a.replace("{line}", line_file) for a in argv))
     assert time.perf_counter() - start < 1.0

@@ -17,7 +17,8 @@ from banakh.graph_metric import (GraphMetric, MuGraph, ScaledMu, build_mu,
                                  extend_to_full, ExtensionPolicy,
                                  ExtensionExhausted, ExtensionResult,
                                  floppy_union, ConditionViolation,
-                                 MetricFragment, _default_sample)
+                                 MetricFragment, _DistanceTable,
+                                 _default_sample)
 
 
 OMEGA1 = MonoidDesc.closure("omega-minus-1")
@@ -288,14 +289,16 @@ def test_triangle_failures_find_a_last_bits_failure(over):
     assert tie.triangle_failures() == []
 
 
-def test_triangle_filter_margin_covers_rounded_ends(monkeypatch):
-    # ends that miss the value by up to one ulp the wrong way, more than a
-    # stored end ever does: the filter's margin still sends the failing
-    # side to the exact comparison
-    def off_by_an_ulp(value):
-        mid = float(value)
-        return math.nextafter(mid, math.inf), math.nextafter(mid, -math.inf)
+def off_by_an_ulp(value):
+    """Ends that miss the value by up to one ulp the wrong way, more than a
+    stored end ever does."""
+    mid = float(value)
+    return math.nextafter(mid, math.inf), math.nextafter(mid, -math.inf)
 
+
+def test_triangle_filter_margin_covers_rounded_ends(monkeypatch):
+    # the filter's margin still sends the failing side to the exact
+    # comparison
     monkeypatch.setattr(banakh.graph_metric, "_enclosure", off_by_an_ulp)
     one = SurdValue(1)
     f = MetricFragment(["x", "y", "z"], {("x", "y"): one, ("y", "z"): one,
@@ -592,6 +595,83 @@ def weighted_graphs(draw):
 def test_engine_matches_reference_on_small_graphs(g, family, seed, budget):
     assert_engines_agree(g, ExtensionPolicy(seed=seed, max_backtracks=budget,
                                             dense_family=family))
+
+
+@given(weighted_graphs(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_distance_table_follows_its_growing_graph(g, data):
+    # edges added one by one, each strictly inside (check, hat) as in the
+    # completion: every entry stays the plain shortest path of the grown
+    # edge set and check stays the plain scan.  After each edge the pairs
+    # of the column's key are asked first, on the column kept across
+    # add_edge, then every pair in shuffled order, so that the column is
+    # built again on a miss; copy() drops it
+    verts, edges = g.vertices, dict(g.edges)
+    table = _DistanceTable(verts, edges,
+                           lambda x: GraphMetric.distances_from(g, x))
+    index = table.index
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    primes = primes_from(2)
+    unordered = list(itertools.combinations(verts, 2))
+    missing = [p for p in unordered if p not in edges]
+    for step, pair in enumerate(data.draw(st.permutations(missing)) + [None]):
+        paths = {v: oracles.dijkstra(verts, edges, v) for v in verts}
+        for x, y in itertools.product(verts, repeat=2):
+            assert table.d[index[x]][index[y]] == paths[x][y], (step, x, y)
+        asked = [p[::-1] if data.draw(st.booleans()) else p
+                 for p in data.draw(st.permutations(unordered))]
+        if table.key is not None:
+            key = verts[table.key]
+            asked[:0] = [(key, y) for y in data.draw(st.permutations(verts))]
+        for x, y in asked:
+            want = oracles.check_scan(verts, edges, lambda a, b: paths[a][b],
+                                      x, y)
+            assert table.check(index[x], index[y]) == want, (step, x, y)
+        if pair is None:
+            break
+        if data.draw(st.booleans()):
+            table = table.copy()
+            assert table.key is None
+        i, j = index[pair[0]], index[pair[1]]
+        lo, hi = table.check(i, j), table.d[i][j]
+        if not lo < hi:
+            continue
+        value = data.draw(st.sampled_from([
+            lambda: (lo + hi) / 2,
+            lambda: near_hi(pair, lo, hi, rng, None),
+            lambda: _default_sample(lo, hi, rng, next(primes))]))()
+        assert lo < value < hi
+        table.add_edge(i, j, value)
+        edges[pair] = value
+
+
+@pytest.mark.parametrize("w", [
+    SurdValue(1), SurdValue(1 + TINY), SurdValue(1 - TINY),
+    SurdValue(1, {2: TINY}), SurdValue(1, {2: -TINY}),
+], ids=["tie", "rational-over", "rational-under", "surd-over", "surd-under"])
+def test_prefilter_and_column_margins_cover_rounded_ends(monkeypatch, w):
+    # on the unit five-cycle a-b-c-d-e the first missing pair, (a, c), gets
+    # w.  At w = 1, d(e,a) + w = d(e,c) is an exact tie; below it the new
+    # edge shortens (a, d) and (c, e) by the difference; either way off it
+    # forces check(a, d) = |w - 1|.  With ends one ulp the wrong way, the
+    # margins must still keep e in A (and d in B) and send the column's
+    # last-bits candidate to the exact maximum
+    monkeypatch.setattr(banakh.graph_metric, "_enclosure", off_by_an_ulp)
+    one = SurdValue(1)
+    five_cycle = GraphMetric("abcde", {("a", "b"): one, ("b", "c"): one,
+                                       ("c", "d"): one, ("d", "e"): one,
+                                       ("e", "a"): one})
+
+    def family(pair, lo, hi, rng, prime):
+        if pair == ("a", "c"):
+            return w
+        return _default_sample(lo, hi, rng, prime)
+
+    calls, _ = assert_engines_agree(
+        five_cycle, ExtensionPolicy(seed=1, dense_family=family))
+    intervals = {pair: (lo, hi) for pair, lo, hi, _ in calls}
+    assert intervals[("a", "d")] == (max(w - one, one - w),
+                                     min(one * 2, w + one))
 
 
 def test_engines_backtrack_alike_before_a_pinched_pair():

@@ -3,6 +3,7 @@ import json
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ ZP = MonoidDesc.fingen([1])
 OMEGA = MonoidDesc.closure("omega-minus-1")
 SQRT2 = SurdValue(0, {2: 1})
 SQRT3 = SurdValue(0, {3: 1})
+BENCH_DIR = Path(__file__).resolve().parents[1] / "bench"
 
 
 def zp_spec(window=5, seed=1, stages=1):
@@ -218,22 +220,40 @@ def test_growth_verdict_reads_the_ledger_before_the_law(monkeypatch, thin,
         build(spec)
 
 
-@pytest.mark.parametrize("radii, digest", [
-    ((SurdValue(1), SQRT2),
-     "d7f5cc7f8a30707b63b5b29f6aec193b2e2ddb3898fa8ad334d5b7f2df22c8ff"),
-    ((SurdValue(1), SQRT2, SQRT3),
-     "05c18c122565224a2f4cac9b3391305181397bcaf0d6444ca2ce1c35803706c5"),
-], ids=["29-points", "49-points"])
-def test_build_output_bytes_are_pinned(radii, digest):
-    # the canonical JSON that `banakh build` prints, for the two- and
-    # three-class builds (29 and 49 points) at seed 5; any change to the
-    # completion or the sampler that moves one byte shows here
+def build_bytes(radii, window, seed):
+    """The canonical JSON that `banakh build` prints for classes of the
+    given radii over Z+, 2 stages."""
     spec = BuildSpec(radii=tuple(RadiusClass(r, ZP) for r in radii),
-                     stages=2, window=Fraction(2), seed=5)
+                     stages=2, window=Fraction(window), seed=seed)
     frag, cert = build(spec)
-    text = dumps({"fragment": fragment_to_json(frag),
+    return dumps({"fragment": fragment_to_json(frag),
                   "certificate": certificate_to_json(cert)})
+
+
+@pytest.mark.parametrize("radii, window, digest", [
+    ((SurdValue(1), SQRT2), 2,
+     "d7f5cc7f8a30707b63b5b29f6aec193b2e2ddb3898fa8ad334d5b7f2df22c8ff"),
+    ((SurdValue(1), SQRT2, SQRT3), 2,
+     "05c18c122565224a2f4cac9b3391305181397bcaf0d6444ca2ce1c35803706c5"),
+    ((SurdValue(1), SQRT2), 3,
+     "75f94710888b2b6dfd2cd54b5a31d107d867de8f9a8f6d9d48746d5ac7841366"),
+], ids=["29-points", "49-points", "69-points"])
+def test_build_output_bytes_are_pinned(radii, window, digest):
+    # the two- and three-class builds at window 2 (29 and 49 points) and
+    # the two-class build at window 3 (69 points), at seed 5; any change
+    # to the completion or the sampler that moves one byte shows here
+    text = build_bytes(radii, window, 5)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("seed", [0, 13, 27, 39])
+def test_build_output_bytes_match_the_benchmark_digests(seed):
+    # the benchmark's build (radii 1 and sqrt 2, window 2) keeps the bytes
+    # that bench/digests.json records for its spec seed; the file is only
+    # read
+    digests = json.loads((BENCH_DIR / "digests.json").read_text())
+    text = build_bytes((SurdValue(1), SQRT2), 2, seed)
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[str(seed)]
 
 
 # -- independent recheck ------------------------------------------------------------
