@@ -14,6 +14,11 @@ algebra has one.  That keeps one implementation of each construction
 working over integer points, exact metric fragments, and the symbolic
 group coordinates of :mod:`banakh.banakh_group`.
 
+Every constructed point is picked by one rule, ``_the_member``: the one
+member of one sphere that a condition keeps.  An empty sphere raises
+NoSuchRadius, a sphere with no kept member SphereDeficiency, and one with
+two kept members AmbiguityViolation.  :func:`gps_locate` is no such pick.
+
 The finite fragments are :class:`banakh.graph_metric.MetricFragment`, the
 full graph metrics, re-exported here; this module checks their axioms and
 answers their spheres from the fragment's own sphere index.
@@ -261,22 +266,32 @@ def gps_locate(o: SphereOracle, a, b, ra, rb):
     return inter[0] if inter else None
 
 
-def _ray(o: SphereOracle, a, b, n: int, r, two_r):
+def _the_member(o: SphereOracle, c, r, keep):
+    """The member of sphere(c, r) that ``keep`` keeps (module docstring)."""
+    members = o.sphere(c, r)
+    if not members:
+        raise NoSuchRadius(c, r)
+    hits = [m for m in members if keep(m)]
+    if len(hits) > 1:
+        raise AmbiguityViolation(
+            f"both members of sphere({c!r}, {r!r}) qualify: {hits}")
+    if not hits:
+        raise SphereDeficiency(c, r)
+    return hits[0]
+
+
+def _ray(o: SphereOracle, a, b, n: int, r):
     """Points a = x_0, b = x_1, ..., x_n stepping away from a.
 
     Each step selects the sphere member at distance 2r from the predecessor
     of the current point; that member is unique by the sphere law.
     """
     pts = [a, b]
+    two_r = o.value_scale(2, r)
     while len(pts) <= n:
         prev, cur = pts[-2], pts[-1]
-        members = [m for m in o.sphere(cur, r) if o.dist(m, prev) == two_r]
-        if len(members) > 1:
-            raise AmbiguityViolation(
-                f"two continuations past {cur!r}: {members}")
-        if not members:
-            raise SphereDeficiency(cur, r)
-        pts.append(members[0])
+        pts.append(_the_member(o, cur, r,
+                               lambda m: o.dist(m, prev) == two_r))
     return pts
 
 
@@ -290,9 +305,8 @@ def discrete_line(o: SphereOracle, a, b, n: int):
     if n == 0:
         return [a]
     r = o.dist(a, b)
-    two_r = o.value_scale(2, r)
-    forward = _ray(o, a, b, n, r, two_r)
-    backward = _ray(o, b, a, n + 1, r, two_r)  # b, a, x_{-1}, ..., x_{-n}
+    forward = _ray(o, a, b, n, r)
+    backward = _ray(o, b, a, n + 1, r)  # b, a, x_{-1}, ..., x_{-n}
     return list(reversed(backward[2:])) + forward
 
 
@@ -313,8 +327,8 @@ def orientation(o: SphereOracle, origin, x, y) -> Orientation:
     if x == y:
         return Orientation.PARALLEL
     num, den = q.numerator, q.denominator  # common length = den·dx = num·dy
-    ex = _ray(o, origin, x, den, dx, o.value_scale(2, dx))[den]
-    ey = _ray(o, origin, y, num, dy, o.value_scale(2, dy))[num]
+    ex = _ray(o, origin, x, den, dx)[den]
+    ey = _ray(o, origin, y, num, dy)[num]
     return Orientation.PARALLEL if ex == ey else Orientation.ANTIPARALLEL
 
 
@@ -326,16 +340,8 @@ def segment_construct(o: SphereOracle, x, y, r):
     q = o.value_ratio(r, dxy)
     if q is None:
         raise ValueError("radius must be a rational multiple of dist(x,y)")
-    members = o.sphere(y, r)
-    if not members:
-        raise NoSuchRadius(y, r)
     expected = o.value_scale(1 + q, dxy)
-    hits = [m for m in members if o.dist(x, m) == expected]
-    if len(hits) > 1:
-        raise AmbiguityViolation(f"both members of sphere({y!r}) are additive")
-    if not hits:
-        raise SphereDeficiency(y, r)
-    return hits[0]
+    return _the_member(o, y, r, lambda m: o.dist(x, m) == expected)
 
 
 def split_segment(o: SphereOracle, x, z, a, b):
@@ -353,15 +359,7 @@ def split_segment(o: SphereOracle, x, z, a, b):
     qb = o.value_ratio(b, dxz)
     if qa is None or qb is None or qa + qb != 1:
         raise ValueError("need a + b = dist(x,z) with rational ratios")
-    members = o.sphere(x, a)
-    if not members:
-        raise NoSuchRadius(x, a)
-    hits = [m for m in members if o.dist(m, z) == b]
-    if len(hits) > 1:
-        raise AmbiguityViolation("both sphere members split the segment")
-    if not hits:
-        raise SphereDeficiency(x, a)
-    return hits[0]
+    return _the_member(o, x, a, lambda m: o.dist(m, z) == b)
 
 
 def _oriented_point(o: SphereOracle, x, ref, r, sense: Orientation):
@@ -392,13 +390,8 @@ def _oriented_point(o: SphereOracle, x, ref, r, sense: Orientation):
         if rest:
             return rest[0]
         raise SphereDeficiency(x, r)
-    oriented = [m for m in members
-                if m != x and orientation(o, x, m, ref) is sense]
-    if len(oriented) > 1:
-        raise AmbiguityViolation(f"two {sense.value} members at {x!r}")
-    if not oriented:
-        raise SphereDeficiency(x, r)
-    return oriented[0]
+    return _the_member(o, x, r,
+                       lambda m: orientation(o, x, m, ref) is sense)
 
 
 def directed_point(o: SphereOracle, x, y, r):
@@ -464,10 +457,8 @@ def hypersphere_map(o: SphereOracle, a, b, window, denom_bound: int = 64,
             if v < 0 or not N.member(v):
                 continue
             try:
-                if u == 0:
-                    x = a
-                else:
-                    x = directed_point(o, a, b, o.value_scale(u, r))
+                x = a if u == 0 else directed_point(o, a, b,
+                                                    o.value_scale(u, r))
                 if v == 0:
                     point = x
                 elif u == 0:

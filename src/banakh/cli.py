@@ -30,7 +30,7 @@ from .banakh_space import (AmbiguityViolation, BanakhLawViolation,
                            embed_in_real_line, gps_locate, discrete_line,
                            orientation, segment_construct, verify_fragment)
 from .graph_metric import (ExtensionExhausted, ExtensionPolicy, GraphMetric,
-                           build_mu, extend_to_full)
+                           build_mu, extend_to_full, validate_pseudometric)
 from .monoid_algebra import (CLOSURES, MonoidDesc, MonoidMembershipError,
                              ddot_set, dzik_reduce, is_floppy, is_half_group)
 from .serialize import (FormatError, buildspec_from_json,
@@ -187,7 +187,13 @@ def cmd_extend(args):
     try:
         result = extend_to_full(g, ExtensionPolicy(seed=args.seed,
                                                    max_backtracks=args.budget))
-    except ExtensionExhausted as exc:
+    except (ExtensionExhausted, RuntimeError) as exc:
+        # no completion exists when an edge is longer than a path: blame it
+        ok, edge = validate_pseudometric(g)
+        if not ok:
+            raise ValueError(f"edge {edge} is longer than a path") from exc
+        if not isinstance(exc, ExtensionExhausted):
+            raise
         return {"error": "extension-exhausted", "pair": list(exc.pair),
                 "backtracks": exc.backtracks}, 1
     return {"graph": graph_to_json(result.full),

@@ -456,8 +456,14 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     :meth:`MetricFragment.triangle_failures`.  On a full positive table it
     fails exactly when :func:`validate_pseudometric` does (see there), so
     that path check runs only to name the witness edge of a failure.
+    Above ``ENUMERATION_CAP`` pairs (about 447 vertices) it raises
+    :class:`~banakh.values.InputTooLarge` before building anything.
     """
     verts = list(g.vertices)
+    pairs = len(verts) * (len(verts) - 1) // 2
+    if pairs > ENUMERATION_CAP:
+        raise InputTooLarge(f"the completion would hold {pairs} pairs, "
+                            f"above the cap of {ENUMERATION_CAP}")
     missing = [p for p in combinations(verts, 2) if p not in g.edges]
 
     used_primes = set()

@@ -25,7 +25,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import floor, gcd, lcm
+from math import ceil, floor, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .values import InputTooLarge, is_prime, rat
@@ -573,9 +573,12 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
     """Check whether S intersected with (1/p)M lies inside M.
 
     S is the nonnegative integers ("Z_plus") or the difference set
-    ("M_minus_M").  Verdicts for fingen/groupcone are complete: candidate
-    counterexamples repeat periodically beyond the conductor, so a bounded
-    scan decides.
+    ("M_minus_M").  Verdicts for fingen/groupcone are complete.  Past the
+    conductor, s and p*s are members exactly when they are multiples of the
+    gcd, that is when the scaled step g divides s*scale and p*s*scale; for
+    an integer s both depend only on s mod g, so the Z_plus scan stops one
+    period past the conductor.  An explicit ``bound`` cuts that scan and
+    answers "inconclusive" when it stops short of the period.
     """
     _require_prime(p)
     if domain not in ("Z_plus", "M_minus_M"):
@@ -589,29 +592,22 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
         _assert_counterexample(monoid, p, domain, witness)
         return DivisibilityWitness("counterexample", witness)
 
+    sg = monoid._semigroup
+    complete = True
     if domain == "M_minus_M":
+        # the nonnegative multiples of the gcd below the conductor: p*s
+        # is no member for s < 0, and s is one from the conductor on
         step = monoid._step()
-        sg = monoid._semigroup
-        for k in range(sg.reduced_conductor):
-            s = k * step
-            if monoid.member(p * s) and not monoid.member(s):
-                return DivisibilityWitness("counterexample", s)
-        return DivisibilityWitness("divisible")
-
-    # domain Z_plus: integer candidates; beyond the conductor membership of
-    # s and p*s depends only on s modulo the scaled step, so one extra
-    # period suffices for completeness
-    conductor = monoid.conductor()
-    period = monoid._semigroup.step
-    top = int(conductor) + p * period + 2
-    if bound is not None:
-        top = min(top, int(rat(bound)))
-        complete = rat(bound) >= int(conductor) + p * period + 2
+        candidates = (k * step for k in range(sg.reduced_conductor))
     else:
-        complete = True
-    for s in range(top + 1):
+        last = ceil(monoid.conductor()) + sg.step - 1
+        if bound is not None:
+            complete = rat(bound) >= last
+            last = min(last, floor(rat(bound)))
+        candidates = (Fraction(s) for s in range(last + 1))
+    for s in candidates:
         if monoid.member(p * s) and not monoid.member(s):
-            return DivisibilityWitness("counterexample", Fraction(s))
+            return DivisibilityWitness("counterexample", s)
     return DivisibilityWitness("divisible" if complete else "inconclusive")
 
 

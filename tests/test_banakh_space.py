@@ -249,6 +249,67 @@ def test_zr_sphere_map_is_isometric():
         assert Z.dist(mapping[i], mapping[j]) == SurdValue(2 * abs(i - j))
 
 
+# -- the one sphere-member rule -----------------------------------------------------
+
+
+class PointsOracle(SphereOracle):
+    """Named points on a line.  Two names may share a coordinate, which
+    breaks the two-point law on purpose, and hidden points have distances
+    but lie in no sphere."""
+
+    def __init__(self, coords, hidden=()):
+        self.coords = {name: Fraction(c) for name, c in coords.items()}
+        self.hidden = set(hidden)
+
+    def dist(self, x, y):
+        return SurdValue(abs(self.coords[x] - self.coords[y]))
+
+    def sphere(self, c, r):
+        return tuple(p for p in sorted(self.coords) if p != c
+                     and p not in self.hidden and self.dist(c, p) == r)
+
+
+_LINE_STEP = (discrete_line, "a", "b", 1)
+_EXTEND = (segment_construct, "a", "b", SurdValue(1))
+_SPLIT = (split_segment, "a", "c", SurdValue(1), SurdValue(1))
+_DIRECT = (directed_point, "a", "b", SurdValue(1))
+
+
+@pytest.mark.parametrize("construct, coords, hidden, outcome, center", [
+    # discrete_line picks from sphere(a, 1) the member 2 away from b
+    (_LINE_STEP, {"a": 0, "b": 1}, {"b"}, NoSuchRadius, "a"),
+    (_LINE_STEP, {"a": 0, "b": 1}, (), SphereDeficiency, "a"),
+    (_LINE_STEP, {"a": 0, "b": 1, "u": -1, "v": -1}, {"b"},
+     AmbiguityViolation, "a"),
+    # segment_construct picks from sphere(b, 1) the member 2 away from a
+    (_EXTEND, {"a": 0, "b": 1}, {"a"}, NoSuchRadius, "b"),
+    (_EXTEND, {"a": 0, "b": 1}, (), SphereDeficiency, "b"),
+    (_EXTEND, {"a": 0, "b": 1, "u": 2, "v": 2}, {"a"},
+     AmbiguityViolation, "b"),
+    # split_segment picks from sphere(a, 1) the member 1 away from c
+    (_SPLIT, {"a": 0, "c": 2}, (), NoSuchRadius, "a"),
+    (_SPLIT, {"a": 0, "c": 2, "w": -1}, (), SphereDeficiency, "a"),
+    (_SPLIT, {"a": 0, "c": 2, "u": 1, "v": 1}, (), AmbiguityViolation, "a"),
+    # directed_point picks from sphere(a, 1) the member on the ray to b;
+    # the ray from a through w reaches w2, not b
+    (_DIRECT, {"a": 0, "b": 2}, (), NoSuchRadius, "a"),
+    (_DIRECT, {"a": 0, "b": 2, "w": -1, "w2": -2}, (), SphereDeficiency, "a"),
+    (_DIRECT, {"a": 0, "b": 2, "u": 1, "v": 1}, (), AmbiguityViolation, "a"),
+], ids=[f"{name}-{kind}" for name in ("line", "segment", "split", "directed")
+        for kind in ("empty", "none-kept", "both-kept")])
+def test_constructions_share_the_sphere_member_rule(construct, coords, hidden,
+                                                    outcome, center):
+    fn, *args = construct
+    with pytest.raises(RuntimeError) as exc:
+        fn(PointsOracle(coords, hidden), *args)
+    assert type(exc.value) is outcome
+    if outcome is AmbiguityViolation:
+        assert f"sphere({center!r}" in str(exc.value)
+        assert "'u'" in str(exc.value) and "'v'" in str(exc.value)
+    else:
+        assert exc.value.center == center
+
+
 # -- hypersphere parametrization ----------------------------------------------------
 
 

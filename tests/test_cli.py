@@ -1,13 +1,17 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import banakh
 from banakh.cli import main
@@ -808,3 +812,193 @@ def test_installed_script_matches_library(tmp_path):
     proc = subprocess.run([str(script), *argv], capture_output=True,
                           text=True, env=env)
     assert (proc.returncode, proc.stdout) == (1, lib.stdout), proc.stderr
+
+
+# -- bad input graphs and caps on extend -------------------------------------------
+
+
+# a-c is 5 while the path a-b-c is 2: no completion can be a metric
+LONG_EDGE = {"vertices": ["a", "b", "c"],
+             "edges": [["a", "b", "1"], ["b", "c", "1"], ["a", "c", "5"]]}
+# the same graph with a pendant d: completion stalls at the pair (a, d)
+LONG_EDGE_PENDANT = {"vertices": ["a", "b", "c", "d"],
+                     "edges": LONG_EDGE["edges"] + [["c", "d", "1"]]}
+
+
+@pytest.mark.parametrize("graph", [LONG_EDGE, LONG_EDGE_PENDANT],
+                         ids=["full", "pendant"])
+def test_extend_blames_an_edge_longer_than_a_path(capsys, tmp_path, graph):
+    path = tmp_path / "graph.json"
+    path.write_text(json.dumps(graph))
+    code, out, err = run(capsys, "extend", str(path), "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("bad input:") and err.count("\n") == 1
+    assert "edge ('a', 'c') is longer than a path" in err
+
+
+def test_extend_above_the_pair_cap_is_bad_input(capsys, tmp_path):
+    # 448 vertices make 100,128 pairs, just above ENUMERATION_CAP
+    names = [f"v{k}" for k in range(448)]
+    path = tmp_path / "path.json"
+    path.write_text(json.dumps({"vertices": names,
+                                "edges": [[u, v, "1"] for u, v
+                                          in zip(names, names[1:])]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "extend", str(path), "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("bad input:")
+    assert "100128 pairs" in err
+
+
+# -- fuzzing main() ----------------------------------------------------------------
+
+
+EXIT_2_PREFIXES = ("format error:", "malformed JSON:", "io error:",
+                   "spec rejected:", "bad input:", "verdict inconclusive:")
+
+_HUGE = str(10 ** 40)
+_RATS = st.sampled_from(["0", "1", "2", "3", "-1", "1/2", "3/7", "1/0", "x",
+                         "", _HUGE, "-" + _HUGE, "1/" + _HUGE])
+_INTS = st.one_of(st.integers(-3, 9),
+                  st.sampled_from([2 ** 31 - 1, 2 ** 32 + 15, 10 ** 40,
+                                   -10 ** 40])).map(str)
+_RAT_LISTS = st.lists(_RATS, min_size=1, max_size=3).map(",".join)
+_POINTS = st.sampled_from(["a", "b", "c", "p+0", "p+1", "p-2", "p+3", "zz"])
+_FRAGMENTS = st.sampled_from(["{line}", "{short}", "{triangle}", "{doc}",
+                              "{missing}"])
+_ELEMENTS = st.sampled_from(["{x}", "{y}", "{doc}", "{missing}"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | _RATS | _POINTS
+    | st.sampled_from([[], {}]),
+    lambda children: (
+        st.lists(children, min_size=1, max_size=3)
+        | st.dictionaries(st.sampled_from(
+            ["points", "dist", "vertices", "edges", "coeffs", "rat", "surds",
+             "radii", "r", "monoid", "variant", "generators", "stages",
+             "window", "fragment", "certificate", "seed", "0", "2"]),
+            children, min_size=1, max_size=3)),
+    max_leaves=8)
+
+
+def _flag(name, values):
+    return values.map(lambda v: [f"--{name}={v}"])
+
+
+def _optional(strategy):
+    return st.one_of(st.just([]), strategy)
+
+
+_MONOID_FLAGS = st.one_of(
+    _flag("gens", _RAT_LISTS), _flag("cone", _RAT_LISTS),
+    _flag("monoid", st.sampled_from(["dyadic", "omega-minus-1", "nope"])),
+    st.just([]), st.just(["--gens=1", "--cone=1"]))
+
+
+def _command(name, *parts):
+    return st.tuples(*parts).map(
+        lambda drawn: [name] + [arg for part in drawn for arg in part])
+
+
+def _one(values):
+    return values.map(lambda v: [v])
+
+
+_ARGV = st.one_of(
+    _command("verify", _one(_FRAGMENTS)),
+    _command("embed", _one(_FRAGMENTS)),
+    _command("halfgroup", _MONOID_FLAGS, _optional(_flag("bound", _RATS))),
+    _command("floppy", _MONOID_FLAGS),
+    _command("ddot", _MONOID_FLAGS, _flag("window", _RATS),
+             _optional(_flag("denom-bound", _INTS))),
+    _command("dzik", _flag("a", _INTS), _flag("b", _INTS), _flag("p", _INTS),
+             _MONOID_FLAGS),
+    _command("mu", _MONOID_FLAGS, _flag("r", _RATS), _flag("window", _RATS),
+             _optional(st.just(["--dot"]))),
+    _command("extend", _one(st.sampled_from(["{cycle}", "{pinched}", "{doc}",
+                                             "{missing}"])),
+             _flag("seed", _INTS),
+             _optional(_flag("budget", st.integers(-1, 3).map(str)))),
+    _command("line", _one(_FRAGMENTS), _flag("a", _POINTS),
+             _flag("b", _POINTS), _INTS.map(lambda n: [f"-n={n}"])),
+    _command("gps", _one(_FRAGMENTS), _flag("a", _POINTS),
+             _flag("ra", _RATS), _flag("b", _POINTS), _flag("rb", _RATS)),
+    _command("orient", _one(_FRAGMENTS), _flag("origin", _POINTS),
+             _flag("x", _POINTS), _flag("y", _POINTS)),
+    _command("segment", _one(_FRAGMENTS), _flag("x", _POINTS),
+             _flag("y", _POINTS), _flag("r", _RATS)),
+    _command("group",
+             _one(st.sampled_from(["dist", "sphere", "normeq", "hnorm",
+                                   "solve"])),
+             st.lists(_ELEMENTS, max_size=2),
+             _optional(_flag("lattice", st.sampled_from(["H", "L"]))),
+             _optional(_flag("coeffs", st.lists(_RATS, min_size=5, max_size=6)
+                             .map(",".join)))),
+    _command("build", _flag("spec", st.sampled_from(["{spec}", "{doc}",
+                                                     "{missing}"])),
+             _flag("seed", _INTS)),
+    _command("certify",
+             _one(st.sampled_from(["{built}", "{doc}", "{missing}"])),
+             _one(st.sampled_from(["{spec}", "{doc}"]))),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    """Input files for the fuzzed commands, by placeholder name; ``doc``
+    is rewritten with each drawn JSON document."""
+    root = tmp_path_factory.mktemp("fuzz")
+
+    def write(name, obj):
+        path = root / f"{name}.json"
+        path.write_text(dumps(obj))
+        return str(path)
+
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "stages": 1, "window": "2"}
+    fragment, cert = build(buildspec_from_json(spec, seed=1))
+    line = line_fragment({f"p{k:+d}": k for k in range(-3, 4)})
+    return {
+        "line": write("line", fragment_to_json(line)),
+        "short": write("short", {"points": ["a", "b", "c"],
+                                 "dist": [["a", "b", "1"], ["b", "c", "2"],
+                                          ["a", "c", "3"]]}),
+        "triangle": write("triangle", {"points": LONG_EDGE["vertices"],
+                                       "dist": LONG_EDGE["edges"]}),
+        "cycle": write("cycle", {"vertices": ["a", "b", "c", "d"],
+                                 "edges": [["a", "b", "1"], ["b", "c", "1"],
+                                           ["c", "d", "1"], ["a", "d", "1"]]}),
+        "pinched": write("pinched", {"vertices": ["a", "b", "c", "d"],
+                                     "edges": [["a", "b", "1"],
+                                               ["a", "d", "4"],
+                                               ["b", "c", "1"],
+                                               ["c", "d", "2"]]}),
+        "spec": write("spec", spec),
+        "built": write("built", {"fragment": fragment_to_json(fragment),
+                                 "certificate": certificate_to_json(cert)}),
+        **{name: write(name, {"coeffs": {str(a): str(c) for a, c
+                                         in GROUP_ELEMENTS[name].items()}})
+           for name in ("x", "y")},
+        "doc": str(root / "doc.json"),
+        "missing": str(root / "missing.json"),
+    }
+
+
+@given(argv=_ARGV, doc=_JSON)
+@example(argv=["extend", "{doc}", "--seed=1"], doc=LONG_EDGE)
+@example(argv=["extend", "{doc}", "--seed=1"], doc=LONG_EDGE_PENDANT)
+@settings(max_examples=300, deadline=None)
+def test_main_ends_in_an_exit_code_on_any_input(fuzz_files, argv, doc):
+    # every command ends in 0, 1 or 2; exit 2 writes one diagnostic line
+    Path(fuzz_files["doc"]).write_text(json.dumps(doc))
+    argv = [arg.format(**fuzz_files) for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), argv
+    if code == 2:
+        assert out.getvalue() == "" and err.count("\n") == 1, (argv, err)
+        assert err.startswith(EXIT_2_PREFIXES), (argv, err)
+    else:
+        assert err == "" and out.getvalue(), argv

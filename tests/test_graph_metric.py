@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.values import SurdValue, ZERO, primes_from
+from banakh.values import InputTooLarge, SurdValue, ZERO, primes_from
 from banakh.monoid_algebra import MonoidDesc, is_floppy
 import banakh.banakh_space
 import banakh.graph_metric
@@ -792,3 +793,13 @@ def test_floppy_union_condition_violations():
     with pytest.raises(ValueError, match="full"):
         floppy_union(GraphMetric(["x", "y", "z"],
                                  {("x", "y"): 1, ("y", "z"): 1}), [])
+
+
+def test_extend_to_full_refuses_a_completion_above_the_pair_cap():
+    # 448 vertices make 100,128 pairs, just above ENUMERATION_CAP; the
+    # refusal comes before the table is built
+    g = path_graph([SurdValue(1)] * 447)
+    start = time.perf_counter()
+    with pytest.raises(InputTooLarge, match="100128 pairs"):
+        extend_to_full(g, ExtensionPolicy(seed=1))
+    assert time.perf_counter() - start < 1.0

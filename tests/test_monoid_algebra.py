@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 from math import gcd
 
@@ -277,6 +278,37 @@ def test_divisibility_verdicts_hold_by_brute_scan(gens, p, domain):
         assert m.member(p * s) and not m.member(s)
 
 
+@given(rational_gens, st.sampled_from([2, 3, 5, 7, 11]),
+       st.integers(min_value=-2, max_value=60))
+@settings(max_examples=200, deadline=None)
+def test_z_plus_divisibility_matches_a_scan_far_past_one_period(gens, p,
+                                                                bound):
+    # the scan stops one period past the conductor; a brute scan out to
+    # conductor + 3*p*step + 50 finds the same smallest witness, or none
+    m = MonoidDesc.fingen(gens)
+    far = int(m.conductor() + 3 * p * _rational_gcd(gens)) + 50
+    brute = next((Fraction(s) for s in range(far + 1)
+                  if m.member(p * s) and not m.member(s)), None)
+    witness = is_p_divisible_in(m, p, "Z_plus")
+    assert witness.element == brute
+    assert witness.kind == ("divisible" if brute is None else "counterexample")
+    bounded = is_p_divisible_in(m, p, "Z_plus", bound)
+    if brute is not None and brute <= bound:
+        assert bounded == witness
+    else:
+        assert bounded.kind in ("divisible", "inconclusive")
+        assert bounded.kind == "inconclusive" or brute is None
+
+
+@pytest.mark.parametrize("p", [1_000_003, 2 ** 31 - 1])
+def test_z_plus_divisibility_for_a_large_prime_is_fast(p):
+    # the scan is one period long whatever p is
+    start = time.perf_counter()
+    assert is_p_divisible_in(MonoidDesc.fingen([2]), p, "Z_plus").kind == \
+        "divisible"
+    assert time.perf_counter() - start < 1.0
+
+
 def test_divisibility_known_cases():
     # 2Z+: the difference set only holds even numbers, so divisibility in
     # M-M is automatic; in Z_plus the odd s with 2s in M break it
@@ -285,6 +317,10 @@ def test_divisibility_known_cases():
     assert is_p_divisible_in(even, 2).kind == "divisible"
     w = is_p_divisible_in(even, 2, "Z_plus")
     assert w.kind == "counterexample" and w.element % 2 == 1
+    # that witness, 1, ends the period past the conductor 0: a bound must
+    # reach it before the answer is complete
+    assert is_p_divisible_in(even, 2, "Z_plus", 0).kind == "inconclusive"
+    assert is_p_divisible_in(even, 2, "Z_plus", 1) == w
     # Z+ is divisible everywhere
     zplus = MonoidDesc.fingen([1])
     for p in (2, 3, 5):
