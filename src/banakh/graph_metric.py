@@ -19,7 +19,10 @@ certificates.
 Every graph answers ``hat`` and ``check`` from one all-pairs table,
 :class:`_DistanceTable`, built on first use from the class's one hook,
 ``_hat_row``: shortest paths for a plain graph, the closed difference
-formula for :class:`MuGraph` and :class:`ScaledMu`.  A full table is a
+formula for :class:`MuGraph` and :class:`ScaledMu`.  Shortest paths,
+the table's updates and its ``check`` all compare certified double
+enclosures first and exact values only where those cannot decide, under
+the one error bound derived in :class:`_DistanceTable`.  A full table is a
 :class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
 :mod:`banakh.banakh_space` reads its geometry from.
 """
@@ -139,24 +142,52 @@ class GraphMetric:
         return self.distances_from(x)[y]
 
     def distances_from(self, x: str) -> dict:
+        """The exact shortest-path value from x to every vertex.
+
+        A float-filtered, label-correcting Dijkstra: each reached vertex
+        keeps its exact value and its ``_enclosure``, and the heap is keyed
+        on the lower ends.  A relaxation of the edge (u, v) = w is skipped
+        when lo(u) + lo(w) - tol > hi(v), which proves d(u) + w > d(v);
+        every other one is decided on the exact values (:func:`_exceeds`,
+        which builds no sum for rational values).  The lower ends can
+        misorder values closer than their enclosures, so a vertex is pushed
+        again whenever its value improves and expanded again with the new
+        value (a pop whose value was already expanded is stale and skipped).
+        Every value is the length of a path, and at the end no edge can
+        shorten one, so the result is exact whatever the pop order.
+        ``tol`` follows :class:`_DistanceTable`'s rule, with B the largest
+        |end| of the edges relaxed and of the values reached so far, since a
+        path sum can exceed every edge (see the error derivation there).
+        """
         if x not in self.adj:
             raise KeyError(f"unknown vertex {x!r}")
-        dist = {x: ZERO}
-        done = set()
-        heap = [(ZERO, x)]
+        best = {x: (ZERO, 0.0, 0.0)}        # value, lower end, upper end
+        expanded = {}
+        bound, tol = 0.0, math.inf
+        heap = [(0.0, x)]
         while heap:
-            d, u = heapq.heappop(heap)
-            if u in done:
+            _, u = heapq.heappop(heap)
+            d_u, lo_u, _ = best[u]
+            if expanded.get(u) is d_u:
                 continue
-            done.add(u)
+            expanded[u] = d_u
             for v, w in self.adj[u]:
-                if v in done:
+                w_lo, w_hi = _enclosure(w)
+                m = max(abs(w_lo), abs(w_hi))
+                if m > bound:
+                    bound, tol = m, _tol(m)
+                old = best.get(v)
+                if old is not None and (lo_u + w_lo - tol > old[2]
+                                        or not _exceeds(old[0], d_u, w)):
                     continue
-                cand = d + w
-                if v not in dist or cand < dist[v]:
-                    dist[v] = cand
-                    heapq.heappush(heap, (cand, v))
-        return dist
+                cand = d_u + w
+                c_lo, c_hi = _enclosure(cand)
+                m = max(abs(c_lo), abs(c_hi))
+                if m > bound:
+                    bound, tol = m, _tol(m)
+                best[v] = (cand, c_lo, c_hi)
+                heapq.heappush(heap, (c_lo, v))
+        return {v: value for v, (value, _, _) in best.items()}
 
     def _hat_row(self, x: str) -> dict:
         """hat(x, y) for every vertex y: the shortest-path values."""
@@ -276,10 +307,10 @@ class MuGraph(GraphMetric):
             raise ValueError("monoid has no nonzero elements in the window")
         self.unit_of = {format_rat(t * self.r): t for t in units}
         edges = {}
-        for ta, tb in combinations(units, 2):
-            if monoid.member(abs(ta - tb)):
-                edges[(format_rat(ta * self.r), format_rat(tb * self.r))] = \
-                    SurdValue(abs(ta - tb) * self.r)
+        for (a, ta), (b, tb) in combinations(self.unit_of.items(), 2):
+            delta = abs(ta - tb)
+            if monoid.member(delta):
+                edges[(a, b)] = SurdValue._raw(delta * self.r, {})
         super().__init__(self.unit_of, edges)
         self._hat_units_cache = {}
 
@@ -448,8 +479,9 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     across ``add_edge`` because entries only shrink and edges are only
     added.
 
-    The table starts from the path values of ``g`` itself, not from
-    ``g.hat``: a difference graph's closed formula is the value on the
+    The table is built only when a pair is missing.  It starts from the
+    path values of ``g`` itself (:meth:`GraphMetric.distances_from`), not
+    from ``g.hat``: a difference graph's closed formula is the value on the
     infinite graph and can fall below the windowed path near the window
     edge.  The result is a :class:`MetricFragment`, validated by the scan
     that :func:`banakh.banakh_space.verify_fragment` also uses,
@@ -465,7 +497,26 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
         raise InputTooLarge(f"the completion would hold {pairs} pairs, "
                             f"above the cap of {ENUMERATION_CAP}")
     missing = [p for p in combinations(verts, 2) if p not in g.edges]
+    assignments, intervals, backtracks = \
+        _assign(g, verts, missing, policy) if missing else ({}, {}, 0)
 
+    full_edges = dict(g.edges)
+    full_edges.update(assignments)
+    full = MetricFragment(verts, full_edges)
+    if full.triangle_failures():
+        # name the first edge that is not its shortest path, as the path
+        # check does on any graph
+        _, bad = validate_pseudometric(full)
+        raise RuntimeError(f"completed graph failed validation at {bad}")
+    return ExtensionResult(full=full, assignments=assignments,
+                           intervals=intervals, backtracks=backtracks)
+
+
+def _assign(g: GraphMetric, verts: list, missing: list,
+            policy: ExtensionPolicy):
+    """The values of the ``missing`` pairs of ``g``, in the order and with
+    the backtracking of :func:`extend_to_full`: (assignments, intervals,
+    backtracks)."""
     used_primes = set()
     for w in g.edges.values():
         used_primes |= w.primes()
@@ -510,17 +561,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
         for u, v in order:
             table.add_edge(index[u], index[v], assignments[(u, v)])
         idx = missing.index(dropped)
-
-    full_edges = dict(g.edges)
-    full_edges.update(assignments)
-    full = MetricFragment(verts, full_edges)
-    if full.triangle_failures():
-        # name the first edge that is not its shortest path, as the path
-        # check does on any graph
-        _, bad = validate_pseudometric(full)
-        raise RuntimeError(f"completed graph failed validation at {bad}")
-    return ExtensionResult(full=full, assignments=assignments,
-                           intervals=intervals, backtracks=backtracks)
+    return assignments, intervals, backtracks
 
 
 def _enclosure(value: SurdValue) -> tuple[float, float]:
@@ -530,6 +571,12 @@ def _enclosure(value: SurdValue) -> tuple[float, float]:
     (-inf, inf)."""
     mid, err = value._float_interval()
     return mid - err, mid + err
+
+
+def _tol(bound: float) -> float:
+    """The filters' margin for ends of magnitude at most ``bound`` (see
+    _DistanceTable)."""
+    return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 else math.inf
 
 
 def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
@@ -587,7 +634,10 @@ class _DistanceTable:
       sum, so they are off by less; check compares two such sums, one
       after subtracting ``tol`` (3u*B): off by < 19u*B; triangle_failures
       compares one end with the sum of two less ``tol``: three ends and
-      two roundings of 2u*B each, off by < 7u*B;
+      two roundings of 2u*B each, off by < 7u*B, and so does
+      ``GraphMetric.distances_from``, whose B is the largest |end| of the
+      edges relaxed and of the path values reached so far (a path sum can
+      exceed every edge, so the edges alone do not bound it);
     * the column holds check's per-edge sums after their first rounding:
       col_lo[q] is the largest w_lo - hi(x,p) and col_hi[q] at least the
       largest w_hi - lo(x,p) over the edges (q, p) = w.  The second
@@ -627,7 +677,8 @@ class _DistanceTable:
             for i, j, w, _, _ in self.edges:
                 self.set(i, j, w)
             return
-        for i, x in enumerate(verts):
+        # the last row sets no entry
+        for i, x in enumerate(verts[:-1]):
             from_x = row(x)
             for j in range(i + 1, n):
                 self.set(i, j, from_x[verts[j]])
@@ -649,9 +700,7 @@ class _DistanceTable:
     def _widen(self, lo: float, hi: float) -> None:
         m = max(abs(lo), abs(hi))
         if m > self.bound:
-            self.bound = m
-            self.tol = m * 2.0 ** -48 if 2.0 ** -900 < m < 2.0 ** 900 \
-                else math.inf
+            self.bound, self.tol = m, _tol(m)
 
     def set(self, i: int, j: int, value: SurdValue) -> None:
         lo, hi = _enclosure(value)

@@ -180,10 +180,11 @@ def build(spec: BuildSpec):
         if uw < 1:
             raise SpecRejected(
                 f"window {spec.window} cannot host a single step of radius {cls.r}")
-        # copies carry double slack so every glued sphere member fits and
-        # shortest paths inside the copy match the closed hat formula
-        tmpl = MuGraph(cls.monoid, 1, 2 * uw, spec.denom_bound)
-        templates.append((tmpl, frozenset(tmpl.unit_of.values())))
+        if spec.stages > 1:
+            # copies carry double slack so every glued sphere member fits
+            # and shortest paths inside the copy match the closed hat formula
+            tmpl = MuGraph(cls.monoid, 1, 2 * uw, spec.denom_bound)
+            templates.append((tmpl, frozenset(tmpl.unit_of.values())))
 
     if not classes:
         fragment = MetricFragment(["a0"], {})

@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -19,7 +19,7 @@ from banakh.graph_metric import (GraphMetric, MuGraph, ScaledMu, build_mu,
                                  ExtensionExhausted, ExtensionResult,
                                  floppy_union, ConditionViolation,
                                  MetricFragment, _DistanceTable,
-                                 _default_sample)
+                                 _default_sample, _enclosure)
 
 
 OMEGA1 = MonoidDesc.closure("omega-minus-1")
@@ -400,8 +400,9 @@ def test_extension_guards_against_rogue_samplers():
 def reference_extend_to_full(g, policy):
     """extend_to_full as a plain exact computation over a dict of vertex
     pairs: every comparison and sum on SurdValues, the relaxation in place,
-    the check maximum over every live edge.  Same sampler, prime source and
-    backtracking as the library."""
+    the check maximum over every live edge, the shortest paths and the final
+    validation by the oracle's linear-minimum Dijkstra.  Same sampler,
+    prime source and backtracking as the library."""
     verts = list(g.vertices)
     missing = [p for p in itertools.combinations(verts, 2)
                if p not in g.edges]
@@ -452,9 +453,13 @@ def reference_extend_to_full(g, policy):
     edges = dict(g.edges)
     edges.update(assignments)
     full = GraphMetric(verts, edges)
-    ok, bad = validate_pseudometric(full)
-    if not ok:
-        raise RuntimeError(f"completed graph failed validation at {bad}")
+    # the first edge, in the library's order, that is not its shortest path
+    for x in full.vertices:
+        paths = oracles.dijkstra(full.vertices, full.edges, x)
+        for v, w in full.adj[x]:
+            if paths[v] != w:
+                raise RuntimeError(
+                    f"completed graph failed validation at {(x, v)}")
     return ExtensionResult(full=full, assignments=assignments,
                            intervals=intervals, backtracks=backtracks)
 
@@ -462,7 +467,7 @@ def reference_extend_to_full(g, policy):
 def _all_pairs(g):
     dist = {}
     for x in g.vertices:
-        from_x = GraphMetric.distances_from(g, x)
+        from_x = oracles.dijkstra(g.vertices, g.edges, x)
         for y, d in from_x.items():
             if x < y:
                 dist[(x, y)] = d
@@ -588,6 +593,89 @@ def weighted_graphs(draw):
         if (u, v) not in edges and draw(st.booleans()):
             edges[(u, v)] = draw(weights)
     return GraphMetric(verts, edges)
+
+
+@st.composite
+def nudged_graphs(draw):
+    """Connected graphs on 3-7 points of a line, each edge the distance of
+    its ends (or a drawn one, for a repeated point) plus a NUDGES entry, so
+    that paths tie exactly or differ in the last bits."""
+    n = draw(st.integers(min_value=3, max_value=7))
+    verts = [f"v{i}" for i in range(n)]
+    coords = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    pairs = [(i, i + 1) for i in range(n - 1)] + [
+        p for p in itertools.combinations(range(n), 2)
+        if p[1] > p[0] + 1 and draw(st.booleans())]
+    edges = {}
+    for i, j in pairs:
+        base = abs(coords[i] - coords[j]) or draw(st.integers(1, 12))
+        edges[(verts[i], verts[j])] = \
+            SurdValue(base) + draw(st.sampled_from(NUDGES))
+    return GraphMetric(verts, edges)
+
+
+# u reaches v by 1 + 1, TINY below the edge (s, v): with ends one ulp the
+# wrong way, only the margin keeps that relaxation from being skipped
+LAST_BITS_SHORTCUT = GraphMetric(
+    ["s", "u", "v"], {("s", "u"): SurdValue(1), ("u", "v"): SurdValue(1),
+                      ("s", "v"): SurdValue(2 + TINY)})
+
+
+# from s, v is reached at 10 and lowered to 2 before it is expanded, and w
+# is expanded at 5 before v lowers it to 3: each lowered vertex must be
+# queued again, or x keeps 6 for 4
+LOWERED_TWICE = GraphMetric(
+    ["s", "a", "v", "w", "x"],
+    {("s", "v"): SurdValue(10), ("s", "a"): SurdValue(1),
+     ("a", "v"): SurdValue(1), ("v", "w"): SurdValue(1),
+     ("s", "w"): SurdValue(5), ("w", "x"): SurdValue(1)})
+
+
+@pytest.mark.parametrize("ends", [_enclosure, off_by_an_ulp],
+                         ids=["certified", "off-by-an-ulp"])
+@given(st.one_of(weighted_graphs(), nudged_graphs()))
+@example(LAST_BITS_SHORTCUT)
+@example(LOWERED_TWICE)
+@settings(max_examples=100, deadline=None)
+def test_distances_from_matches_the_oracle(ends, g):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(banakh.graph_metric, "_enclosure", ends)
+        for x in g.vertices:
+            assert g.distances_from(x) == \
+                oracles.dijkstra(g.vertices, g.edges, x), x
+
+
+def test_distances_from_beyond_the_double_range():
+    # every end is infinite, and so is tol: each relaxation is exact, and
+    # the heap pops by name alone, b (reached at 3H) before z.  b must be
+    # improved to 2H after it was expanded, and expanded again for c
+    h = SurdValue(HUGE)
+    g = GraphMetric(["a", "b", "c", "z"],
+                    {("a", "z"): h, ("z", "b"): h, ("a", "b"): h * 3,
+                     ("b", "c"): h})
+    got = g.distances_from("a")
+    assert got == {"a": ZERO, "z": h, "b": h * 2, "c": h * 3}
+    assert got == oracles.dijkstra(g.vertices, g.edges, "a")
+
+
+def test_completion_seeds_from_every_vertex_but_the_last(monkeypatch):
+    calls = []
+    paths = GraphMetric.distances_from
+
+    def counted(g, x):
+        calls.append(x)
+        return paths(g, x)
+
+    monkeypatch.setattr(GraphMetric, "distances_from", counted)
+    # every difference of Z_plus is a member: the window is a full graph,
+    # and nothing reads a seed table
+    line = build_mu(MonoidDesc.fingen([1]), 1, 4)
+    assert line.is_full()
+    assert extend_to_full(line, ExtensionPolicy(seed=0)).assignments == {}
+    assert calls == []
+    # one missing pair: the last row sets no entry
+    extend_to_full(path_graph([1, 1]), ExtensionPolicy(seed=0))
+    assert calls == ["v0", "v1"]
 
 
 @given(weighted_graphs(), families, st.integers(0, 10 ** 6),

@@ -60,6 +60,23 @@ def test_spec_rejects_window_below_one_step():
         build(zp_spec(window=Fraction(1, 2)))
 
 
+def test_only_a_staged_build_makes_copy_templates(monkeypatch):
+    made = []
+
+    class Counted(space_builder.MuGraph):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(space_builder, "MuGraph", Counted)
+    radii = (RadiusClass(SurdValue(1), ZP), RadiusClass(SQRT2, ZP))
+    build(BuildSpec(radii=radii, stages=1, window=Fraction(2), seed=5))
+    assert len(made) == 1       # the base of stage 0
+    made.clear()
+    build(BuildSpec(radii=radii, stages=2, window=Fraction(2), seed=5))
+    assert len(made) == 3       # and one template per class
+
+
 def test_canonical_classes_dedupes_rescalings():
     spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
                             RadiusClass(SurdValue(2),
