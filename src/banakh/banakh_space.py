@@ -203,7 +203,7 @@ class ZLineOracle(SphereOracle):
     """The integers with |x − y|: the canonical one-dimensional example."""
 
     def dist(self, x, y):
-        return SurdValue(abs(x - y))
+        return SurdValue.of(abs(x - y))
 
     def sphere(self, c, r):
         if not r.is_rational():

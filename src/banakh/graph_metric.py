@@ -42,7 +42,7 @@ from typing import Callable, Optional
 
 from .monoid_algebra import ENUMERATION_CAP, MonoidDesc
 from .values import (InputTooLarge, SurdValue, ZERO, primes_from, rat,
-                     rational_between, format_rat)
+                     _between, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -310,7 +310,7 @@ class MuGraph(GraphMetric):
         for (a, ta), (b, tb) in combinations(self.unit_of.items(), 2):
             delta = abs(ta - tb)
             if monoid.member(delta):
-                edges[(a, b)] = SurdValue._raw(delta * self.r, {})
+                edges[(a, b)] = SurdValue.of(delta * self.r)
         super().__init__(self.unit_of, edges)
         self._hat_units_cache = {}
 
@@ -325,7 +325,7 @@ class MuGraph(GraphMetric):
 
     def _hat_row(self, x: str) -> dict:
         tx = self.unit_of[x]
-        return {y: SurdValue(self._hat_units(self.unit_of[y] - tx) * self.r)
+        return {y: SurdValue.of(self._hat_units(self.unit_of[y] - tx) * self.r)
                 for y in self.vertices}
 
 
@@ -366,7 +366,22 @@ class ScaledMu(GraphMetric):
 
 def validate_pseudometric(g: GraphMetric):
     """True iff every edge value equals the shortest-path value (path
-    semantics, also for difference graphs).  Returns (verdict, witness)."""
+    semantics, also for difference graphs).  Returns (verdict, witness).
+
+    A full graph is decided by the triangle scan of its edges
+    (:meth:`MetricFragment.triangle_failures`, which proves the two checks
+    equivalent on a full graph of positive values); the per-vertex path
+    search runs only on a graph that is not full, or to name the witness
+    of a failed scan."""
+    if (g.is_full()
+            and not _DistanceTable(g.vertices, g.edges).triangle_failures()):
+        return True, None
+    return _path_witness(g)
+
+
+def _path_witness(g: GraphMetric):
+    """(False, the first edge that is not its shortest path), or
+    (True, None) if there is none."""
     for x in g.vertices:
         dist = GraphMetric.distances_from(g, x)
         for v, w in g.adj[x]:
@@ -441,15 +456,15 @@ def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
                     prime: int) -> SurdValue:
     """c + eps*sqrt(prime) strictly inside (lo, hi), c random inside the
     certified rational core of the interval."""
-    core_lo = rational_between(lo, hi)
-    core_hi = rational_between(SurdValue(core_lo), hi)
+    core_lo = _between(lo, hi)
+    core_hi = _between(core_lo, hi)
     # a seeded rational in [core_lo, core_hi]
     c = core_lo + (core_hi - core_lo) * Fraction(rng.randrange(0, 256), 256)
-    gap = min(SurdValue(c) - lo, hi - SurdValue(c))
+    gap = min(c - lo, hi - c)
     # half a rational below gap, over an integer above sqrt(prime): so
     # eps*sqrt(prime) < gap/2
-    eps = rational_between(ZERO, gap) / (isqrt(prime) + 1)
-    return SurdValue(c, {prime: eps})
+    eps = _between(ZERO, gap) / (isqrt(prime) + 1)
+    return c + SurdValue._raw(1, 0, ((prime, 1),)) * eps
 
 
 def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
@@ -485,9 +500,9 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     infinite graph and can fall below the windowed path near the window
     edge.  The result is a :class:`MetricFragment`, validated by the scan
     that :func:`banakh.banakh_space.verify_fragment` also uses,
-    :meth:`MetricFragment.triangle_failures`.  On a full positive table it
-    fails exactly when :func:`validate_pseudometric` does (see there), so
-    that path check runs only to name the witness edge of a failure.
+    :meth:`MetricFragment.triangle_failures`, through the one call
+    :func:`validate_pseudometric`, whose per-vertex path search runs only
+    to name the witness edge of a failure.
     Above ``ENUMERATION_CAP`` pairs (about 447 vertices) it raises
     :class:`~banakh.values.InputTooLarge` before building anything.
     """
@@ -503,10 +518,8 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     full_edges = dict(g.edges)
     full_edges.update(assignments)
     full = MetricFragment(verts, full_edges)
-    if full.triangle_failures():
-        # name the first edge that is not its shortest path, as the path
-        # check does on any graph
-        _, bad = validate_pseudometric(full)
+    ok, bad = validate_pseudometric(full)
+    if not ok:
         raise RuntimeError(f"completed graph failed validation at {bad}")
     return ExtensionResult(full=full, assignments=assignments,
                            intervals=intervals, backtracks=backtracks)
@@ -580,11 +593,14 @@ def _tol(bound: float) -> float:
 
 
 def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
-    """c > a + b, exactly; on the rational parts when all three are
-    rational."""
-    if c.surd_coeffs or a.surd_coeffs or b.surd_coeffs:
+    """c > a + b, exactly; when all three are rational, on their ints by
+    cross-multiplying over the positive denominators, building no sum."""
+    if c._surds or a._surds or b._surds:
         return a + b < c
-    return c.rational_part > a.rational_part + b.rational_part
+    da, db, dc = a._den, b._den, c._den
+    if da == db == dc:
+        return c._num > a._num + b._num
+    return c._num * da * db > (a._num * db + b._num * da) * dc
 
 
 class _DistanceTable:

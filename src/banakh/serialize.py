@@ -16,7 +16,7 @@ from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
 from .monoid_algebra import CLOSURES, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
-from .values import InputTooLarge, SurdValue, format_rat
+from .values import InputTooLarge, SurdValue, format_rat, format_ratio
 
 __all__ = [
     "dumps",
@@ -54,21 +54,34 @@ def _rat_from(obj) -> Fraction:
 
 
 def value_to_json(v: SurdValue):
-    if v.is_rational():
-        return format_rat(v.as_rational())
-    return {"rat": format_rat(v.rational_part),
-            "surds": {str(p): format_rat(v.coefficient(p))
-                      for p in sorted(v.primes())}}
+    den = v._den
+    rational = format_ratio(v._num, den)
+    if not v._surds:
+        return rational
+    return {"rat": rational,
+            "surds": {str(p): format_ratio(c, den) for p, c in v._surds}}
+
+
+def _index_from(key) -> int:
+    """A JSON object key that is the canonical decimal form of an int (no
+    sign but "-", no padding, no leading zero), as an int."""
+    try:
+        n = int(key) if isinstance(key, str) else None
+    except ValueError:
+        n = None
+    if n is None or str(n) != key:
+        raise FormatError(f"not a canonical index: {key!r}")
+    return n
 
 
 def value_from_json(obj) -> SurdValue:
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return SurdValue(_rat_from(obj))
+        return SurdValue.of(_rat_from(obj))
     if isinstance(obj, dict):
         surds = obj.get("surds", {})
         if not isinstance(surds, dict):
             raise FormatError(f"surds must be an object: {surds!r}")
-        coeffs = {key: _rat_from(c) for key, c in surds.items()}
+        coeffs = {_index_from(key): _rat_from(c) for key, c in surds.items()}
         rational = _rat_from(obj.get("rat", 0))
         try:
             return SurdValue(rational, coeffs)
@@ -169,7 +182,8 @@ def element_from_json(obj) -> GroupElement:
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
         raise FormatError(f"not a group element: {obj!r}")
     try:
-        coeffs = {int(a): _rat_from(c) for a, c in obj["coeffs"].items()}
+        coeffs = {_index_from(a): _rat_from(c)
+                  for a, c in obj["coeffs"].items()}
     except (TypeError, ValueError) as exc:
         raise FormatError(f"not a group element: {exc}") from exc
     if any(a < 0 for a in coeffs):

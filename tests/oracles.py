@@ -59,6 +59,92 @@ def surd_ratio(a, b):
     return q if a == b * q else None
 
 
+# A surd value q0 + sum c*sqrt(p) as a pair (q0, {p: c}) of Fractions with
+# no zero coefficient, so that equal values are equal pairs.
+
+
+def surd(rational=0, coeffs=None) -> tuple:
+    return (Fraction(rational),
+            {p: Fraction(c) for p, c in (coeffs or {}).items() if c != 0})
+
+
+def surd_of(v) -> tuple:
+    """The pair of a SurdValue, read through its Fraction views."""
+    return (v.rational_part, dict(v.surd_coeffs))
+
+
+def surd_add(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    coeffs = dict(a[1])
+    for p, c in b[1].items():
+        coeffs[p] = coeffs.get(p, Fraction(0)) + sign * c
+    return surd(a[0] + sign * b[0], coeffs)
+
+
+def surd_scale(a: tuple, q) -> tuple:
+    return surd(a[0] * q, {p: c * q for p, c in a[1].items()})
+
+
+def root_floor(n: int) -> int:
+    """floor(sqrt(n)) by bisection."""
+    lo, hi = 0, n + 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid * mid <= n:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def surd_brackets(a: tuple, scale: int) -> tuple:
+    """lo <= a <= hi from each sqrt(p) in [r, r + 1] / 2**scale, where
+    r = floor(sqrt(p) * 2**scale), summed term by term in Fractions."""
+    lo = hi = a[0]
+    for p, c in a[1].items():
+        r = root_floor(p * 4 ** scale)
+        ends = (c * Fraction(r, 2 ** scale), c * Fraction(r + 1, 2 ** scale))
+        lo += min(ends)
+        hi += max(ends)
+    return lo, hi
+
+
+def surd_sign(a: tuple) -> int:
+    """Refine the brackets until they exclude zero (a formally nonzero
+    value over distinct primes is nonzero)."""
+    if not a[1]:
+        return (a[0] > 0) - (a[0] < 0)
+    scale = 8
+    while True:
+        lo, hi = surd_brackets(a, scale)
+        if lo > 0:
+            return 1
+        if hi < 0:
+            return -1
+        scale *= 2
+
+
+def surd_between(lo: tuple, hi: tuple) -> Fraction:
+    """The midpoint of the first gap, at scales 8, 16, 32, ..., between
+    lo's upper and hi's lower bracket."""
+    scale = 8
+    while True:
+        above = surd_brackets(lo, scale)[1]
+        below = surd_brackets(hi, scale)[0]
+        if above < below:
+            return (above + below) / 2
+        scale *= 2
+
+
+def surd_ratio_ref(a: tuple, b: tuple):
+    """The q with a == q*b, or None; both zero gives 1.  Tries the one
+    candidate quotient of a nonzero coordinate of b."""
+    if b == surd():
+        return Fraction(1) if a == surd() else None
+    p = min(b[1]) if b[0] == 0 else None
+    q = a[0] / b[0] if p is None else a[1].get(p, Fraction(0)) / b[1][p]
+    return q if surd_scale(b, q) == a else None
+
+
 # -- monoid closures ---------------------------------------------------------
 
 

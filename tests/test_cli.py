@@ -691,6 +691,17 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+def test_a_padded_surd_key_is_a_format_error(capsys, tmp_path):
+    # "02" once read as a second sqrt(2) coefficient and verified
+    value = {"rat": "1", "surds": {"2": "1", "02": "1"}}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"points": ["a", "b"],
+                                "dist": [["a", "b", value]]}))
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 2 and out == "" and err.startswith("format error")
+    assert "'02'" in err
+
+
 @pytest.mark.parametrize("bad", ["x", None, []], ids=["string", "null", "list"])
 @pytest.mark.parametrize("task", ["verify", "gps", "certify", "group-dist"])
 def test_a_malformed_surds_or_coeffs_object_is_a_format_error(

@@ -308,13 +308,31 @@ def test_triangle_filter_margin_covers_rounded_ends(monkeypatch):
 
 
 def test_completion_is_validated_without_the_path_check(monkeypatch):
-    def refuse(g):
-        raise AssertionError("validate_pseudometric ran on a valid completion")
+    # extend_to_full validates through validate_pseudometric, whose
+    # per-vertex path search runs only to name the witness of a failure
+    calls = []
 
-    monkeypatch.setattr(banakh.graph_metric, "validate_pseudometric", refuse)
+    def refuse(g):
+        raise AssertionError("the path search ran on a valid completion")
+
+    monkeypatch.setattr(banakh.graph_metric, "_path_witness", refuse)
+    validate = banakh.graph_metric.validate_pseudometric
+    monkeypatch.setattr(banakh.graph_metric, "validate_pseudometric",
+                        lambda g: calls.append(g) or validate(g))
     result = extend_to_full(build_mu(MonoidDesc.fingen([2, 3]), 1, 6),
                             ExtensionPolicy(seed=3))
+    assert calls == [result.full]
     assert result.full.triangle_failures() == []
+
+
+def test_validate_pseudometric_names_the_witness_of_a_full_graph():
+    # a failed scan falls back to the path search for the witness, the
+    # first edge (in vertex order) that is not its shortest path
+    bad = MetricFragment(["a", "b", "c", "d"],
+                         {("a", "b"): 1, ("b", "c"): 1, ("a", "c"): 5,
+                          ("a", "d"): 1, ("b", "d"): 1, ("c", "d"): 1})
+    assert validate_pseudometric(bad) == (False, ("a", "c"))
+    assert validate_pseudometric(bad) == banakh.graph_metric._path_witness(bad)
 
 
 # -- generic completion ---------------------------------------------------------

@@ -65,6 +65,23 @@ def test_value_rejects_floats_bools_and_nonprimes():
         value_from_json([1, 2])
 
 
+@pytest.mark.parametrize("surds", [
+    {"2": "1", "02": "1"}, {"02": "1"}, {" 3": "1"}, {"+5": "1"},
+    {"3 ": "1"}, {"2.0": "1"}, {"1_3": "1"}, {"x": "1"}, {"": "1"},
+])
+def test_value_takes_only_canonical_surd_keys(surds):
+    # "02" would read as 2 and "2" and "02" as one coefficient
+    with pytest.raises(FormatError, match="canonical"):
+        value_from_json({"rat": "0", "surds": surds})
+
+
+def test_element_takes_only_canonical_keys():
+    for key in ("01", " 1", "+1", "1.0"):
+        with pytest.raises(FormatError, match="canonical"):
+            element_from_json({"coeffs": {key: "2"}})
+    assert element_from_json({"coeffs": {"10": "2"}}) == GroupElement({10: 2})
+
+
 # -- monoids -----------------------------------------------------------------------
 
 

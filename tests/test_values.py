@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from banakh.graph_metric import _default_sample, _exceeds
 from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
                            format_rat, is_prime, primes_from, rational_between,
                            sqrt_brackets)
@@ -322,3 +324,170 @@ def test_primality_is_capped_above_two_to_the_32():
     with pytest.raises(InputTooLarge):
         SurdValue(0, {100000000000000000039: 1})
     assert issubclass(InputTooLarge, ValueError)
+
+
+# -- the int representation against the {prime: Fraction} reference -------
+
+
+# small, large and power-of-two denominators, so that sums meet mixed ones
+mixed_rationals = st.one_of(
+    rationals,
+    st.builds(Fraction, st.integers(-10 ** 40, 10 ** 40),
+              st.integers(1, 10 ** 40)),
+    st.builds(lambda n, k: Fraction(n, 2 ** k),
+              st.integers(-2 ** 80, 2 ** 80), st.integers(0, 200)),
+)
+
+
+@st.composite
+def value_pairs(draw):
+    """Two values with their references: b is free, a's negation, a plus a
+    tiny rational or surd, or a rational multiple of a."""
+    q = draw(mixed_rationals)
+    cs = draw(st.dictionaries(st.sampled_from(SMALL_PRIMES), mixed_rationals,
+                              max_size=3))
+    a, ra = SurdValue(q, cs), oracles.surd(q, cs)
+    how = draw(st.sampled_from(["free", "negated", "nudged", "multiple"]))
+    if how == "free":
+        q2 = draw(mixed_rationals)
+        cs2 = draw(st.dictionaries(st.sampled_from(SMALL_PRIMES),
+                                   mixed_rationals, max_size=3))
+        return a, ra, SurdValue(q2, cs2), oracles.surd(q2, cs2)
+    if how == "negated":
+        return a, ra, -a, oracles.surd_scale(ra, -1)
+    if how == "nudged":
+        tiny = Fraction(draw(st.sampled_from([1, -1])), 10 ** 30)
+        p = draw(st.sampled_from([None] + SMALL_PRIMES))
+        nudge = {} if p is None else {p: tiny}
+        r = 0 if p is not None else tiny
+        return (a, ra, a + SurdValue(r, nudge),
+                oracles.surd_add(ra, oracles.surd(r, nudge)))
+    k = draw(mixed_rationals)
+    return a, ra, a * k, oracles.surd_scale(ra, k)
+
+
+@given(value_pairs(), mixed_rationals)
+@settings(max_examples=200, deadline=None)
+def test_arithmetic_matches_the_reference(pair, k):
+    a, ra, b, rb = pair
+    assert oracles.surd_of(a) == ra and oracles.surd_of(b) == rb
+    assert oracles.surd_of(a + b) == oracles.surd_add(ra, rb)
+    assert oracles.surd_of(a - b) == oracles.surd_add(ra, rb, -1)
+    assert oracles.surd_of(-a) == oracles.surd_scale(ra, -1)
+    assert oracles.surd_of(a * k) == oracles.surd_scale(ra, k)
+    assert oracles.surd_of(SurdValue(k) * a) == oracles.surd_scale(ra, k)
+    if k:
+        assert oracles.surd_of(a / k) == oracles.surd_scale(ra, 1 / k)
+    assert oracles.surd_of(a + k) == oracles.surd_add(ra, oracles.surd(k))
+
+
+@given(value_pairs())
+@settings(max_examples=200, deadline=None)
+def test_equality_and_hash_agree_with_the_reference(pair):
+    a, ra, b, rb = pair
+    assert (a == b) == (ra == rb)
+    # the same value reached by other roads is the same ints
+    for twin in ((a + b) - b, (b + a) - b, SurdValue(*ra), -(-a)):
+        assert twin == a and hash(twin) == hash(a)
+
+
+@given(value_pairs())
+@settings(max_examples=200, deadline=None)
+def test_order_and_sign_match_the_reference(pair):
+    a, ra, b, rb = pair
+    diff = oracles.surd_sign(oracles.surd_add(ra, rb, -1))
+    assert (a < b, a == b, b < a) == (diff < 0, diff == 0, diff > 0)
+    assert a.sign() == oracles.surd_sign(ra)
+    assert (a - b).sign() == diff
+
+
+@given(value_pairs(), st.sampled_from([1, 8, 16, 64]))
+@settings(max_examples=200, deadline=None)
+def test_brackets_and_rational_between_match_the_reference(pair, scale):
+    a, ra, b, rb = pair
+    assert a.brackets(scale) == oracles.surd_brackets(ra, scale)
+    if a == b:
+        return
+    (lo, rlo), (hi, rhi) = sorted([(a, ra), (b, rb)], key=lambda t: t[0])
+    assert rational_between(lo, hi) == oracles.surd_between(rlo, rhi)
+
+
+@given(value_pairs())
+@settings(max_examples=200, deadline=None)
+def test_ratio_to_and_exceeds_match_the_reference(pair):
+    a, ra, b, rb = pair
+    for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
+        assert x.ratio_to(y) == oracles.surd_ratio_ref(rx, ry)
+    # c > a + b, on all-rational triples as well as surd ones
+    for c, rc in ((a + b, oracles.surd_add(ra, rb)), (b, rb), (a * 3, None)):
+        rc = rc or oracles.surd_scale(ra, 3)
+        for x, rx, y, ry in ((a, ra, b, rb), (a, ra, a, ra)):
+            want = oracles.surd_sign(oracles.surd_add(
+                rc, oracles.surd_add(rx, ry), -1)) > 0
+            assert _exceeds(c, x, y) == want
+
+
+@given(value_pairs())
+@settings(max_examples=200, deadline=None)
+def test_float_interval_encloses_the_exact_value(pair):
+    for v, rv in pair[:2], pair[2:]:
+        mid, err = v._float_interval()
+        if err == math.inf:
+            continue
+        lo, hi = Fraction(mid) - Fraction(err), Fraction(mid) + Fraction(err)
+        if not rv[1]:
+            assert lo <= rv[0] <= hi
+        else:
+            blo, bhi = oracles.surd_brackets(rv, 200)
+            assert lo <= blo and bhi <= hi
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 3), Fraction(-2, 7),
+                               Fraction(10 ** 30 + 1, 3 ** 70),
+                               Fraction(1, 10 ** 400)])
+def test_float_interval_of_a_rational_covers_its_rounding(q):
+    # one division by den, rounded: the radius must count it
+    mid, err = SurdValue(q)._float_interval()
+    assert Fraction(mid) - Fraction(err) <= q <= Fraction(mid) + Fraction(err)
+
+
+def test_arithmetic_and_the_sampler_make_no_validating_calls(monkeypatch):
+    a = SurdValue(Fraction(7, 3), {2: Fraction(1, 5), 3: -1})
+    b = SurdValue(Fraction(-2, 9), {3: Fraction(1, 7), 5: 2})
+    lo, hi = SurdValue(1, {2: Fraction(1, 1000)}), SurdValue(Fraction(3, 2))
+    calls = []
+
+    def count(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    real = SurdValue.__init__
+    monkeypatch.setattr(SurdValue, "__init__", count)
+    values = [a + b, a - b, -a, a * 3, a * Fraction(2, 3), 3 * a, a / 5,
+              a + 1, 1 - a, Fraction(1, 2) + a, abs(b), a * SurdValue.of(2)]
+    assert a != 2 and a < b + 10 and a < 1 and not a < 0 and b.sign() == 1
+    assert (a * 4).ratio_to(a) == 4 and rational_between(a, a + 1) > 0
+    assert a.brackets(8)[0] < a.brackets(8)[1]
+    value = _default_sample(lo, hi, random.Random(1), 7)
+    assert lo < value < hi and len(values) == 12
+    assert calls == []
+
+
+def test_surd_indices_are_ints():
+    # int() once truncated 2.7 to 2, and read "2" and "02" as one index
+    for key in (2.7, 2.0, "2", "02", None):
+        with pytest.raises(TypeError):
+            SurdValue(0, {key: 1})
+    assert SurdValue(0, {True + 1: 1}) == SurdValue.sqrt(2)
+
+
+def test_rational_part_is_read_only():
+    # the hash and the float enclosure are cached before the write
+    x = SurdValue(Fraction(1, 2), {2: 1})
+    h, approx = hash(x), x._float_interval()
+    with pytest.raises(AttributeError):
+        x.rational_part = Fraction(5)
+    with pytest.raises(AttributeError):
+        x.surd_coeffs = {}
+    assert x.rational_part == Fraction(1, 2) and hash(x) == h
+    assert x._float_interval() == approx
