@@ -103,7 +103,7 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
                                    "radius": r, "members": list(members)})
             elif len(members) == 2:
                 u, v = members
-                if f.distance(u, v) != 2 * r:
+                if f.distance(u, v) != r + r:
                     banakh = False
                     violations.append({"kind": "sphere-diameter", "center": c,
                                        "radius": r, "members": list(members)})

@@ -50,9 +50,18 @@ __all__ = ["main"]
 # ---------------------------------------------------------------------------
 
 
+def _unique_keys(pairs) -> dict:
+    """A JSON object; a repeated key is a format error, not its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise FormatError(f"repeated key {max(keys, key=keys.count)!r}")
+    return obj
+
+
 def _load_json(path):
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        return json.load(fh, object_pairs_hook=_unique_keys)
 
 
 def _rat_list(text: str) -> list[Fraction]:
@@ -64,7 +73,7 @@ def _rat_list(text: str) -> list[Fraction]:
 
 def _parse_value(text: str):
     if text.lstrip().startswith("{"):
-        return value_from_json(json.loads(text))
+        text = json.loads(text, object_pairs_hook=_unique_keys)
     return value_from_json(text)
 
 

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import isqrt
+from math import gcd, isqrt
 from operator import sub
 from typing import Callable, Optional
 
@@ -455,16 +455,23 @@ class ExtensionResult:
 def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
                     prime: int) -> SurdValue:
     """c + eps*sqrt(prime) strictly inside (lo, hi), c random inside the
-    certified rational core of the interval."""
-    core_lo = _between(lo, hi)
-    core_hi = _between(core_lo, hi)
-    # a seeded rational in [core_lo, core_hi]
-    c = core_lo + (core_hi - core_lo) * Fraction(rng.randrange(0, 256), 256)
+    certified rational core of the interval.  The rationals are int pairs
+    (num, den); c is a value only for its exact gaps to lo and hi."""
+    a, da = _between(lo, hi)                          # core_lo = a/da
+    b, db = _between(SurdValue._raw(da, a, ()), hi)   # core_hi = b/db
+    # a seeded c = core_lo + (core_hi - core_lo)*k/256 in the core
+    k = rng.randrange(0, 256)
+    c = SurdValue._reduced(da * db << 8,
+                           (a * db << 8) + (b * da - a * db) * k, ())
     gap = min(c - lo, hi - c)
     # half a rational below gap, over an integer above sqrt(prime): so
-    # eps*sqrt(prime) < gap/2
-    eps = _between(ZERO, gap) / (isqrt(prime) + 1)
-    return c + SurdValue._raw(1, 0, ((prime, 1),)) * eps
+    # eps*sqrt(prime) < gap/2 for eps = e/de
+    e, de = _between(ZERO, gap)
+    de *= isqrt(prime) + 1
+    # the sum over the lcm of the denominators, reduced once
+    g = gcd(c._den, de)
+    return SurdValue._reduced(c._den // g * de, c._num * (de // g),
+                              ((prime, e * (c._den // g)),))
 
 
 def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:

@@ -13,8 +13,10 @@ be re-verified without rerunning the build.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .banakh_space import MetricFragment, verify_fragment
 from .graph_metric import (ExtensionExhausted, ExtensionPolicy, MuGraph,
@@ -258,7 +260,7 @@ def build(spec: BuildSpec):
                      lambdas=report.lambdas, new_vertices=new_count,
                      extension_backtracks=backtracks)
 
-    spheres, law_ok = _sphere_ledger(fragment, table, fits)
+    spheres, law_ok = _sphere_ledger(fragment, table)
     # every targeted (point, class, unit) ends with a two-member entry
     growth_ok = targets_seen <= {(e["center"], e["class"], e["unit"])
                                  for e in spheres if e["complete"]}
@@ -330,19 +332,18 @@ def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
     return result.full, result.backtracks
 
 
-def _sphere_ledger(f: MetricFragment, table, fits: dict):
+def _sphere_ledger(f: MetricFragment, table):
     """Nonempty spheres at every windowed class radius of the class table,
-    and the two-point law's verdict on them.  A deficient sphere is recorded
-    (a later stage would complete it); more than two members, or a complete
-    pair at the wrong mutual distance, is a law violation."""
+    read from the sphere index, and the two-point law's verdict on them.  A
+    deficient sphere is recorded (a later stage would complete it); more than
+    two members, or a pair at the wrong mutual distance, violates the law."""
     ledger = []
     ok = True
     for ci, (cls, _, radii) in enumerate(table):
-        windowed = {n: cls.r * n for n in radii}  # unit ↦ radius, made once
+        windowed = [(n, cls.r * n, cls.r * (2 * n)) for n in radii]
         for x in f.points:
-            units = _class_units(f, x, ci, fits)
-            for n, radius in windowed.items():
-                members = list(units.get(n, ()))
+            for n, radius, diameter in windowed:
+                members = list(f.spheres[x].get(radius, ()))
                 if not members:
                     continue
                 entry = {"center": x, "class": ci, "unit": n,
@@ -350,7 +351,7 @@ def _sphere_ledger(f: MetricFragment, table, fits: dict):
                          "complete": len(members) == 2}
                 if len(members) == 2:
                     u, v = members
-                    entry["diameter_ok"] = fits.get(f.distance(u, v)) == (ci, 2 * n)
+                    entry["diameter_ok"] = f.distance(u, v) == diameter
                     ok = ok and entry["diameter_ok"]
                 ok = ok and len(members) <= 2
                 ledger.append(entry)
@@ -360,6 +361,17 @@ def _sphere_ledger(f: MetricFragment, table, fits: dict):
 # ---------------------------------------------------------------------------
 # independent verification
 # ---------------------------------------------------------------------------
+
+
+def _window_closed(units) -> bool:
+    """Is the set of positive rationals ``units`` closed under its sums up to
+    its largest element?  Decided on ints over one common denominator."""
+    den = lcm(*(q.denominator for q in units))
+    ints = sorted(q.numerator * (den // q.denominator) for q in units)
+    have, top = set(ints), ints[-1] if ints else 0
+    # each a with every b >= a whose sum stays at or below the top
+    return all(a + b in have for i, a in enumerate(ints)
+               for b in ints[i:bisect_right(ints, top - a)])
 
 
 def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
@@ -401,20 +413,16 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
     report["realized_subset_ok"] = not stray
     report["stray_distances"] = stray
 
-    class_windows_ok = len(in_class) == len(fits)  # each fit is a member
-    for ci in range(len(classes)):
-        qs = {q for cj, q in fits.values() if cj == ci}
-        top = max(qs, default=Fraction(0))
-        for q1 in qs:
-            for q2 in qs:
-                if q1 + q2 <= top and q1 + q2 not in qs:
-                    class_windows_ok = False
+    class_windows_ok = (len(in_class) == len(fits)  # each fit is a member
+                        and all(_window_closed({q for cj, q in fits.values()
+                                                if cj == ci})
+                                for ci in range(len(classes))))
     report["class_windows_ok"] = class_windows_ok
     report["class_floppy_ok"] = True
 
     table = _class_table(spec, classes)
     report["classes_match_cert"] = cert.classes == _certified_classes(table)
-    ledger, law_ok = _sphere_ledger(fragment, table, fits)
+    ledger, law_ok = _sphere_ledger(fragment, table)
     # 1 == True: the equal ledger's flags must also be bools
     ledger_ok = (law_ok and ledger == cert.spheres
                  and all(type(e["complete"]) is bool

@@ -17,12 +17,13 @@ the value is (_num + sum c*sqrt(p)) / _den.  It is kept in lowest terms
 (the gcd of ``_den``, ``_num`` and every surd numerator is 1; zero is
 ``_den == 1, _num == 0, _surds == ()``).  The form is unique, so equality
 and hashing compare ints.  Arithmetic, order, brackets, the float enclosure
-and the search of ``rational_between`` run on ints; ``Fraction``s are built
-only for the public results of ``brackets`` and ``rational_between`` and for
-the read-only views ``rational_part`` and ``surd_coeffs``.  Only the public
+and the gap search ``_between`` run on ints; ``Fraction``s are built only
+for the public results of ``brackets`` and ``rational_between`` and for the
+read-only views ``rational_part`` and ``surd_coeffs``.  Only the public
 constructor validates its input; arithmetic builds results through
 ``SurdValue._raw``, whose caller guarantees that form.  Besides this module,
-``graph_metric._exceeds`` and ``serialize.value_to_json`` read the fields.
+``graph_metric._exceeds``, ``graph_metric._default_sample`` and
+``serialize.value_to_json`` read the fields.
 """
 
 from __future__ import annotations
@@ -481,23 +482,26 @@ def _coerce(value):
 ZERO = SurdValue._raw(1, 0, ())
 
 
-def _between(lo: SurdValue, hi: SurdValue) -> SurdValue:
-    """A rational value strictly inside the nonempty open interval (lo, hi):
-    the midpoint of the first gap between the upper bracket of lo and the
-    lower bracket of hi, both taken over (lo's den) * (hi's den) << scale."""
-    if not lo < hi:
-        raise ValueError("empty interval")
+def _between(lo: SurdValue, hi: SurdValue) -> tuple[int, int]:
+    """The reduced (num, den) of a rational strictly inside the nonempty
+    open interval (lo, hi): the midpoint of the first gap, at scales 8, 16,
+    32, ..., between the upper bracket of lo and the lower bracket of hi,
+    both over (lo's den) * (hi's den) << scale.  A gap proves lo < hi, so
+    the order is decided exactly only when the first brackets overlap."""
     d_lo, d_hi = lo._den, hi._den
     scale = 8
     while True:
         above_lo = lo._bracket_ints(scale)[1] * d_hi
         below_hi = hi._bracket_ints(scale)[0] * d_lo
         if above_lo < below_hi:
-            return SurdValue._reduced((d_lo * d_hi) << (scale + 1),
-                                      above_lo + below_hi, ())
+            num, den = above_lo + below_hi, (d_lo * d_hi) << (scale + 1)
+            g = gcd(num, den)
+            return num // g, den // g
+        if scale == 8 and not lo < hi:
+            raise ValueError("empty interval")
         scale *= 2
 
 
 def rational_between(lo: SurdValue, hi: SurdValue) -> Fraction:
     """Some rational strictly inside the nonempty open interval (lo, hi)."""
-    return _between(lo, hi).as_rational()
+    return Fraction(*_between(lo, hi))

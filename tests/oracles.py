@@ -135,6 +135,20 @@ def surd_between(lo: tuple, hi: tuple) -> Fraction:
         scale *= 2
 
 
+def surd_sample(lo: tuple, hi: tuple, k: int, prime: int) -> tuple:
+    """The completion sampler's c + eps*sqrt(prime) for the draw k, composed
+    in Fractions: c = core_lo + (core_hi - core_lo)*k/256 between two first
+    gaps, and eps the first gap below min(c - lo, hi - c), ties going to
+    c - lo, over floor(sqrt(prime)) + 1."""
+    core_lo = surd_between(lo, hi)
+    core_hi = surd_between(surd(core_lo), hi)
+    c = core_lo + (core_hi - core_lo) * Fraction(k, 256)
+    below, above = surd_add(surd(c), lo, -1), surd_add(hi, surd(c), -1)
+    gap = above if surd_sign(surd_add(above, below, -1)) < 0 else below
+    eps = surd_between(surd(), gap) / (root_floor(prime) + 1)
+    return surd(c, {prime: eps})
+
+
 def surd_ratio_ref(a: tuple, b: tuple):
     """The q with a == q*b, or None; both zero gives 1.  Tries the one
     candidate quotient of a nonzero coordinate of b."""
@@ -176,6 +190,13 @@ def closure_fractions(gens, bound: Fraction):
                 seen.add(y)
                 frontier.append(y)
     return seen
+
+
+def window_closed(units) -> bool:
+    """Does every sum of two of the rationals ``units`` that is at most
+    their largest lie in ``units``?  Every pair, in Fractions."""
+    top = max(units, default=0)
+    return all(a + b > top or a + b in units for a in units for b in units)
 
 
 def half_group_verdict_ints(gens, bound: int = 4096):

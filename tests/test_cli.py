@@ -702,6 +702,28 @@ def test_a_padded_surd_key_is_a_format_error(capsys, tmp_path):
     assert "'02'" in err
 
 
+@pytest.mark.parametrize("task", ["surds", "points", "gps"])
+def test_a_repeated_key_is_a_format_error(capsys, tmp_path, line_file, task):
+    # {"2": "1", "2": "5"} once read as 5*sqrt(2) and verified, and a second
+    # "points" list replaced the first
+    path = tmp_path / "doc.json"
+    if task == "surds":
+        path.write_text('{"points": ["a", "b"], "dist": [["a", "b", '
+                        '{"rat": "1", "surds": {"2": "1", "2": "5"}}]]}')
+        argv, key = ("verify", str(path)), "'2'"
+    elif task == "points":
+        path.write_text('{"points": ["a", "b", "c"], "points": ["a", "b"], '
+                        '"dist": [["a", "b", "1"]]}')
+        argv, key = ("verify", str(path)), "'points'"
+    else:
+        argv = ("gps", line_file, "--a", "p+0", "--ra",
+                '{"rat": "1", "rat": "2"}', "--b", "p+1", "--rb", "1")
+        key = "'rat'"
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == "" and err.startswith("format error")
+    assert f"repeated key {key}" in err
+
+
 @pytest.mark.parametrize("bad", ["x", None, []], ids=["string", "null", "list"])
 @pytest.mark.parametrize("task", ["verify", "gps", "certify", "group-dist"])
 def test_a_malformed_surds_or_coeffs_object_is_a_format_error(

@@ -6,6 +6,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from banakh import space_builder
@@ -196,8 +198,8 @@ def test_incommensurable_two_class_build():
               stages=1, window=Fraction(7), seed=3),
 ], ids=["two-classes", "three-classes", "omega-minus-1"])
 def test_sphere_ledger_matches_the_per_pair_formula(spec):
-    # the ledger the build reads from its unit fits, against every pair's
-    # own unit ratio
+    # the ledger the build reads from its sphere index, against every
+    # pair's own unit ratio
     frag, cert = build(spec)
     classes = [(cls.r, cls.monoid.member,
                 [n for n in cls.monoid.elements(c["units_window"],
@@ -343,6 +345,40 @@ def test_verifier_catches_class_values_outside_the_monoid():
     report = verify_certificate(frag, spec, cert)
     assert not report["class_windows_ok"] and not report["all_ok"]
     assert report["stray_distances"] == [SurdValue(1)]
+
+
+def monoid_window(gens, drop):
+    """The units of the monoid that gens generate, up to twice the largest
+    generator: closed, unless the unit at index drop is left out."""
+    units = sorted(oracles.closure_fractions(gens, 2 * max(gens)) - {0})
+    del units[drop:drop + 1]
+    return units
+
+
+unit_sets = st.one_of(
+    # mixed denominators, seldom closed
+    st.sets(st.fractions(min_value=Fraction(1, 30), max_value=5,
+                         max_denominator=30), max_size=12),
+    st.builds(monoid_window,
+              st.lists(st.sampled_from([Fraction(1, 2), Fraction(2, 3),
+                                        Fraction(3, 4), Fraction(5, 7),
+                                        Fraction(1), Fraction(6, 5),
+                                        Fraction(9, 4)]),
+                       min_size=1, max_size=3),
+              st.integers(0, 30)),
+)
+
+
+@given(unit_sets)
+@example({Fraction(1, 3), Fraction(1, 2), Fraction(2, 3), Fraction(5, 6),
+          Fraction(1)})
+# 1/3 + 1/3 lies below the top 5/6 and is missing
+@example({Fraction(1, 3), Fraction(1, 2), Fraction(5, 6)})
+@example(set())
+@settings(max_examples=200, deadline=None)
+def test_window_closure_matches_the_fraction_closure(units):
+    units = set(units)
+    assert space_builder._window_closed(units) == oracles.window_closed(units)
 
 
 def test_verifier_catches_edited_sphere_ledger():

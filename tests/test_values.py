@@ -307,6 +307,11 @@ def test_rational_between_lands_strictly_inside():
     mid = rational_between(lo, hi)
     assert (SurdValue(mid) - lo).sign() == 1
     assert (hi - SurdValue(mid)).sign() == 1
+    # an empty interval raises, never searches on: its first brackets meet
+    near = lo + Fraction(1, 10 ** 30)
+    for a, b in ((hi, lo), (lo, lo), (hi, hi), (near, lo)):
+        with pytest.raises(ValueError, match="empty interval"):
+            rational_between(a, b)
 
 
 def test_primes_from_skips_composites():
@@ -410,6 +415,35 @@ def test_brackets_and_rational_between_match_the_reference(pair, scale):
         return
     (lo, rlo), (hi, rhi) = sorted([(a, ra), (b, rb)], key=lambda t: t[0])
     assert rational_between(lo, hi) == oracles.surd_between(rlo, rhi)
+
+
+class OneDraw:
+    """An rng whose one draw, randrange(0, 256), gives k."""
+
+    def __init__(self, k):
+        self.k, self.draws = k, 0
+
+    def randrange(self, start, stop):
+        assert (start, stop) == (0, 256)
+        self.draws += 1
+        return self.k
+
+
+@given(value_pairs(), st.integers(0, 255),
+       st.sampled_from([17, 101, 65537, 4294967291]))
+@settings(max_examples=200, deadline=None)
+def test_sampler_matches_the_fraction_composition(pair, k, prime):
+    # the int sampler against c + eps*sqrt(p) composed in Fractions, on the
+    # same draw: the same value in the same lowest-terms ints
+    a, ra, b, rb = pair
+    if a == b:
+        return
+    (lo, rlo), (hi, rhi) = sorted([(a, ra), (b, rb)], key=lambda t: t[0])
+    rng = OneDraw(k)
+    value = _default_sample(lo, hi, rng, prime)
+    want = oracles.surd_sample(rlo, rhi, k, prime)
+    assert rng.draws == 1 and oracles.surd_of(value) == want
+    assert value == SurdValue(*want) and lo < value < hi
 
 
 @given(value_pairs())
