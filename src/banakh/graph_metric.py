@@ -463,7 +463,7 @@ def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
     k = rng.randrange(0, 256)
     c = SurdValue._reduced(da * db << 8,
                            (a * db << 8) + (b * da - a * db) * k, ())
-    gap = min(c - lo, hi - c)
+    gap = _nearer_gap(c, lo, hi)
     # half a rational below gap, over an integer above sqrt(prime): so
     # eps*sqrt(prime) < gap/2 for eps = e/de
     e, de = _between(ZERO, gap)
@@ -472,6 +472,21 @@ def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
     g = gcd(c._den, de)
     return SurdValue._reduced(c._den // g * de, c._num * (de // g),
                               ((prime, e * (c._den // g)),))
+
+
+def _nearer_gap(c: SurdValue, lo: SurdValue, hi: SurdValue) -> SurdValue:
+    """min(c - lo, hi - c), ties going to c - lo, building only that one
+    difference when the enclosures decide 2c against lo + hi (error bound
+    in _DistanceTable); both, and exactly, only when they cannot."""
+    l_lo, l_hi = _enclosure(lo)
+    h_lo, h_hi = _enclosure(hi)
+    c_lo, c_hi = _enclosure(c)
+    tol = _tol(max(-l_lo, l_hi, -h_lo, h_hi, -c_lo, c_hi))
+    if 2.0 * c_hi - (l_lo + h_lo) < -tol:
+        return c - lo
+    if 2.0 * c_lo - (l_hi + h_hi) > tol:
+        return hi - c
+    return min(c - lo, hi - c)
 
 
 def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
@@ -670,6 +685,11 @@ class _DistanceTable:
       an earlier, larger entry bounds w - d(p,x) at that entry, with a B no
       larger than now, so it is no larger than the current candidate up to
       the same error: the column adds no error term;
+    * the completion sampler (``_nearer_gap``) compares 2c with lo + hi:
+      doubling is exact, so 2c's end misses by 2u*B and the two others by
+      u*B each, and the roundings of their sum (below 2B) and of the
+      difference (below 4B) add 6u*B: off by < 10u*B, and it compares the
+      difference with -tol and tol themselves, with no further rounding;
     * the comparison itself is exact, and rounding to nearest is monotone,
       so the final addition of a test cannot turn a false one true.
 

@@ -17,6 +17,22 @@ generated subgroup of Q is cyclic.  The Apery set (computed by a
 shortest-path search over residues modulo the smallest generator) yields
 the conductor, so membership, half-group and divisibility verdicts below
 are complete, never sampled.
+
+The fingen and groupcone paths run on the reduced semigroup's ints.  With
+g the gcd of the scaled generators, M - M is the multiples k*g/scale of
+g/scale, the gcd of M; x = n/d in lowest terms is one exactly when d*g
+divides n*scale, and then its unit k = n*scale/(d*g) is a member exactly
+when k >= apery[k % m0], for m0 the least reduced generator.  Membership,
+enumeration, the half-group and divisibility scans and ``ddot_set`` loop
+over units and build a ``Fraction`` only for a value they return (and the
+conductor in an inconclusive half-group message).
+
+``ddot_set`` needs no pairwise scan there: a nonzero member that is no
+generator is a sum of two or more generators, and a generator g is a sum
+a + b of two nonzero members exactly when g - h is a member for some
+generator h < g (a holds some generator h <= a, and g - h = (a - h) + b;
+conversely g = h + (g - h)).  So the two-term-indecomposable members are
+the minimal generators, found in O(#gens**2) Apery lookups.
 """
 
 from __future__ import annotations
@@ -25,7 +41,7 @@ import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import ceil, floor, gcd, lcm
+from math import floor, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .values import InputTooLarge, is_prime, rat
@@ -105,22 +121,28 @@ def dzik_reduce(a: int, b: int, p: int,
     if a < 1 or b < 1:
         raise ValueError("dzik_reduce needs positive integers")
     _require_prime(p)
-    check = member if member is not None else (lambda n: True)
-
-    ak, bk = delta_p(a, p), delta_p(b, p)
+    # the loop below is delta_p and div_p on ints already checked
+    while a % p == 0:
+        a //= p
+    while b % p == 0:
+        b //= p
+    ak, bk = a, b
     trace = [(ak, bk)]
-    for v in (ak, bk):
-        if not check(v):
-            raise MonoidMembershipError(v)
+    if member is not None:
+        for v in (ak, bk):
+            if not member(v):
+                raise MonoidMembershipError(v)
     while ak != bk:
-        x, y = min(ak, bk), max(ak, bk)
-        k = div_p(-y, x, p)
-        successor = delta_p(y + k * x, p)
+        x, y = (ak, bk) if ak < bk else (bk, ak)
+        # the k < p with p | y + k*x; both are p-free, so k exists
+        successor = y + (-y * pow(x, -1, p)) % p * x
+        while successor % p == 0:
+            successor //= p
         if x + successor >= ak + bk:
             raise RuntimeError("reduction sums failed to decrease")
         ak, bk = x, successor
         trace.append((ak, bk))
-        if not check(successor):
+        if member is not None and not member(successor):
             raise MonoidMembershipError(successor)
     return DzikResult(value=ak, trace=tuple(trace))
 
@@ -152,32 +174,36 @@ class MonoidTooLarge(InputTooLarge):
 
 
 class _Semigroup:
-    """Integer numerical semigroup <gens> with complete membership."""
+    """Integer numerical semigroup <gens> with complete membership.
+
+    Its elements are the multiples k*step whose unit k passes the Apery
+    test k >= apery[k % m0], in the reduced semigroup <gens / step>."""
 
     def __init__(self, gens: tuple[int, ...]):
         self.step = gcd(*gens)
         reduced = tuple(sorted({g // self.step for g in gens}))
         self.reduced = reduced
         self.apery = _apery_set(reduced)
-        m0 = reduced[0]
+        self.m0 = m0 = reduced[0]
         # conductor of the reduced semigroup: least c with c + Z+ inside it
         self.reduced_conductor = 0 if m0 == 1 else max(self.apery) - m0 + 1
 
+    def has(self, k: int) -> bool:
+        """Is the unit k in the reduced semigroup?  Never for k < 0: every
+        Apery entry is >= 0."""
+        return k >= self.apery[k % self.m0]
+
     def member(self, n: int) -> bool:
-        if n < 0 or n % self.step:
-            return False
-        m = n // self.step
-        return m >= self.apery[m % self.reduced[0]]
+        return n % self.step == 0 and self.has(n // self.step)
 
     def conductor(self) -> int:
         """Least integer c >= 0 with every multiple of the step >= c inside."""
         return self.reduced_conductor * self.step
 
     def smallest_gap(self) -> Optional[int]:
-        for m in range(self.reduced_conductor):
-            if m < self.apery[m % self.reduced[0]]:
-                return m * self.step
-        return None
+        """The least unit k >= 0 outside the reduced semigroup, or None."""
+        return next((k for k in range(self.reduced_conductor)
+                     if not self.has(k)), None)
 
 
 def _apery_set(reduced_gens: tuple[int, ...]) -> list[int]:
@@ -437,8 +463,8 @@ class MonoidDesc:
             return self._closure.member(x)
         if self.is_zero_monoid():
             return x == 0
-        scaled = x * self.scale
-        return scaled.denominator == 1 and self._semigroup.member(scaled.numerator)
+        k = self._unit(x)
+        return k is not None and self._semigroup.has(k)
 
     def diff_member(self, x) -> bool:
         """Membership in the difference set M - M."""
@@ -447,17 +473,32 @@ class MonoidDesc:
             return self._closure.diff_member(x)
         if self.is_zero_monoid():
             return x == 0
-        return (x / self._step()).denominator == 1
+        return self._unit(x) is not None
 
-    def _step(self) -> Fraction:
-        """The gcd of M: M - M is exactly its integer multiples."""
-        return Fraction(self._semigroup.step, self.scale)
+    def _unit(self, x: Fraction) -> Optional[int]:
+        """The int k with x = k * gcd(M), or None when x is not in M - M,
+        the multiples of gcd(M) = step/scale."""
+        k, rest = divmod(x.numerator * self.scale,
+                         x.denominator * self._semigroup.step)
+        return None if rest else k
+
+    def _value(self, k: int) -> Fraction:
+        """The multiple k * gcd(M)."""
+        return Fraction(k * self._semigroup.step, self.scale)
+
+    def _top_unit(self, window: Fraction) -> int:
+        """The largest k with k * gcd(M) <= window; InputTooLarge when the
+        units 0 to k are more than ENUMERATION_CAP."""
+        top = (window.numerator * self.scale
+               // (window.denominator * self._semigroup.step))
+        _check_enumeration(top + 1)
+        return top
 
     def conductor(self) -> Optional[Fraction]:
         """Least c with every multiple of the gcd above c a member; None if n/a."""
         if self._semigroup is None:
             return None
-        return Fraction(self._semigroup.conductor(), self.scale)
+        return self._value(self._semigroup.reduced_conductor)
 
     # -- infima -------------------------------------------------------------
 
@@ -475,13 +516,12 @@ class MonoidDesc:
         if self.is_zero_monoid() or not self.diff_member(d):
             return None
         sg = self._semigroup
-        n = int(d * self.scale) // sg.step  # reduced units
+        n = self._unit(d)
         start = max(0, -n)
         limit = sg.reduced_conductor + start + 1
         for v in range(start, limit + 1):
-            if (sg.apery[v % sg.reduced[0]] <= v
-                    and sg.apery[(v + n) % sg.reduced[0]] <= v + n):
-                return Fraction(v * sg.step, self.scale)
+            if sg.has(v) and sg.has(v + n):
+                return self._value(v)
         return None
 
     # -- enumeration ----------------------------------------------------------
@@ -504,10 +544,9 @@ class MonoidDesc:
         if self._closure:
             return sorted(self._closure_grid(window, denom_bound, 0,
                                              self.member))
-        step = self._step()
-        top = floor(window / step)
-        _check_enumeration(top + 1)
-        return [k * step for k in range(top + 1) if self.member(k * step)]
+        has = self._semigroup.has
+        return [self._value(k) for k in range(self._top_unit(window) + 1)
+                if has(k)]
 
     def diff_elements(self, window, denom_bound: int = 64) -> list[Fraction]:
         """Sorted members of M - M in [-window, window]."""
@@ -517,7 +556,7 @@ class MonoidDesc:
         if self._closure:
             half = self._closure_grid(window, denom_bound, 1, self.diff_member)
             return sorted(half | {-x for x in half} | {Fraction(0)})
-        step = self._step()
+        step = self._value(1)
         top = int(window / step)
         _check_enumeration(2 * top + 1)
         return [k * step for k in range(-top, top + 1)]
@@ -553,19 +592,17 @@ def is_half_group(monoid: MonoidDesc, bound=None):
         return True, None
     if monoid.variant == "closure":
         return CLOSURES[monoid.closure_id].half_group
+    if bound is not None:
+        conductor = monoid.conductor()
+        if rat(bound) < conductor:
+            return None, f"bound below conductor {conductor}"
     sg = monoid._semigroup
-    conductor = monoid.conductor()
-    if bound is not None and rat(bound) < conductor:
-        return None, f"bound below conductor {conductor}"
     gap = sg.smallest_gap()
     if gap is None:
         return True, None
-    gap_q = Fraction(gap, monoid.scale)
-    step = monoid._step()
     # the least positive member a with a + gap a member; the conductor is one
-    a = next(k * step for k in count(1)
-             if monoid.member(k * step) and monoid.member(k * step + gap_q))
-    return False, (a, a + gap_q)
+    a = next(k for k in count(1) if sg.has(k) and sg.has(k + gap))
+    return False, (monoid._value(a), monoid._value(a + gap))
 
 
 def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
@@ -593,21 +630,26 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
         return DivisibilityWitness("counterexample", witness)
 
     sg = monoid._semigroup
-    complete = True
     if domain == "M_minus_M":
-        # the nonnegative multiples of the gcd below the conductor: p*s
-        # is no member for s < 0, and s is one from the conductor on
-        step = monoid._step()
-        candidates = (k * step for k in range(sg.reduced_conductor))
-    else:
-        last = ceil(monoid.conductor()) + sg.step - 1
-        if bound is not None:
-            complete = rat(bound) >= last
-            last = min(last, floor(rat(bound)))
-        candidates = (Fraction(s) for s in range(last + 1))
-    for s in candidates:
-        if monoid.member(p * s) and not monoid.member(s):
-            return DivisibilityWitness("counterexample", s)
+        # the units k of the nonnegative multiples of the gcd below the
+        # conductor: p*s is no member for s < 0, and s is one from the
+        # conductor on
+        has = sg.has
+        k = next((k for k in range(sg.reduced_conductor)
+                  if has(p * k) and not has(k)), None)
+        if k is None:
+            return DivisibilityWitness("divisible")
+        return DivisibilityWitness("counterexample", monoid._value(k))
+    complete = True
+    scale, member = monoid.scale, sg.member
+    # one period g past the conductor, which is rounded up
+    last = -(-sg.conductor() // scale) + sg.step - 1
+    if bound is not None:
+        complete = rat(bound) >= last
+        last = min(last, floor(rat(bound)))
+    for s in range(last + 1):
+        if member(p * s * scale) and not member(s * scale):
+            return DivisibilityWitness("counterexample", Fraction(s))
     return DivisibilityWitness("divisible" if complete else "inconclusive")
 
 
@@ -638,17 +680,22 @@ def ddot_set(monoid: MonoidDesc, window, denom_bound: int = 64) -> list[Fraction
     """Members r <= window that are not sums of two nonzero members.
 
     For a rational monoid the rational-multiples restriction in the defining
-    condition is vacuous, so this is plain two-term indecomposability.
+    condition is vacuous, so this is plain two-term indecomposability.  For
+    fingen and groupcone these are the minimal generators up to the window
+    (see the module docstring); closures scan their denominator grid.
     """
     window = rat(window)
-    if monoid.variant == "closure" and CLOSURES[monoid.closure_id].ddot_empty:
+    if monoid.is_zero_monoid():
         return []
-    members = monoid.elements(window, denom_bound)
-    member_set = set(members)
-    out = []
-    for r in members:
-        if r == 0:
-            continue
-        if not any(0 < x < r and (r - x) in member_set for x in members):
-            out.append(r)
-    return out
+    if monoid.variant == "closure":
+        if CLOSURES[monoid.closure_id].ddot_empty:
+            return []
+        members = monoid.elements(window, denom_bound)
+        member_set = set(members)
+        return [r for r in members if r != 0 and not any(
+            0 < x < r and (r - x) in member_set for x in members)]
+    sg = monoid._semigroup
+    top = monoid._top_unit(window)
+    gens = sg.reduced
+    return [monoid._value(g) for g in gens if g <= top
+            and not any(sg.has(g - h) for h in gens if h < g)]

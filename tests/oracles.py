@@ -6,8 +6,8 @@ shares no code with src/.  When a test disagrees, trust the oracle.
 """
 
 from fractions import Fraction
-from itertools import combinations, product
-from math import gcd
+from itertools import combinations, count, product
+from math import ceil, floor, gcd, lcm
 
 
 # -- integer arithmetic ------------------------------------------------------
@@ -227,6 +227,98 @@ def two_term_sums(elements):
     """All x + y with x, y nonzero elements of the input collection."""
     nz = [e for e in elements if e != 0]
     return {x + y for x in nz for y in nz}
+
+
+class FractionMonoid:
+    """A fingen or groupcone monoid of positive rational generators as a
+    Fraction membership test: its step (the gcd of the generators, a
+    Fraction) and a dense table of the step multiples k*step in it, grown
+    by dynamic programming until a run of (least reduced generator)
+    consecutive members shows the conductor."""
+
+    def __init__(self, variant: str, gens):
+        self.variant = variant
+        self.gens = sorted({Fraction(g) for g in gens})
+        if not self.gens:
+            return
+        # the scaled step g of src/'s numerical semigroup, for the Z_plus
+        # scan length
+        self.scale = lcm(*(q.denominator for q in self.gens))
+        scaled = [int(q * self.scale) for q in self.gens]
+        self.scaled_step = gcd(*scaled)
+        self.step = Fraction(self.scaled_step, self.scale)
+        units = ([1] if variant == "groupcone"
+                 else [n // self.scaled_step for n in scaled])
+        least = min(units)
+        self.table, run = [True], 1
+        while run < least:
+            k = len(self.table)
+            ok = any(k >= u and self.table[k - u] for u in units)
+            self.table.append(ok)
+            run = run + 1 if ok else 0
+        self.conductor_units = len(self.table) - least
+        self.conductor = self.conductor_units * self.step
+
+    def member(self, x) -> bool:
+        x = Fraction(x)
+        if not self.gens:
+            return x == 0
+        k = x / self.step
+        if k.denominator != 1 or k < 0:
+            return False
+        k = int(k)
+        return k >= self.conductor_units or self.table[k]
+
+
+def half_group_fraction(m: FractionMonoid, bound=None):
+    """is_half_group in Fractions: None below the conductor, else the
+    least positive member a with a + gap a member, for the least gap."""
+    if m.variant == "groupcone" or not m.gens:
+        return True, None
+    if bound is not None and Fraction(bound) < m.conductor:
+        return None, f"bound below conductor {m.conductor}"
+    gap = next((k * m.step for k in range(m.conductor_units)
+                if not m.member(k * m.step)), None)
+    if gap is None:
+        return True, None
+    a = next(k * m.step for k in count(1)
+             if m.member(k * m.step) and m.member(k * m.step + gap))
+    return False, (a, a + gap)
+
+
+def p_divisible_fraction(m: FractionMonoid, p: int, domain: str, bound=None):
+    """is_p_divisible_in in Fractions as (kind, element): the least s with
+    p*s in M and s not, over the step multiples below the conductor
+    (M_minus_M), or the integers up to one scaled step past the
+    conductor, cut at ``bound`` (Z_plus)."""
+    if not m.gens:
+        return "divisible", None
+    complete = True
+    if domain == "M_minus_M":
+        candidates = [k * m.step for k in range(m.conductor_units)]
+    else:
+        last = ceil(m.conductor) + m.scaled_step - 1
+        if bound is not None:
+            complete = Fraction(bound) >= last
+            last = min(last, floor(Fraction(bound)))
+        candidates = [Fraction(s) for s in range(last + 1)]
+    for s in candidates:
+        if m.member(p * s) and not m.member(s):
+            return "counterexample", s
+    return ("divisible" if complete else "inconclusive"), None
+
+
+def ddot_fraction(m: FractionMonoid, window):
+    """The members r <= window with no two nonzero members x, r - x below
+    them, by a quadratic scan over the step multiples."""
+    window = Fraction(window)
+    if not m.gens:
+        return []
+    members = [k * m.step for k in range(floor(window / m.step) + 1)
+               if m.member(k * m.step)]
+    member_set = set(members)
+    return [r for r in members if r != 0 and not any(
+        0 < x < r and r - x in member_set for x in members)]
 
 
 def min_add_brute(member, d, candidates):

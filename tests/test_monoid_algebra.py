@@ -1,7 +1,7 @@
 import random
 import time
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -74,6 +74,15 @@ def test_dzik_reduce_membership_oracle_denial():
     assert info.value.element not in (1, 4, 6)
     # a permissive oracle changes nothing: p-free gcd of (4, 6) at p=2 is 1
     assert dzik_reduce(4, 6, 2, member=lambda n: True).value == 1
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
+@pytest.mark.parametrize("a,b", [(6, 10), (5, 5), (1, 1)])
+def test_dzik_reduce_rejects_a_non_prime_p(a, b, p):
+    # p is checked before the p-free parts are taken: dividing out p = 1
+    # would never end, and equal inputs would skip the loop
+    with pytest.raises(ValueError, match="not prime"):
+        dzik_reduce(a, b, p)
 
 
 # -- finitely generated membership vs brute closure ---------------------------
@@ -453,3 +462,72 @@ def test_min_add_fingen_property(gens, n):
     # minimality against the brute candidate list
     members = [x for x in m.elements(v + 1) if x < v]
     assert all(not (m.member(x) and m.member(x + d)) for x in members)
+
+
+# -- the int verdicts against the Fraction references ---------------------------
+
+
+monoid_gens = st.one_of(
+    gen_lists,
+    st.lists(st.fractions(min_value=Fraction(1, 6), max_value=6,
+                          max_denominator=6), min_size=1, max_size=4))
+variants = st.sampled_from(["fingen", "groupcone"])
+
+
+@given(variants, monoid_gens, st.lists(st.fractions(
+    min_value=-10, max_value=40, max_denominator=12), max_size=20))
+@settings(max_examples=100, deadline=None)
+def test_membership_and_elements_match_the_fraction_reference(variant, gens,
+                                                              xs):
+    m, ref = MonoidDesc(variant, gens), oracles.FractionMonoid(variant, gens)
+    assert m.conductor() == ref.conductor
+    for x in xs + [k * ref.step for k in range(ref.conductor_units + 3)]:
+        assert m.member(x) == ref.member(x), x
+    window = (ref.conductor_units + 2) * ref.step
+    assert m.elements(window) == [k * ref.step
+                                  for k in range(ref.conductor_units + 3)
+                                  if ref.member(k * ref.step)]
+
+
+@given(variants, monoid_gens, st.integers(min_value=-3, max_value=3),
+       st.fractions(min_value=0, max_value=1, max_denominator=4))
+@settings(max_examples=100, deadline=None)
+def test_half_group_matches_the_fraction_reference(variant, gens, shift,
+                                                   part):
+    # verdict and least witness pair, with bounds below, at and above the
+    # conductor
+    m, ref = MonoidDesc(variant, gens), oracles.FractionMonoid(variant, gens)
+    for bound in (None, ref.conductor, ref.conductor + (shift + part) * ref.step):
+        assert is_half_group(m, bound) == \
+            oracles.half_group_fraction(ref, bound), bound
+
+
+@given(variants, monoid_gens, st.sampled_from([2, 3, 5, 7]),
+       st.sampled_from(["Z_plus", "M_minus_M"]),
+       st.integers(min_value=-3, max_value=3))
+@settings(max_examples=150, deadline=None)
+def test_divisibility_matches_the_fraction_reference(variant, gens, p, domain,
+                                                     shift):
+    # kind and least witness, with Z_plus bounds around the conductor and
+    # around the end of the period past it
+    m, ref = MonoidDesc(variant, gens), oracles.FractionMonoid(variant, gens)
+    last = ceil(ref.conductor) + ref.scaled_step - 1
+    for bound in (None, ceil(ref.conductor) + shift, last + shift):
+        w = is_p_divisible_in(m, p, domain, bound)
+        assert (w.kind, w.element) == \
+            oracles.p_divisible_fraction(ref, p, domain, bound), bound
+
+
+@given(variants, monoid_gens, st.integers(min_value=0, max_value=80),
+       st.fractions(min_value=0, max_value=1, max_denominator=7))
+@settings(max_examples=100, deadline=None)
+def test_ddot_set_matches_the_fraction_reference(variant, gens, k, part):
+    # windows of k step multiples and a part, below and above the conductor
+    m, ref = MonoidDesc(variant, gens), oracles.FractionMonoid(variant, gens)
+    window = (k + part) * ref.step
+    got = ddot_set(m, window)
+    assert got == oracles.ddot_fraction(ref, window)
+    members = [j * ref.step for j in range(floor(window / ref.step) + 1)
+               if ref.member(j * ref.step)]
+    sums = oracles.two_term_sums(members)
+    assert got == [r for r in members if r != 0 and r not in sums]

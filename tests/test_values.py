@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.graph_metric import _default_sample, _exceeds
+from banakh.graph_metric import _default_sample, _exceeds, _nearer_gap
 from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
                            format_rat, is_prime, primes_from, rational_between,
                            sqrt_brackets)
@@ -444,6 +444,34 @@ def test_sampler_matches_the_fraction_composition(pair, k, prime):
     want = oracles.surd_sample(rlo, rhi, k, prime)
     assert rng.draws == 1 and oracles.surd_of(value) == want
     assert value == SurdValue(*want) and lo < value < hi
+
+
+def test_nearer_gap_builds_one_difference_when_the_enclosures_decide(
+        monkeypatch):
+    r2 = SurdValue.sqrt(2)
+    lo, hi = 3 - r2, 3 + r2
+    # (c, lo, hi, decided on the enclosures): undecided ones build both
+    # differences and compare them exactly
+    cases = [
+        (3, lo, hi, False),                          # 2c = lo + hi exactly
+        (3, lo, hi + Fraction(1, 10 ** 30), False),  # inside the margin
+        (Fraction(5, 2), lo, hi, True),              # c - lo is the smaller
+        (Fraction(7, 2), lo, hi, True),              # hi - c is the smaller
+    ]
+    real = SurdValue.__sub__
+    subs = []
+
+    def counting(self, other):
+        subs.append(other)
+        return real(self, other)
+
+    monkeypatch.setattr(SurdValue, "__sub__", counting)
+    for c, lo, hi, decided in cases:
+        c = SurdValue.of(c)
+        want = min(real(c, lo), real(hi, c))
+        subs.clear()
+        assert _nearer_gap(c, lo, hi) == want
+        assert (len(subs) == 1) == decided and len(subs) >= 1, c
 
 
 @given(value_pairs())
