@@ -18,14 +18,11 @@ The integer-coefficient lattice H is discrete (‖x‖ ≥ 1 off zero); the
 rational lattice L is divisible.  Both satisfy the two-point-sphere law
 by construction: S(c; t) = {c + v, c − v}.
 
-Representation: an element stores one positive common denominator ``den``
-and a tuple ``items`` of ``(index, numerator)`` int pairs sorted by index,
-with no zero numerator, in lowest terms (the gcd of ``den`` and every
-numerator is 1; the zero element is ``den == 1, items == ()``).  The form
-is unique, so equality and hashing compare ints, and arithmetic never
-builds a ``Fraction``.  Only the public constructor validates its input;
-arithmetic builds results through ``GroupElement._raw``, whose caller
-guarantees that form.  ``coeffs`` is a read-only {index: Fraction} view.
+Representation: an element is one positive common denominator ``_den``
+and a tuple ``_items`` of ``(index, numerator)`` int pairs, in the
+int-vector format that :mod:`banakh.values` describes and implements once;
+arithmetic never builds a ``Fraction``.  ``coeffs`` is a read-only
+{index: Fraction} view.
 """
 
 from __future__ import annotations
@@ -33,13 +30,13 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import isqrt
 from operator import index
 from types import MappingProxyType
 from typing import Optional
 
 from .banakh_space import SphereOracle
-from .values import rat
+from .values import _lowest, _over_lcm, _pivots, _sum, rat
 
 __all__ = [
     "GroupElement",
@@ -80,10 +77,7 @@ class GroupElement:
             c = rat(c)
             if c != 0:
                 clean[a] = c
-        den = lcm(*(c.denominator for c in clean.values())) if clean else 1
-        self._den = den
-        self._items = tuple(sorted((a, c.numerator * (den // c.denominator))
-                                   for a, c in clean.items()))
+        self._den, _, self._items = _over_lcm(Fraction(0), clean)
         self._hash = None
 
     @classmethod
@@ -99,12 +93,8 @@ class GroupElement:
 
     @classmethod
     def _reduced(cls, den: int, items: tuple) -> "GroupElement":
-        """_raw after dividing out the common factor of den and items."""
-        if den != 1:
-            g = gcd(den, *(n for _, n in items))
-            if g != 1:
-                den //= g
-                items = tuple((a, n // g) for a, n in items)
+        """_raw of :func:`banakh.values._lowest`."""
+        den, _, items = _lowest(den, 0, items)
         return cls._raw(den, items)
 
     @property
@@ -136,18 +126,10 @@ class GroupElement:
         return self.sort_key() < other.sort_key()
 
     def _combine(self, other, sign: int) -> "GroupElement":
-        """self + sign·other for sign = ±1."""
-        d1, d2 = self._den, other._den
-        if d1 == d2:
-            den, m1, m2 = d1, 1, sign
-        else:
-            g = gcd(d1, d2)
-            den, m1, m2 = d1 // g * d2, d2 // g, sign * (d1 // g)
-        acc = dict(self._items) if m1 == 1 else {a: n * m1 for a, n in self._items}
-        for a, n in other._items:
-            acc[a] = acc.get(a, 0) + n * m2
-        return GroupElement._reduced(
-            den, tuple(sorted(item for item in acc.items() if item[1])))
+        """self + sign·other for sign = ±1 (:func:`banakh.values._sum`)."""
+        den, _, items = _sum(self._den, 0, self._items,
+                             other._den, 0, other._items, sign)
+        return GroupElement._raw(den, items)
 
     def __add__(self, other):
         return self._combine(other, 1)
@@ -262,20 +244,6 @@ def sphere(c: GroupElement, t: DistToken):
     return (b, a) if b < a else (a, b)
 
 
-def _pivots(a: GroupElement, b: GroupElement):
-    """The pivot numerators (pa, pb) when a = q·b for nonzero a and b,
-    else None; then q = (pa/a.den)/(pb/b.den), decided on cross-multiplied
-    ints."""
-    ia, ib = a._items, b._items
-    if len(ia) != len(ib):
-        return None
-    pa, pb = ia[0][1], ib[0][1]
-    for (i, x), (j, y) in zip(ia, ib):
-        if i != j or x * pb != pa * y:
-            return None
-    return pa, pb
-
-
 def ratio_in_Q(s: DistToken, t: DistToken) -> Optional[Fraction]:
     """q > 0 with rep(s) = ±q·rep(t); None when the vectors are not
     rationally proportional.  Both zero → 1; one zero → None."""
@@ -283,7 +251,7 @@ def ratio_in_Q(s: DistToken, t: DistToken) -> Optional[Fraction]:
         return Fraction(1)
     if s.is_zero() or t.is_zero():
         return None
-    piv = _pivots(s.rep, t.rep)
+    piv = _pivots(0, s.rep._items, 0, t.rep._items)
     if piv is None:
         return None
     pa, pb = piv
@@ -300,7 +268,7 @@ def between(x: GroupElement, y: GroupElement, z: GroupElement) -> bool:
     u, v = x - y, y - z
     if u.is_zero() or v.is_zero():
         return True
-    piv = _pivots(u, v)
+    piv = _pivots(0, u._items, 0, v._items)
     return piv is not None and (piv[0] > 0) == (piv[1] > 0)
 
 

@@ -66,8 +66,8 @@ def _load_json(path):
 
 def _rat_list(text: str) -> list[Fraction]:
     try:
-        return [Fraction(part) for part in text.split(",") if part.strip()]
-    except (ValueError, ZeroDivisionError) as exc:
+        return [rat(part) for part in text.split(",") if part.strip()]
+    except ValueError as exc:
         raise FormatError(f"bad rational list {text!r}: {exc}") from exc
 
 

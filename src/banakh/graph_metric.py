@@ -36,13 +36,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import gcd, isqrt
+from math import isqrt
 from operator import sub
 from typing import Callable, Optional
 
 from .monoid_algebra import ENUMERATION_CAP, MonoidDesc
 from .values import (InputTooLarge, SurdValue, ZERO, primes_from, rat,
-                     _between, format_rat)
+                     _between, _exceeds, _lowest, _sum, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -456,22 +456,20 @@ def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
                     prime: int) -> SurdValue:
     """c + eps*sqrt(prime) strictly inside (lo, hi), c random inside the
     certified rational core of the interval.  The rationals are int pairs
-    (num, den); c is a value only for its exact gaps to lo and hi."""
+    (num, den), and the sum is built on them in the int-vector format of
+    :mod:`banakh.values`; c is a value only for its exact gaps to lo and
+    hi."""
     a, da = _between(lo, hi)                          # core_lo = a/da
     b, db = _between(SurdValue._raw(da, a, ()), hi)   # core_hi = b/db
     # a seeded c = core_lo + (core_hi - core_lo)*k/256 in the core
     k = rng.randrange(0, 256)
-    c = SurdValue._reduced(da * db << 8,
-                           (a * db << 8) + (b * da - a * db) * k, ())
-    gap = _nearer_gap(c, lo, hi)
+    dc, c, _ = _lowest(da * db << 8, (a * db << 8) + (b * da - a * db) * k, ())
+    gap = _nearer_gap(SurdValue._raw(dc, c, ()), lo, hi)
     # half a rational below gap, over an integer above sqrt(prime): so
     # eps*sqrt(prime) < gap/2 for eps = e/de
     e, de = _between(ZERO, gap)
-    de *= isqrt(prime) + 1
-    # the sum over the lcm of the denominators, reduced once
-    g = gcd(c._den, de)
-    return SurdValue._reduced(c._den // g * de, c._num * (de // g),
-                              ((prime, e * (c._den // g)),))
+    eps = _lowest(de * (isqrt(prime) + 1), 0, ((prime, e),))
+    return SurdValue._raw(*_sum(dc, c, (), *eps))
 
 
 def _nearer_gap(c: SurdValue, lo: SurdValue, hi: SurdValue) -> SurdValue:
@@ -612,17 +610,6 @@ def _tol(bound: float) -> float:
     """The filters' margin for ends of magnitude at most ``bound`` (see
     _DistanceTable)."""
     return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 else math.inf
-
-
-def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
-    """c > a + b, exactly; when all three are rational, on their ints by
-    cross-multiplying over the positive denominators, building no sum."""
-    if c._surds or a._surds or b._surds:
-        return a + b < c
-    da, db, dc = a._den, b._den, c._den
-    if da == db == dc:
-        return c._num > a._num + b._num
-    return c._num * da * db > (a._num * db + b._num * da) * dc
 
 
 class _DistanceTable:

@@ -400,11 +400,16 @@ class MonoidDesc:
         if variant not in ("fingen", "groupcone", "closure"):
             raise ValueError(f"unknown monoid variant {variant!r}")
         self.variant = variant
-        self.generators = tuple(sorted({rat(g) for g in generators}))
+        gens = [rat(g) for g in generators]
+        # over the lcm of the denominators, each generator is one int;
+        # equal generators share it, and its order is theirs
+        self.scale = lcm(*(g.denominator for g in gens))
+        by_int = {g.numerator * (self.scale // g.denominator): g for g in gens}
+        scaled = tuple(sorted(by_int))
+        self.generators = tuple(by_int[n] for n in scaled)
         self.closure_id = closure_id
         self._closure = None
         self._semigroup = None
-        self.scale = 1
 
         if variant == "closure":
             if closure_id not in CLOSURES:
@@ -412,12 +417,10 @@ class MonoidDesc:
                                  f"known: {', '.join(CLOSURE_IDS)}")
             self._closure = CLOSURES[closure_id]
             return
-        if any(g <= 0 for g in self.generators):
+        if scaled and scaled[0] <= 0:
             raise ValueError("generators must be positive")
-        if not self.generators:
+        if not scaled:
             return  # the zero monoid
-        self.scale = lcm(*(g.denominator for g in self.generators))
-        scaled = tuple(int(g * self.scale) for g in self.generators)
         # a group cone is the nonnegative multiples of its step, the
         # one-generator semigroup of that step
         self._semigroup = _Semigroup(scaled if variant == "fingen"

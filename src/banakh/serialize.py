@@ -16,7 +16,7 @@ from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
 from .monoid_algebra import CLOSURES, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
-from .values import InputTooLarge, SurdValue, format_rat, format_ratio
+from .values import InputTooLarge, SurdValue, format_rat, format_ratio, rat
 
 __all__ = [
     "dumps",
@@ -41,14 +41,12 @@ class FormatError(ValueError):
 
 
 def _rat_from(obj) -> Fraction:
-    if isinstance(obj, bool):
-        raise FormatError(f"not a rational: {obj!r}")
-    if isinstance(obj, int):
-        return Fraction(obj)
-    if isinstance(obj, str):
+    """An int or string of a document through :func:`banakh.values.rat`;
+    a bool is not a rational."""
+    if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         try:
-            return Fraction(obj)
-        except (ValueError, ZeroDivisionError) as exc:
+            return rat(obj)
+        except ValueError as exc:
             raise FormatError(f"not a rational: {obj!r}") from exc
     raise FormatError(f"not a rational: {obj!r}")
 
@@ -116,37 +114,39 @@ def monoid_from_json(obj) -> MonoidDesc:
     return MonoidDesc(variant, gens)
 
 
+def _edge_list_to_json(keys, names, edges) -> dict:
+    """The names and the [u, v, value] rows sorted by pair, under keys."""
+    return {keys[0]: list(names),
+            keys[1]: [[u, v, value_to_json(w)] for (u, v), w in sorted(edges)]}
+
+
+def _edge_list_from_json(obj, keys, what: str):
+    """(names, {(u, v): value}) of an edge list, else "not a <what>:"."""
+    try:
+        names = [str(p) for p in obj[keys[0]]]
+        edges = {}
+        for u, v, w in obj[keys[1]]:
+            edges[(str(u), str(v))] = value_from_json(w)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"not a {what}: {exc}") from exc
+    return names, edges
+
+
 def graph_to_json(g: GraphMetric) -> dict:
-    return {"vertices": list(g.vertices),
-            "edges": [[u, v, value_to_json(w)]
-                      for (u, v), w in sorted(g.edges.items())]}
+    return _edge_list_to_json(("vertices", "edges"), g.vertices, g.edges.items())
 
 
 def graph_from_json(obj) -> GraphMetric:
-    try:
-        vertices = [str(v) for v in obj["vertices"]]
-        edges = {}
-        for u, v, w in obj["edges"]:
-            edges[(str(u), str(v))] = value_from_json(w)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"not a graph: {exc}") from exc
-    return GraphMetric(vertices, edges)
+    return GraphMetric(*_edge_list_from_json(obj, ("vertices", "edges"), "graph"))
 
 
 def fragment_to_json(f: MetricFragment) -> dict:
-    return {"points": list(f.points),
-            "dist": [[u, v, value_to_json(w)] for (u, v), w in sorted(f.pairs())]}
+    return _edge_list_to_json(("points", "dist"), f.points, f.pairs())
 
 
 def fragment_from_json(obj) -> MetricFragment:
-    try:
-        points = [str(p) for p in obj["points"]]
-        dist = {}
-        for u, v, w in obj["dist"]:
-            dist[(str(u), str(v))] = value_from_json(w)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"not a fragment: {exc}") from exc
-    return MetricFragment(points, dist)
+    return MetricFragment(*_edge_list_from_json(obj, ("points", "dist"),
+                                                "fragment"))
 
 
 def buildspec_to_json(spec: BuildSpec) -> dict:

@@ -10,20 +10,20 @@ until zero is excluded.
 Only rational-by-surd products are supported; the library never needs
 sqrt(p)*sqrt(q).
 
-Representation: a value stores one positive common denominator ``_den``,
-an int numerator ``_num`` for the rational part, and a tuple ``_surds`` of
-``(prime, numerator)`` int pairs sorted by prime, with no zero numerator;
-the value is (_num + sum c*sqrt(p)) / _den.  It is kept in lowest terms
-(the gcd of ``_den``, ``_num`` and every surd numerator is 1; zero is
-``_den == 1, _num == 0, _surds == ()``).  The form is unique, so equality
-and hashing compare ints.  Arithmetic, order, brackets, the float enclosure
-and the gap search ``_between`` run on ints; ``Fraction``s are built only
-for the public results of ``brackets`` and ``rational_between`` and for the
-read-only views ``rational_part`` and ``surd_coeffs``.  Only the public
-constructor validates its input; arithmetic builds results through
-``SurdValue._raw``, whose caller guarantees that form.  Besides this module,
-``graph_metric._exceeds``, ``graph_metric._default_sample`` and
-``serialize.value_to_json`` read the fields.
+Representation, shared by these values and the group elements of
+:mod:`banakh.banakh_group`: one positive common denominator ``_den`` and a
+tuple of ``(key, numerator)`` int pairs sorted by key with no zero
+numerator (a value's ``_surds`` keyed by prime, beside the int numerator
+``_num`` of its rational part, so it is (_num + sum c*sqrt(p)) / _den; an
+element's ``_items`` keyed by coordinate), in lowest terms: the gcd of
+``_den`` and every numerator is 1, and zero has ``_den == 1``.  The form is
+unique, so equality and hashing compare ints.  Its normalization, reduction,
+sum and proportionality test are the helpers ``_over_lcm``, ``_lowest``,
+``_sum`` and ``_pivots`` below.  Arithmetic, order, brackets, the float
+enclosure and the gap search ``_between`` run on ints; ``Fraction``s are
+built only for public results and read-only views.  Only the public
+constructors validate; arithmetic builds through the trusted ``_raw``.
+Outside the two modules only ``serialize.value_to_json`` reads the fields.
 """
 
 from __future__ import annotations
@@ -38,12 +38,15 @@ from types import MappingProxyType
 
 
 def rat(value) -> Fraction:
-    """Coerce an int, string ("p/q" or "p"), or Fraction to a Fraction."""
+    """Coerce an int, "p/q" or decimal string (no exponent), or Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        # Fraction("1e10000000") would build the power of ten, for minutes
+        if "e" in value or "E" in value:
+            raise ValueError(f"exponent notation in {value!r}")
         try:
             return Fraction(value)
         except ZeroDivisionError:
@@ -120,6 +123,67 @@ def sqrt_brackets(n: int, scale: int) -> tuple[Fraction, Fraction]:
     return Fraction(root, 1 << scale), Fraction(root + 1, 1 << scale)
 
 
+# -- the int-vector format (see the module docstring) -----------------------
+
+def _over_lcm(lead: Fraction, coeffs: dict) -> tuple[int, int, tuple]:
+    """(den, lead numerator, sorted (key, numerator) pairs) of ``lead`` and
+    the nonzero ``coeffs`` over the lcm of their lowest-terms denominators.
+    That form is in lowest terms: a prime power that divides den exactly
+    divides one of the denominators, whose numerator it does not divide."""
+    den = lcm(lead.denominator, *(c.denominator for c in coeffs.values()))
+    return (den, lead.numerator * (den // lead.denominator),
+            tuple(sorted((k, c.numerator * (den // c.denominator))
+                         for k, c in coeffs.items())))
+
+
+def _lowest(den: int, num: int, items: tuple, bound: int = 0) -> tuple:
+    """(den, num, items) after dividing out the common factor of den and the
+    numerators, which divides ``bound`` (den itself by default)."""
+    bound = bound or den
+    if bound != 1:
+        g = gcd(bound, num, *(c for _, c in items))
+        if g != 1:
+            den //= g
+            num //= g
+            items = tuple((k, c // g) for k, c in items)
+    return den, num, items
+
+
+def _sum(d1: int, n1: int, v1: tuple, d2: int, n2: int, v2: tuple,
+         sign: int = 1) -> tuple[int, int, tuple]:
+    """The lowest-terms (den, num, items) of (n1 + v1)/d1 + sign*(n2 + v2)/d2
+    for sign = +-1 and operands in lowest terms, over lcm(d1, d2).  A factor
+    shared by that lcm and the sum's numerators divides g = gcd(d1, d2): mod
+    a prime of d1 alone, the numerators are d1's own times a unit, and one
+    of those is prime to it (likewise for d2).  So the sum is reduced by its
+    common factor with g, and not at all when g is 1."""
+    g = d1 if d1 == d2 else gcd(d1, d2)
+    m1, m2 = d2 // g, sign * (d1 // g)
+    if not v2:
+        items = v1 if m1 == 1 else tuple((k, c * m1) for k, c in v1)
+    elif not v1:
+        items = tuple((k, c * m2) for k, c in v2)
+    else:
+        acc = dict(v1) if m1 == 1 else {k: c * m1 for k, c in v1}
+        for k, c in v2:
+            acc[k] = acc.get(k, 0) + c * m2
+        items = tuple(sorted(item for item in acc.items() if item[1]))
+    return _lowest(d1 * m1, n1 * m1 + n2 * m2, items, g)
+
+
+def _pivots(n1: int, v1: tuple, n2: int, v2: tuple):
+    """The pivot numerators (p1, p2) when (n1, v1) = q*(n2, v2) for nonzero
+    vectors over denominators d1 and d2, decided on cross-multiplied ints,
+    else None; then q = (p1/d1)/(p2/d2)."""
+    if len(v1) != len(v2) or (n1 == 0) != (n2 == 0):
+        return None
+    p1, p2 = (n1, n2) if n2 else (v1[0][1], v2[0][1])
+    for (k, a), (j, b) in zip(v1, v2):
+        if k != j or a * p2 != b * p1:
+            return None
+    return p1, p2
+
+
 @total_ordering
 class SurdValue:
     """Immutable exact value rational_part + sum surd_coeffs[p]*sqrt(p).
@@ -144,14 +208,7 @@ class SurdValue:
                 if not is_prime(p):
                     raise ValueError(f"surd index {p} is not prime")
                 coeffs[p] = c
-        # over the lcm of lowest-terms denominators the form is in lowest
-        # terms: a prime power that divides den exactly divides one of
-        # them, whose numerator it does not divide
-        den = lcm(q.denominator, *(c.denominator for c in coeffs.values()))
-        self._den = den
-        self._num = q.numerator * (den // q.denominator)
-        self._surds = tuple(sorted((p, c.numerator * (den // c.denominator))
-                                   for p, c in coeffs.items()))
+        self._den, self._num, self._surds = _over_lcm(q, coeffs)
         self._hash = None
         self._approx = None
 
@@ -171,18 +228,9 @@ class SurdValue:
         return v
 
     @classmethod
-    def _reduced(cls, den: int, num: int, surds: tuple,
-                 bound: int = 0) -> "SurdValue":
-        """_raw after dividing out the common factor of den and the
-        numerators, which divides ``bound`` (den itself by default)."""
-        bound = bound or den
-        if bound != 1:
-            g = gcd(bound, num, *(c for _, c in surds))
-            if g != 1:
-                den //= g
-                num //= g
-                surds = tuple((p, c // g) for p, c in surds)
-        return cls._raw(den, num, surds)
+    def _reduced(cls, den: int, num: int, surds: tuple) -> "SurdValue":
+        """_raw of :func:`_lowest`."""
+        return cls._raw(*_lowest(den, num, surds))
 
     @classmethod
     def of(cls, value) -> "SurdValue":
@@ -229,27 +277,10 @@ class SurdValue:
     # -- arithmetic (rational x surd only) --------------------------------
 
     def _combine(self, other: "SurdValue", sign: int) -> "SurdValue":
-        """self + sign*other for sign = +-1, over the lcm of the two
-        denominators.  The operands are in lowest terms, so a factor shared
-        by that lcm and the sum's numerators divides g = gcd(d1, d2): mod a
-        prime of d1 alone, the numerators are d1's own times a unit, and
-        one of those is prime to it (likewise for d2).  So the sum is
-        reduced by its common factor with g, and not at all when g is 1."""
-        d1, d2 = self._den, other._den
-        g = d1 if d1 == d2 else gcd(d1, d2)
-        m1, m2 = d2 // g, sign * (d1 // g)
-        num = self._num * m1 + other._num * m2
-        s1, s2 = self._surds, other._surds
-        if not s2:
-            surds = s1 if m1 == 1 else tuple((p, c * m1) for p, c in s1)
-        elif not s1:
-            surds = tuple((p, c * m2) for p, c in s2)
-        else:
-            acc = dict(s1) if m1 == 1 else {p: c * m1 for p, c in s1}
-            for p, c in s2:
-                acc[p] = acc.get(p, 0) + c * m2
-            surds = tuple(sorted(item for item in acc.items() if item[1]))
-        return SurdValue._reduced(d1 * m1, num, surds, g)
+        """self + sign*other for sign = +-1 (:func:`_sum`)."""
+        return SurdValue._raw(*_sum(self._den, self._num, self._surds,
+                                    other._den, other._num, other._surds,
+                                    sign))
 
     def __add__(self, other):
         other = _coerce(other)
@@ -437,19 +468,11 @@ class SurdValue:
         if self.is_zero():
             return Fraction(0)
         # q*other has other's surd primes, and a rational part exactly when
-        # other has one; then self == q*other exactly when the numerator
-        # vectors are proportional, a = (a0/b0)*b, and q = a0*den_b/(b0*den_a)
-        sa, sb = self._surds, other._surds
-        if len(sa) != len(sb) or (self._num == 0) != (other._num == 0):
+        # other has one
+        piv = _pivots(self._num, self._surds, other._num, other._surds)
+        if piv is None:
             return None
-        a0, b0 = ((self._num, other._num) if other._num
-                  else (sa[0][1], sb[0][1]))
-        if self._num * b0 != other._num * a0:
-            return None
-        for (p, a), (q, b) in zip(sa, sb):
-            if p != q or a * b0 != b * a0:
-                return None
-        return Fraction(a0 * other._den, b0 * self._den)
+        return Fraction(piv[0] * other._den, piv[1] * self._den)
 
     # -- display -----------------------------------------------------------
 
@@ -480,6 +503,17 @@ def _coerce(value):
 
 
 ZERO = SurdValue._raw(1, 0, ())
+
+
+def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
+    """c > a + b, exactly; when all three are rational, on their ints by
+    cross-multiplying over the positive denominators, building no sum."""
+    if c._surds or a._surds or b._surds:
+        return a + b < c
+    da, db, dc = a._den, b._den, c._den
+    if da == db == dc:
+        return c._num > a._num + b._num
+    return c._num * da * db > (a._num * db + b._num * da) * dc
 
 
 def _between(lo: SurdValue, hi: SurdValue) -> tuple[int, int]:

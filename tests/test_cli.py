@@ -135,6 +135,22 @@ def test_work_above_a_cap_is_bad_input(capsys, line_file, argv):
     assert code == 2 and out == "" and err.startswith("bad input:")
 
 
+@pytest.mark.parametrize("argv", [
+    ("halfgroup", "--gens", "1e100000000"),
+    ("ddot", "--gens", "1", "--window", "1e100000000"),
+    ("verify", "{doc}"),
+], ids=["gens", "window", "fragment-value"])
+def test_exponent_notation_is_refused_at_once(capsys, tmp_path, argv):
+    # Fraction("1e100000000") would build the power of ten for minutes
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps({"points": ["a", "b"],
+                                "dist": [["a", "b", "1e100000000"]]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, *(a.replace("{doc}", str(path)) for a in argv))
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "'1e100000000'" in err
+
+
 def test_floppy_verdicts(capsys):
     code, doc, _ = run_json(capsys, "floppy", "--gens", "1")
     assert code == 0 and doc == {"verdict": True}

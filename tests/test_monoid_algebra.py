@@ -121,6 +121,19 @@ def test_rational_generators_scale_correctly():
     assert set(m.elements(4)) == brute
 
 
+def test_generators_are_sorted_and_deduplicated_fractions():
+    m = MonoidDesc.fingen([Fraction(3, 4), "1/2", 2, Fraction(6, 8),
+                           Fraction(2, 4)])
+    assert m.generators == (Fraction(1, 2), Fraction(3, 4), Fraction(2))
+    assert all(type(g) is Fraction for g in m.generators)
+    assert m == MonoidDesc.fingen([Fraction(1, 2), Fraction(3, 4), 2])
+    assert m.scale == 4
+    assert m.member(Fraction(5, 4)) and not m.member(Fraction(1, 4))
+    for gens in ([Fraction(1, 2), 0], [3, Fraction(-1, 3)]):
+        with pytest.raises(ValueError, match="positive"):
+            MonoidDesc.fingen(gens)
+
+
 def test_elements_enumeration_matches_brute():
     m = MonoidDesc.fingen([3, 5])
     assert m.elements(13) == sorted(oracles.closure_ints([3, 5], 13))

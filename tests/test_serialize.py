@@ -61,6 +61,8 @@ def test_value_rejects_floats_bools_and_nonprimes():
         value_from_json({"surds": {"4": "1"}})
     with pytest.raises(FormatError):
         value_from_json("3/0")
+    with pytest.raises(FormatError, match="not a rational"):
+        value_from_json({"rat": "1", "surds": {"2": "1e5"}})
     with pytest.raises(FormatError):
         value_from_json([1, 2])
 

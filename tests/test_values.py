@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -243,6 +244,16 @@ def test_order_and_sign_beyond_the_double_range():
 def test_rat_turns_a_zero_denominator_into_value_error():
     with pytest.raises(ValueError, match="zero denominator"):
         rat("1/0")
+
+
+@pytest.mark.parametrize("text", ["1e5", "2E-3", "1e10000000"])
+def test_rat_rejects_exponent_notation_at_once(text):
+    # Fraction("1e10000000") alone builds the power of ten, for seconds
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="exponent notation"):
+        rat(text)
+    assert time.perf_counter() - start < 1.0
+    assert rat("1.25") == Fraction(5, 4)
 
 
 def test_ratio_to_cases():
