@@ -77,7 +77,8 @@ class GroupElement:
             c = rat(c)
             if c != 0:
                 clean[a] = c
-        self._den, _, self._items = _over_lcm(Fraction(0), clean)
+        self._den, _, self._items = _over_lcm(
+            0, 1, [(a, c.numerator, c.denominator) for a, c in clean.items()])
         self._hash = None
 
     @classmethod

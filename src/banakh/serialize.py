@@ -4,6 +4,20 @@ Values serialize as exact rationals ("p/q") or as {"rat": ..., "surds":
 {prime: coefficient}}; nothing ever passes through floats.  ``dumps``
 produces canonical bytes (sorted keys, no whitespace) so identical inputs
 give identical outputs across runs and platforms.
+
+Reading builds no ``Fraction`` for a canonical rational ("-?[0-9]+" with
+an optional "/[0-9]+"): :func:`banakh.values._ratio_ints` reads it into
+lowest-terms ints, and a value is built from those through the trusted
+``SurdValue._raw`` after the checks of the validating constructor, in its
+order (canonical surd keys, zero coefficients dropped, then a prime
+index).  Every other form (decimals, whitespace, "+", underscores,
+non-ASCII digits) falls back to ``Fraction(str)``, with its reading and
+its errors.  An edge list or a certificate reads each distinct value
+string once, through a memo local to the call, so equal values share one
+immutable object with its cached hash and enclosure.  Integer fields
+(``stages``, ``denom_bound``, ``seed``, a ledger entry's ``class``) take
+only a JSON integer, never a bool, float or string.  Writing dispatches on
+the exact type and falls back to ``isinstance`` for subclasses.
 """
 
 from __future__ import annotations
@@ -16,7 +30,8 @@ from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
 from .monoid_algebra import CLOSURES, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
-from .values import InputTooLarge, SurdValue, format_rat, format_ratio, rat
+from .values import (SurdValue, _over_lcm, _ratio_ints, format_rat,
+                     format_ratio, is_prime, rat)
 
 __all__ = [
     "dumps",
@@ -51,6 +66,41 @@ def _rat_from(obj) -> Fraction:
     raise FormatError(f"not a rational: {obj!r}")
 
 
+def _ratio_from(obj) -> tuple[int, int]:
+    """The lowest-terms (num, den) of an int or string of a document: a
+    canonical ratio is read on ints, anything else through
+    :func:`_rat_from`, with its errors."""
+    if type(obj) is str:
+        ints = _ratio_ints(obj)
+        if ints is not None:
+            return ints
+    q = _rat_from(obj)
+    return q.numerator, q.denominator
+
+
+def _int_from(obj, what: str) -> int:
+    """A JSON integer; a bool, a float or a string is refused, never
+    truncated."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    raise FormatError(f"{what} must be an integer: {obj!r}")
+
+
+def _memo(read):
+    """``read`` run once per distinct string of one document: equal values
+    then share one immutable object, with its cached hash."""
+    memo = {}
+
+    def cached(obj):
+        if type(obj) is not str:
+            return read(obj)
+        out = memo.get(obj)
+        if out is None:
+            out = memo[obj] = read(obj)
+        return out
+    return cached
+
+
 def value_to_json(v: SurdValue):
     den = v._den
     rational = format_ratio(v._num, den)
@@ -74,19 +124,21 @@ def _index_from(key) -> int:
 
 def value_from_json(obj) -> SurdValue:
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        return SurdValue.of(_rat_from(obj))
+        num, den = _ratio_from(obj)
+        return SurdValue._raw(den, num, ())
     if isinstance(obj, dict):
         surds = obj.get("surds", {})
         if not isinstance(surds, dict):
             raise FormatError(f"surds must be an object: {surds!r}")
-        coeffs = {_index_from(key): _rat_from(c) for key, c in surds.items()}
-        rational = _rat_from(obj.get("rat", 0))
-        try:
-            return SurdValue(rational, coeffs)
-        except InputTooLarge:
-            raise
-        except ValueError as exc:    # an index that is not a prime
-            raise FormatError(str(exc)) from exc
+        coeffs = [(_index_from(key), *_ratio_from(c))
+                  for key, c in surds.items()]
+        num, den = _ratio_from(obj.get("rat", 0))
+        coeffs = [t for t in coeffs if t[1]]
+        for p, _, _ in coeffs:
+            # InputTooLarge, above the primality cap, is not a FormatError
+            if not is_prime(p):
+                raise FormatError(f"surd index {p} is not prime")
+        return SurdValue._raw(*_over_lcm(num, den, coeffs))
     raise FormatError(f"not a value: {obj!r}")
 
 
@@ -122,11 +174,12 @@ def _edge_list_to_json(keys, names, edges) -> dict:
 
 def _edge_list_from_json(obj, keys, what: str):
     """(names, {(u, v): value}) of an edge list, else "not a <what>:"."""
+    value = _memo(value_from_json)
     try:
         names = [str(p) for p in obj[keys[0]]]
         edges = {}
         for u, v, w in obj[keys[1]]:
-            edges[(str(u), str(v))] = value_from_json(w)
+            edges[(str(u), str(v))] = value(w)
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"not a {what}: {exc}") from exc
     return names, edges
@@ -163,11 +216,12 @@ def buildspec_from_json(obj, seed=None) -> BuildSpec:
         radii = [RadiusClass(value_from_json(c["r"]), monoid_from_json(c["monoid"]))
                  for c in obj["radii"]]
         spec = BuildSpec(radii=radii,
-                         stages=int(obj.get("stages", 1)),
+                         stages=_int_from(obj.get("stages", 1), "stages"),
                          window=_rat_from(obj.get("window", 5)),
-                         denom_bound=int(obj.get("denom_bound", 64)),
-                         seed=int(obj["seed"] if seed is None
-                                  else seed))
+                         denom_bound=_int_from(obj.get("denom_bound", 64),
+                                               "denom_bound"),
+                         seed=_int_from(obj["seed"] if seed is None
+                                        else seed, "seed"))
     except (KeyError, TypeError) as exc:
         raise FormatError(f"not a build spec: {exc}") from exc
     return spec
@@ -201,8 +255,26 @@ def token_from_json(obj) -> DistToken:
     return DistToken(element_from_json(obj))
 
 
+# the types that JSON writes as they are
+_LEAVES = frozenset((str, int, bool, float, type(None)))
+
+
 def _plain(obj):
-    """Recursively flatten exact values for JSON embedding."""
+    """Recursively flatten exact values for JSON embedding: by exact type,
+    a leaf left in place without a call, then by ``isinstance`` for
+    subclasses."""
+    t = type(obj)
+    if t is dict:
+        return {str(k): v if type(v) in _LEAVES else _plain(v)
+                for k, v in obj.items()}
+    if t is list or t is tuple:
+        return [v if type(v) in _LEAVES else _plain(v) for v in obj]
+    if t is SurdValue:
+        return value_to_json(obj)
+    if t is Fraction:
+        return format_ratio(obj.numerator, obj.denominator)
+    if t in _LEAVES:
+        return obj
     if isinstance(obj, SurdValue):
         return value_to_json(obj)
     if isinstance(obj, Fraction):
@@ -227,29 +299,29 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj) -> Certificate:
+    value, unit = _memo(value_from_json), _memo(_rat_from)
     try:
         spheres = []
         for entry in obj["spheres"]:
             entry = dict(entry)
             entry["center"] = str(entry["center"])
             entry["members"] = [str(m) for m in entry["members"]]
-            entry["radius"] = value_from_json(entry["radius"])
-            entry["class"] = int(entry["class"])
-            entry["unit"] = _rat_from(entry["unit"])
+            entry["radius"] = value(entry["radius"])
+            entry["class"] = _int_from(entry["class"], "class")
+            entry["unit"] = unit(entry["unit"])
             spheres.append(entry)
         classes = []
         for cls in obj["classes"]:
             cls = dict(cls)
-            cls["r"] = value_from_json(cls["r"])
+            cls["r"] = value(cls["r"])
             cls["units_window"] = _rat_from(cls["units_window"])
             classes.append(cls)
         return Certificate(
-            seed=int(obj["seed"]),
+            seed=_int_from(obj["seed"], "seed"),
             stages=obj["stages"],
             classes=classes,
-            realized_distances=[value_from_json(v)
-                                for v in obj["realized_distances"]],
-            generic_values=[value_from_json(v) for v in obj["generic_values"]],
+            realized_distances=[value(v) for v in obj["realized_distances"]],
+            generic_values=[value(v) for v in obj["generic_values"]],
             spheres=spheres,
             sphere_law_ok=obj["sphere_law_ok"],
             growth_ok=obj["growth_ok"])

@@ -23,7 +23,9 @@ sum and proportionality test are the helpers ``_over_lcm``, ``_lowest``,
 enclosure and the gap search ``_between`` run on ints; ``Fraction``s are
 built only for public results and read-only views.  Only the public
 constructors validate; arithmetic builds through the trusted ``_raw``.
-Outside the two modules only ``serialize.value_to_json`` reads the fields.
+Outside the two modules only :mod:`banakh.serialize` touches the format:
+``value_to_json`` reads the fields, and ``value_from_json`` builds through
+``_raw`` from the ints of ``_ratio_ints`` after the constructor's checks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,29 @@ from operator import index
 from types import MappingProxyType
 
 
+def _ratio_ints(text: str):
+    """The lowest-terms (num, den), den > 0, of a canonical ASCII ratio
+    ``-?[0-9]+(/[0-9]+)?``, read without a ``Fraction``.  None for every
+    other string, and for the two that ``Fraction`` refuses (a zero
+    denominator, more digits than ``int`` converts): the caller falls back
+    to ``Fraction`` for its reading and its errors."""
+    if not text.isascii():
+        return None
+    head, slash, tail = text.partition("/")
+    digits = head[1:] if head.startswith("-") else head
+    if not digits.isdigit() or (slash and not tail.isdigit()):
+        return None
+    try:
+        num = int(head)
+        den = int(tail) if slash else 1
+    except ValueError:    # over int's digit limit
+        return None
+    if den == 0:
+        return None
+    g = gcd(num, den)
+    return num // g, den // g
+
+
 def rat(value) -> Fraction:
     """Coerce an int, "p/q" or decimal string (no exponent), or Fraction."""
     if isinstance(value, Fraction):
@@ -44,6 +69,9 @@ def rat(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        ints = _ratio_ints(value)
+        if ints is not None:
+            return Fraction(*ints)
         # Fraction("1e10000000") would build the power of ten, for minutes
         if "e" in value or "E" in value:
             raise ValueError(f"exponent notation in {value!r}")
@@ -125,15 +153,16 @@ def sqrt_brackets(n: int, scale: int) -> tuple[Fraction, Fraction]:
 
 # -- the int-vector format (see the module docstring) -----------------------
 
-def _over_lcm(lead: Fraction, coeffs: dict) -> tuple[int, int, tuple]:
-    """(den, lead numerator, sorted (key, numerator) pairs) of ``lead`` and
-    the nonzero ``coeffs`` over the lcm of their lowest-terms denominators.
-    That form is in lowest terms: a prime power that divides den exactly
-    divides one of the denominators, whose numerator it does not divide."""
-    den = lcm(lead.denominator, *(c.denominator for c in coeffs.values()))
-    return (den, lead.numerator * (den // lead.denominator),
-            tuple(sorted((k, c.numerator * (den // c.denominator))
-                         for k, c in coeffs.items())))
+def _over_lcm(num: int, den: int, coeffs) -> tuple[int, int, tuple]:
+    """(den, lead numerator, sorted (key, numerator) pairs) of the lead
+    num/den and the ``coeffs``, (key, n, d) triples of nonzero n/d, all in
+    lowest terms with positive denominators, over the lcm of those
+    denominators.  That form is in lowest terms: a prime power that divides
+    the lcm exactly divides one of the denominators, whose numerator it
+    does not divide."""
+    m = lcm(den, *(d for _, _, d in coeffs))
+    return (m, num * (m // den),
+            tuple(sorted((k, n * (m // d)) for k, n, d in coeffs)))
 
 
 def _lowest(den: int, num: int, items: tuple, bound: int = 0) -> tuple:
@@ -208,7 +237,9 @@ class SurdValue:
                 if not is_prime(p):
                     raise ValueError(f"surd index {p} is not prime")
                 coeffs[p] = c
-        self._den, self._num, self._surds = _over_lcm(q, coeffs)
+        self._den, self._num, self._surds = _over_lcm(
+            q.numerator, q.denominator,
+            [(p, c.numerator, c.denominator) for p, c in coeffs.items()])
         self._hash = None
         self._approx = None
 

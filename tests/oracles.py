@@ -568,3 +568,119 @@ def vec_h_norm_certificate(x: dict) -> dict:
                 "quantity": abs(x[0])}
     tail = vec_tail(x)
     return {"holds": tail >= 1, "reason": "tail", "quantity": tail}
+
+
+# -- build files on Fractions --------------------------------------------------
+#
+# The reader as it was before rationals were read on ints: every rational of
+# a document through Fraction(str), every value over the lcm of its Fraction
+# denominators.  An outcome is ("value", (den, num, surds)), the value's
+# int-vector form, or an error as (kind, message): "format" for a malformed
+# document, "too-large" for a surd index above the primality cap.
+
+PRIME_CAP = 2 ** 32
+
+
+def fraction_rat(text: str):
+    """("ratio", Fraction) of a string, or ("error", message)."""
+    if "e" in text or "E" in text:
+        return "error", f"exponent notation in {text!r}"
+    try:
+        return "ratio", Fraction(text)
+    except ZeroDivisionError:
+        return "error", f"zero denominator in {text!r}"
+    except ValueError as exc:
+        return "error", str(exc)
+
+
+class _Refused(Exception):
+    """(kind, message) of a refused document."""
+
+
+def _fraction_of(x) -> Fraction:
+    if isinstance(x, (int, str)) and not isinstance(x, bool):
+        kind, q = fraction_rat(x) if isinstance(x, str) else ("ratio",
+                                                              Fraction(x))
+        if kind == "ratio":
+            return q
+    raise _Refused("format", f"not a rational: {x!r}")
+
+
+def _canonical_index(key) -> int:
+    try:
+        n = int(key) if isinstance(key, str) else None
+    except ValueError:
+        n = None
+    if n is None or str(n) != key:
+        raise _Refused("format", f"not a canonical index: {key!r}")
+    return n
+
+
+def fraction_value_read(obj):
+    """The outcome of reading one value of a document: every surd key and
+    coefficient in order, then the rational part, then the primality of
+    each key with a nonzero coefficient, in order."""
+    try:
+        if isinstance(obj, (int, str)) and not isinstance(obj, bool):
+            q = _fraction_of(obj)
+            return "value", (q.denominator, q.numerator, ())
+        if not isinstance(obj, dict):
+            raise _Refused("format", f"not a value: {obj!r}")
+        surds = obj.get("surds", {})
+        if not isinstance(surds, dict):
+            raise _Refused("format", f"surds must be an object: {surds!r}")
+        coeffs = {}
+        for key, c in surds.items():
+            p = _canonical_index(key)
+            coeffs[p] = _fraction_of(c)
+        lead = _fraction_of(obj.get("rat", 0))
+        kept = {}
+        for p, c in coeffs.items():
+            if c == 0:
+                continue
+            if p > PRIME_CAP:
+                raise _Refused("too-large",
+                               f"{p} is above {PRIME_CAP}, the largest "
+                               "number whose primality is decided")
+            if p < 2 or factorize(p) != {p: 1}:
+                raise _Refused("format", f"surd index {p} is not prime")
+            kept[p] = c
+    except _Refused as exc:
+        return exc.args
+    den = lcm(lead.denominator, *(c.denominator for c in kept.values()))
+    return "value", (den, int(lead * den),
+                     tuple(sorted((p, int(c * den)) for p, c in kept.items())))
+
+
+def plain_value(v):
+    """A value's wire form, from its public views."""
+    if not v.surd_coeffs:
+        return str(v.rational_part)
+    return {"rat": str(v.rational_part),
+            "surds": {str(p): str(c) for p, c in v.surd_coeffs.items()}}
+
+
+def plain_doc(obj):
+    """The JSON form of nested dicts, lists, tuples, Fractions and values,
+    by recursion over isinstance."""
+    if hasattr(obj, "surd_coeffs"):
+        return plain_value(obj)
+    if isinstance(obj, Fraction):
+        return str(obj)
+    if isinstance(obj, dict):
+        return {str(k): plain_doc(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [plain_doc(v) for v in obj]
+    return obj
+
+
+def certificate_doc(cert) -> dict:
+    return {"seed": cert.seed,
+            "stages": plain_doc(cert.stages),
+            "classes": plain_doc(cert.classes),
+            "realized_distances": [plain_value(v)
+                                   for v in cert.realized_distances],
+            "generic_values": [plain_value(v) for v in cert.generic_values],
+            "spheres": plain_doc(cert.spheres),
+            "sphere_law_ok": cert.sphere_law_ok,
+            "growth_ok": cert.growth_ok}

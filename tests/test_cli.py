@@ -682,6 +682,47 @@ def test_build_rejects_bad_spec(capsys, tmp_path):
     assert code == 2 and out == "" and "spec rejected" in err
 
 
+@pytest.mark.parametrize("field, bad", [
+    ("stages", 1.9), ("stages", True), ("denom_bound", "64"),
+])
+def test_build_refuses_an_integer_field_that_is_not_an_integer(
+        capsys, tmp_path, field, bad):
+    # "stages": 1.9 once built one stage, and certified against the spec
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "window": "2", field: bad}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run(capsys, "build", "--spec", str(path), "--seed", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("format error") and f"{field} must be an integer" in err
+
+
+@pytest.mark.parametrize("where", ["spec seed", "certificate seed",
+                                   "ledger class"])
+def test_certify_refuses_an_integer_field_that_is_not_an_integer(
+        capsys, tmp_path, where):
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "window": "2"}
+    spec_path, built_path = tmp_path / "spec.json", tmp_path / "built.json"
+    spec_path.write_text(json.dumps(spec))
+    code, _, _ = run(capsys, "build", "--spec", str(spec_path), "--seed", "1",
+                     "--out", str(built_path))
+    assert code == 0
+    built = json.loads(built_path.read_text())
+    if where == "spec seed":
+        spec_path.write_text(json.dumps(dict(spec, seed=1.0)))
+    elif where == "certificate seed":
+        built["certificate"]["seed"] = 1.0
+    else:
+        built["certificate"]["spheres"][0]["class"] = 0.0
+    built_path.write_text(json.dumps(built))
+    code, out, err = run(capsys, "certify", str(built_path), str(spec_path))
+    assert code == 2 and out == ""
+    assert err.startswith("format error") and "must be an integer" in err
+
+
 # -- error plumbing ------------------------------------------------------------------
 
 

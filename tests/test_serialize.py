@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from banakh.banakh_group import DistToken, GroupElement
@@ -15,10 +15,13 @@ from banakh.serialize import (FormatError, dumps, value_to_json,
                               buildspec_to_json, buildspec_from_json,
                               element_to_json, element_from_json,
                               token_to_json, token_from_json,
-                              certificate_to_json, certificate_from_json)
-from banakh.space_builder import BuildSpec, RadiusClass, build, verify_certificate
-from banakh.values import SurdValue
+                              certificate_to_json, certificate_from_json,
+                              _plain)
+from banakh.space_builder import (BuildSpec, Certificate, RadiusClass, build,
+                                  verify_certificate)
+from banakh.values import InputTooLarge, SurdValue, rat
 
+import oracles
 from conftest import line_fragment
 
 
@@ -65,6 +68,67 @@ def test_value_rejects_floats_bools_and_nonprimes():
         value_from_json({"rat": "1", "surds": {"2": "1e5"}})
     with pytest.raises(FormatError):
         value_from_json([1, 2])
+
+
+# strings of the characters a rational's forms use (with a fullwidth and an
+# Arabic-Indic three), and canonical ratios
+ratio_texts = st.one_of(
+    st.text(alphabet="0123456789-+/._ e\uff13\u0663", max_size=10),
+    st.from_regex(r"-?[0-9]{1,8}(/[0-9]{1,6})?", fullmatch=True))
+surd_docs = st.builds(
+    lambda surds, rational: ({"surds": surds} if rational is None
+                             else {"rat": rational, "surds": surds}),
+    st.dictionaries(
+        st.sampled_from(["2", "3", "4", "9", "02", " 3", "-3", "1", "0",
+                         "4294967291", "4294967311"]),
+        st.one_of(ratio_texts, st.sampled_from([0, 1, True, 1.5])),
+        max_size=3),
+    st.one_of(st.none(), ratio_texts))
+
+
+def read_outcome(obj):
+    """value_from_json's outcome in the form of oracles.fraction_value_read."""
+    try:
+        v = value_from_json(obj)
+    except (FormatError, InputTooLarge) as exc:
+        kind = {FormatError: "format", InputTooLarge: "too-large"}
+        return kind[type(exc)], str(exc)
+    return "value", (v._den, v._num, v._surds)
+
+
+def rat_outcome(text):
+    try:
+        q = rat(text)
+    except ValueError as exc:
+        assert type(exc) is ValueError
+        return "error", str(exc)
+    assert type(q) is Fraction
+    return "ratio", q
+
+
+@given(st.one_of(ratio_texts, surd_docs, st.integers(-10**6, 10**6)))
+@example("3/0")
+@example("-0/0")
+@example("-4/6")
+@example("007/014")
+@example("1" * 5000)
+@example("-" + "1" * 5000)
+@example("1/" + "1" * 5000)
+@example({"surds": {"4": "0", "2": "-1/2"}})
+@example({"rat": "1/3", "surds": {"4": "1"}})
+@example({"rat": "1", "surds": {"02": "1"}})
+@example({"surds": {"4294967311": "1"}})
+@example({"surds": {"4294967311": "0"}})
+@example({"surds": {"4": "1", "4294967311": "1"}})
+@example({"surds": {"4294967311": "1", "4": "1"}})
+@example({"surds": {"2": "1/3", "3": "-1/6"}})
+@example({"surds": {"x": "3/0"}, "rat": "y"})
+@example({"surds": {"2": "3/0"}, "rat": "y"})
+def test_int_reader_matches_the_fraction_path(obj):
+    # the same int-vector form, or the same error type and message
+    assert read_outcome(obj) == oracles.fraction_value_read(obj)
+    if isinstance(obj, str):
+        assert rat_outcome(obj) == oracles.fraction_rat(obj)
 
 
 @pytest.mark.parametrize("surds", [
@@ -135,6 +199,17 @@ def test_fragment_round_trip():
     assert dict(f2.pairs()) == dict(f.pairs())
 
 
+def test_a_document_reads_each_distinct_value_once():
+    f = line_fragment({f"p{k}": k for k in range(6)})
+    values = [w for _, w in fragment_from_json(reload(fragment_to_json(f)))
+              .pairs()]
+    assert len({id(w) for w in values}) == len(set(values)) == 5
+    _, _, cert = _built()
+    read = certificate_from_json(reload(certificate_to_json(cert)))
+    radii = [e["radius"] for e in read.spheres]
+    assert len({id(r) for r in radii}) == len(set(radii)) < len(radii)
+
+
 def test_fragment_incomplete_table_still_fails():
     doc = {"points": ["a", "b", "c"], "dist": [["a", "b", "1"]]}
     with pytest.raises(ValueError):
@@ -158,6 +233,26 @@ def test_buildspec_round_trip_and_seed_override():
     with pytest.raises(FormatError):
         buildspec_from_json(doc)
     assert buildspec_from_json(doc, seed=4).seed == 4
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("stages", 1.9), ("stages", True), ("stages", "2"),
+    ("denom_bound", 64.0), ("denom_bound", "64"),
+    ("seed", 1.5), ("seed", False), ("seed", "11"),
+])
+def test_buildspec_integer_fields_are_json_integers(field, bad):
+    # int() once truncated "stages": 1.9 to one stage
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), MonoidDesc.fingen([1])),),
+                     window=Fraction(2), seed=11)
+    doc = reload(buildspec_to_json(spec))
+    doc[field] = bad
+    with pytest.raises(FormatError, match=f"{field} must be an integer"):
+        buildspec_from_json(doc)
+    if field == "seed":
+        # a seed given by the caller is checked the same way
+        del doc["seed"]
+        with pytest.raises(FormatError, match="seed must be an integer"):
+            buildspec_from_json(doc, seed=bad)
 
 
 # -- group elements and tokens ---------------------------------------------------------
@@ -212,9 +307,50 @@ def test_certificate_rejects_malformed():
         certificate_from_json({"seed": 0})
 
 
+@pytest.mark.parametrize("bad", [2.0, True, "2"])
+@pytest.mark.parametrize("field", ["seed", "class"])
+def test_certificate_integer_fields_are_json_integers(field, bad):
+    _, _, cert = _built()
+    doc = reload(certificate_to_json(cert))
+    if field == "seed":
+        doc["seed"] = bad
+    else:
+        doc["spheres"][0]["class"] = bad
+    with pytest.raises(FormatError, match=f"{field} must be an integer"):
+        certificate_from_json(doc)
+
+
+class Third(Fraction):
+    """A Fraction subclass: the writer's isinstance fallback."""
+
+
+plain_docs = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.integers(-5, 5),
+              st.floats(allow_nan=False), st.text(max_size=2), rationals,
+              rationals.map(Third), surd_values),
+    lambda kids: st.one_of(
+        st.lists(kids, max_size=3), st.lists(kids, max_size=3).map(tuple),
+        st.dictionaries(st.one_of(st.text(max_size=2), st.integers(0, 3)),
+                        kids, max_size=3)),
+    max_leaves=12)
+
+
+@given(plain_docs, plain_docs, plain_docs, st.lists(surd_values, max_size=3))
+def test_writer_matches_the_recursive_reference(stages, classes, spheres,
+                                                values):
+    assert dumps(_plain(spheres)) == dumps(oracles.plain_doc(spheres))
+    cert = Certificate(seed=3, stages=stages, classes=classes,
+                       realized_distances=values, generic_values=values[::-1],
+                       spheres=spheres, sphere_law_ok=True, growth_ok=False)
+    assert (dumps(certificate_to_json(cert))
+            == dumps(oracles.certificate_doc(cert)))
+
+
 def test_canonical_bytes():
     assert dumps({"b": 1, "a": [1, 2]}) == '{"a":[1,2],"b":1}'
     spec, frag, cert = _built()
     _, frag_b, cert_b = _built()
     assert dumps(certificate_to_json(cert)) == dumps(certificate_to_json(cert_b))
+    assert (dumps(certificate_to_json(cert))
+            == dumps(oracles.certificate_doc(cert)))
     assert dumps(fragment_to_json(frag)) == dumps(fragment_to_json(frag_b))
