@@ -6,18 +6,18 @@ produces canonical bytes (sorted keys, no whitespace) so identical inputs
 give identical outputs across runs and platforms.
 
 Reading builds no ``Fraction`` for a canonical rational ("-?[0-9]+" with
-an optional "/[0-9]+"): :func:`banakh.values._ratio_ints` reads it into
-lowest-terms ints, and a value is built from those through the trusted
-``SurdValue._raw`` after the checks of the validating constructor, in its
-order (canonical surd keys, zero coefficients dropped, then a prime
-index).  Every other form (decimals, whitespace, "+", underscores,
-non-ASCII digits) falls back to ``Fraction(str)``, with its reading and
-its errors.  An edge list or a certificate reads each distinct value
+an optional "/[0-9]+"): :func:`banakh.values._ratio` reads it into
+lowest-terms ints, and a value is built from those by
+``SurdValue._from_ints``, the validating constructor on ints, after the
+canonical-key check (zero coefficients dropped, then a prime index).
+Every other form (decimals, whitespace, "+", underscores, non-ASCII
+digits) falls back to ``Fraction(str)``, with its reading and its
+errors.  An edge list or a certificate reads each distinct value
 string once, through a memo local to the call, so equal values share one
 immutable object with its cached hash and enclosure.  Integer fields
 (``stages``, ``denom_bound``, ``seed``, a ledger entry's ``class``) take
-only a JSON integer, never a bool, float or string.  Writing dispatches on
-the exact type and falls back to ``isinstance`` for subclasses.
+only a JSON integer, never a bool, float or string.  Writing leaves a
+leaf of a dict or a list in place without a recursive call.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
 from .monoid_algebra import CLOSURES, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
-from .values import (SurdValue, _over_lcm, _ratio_ints, format_rat,
-                     format_ratio, is_prime, rat)
+from .values import (InputTooLarge, SurdValue, _ratio, format_rat,
+                     format_ratio)
 
 __all__ = [
     "dumps",
@@ -55,27 +55,19 @@ class FormatError(ValueError):
     """Malformed input document."""
 
 
-def _rat_from(obj) -> Fraction:
-    """An int or string of a document through :func:`banakh.values.rat`;
-    a bool is not a rational."""
+def _ratio_from(obj) -> tuple[int, int]:
+    """The lowest-terms (num, den) of an int or string of a document, read
+    by :func:`banakh.values._ratio`; a bool is not a rational."""
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
         try:
-            return rat(obj)
+            return _ratio(obj)
         except ValueError as exc:
             raise FormatError(f"not a rational: {obj!r}") from exc
     raise FormatError(f"not a rational: {obj!r}")
 
 
-def _ratio_from(obj) -> tuple[int, int]:
-    """The lowest-terms (num, den) of an int or string of a document: a
-    canonical ratio is read on ints, anything else through
-    :func:`_rat_from`, with its errors."""
-    if type(obj) is str:
-        ints = _ratio_ints(obj)
-        if ints is not None:
-            return ints
-    q = _rat_from(obj)
-    return q.numerator, q.denominator
+def _rat_from(obj) -> Fraction:
+    return Fraction(*_ratio_from(obj))
 
 
 def _int_from(obj, what: str) -> int:
@@ -124,8 +116,7 @@ def _index_from(key) -> int:
 
 def value_from_json(obj) -> SurdValue:
     if isinstance(obj, (int, str)) and not isinstance(obj, bool):
-        num, den = _ratio_from(obj)
-        return SurdValue._raw(den, num, ())
+        return SurdValue._from_ints(*_ratio_from(obj), ())
     if isinstance(obj, dict):
         surds = obj.get("surds", {})
         if not isinstance(surds, dict):
@@ -133,12 +124,12 @@ def value_from_json(obj) -> SurdValue:
         coeffs = [(_index_from(key), *_ratio_from(c))
                   for key, c in surds.items()]
         num, den = _ratio_from(obj.get("rat", 0))
-        coeffs = [t for t in coeffs if t[1]]
-        for p, _, _ in coeffs:
-            # InputTooLarge, above the primality cap, is not a FormatError
-            if not is_prime(p):
-                raise FormatError(f"surd index {p} is not prime")
-        return SurdValue._raw(*_over_lcm(num, den, coeffs))
+        try:
+            return SurdValue._from_ints(num, den, coeffs)
+        except InputTooLarge:
+            raise
+        except ValueError as exc:    # an index that is not a prime
+            raise FormatError(str(exc)) from exc
     raise FormatError(f"not a value: {obj!r}")
 
 
@@ -260,29 +251,17 @@ _LEAVES = frozenset((str, int, bool, float, type(None)))
 
 
 def _plain(obj):
-    """Recursively flatten exact values for JSON embedding: by exact type,
-    a leaf left in place without a call, then by ``isinstance`` for
-    subclasses."""
-    t = type(obj)
-    if t is dict:
+    """Recursively flatten exact values for JSON embedding; a leaf of a
+    dict or a list is left in place without a call."""
+    if isinstance(obj, dict):
         return {str(k): v if type(v) in _LEAVES else _plain(v)
                 for k, v in obj.items()}
-    if t is list or t is tuple:
+    if isinstance(obj, (list, tuple)):
         return [v if type(v) in _LEAVES else _plain(v) for v in obj]
-    if t is SurdValue:
-        return value_to_json(obj)
-    if t is Fraction:
-        return format_ratio(obj.numerator, obj.denominator)
-    if t in _LEAVES:
-        return obj
     if isinstance(obj, SurdValue):
         return value_to_json(obj)
     if isinstance(obj, Fraction):
-        return format_rat(obj)
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
+        return format_ratio(obj.numerator, obj.denominator)
     return obj
 
 

@@ -25,7 +25,7 @@ built only for public results and read-only views.  Only the public
 constructors validate; arithmetic builds through the trusted ``_raw``.
 Outside the two modules only :mod:`banakh.serialize` touches the format:
 ``value_to_json`` reads the fields, and ``value_from_json`` builds through
-``_raw`` from the ints of ``_ratio_ints`` after the constructor's checks.
+``_from_ints``, the validating constructor on the ints of ``_ratio``.
 """
 
 from __future__ import annotations
@@ -39,47 +39,44 @@ from operator import index
 from types import MappingProxyType
 
 
-def _ratio_ints(text: str):
-    """The lowest-terms (num, den), den > 0, of a canonical ASCII ratio
-    ``-?[0-9]+(/[0-9]+)?``, read without a ``Fraction``.  None for every
-    other string, and for the two that ``Fraction`` refuses (a zero
-    denominator, more digits than ``int`` converts): the caller falls back
-    to ``Fraction`` for its reading and its errors."""
-    if not text.isascii():
-        return None
-    head, slash, tail = text.partition("/")
-    digits = head[1:] if head.startswith("-") else head
-    if not digits.isdigit() or (slash and not tail.isdigit()):
-        return None
+def _ratio(value) -> tuple[int, int]:
+    """The lowest-terms (num, den), den > 0, of an int or of a string as
+    :func:`rat` reads it.  A canonical ASCII ratio ``-?[0-9]+(/[0-9]+)?``
+    is read on ints, without a ``Fraction``.  Every other string (decimals,
+    whitespace, "+", underscores, non-ASCII digits), and the canonical ones
+    that ``Fraction`` refuses (a zero denominator, more digits than ``int``
+    converts), go through ``Fraction(str)``, with its reading and its
+    errors."""
+    if isinstance(value, int):
+        return int(value), 1
+    if not isinstance(value, str):
+        raise TypeError(f"cannot interpret {value!r} as a rational")
+    if value.isascii():
+        head, slash, tail = value.partition("/")
+        digits = head[1:] if head.startswith("-") else head
+        if digits.isdigit() and (not slash or tail.isdigit()):
+            try:
+                num, den = int(head), int(tail) if slash else 1
+            except ValueError:    # over int's digit limit
+                den = 0
+            if den:
+                g = gcd(num, den)
+                return num // g, den // g
+    # Fraction("1e10000000") would build the power of ten, for minutes
+    if "e" in value or "E" in value:
+        raise ValueError(f"exponent notation in {value!r}")
     try:
-        num = int(head)
-        den = int(tail) if slash else 1
-    except ValueError:    # over int's digit limit
-        return None
-    if den == 0:
-        return None
-    g = gcd(num, den)
-    return num // g, den // g
+        q = Fraction(value)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {value!r}") from None
+    return q.numerator, q.denominator
 
 
 def rat(value) -> Fraction:
     """Coerce an int, "p/q" or decimal string (no exponent), or Fraction."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        ints = _ratio_ints(value)
-        if ints is not None:
-            return Fraction(*ints)
-        # Fraction("1e10000000") would build the power of ten, for minutes
-        if "e" in value or "E" in value:
-            raise ValueError(f"exponent notation in {value!r}")
-        try:
-            return Fraction(value)
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
-    raise TypeError(f"cannot interpret {value!r} as a rational")
+    return Fraction(*_ratio(value))
 
 
 def format_rat(q: Fraction) -> str:
@@ -165,6 +162,20 @@ def _over_lcm(num: int, den: int, coeffs) -> tuple[int, int, tuple]:
             tuple(sorted((k, n * (m // d)) for k, n, d in coeffs)))
 
 
+def _checked(num: int, den: int, coeffs) -> tuple[int, int, tuple]:
+    """:func:`_over_lcm` after the checks of the validating constructor, on
+    the (p, n, d) triples of ``coeffs`` taken in order: one with a zero
+    coefficient is dropped before p is tested, and a p that is not prime is
+    a ValueError (InputTooLarge above PRIME_CAP)."""
+    kept = []
+    for p, n, d in coeffs:
+        if n:
+            if not is_prime(p):
+                raise ValueError(f"surd index {p} is not prime")
+            kept.append((p, n, d))
+    return _over_lcm(num, den, kept)
+
+
 def _lowest(den: int, num: int, items: tuple, bound: int = 0) -> tuple:
     """(den, num, items) after dividing out the common factor of den and the
     numerators, which divides ``bound`` (den itself by default)."""
@@ -226,20 +237,12 @@ class SurdValue:
 
     def __init__(self, rational_part=0, surd_coeffs=None):
         q = rat(rational_part)
-        coeffs = {}
-        if surd_coeffs:
-            for p, c in surd_coeffs.items():
-                # a float or string index raises, never truncates
-                p = index(p)
-                c = rat(c)
-                if c == 0:
-                    continue
-                if not is_prime(p):
-                    raise ValueError(f"surd index {p} is not prime")
-                coeffs[p] = c
-        self._den, self._num, self._surds = _over_lcm(
+        # a float or string index raises, never truncates
+        coeffs = (((index(p), rat(c)) for p, c in surd_coeffs.items())
+                  if surd_coeffs else ())
+        self._den, self._num, self._surds = _checked(
             q.numerator, q.denominator,
-            [(p, c.numerator, c.denominator) for p, c in coeffs.items()])
+            ((p, c.numerator, c.denominator) for p, c in coeffs))
         self._hash = None
         self._approx = None
 
@@ -257,6 +260,11 @@ class SurdValue:
         v._hash = None
         v._approx = None
         return v
+
+    @classmethod
+    def _from_ints(cls, num: int, den: int, coeffs) -> "SurdValue":
+        """The validating constructor on ints: :func:`_checked`."""
+        return cls._raw(*_checked(num, den, coeffs))
 
     @classmethod
     def _reduced(cls, den: int, num: int, surds: tuple) -> "SurdValue":

@@ -321,7 +321,7 @@ def test_certificate_integer_fields_are_json_integers(field, bad):
 
 
 class Third(Fraction):
-    """A Fraction subclass: the writer's isinstance fallback."""
+    """A Fraction subclass, which the writer formats like a Fraction."""
 
 
 plain_docs = st.recursive(
