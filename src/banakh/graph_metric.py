@@ -19,10 +19,12 @@ certificates.
 Every graph answers ``hat`` and ``check`` from one all-pairs table,
 :class:`_DistanceTable`, built on first use from the class's one hook,
 ``_hat_row``: shortest paths for a plain graph, the closed difference
-formula for :class:`MuGraph` and :class:`ScaledMu`.  Shortest paths,
-the table's updates and its ``check`` all compare certified double
-enclosures first and exact values only where those cannot decide, under
-the one error bound derived in :class:`_DistanceTable`.  A full table is a
+formula for :class:`MuGraph` and :class:`ScaledMu`.  A difference graph
+answers its path values (``distances_from``) from its own int table; a
+plain graph's shortest paths, the table's updates and its ``check`` all
+compare certified double enclosures first and exact values only where
+those cannot decide, under the one error bound derived in
+:class:`_DistanceTable`.  A full table is a
 :class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
 :mod:`banakh.banakh_space` reads its geometry from.
 """
@@ -36,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
-from math import isqrt
+from math import isqrt, lcm
 from operator import sub
 from typing import Callable, Optional
 
@@ -282,10 +284,22 @@ class MuGraph(GraphMetric):
     with that distance as the edge value.  The underlying object is infinite;
     ``hat`` and ``check`` therefore read the closed difference formula
     |x-y| + 2*inf{v in M : v + |x-y| in M}, which is the true value on the
-    infinite graph, while ``hat_path`` remains the windowed search
-    (they agree given enough window slack).  Every pair of units takes a
-    membership test, so more than ``ENUMERATION_CAP`` pairs raise
+    infinite graph, while ``distances_from`` (and so ``hat_path``) gives the
+    path values of the window (they agree given enough window slack).  Every
+    distinct difference of units takes one membership test and one value,
+    and more than ``ENUMERATION_CAP`` pairs raise
     :class:`~banakh.values.InputTooLarge` before the first one.
+
+    The path values come from one table on ints, built on the first
+    ``distances_from`` and kept.  The units are ints over their common
+    denominator, ascending, and an edge weighs the int |ta - tb|, so a plain
+    Dijkstra on ints gives every path value exactly, and a path value
+    becomes a :class:`SurdValue` once per distinct int.  Only the rows of
+    the units t >= 0 are searched: t -> -t is an automorphism of the
+    graph, because the unit set is symmetric (``diff_elements`` builds it
+    so) and an edge and its weight depend only on |ta - tb| = |(-ta) -
+    (-tb)|.  So d(-t, s) = d(t, -s), and in ascending order the row of -t
+    is the row of t reversed.
     """
 
     def __init__(self, monoid: MonoidDesc, r, window, denom_bound: int = 64):
@@ -306,13 +320,72 @@ class MuGraph(GraphMetric):
         if not nonzero:
             raise ValueError("monoid has no nonzero elements in the window")
         self.unit_of = {format_rat(t * self.r): t for t in units}
+        # the units ascend, as ints over their common denominator
+        self._den = lcm(*(t.denominator for t in units))
+        self._steps = [t.numerator * (self._den // t.denominator)
+                       for t in units]
+        weight_of = {}          # difference ↦ its edge value, or None
         edges = {}
-        for (a, ta), (b, tb) in combinations(self.unit_of.items(), 2):
-            delta = abs(ta - tb)
-            if monoid.member(delta):
-                edges[(a, b)] = SurdValue.of(delta * self.r)
+        for (a, na), (b, nb) in combinations(zip(self.unit_of, self._steps),
+                                             2):
+            delta = nb - na
+            if delta not in weight_of:
+                weight_of[delta] = (self._value(delta) if monoid.member(
+                    Fraction(delta, self._den)) else None)
+            if weight_of[delta] is not None:
+                edges[(a, b)] = weight_of[delta]
         super().__init__(self.unit_of, edges)
         self._hat_units_cache = {}
+
+    def _value(self, n: int) -> SurdValue:
+        """The value of n steps: n/den times r."""
+        return SurdValue.of(Fraction(n * self.r.numerator,
+                                     self._den * self.r.denominator))
+
+    @cached_property
+    def _path_rows(self) -> dict:
+        """Vertex ↦ the list of its path values in unit order (see the
+        class docstring)."""
+        names = list(self.unit_of)
+        n = len(names)
+        at = {name: i for i, name in enumerate(names)}
+        steps = self._steps
+        adj = [[] for _ in range(n)]
+        for a, b in self.edges:
+            i, j = at[a], at[b]
+            w = abs(steps[i] - steps[j])
+            adj[i].append((j, w))
+            adj[j].append((i, w))
+        value_of = {}
+        rows = {}
+        for i in range(n // 2, n):      # zero is the middle unit
+            dist = [None] * n
+            dist[i] = 0
+            heap = [(0, i)]
+            while heap:
+                d, u = heapq.heappop(heap)
+                if d > dist[u]:
+                    continue
+                for v, w in adj[u]:
+                    if dist[v] is None or d + w < dist[v]:
+                        dist[v] = d + w
+                        heapq.heappush(heap, (d + w, v))
+            row = []
+            for d in dist:
+                if d not in value_of:
+                    value_of[d] = self._value(d)
+                row.append(value_of[d])
+            rows[names[i]] = row
+            rows[names[n - 1 - i]] = row[::-1]
+        return rows
+
+    def distances_from(self, x: str) -> dict:
+        """The path value from x to every vertex of the window, read from
+        the int table (a fresh dict)."""
+        row = self._path_rows.get(x)
+        if row is None:
+            raise KeyError(f"unknown vertex {x!r}")
+        return dict(zip(self.unit_of, row))
 
     def _hat_units(self, delta: Fraction) -> Fraction:
         delta = abs(delta)
@@ -335,6 +408,8 @@ class ScaledMu(GraphMetric):
     hat formula are the template's, multiplied by the scale.  This is
     how copies with irrational radii attach to a build without leaving exact
     arithmetic: the template stays rational, the scale carries the surd.
+    Each distinct template value is multiplied by the scale once, for the
+    edges, the hat rows and the path values alike.
     """
 
     def __init__(self, template: MuGraph, scale, rename: dict):
@@ -350,13 +425,29 @@ class ScaledMu(GraphMetric):
         self.scale = scale
         self._rename = dict(rename)
         self._back = {new: old for old, new in rename.items()}
-        edges = {(rename[u], rename[v]): scale * w
+        self._scaled_of = {}    # template value ↦ scale times it
+        edges = {(rename[u], rename[v]): self._scaled(w)
                  for (u, v), w in template.edges.items()}
         super().__init__(rename.values(), edges)
 
+    def _scaled(self, w: SurdValue) -> SurdValue:
+        out = self._scaled_of.get(w)
+        if out is None:
+            out = self._scaled_of[w] = self.scale * w
+        return out
+
     def _hat_row(self, x: str) -> dict:
         row = self.template._hat_row(self._back[x])
-        return {self._rename[y]: self.scale * h for y, h in row.items()}
+        return {self._rename[y]: self._scaled(h) for y, h in row.items()}
+
+    def distances_from(self, x: str) -> dict:
+        """The template's path values from x, scaled (a fresh dict)."""
+        if x not in self._back:
+            raise KeyError(f"unknown vertex {x!r}")
+        row = self.template._path_rows[self._back[x]]
+        rename = self._rename
+        return {rename[y]: self._scaled(w)
+                for y, w in zip(self.template.unit_of, row)}
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +474,7 @@ def _path_witness(g: GraphMetric):
     """(False, the first edge that is not its shortest path), or
     (True, None) if there is none."""
     for x in g.vertices:
-        dist = GraphMetric.distances_from(g, x)
+        dist = g.distances_from(x)
         for v, w in g.adj[x]:
             if dist[v] != w:
                 return False, (x, v)
@@ -515,14 +606,15 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     added.
 
     The table is built only when a pair is missing.  It starts from the
-    path values of ``g`` itself (:meth:`GraphMetric.distances_from`), not
-    from ``g.hat``: a difference graph's closed formula is the value on the
-    infinite graph and can fall below the windowed path near the window
-    edge.  The result is a :class:`MetricFragment`, validated by the scan
-    that :func:`banakh.banakh_space.verify_fragment` also uses,
-    :meth:`MetricFragment.triangle_failures`, through the one call
-    :func:`validate_pseudometric`, whose per-vertex path search runs only
-    to name the witness edge of a failure.
+    path values of ``g`` itself (``g.distances_from``: the float-filtered
+    search of :meth:`GraphMetric.distances_from`, or a difference graph's
+    int table), not from ``g.hat``: a difference graph's closed formula is
+    the value on the infinite graph and can fall below the windowed path
+    near the window edge.  The result is a :class:`MetricFragment`,
+    validated by the scan that :func:`banakh.banakh_space.verify_fragment`
+    also uses, :meth:`MetricFragment.triangle_failures`, through the one
+    call :func:`validate_pseudometric`, whose per-vertex path search runs
+    only to name the witness edge of a failure.
     Above ``ENUMERATION_CAP`` pairs (about 447 vertices) it raises
     :class:`~banakh.values.InputTooLarge` before building anything.
     """
@@ -559,8 +651,7 @@ def _assign(g: GraphMetric, verts: list, missing: list,
     sampler = policy.dense_family or (
         lambda pair, lo, hi, r, prime: _default_sample(lo, hi, r, prime))
 
-    base = _DistanceTable(verts, g.edges,
-                          lambda x: GraphMetric.distances_from(g, x))
+    base = _DistanceTable(verts, g.edges, g.distances_from)
     index = base.index
 
     assignments: dict = {}

@@ -17,7 +17,9 @@ string once, through a memo local to the call, so equal values share one
 immutable object with its cached hash and enclosure.  Integer fields
 (``stages``, ``denom_bound``, ``seed``, a ledger entry's ``class``) take
 only a JSON integer, never a bool, float or string.  Writing leaves a
-leaf of a dict or a list in place without a recursive call.
+leaf of a dict or a list in place without a recursive call, and a
+certificate formats each distinct value once, through a memo local to the
+call.
 """
 
 from __future__ import annotations
@@ -250,14 +252,8 @@ def token_from_json(obj) -> DistToken:
 _LEAVES = frozenset((str, int, bool, float, type(None)))
 
 
-def _plain(obj):
-    """Recursively flatten exact values for JSON embedding; a leaf of a
-    dict or a list is left in place without a call."""
-    if isinstance(obj, dict):
-        return {str(k): v if type(v) in _LEAVES else _plain(v)
-                for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _LEAVES else _plain(v) for v in obj]
+def _exact_to_json(obj):
+    """The JSON form of a value or a Fraction; any other object as it is."""
     if isinstance(obj, SurdValue):
         return value_to_json(obj)
     if isinstance(obj, Fraction):
@@ -265,14 +261,44 @@ def _plain(obj):
     return obj
 
 
+def _plain(obj, leaf=_exact_to_json):
+    """Recursively flatten exact values for JSON embedding, each through
+    ``leaf``; a leaf of a dict or a list is left in place without a call."""
+    if isinstance(obj, dict):
+        return {str(k): v if type(v) in _LEAVES else _plain(v, leaf)
+                for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [v if type(v) in _LEAVES else _plain(v, leaf) for v in obj]
+    return leaf(obj)
+
+
+def _memo_forms():
+    """:func:`_exact_to_json` run once per distinct value of one document
+    (equal values have equal forms, whatever their type).  An irrational
+    value's form is a fresh dict each time, so the document shares no
+    mutable part."""
+    memo = {}
+
+    def form(obj):
+        if not isinstance(obj, (SurdValue, Fraction)):
+            return obj
+        out = memo.get(obj)
+        if out is None:
+            out = memo[obj] = _exact_to_json(obj)
+        if type(out) is dict:
+            return {"rat": out["rat"], "surds": dict(out["surds"])}
+        return out
+    return form
+
+
 def certificate_to_json(cert: Certificate) -> dict:
+    form = _memo_forms()
     return {"seed": cert.seed,
-            "stages": _plain(cert.stages),
-            "classes": _plain(cert.classes),
-            "realized_distances": [value_to_json(v)
-                                   for v in cert.realized_distances],
-            "generic_values": [value_to_json(v) for v in cert.generic_values],
-            "spheres": _plain(cert.spheres),
+            "stages": _plain(cert.stages, form),
+            "classes": _plain(cert.classes, form),
+            "realized_distances": [form(v) for v in cert.realized_distances],
+            "generic_values": [form(v) for v in cert.generic_values],
+            "spheres": _plain(cert.spheres, form),
             "sphere_law_ok": cert.sphere_law_ok,
             "growth_ok": cert.growth_ok}
 

@@ -142,12 +142,6 @@ def _scaled_root(n: int, scale: int) -> int:
     return root
 
 
-def sqrt_brackets(n: int, scale: int) -> tuple[Fraction, Fraction]:
-    """Certified lo <= sqrt(n) < hi with hi - lo = 2**-scale, via isqrt."""
-    root = _scaled_root(n, scale)
-    return Fraction(root, 1 << scale), Fraction(root + 1, 1 << scale)
-
-
 # -- the int-vector format (see the module docstring) -----------------------
 
 def _over_lcm(num: int, den: int, coeffs) -> tuple[int, int, tuple]:

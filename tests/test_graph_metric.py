@@ -5,7 +5,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -694,6 +694,92 @@ def test_completion_seeds_from_every_vertex_but_the_last(monkeypatch):
     # one missing pair: the last row sets no entry
     extend_to_full(path_graph([1, 1]), ExtensionPolicy(seed=0))
     assert calls == ["v0", "v1"]
+
+
+# -- the difference graph's int path table ---------------------------------------
+
+
+def small_rationals(top):
+    return st.fractions(min_value=Fraction(1, 2), max_value=top,
+                        max_denominator=2)
+
+
+difference_monoids = st.one_of(
+    st.lists(st.integers(1, 6), min_size=1, max_size=3).map(MonoidDesc.fingen),
+    st.lists(small_rationals(3), min_size=1, max_size=2).map(MonoidDesc.fingen),
+    small_rationals(2).map(lambda g: MonoidDesc.groupcone([g])),
+    st.just(OMEGA1))
+PATH_SCALES = [SurdValue(1), SurdValue(Fraction(3, 2)), SurdValue.sqrt(2)]
+
+
+@given(difference_monoids, st.sampled_from([1, Fraction(1, 2), 2]),
+       st.integers(1, 5), st.sampled_from(PATH_SCALES))
+@example(MonoidDesc.fingen([3, 5]), 1, 3, SurdValue.sqrt(2))
+@settings(max_examples=100, deadline=None)
+def test_difference_graph_paths_match_the_oracle_and_the_search(
+        monoid, r, units, scale):
+    # every row of the int table, mirrored or searched, against the plain
+    # Dijkstra and against the float-filtered search it replaces; the
+    # example is a window whose closed hat falls below its path values
+    try:
+        g = build_mu(monoid, r, r * units)
+    except ValueError:        # no edge in the window, or not connected
+        assume(False)
+    rename = {v: f"s{v}" for v in g.vertices}
+    scaled = ScaledMu(g, scale, rename)
+    for x in g.vertices:
+        want = oracles.dijkstra(g.vertices, g.edges, x)
+        assert g.distances_from(x) == want == GraphMetric.distances_from(g, x)
+        want = oracles.dijkstra(scaled.vertices, scaled.edges, rename[x])
+        assert scaled.distances_from(rename[x]) == want == \
+            GraphMetric.distances_from(scaled, rename[x])
+
+
+def test_the_path_table_is_not_the_closed_hat():
+    # at window 3, <3, 5> joins only differences 3, 5 and 6, and a detour
+    # through the window is longer than the infinite graph's
+    g = build_mu(MonoidDesc.fingen([3, 5]), 1, 3)
+    below = [(x, y) for x in g.vertices for y in g.vertices
+             if g.hat(x, y) < g.distances_from(x)[y]]
+    assert ("-1", "1") in below
+    assert g.hat_path("-1", "1") == \
+        oracles.dijkstra(g.vertices, g.edges, "-1")["1"]
+
+
+def test_difference_completion_seeds_from_the_int_table(monkeypatch):
+    template = build_mu(OMEGA1, 1, 6)
+    g = ScaledMu(template, SurdValue.sqrt(2),
+                 {v: f"a{v}" for v in template.vertices})
+    plain = GraphMetric(g.vertices, g.edges)
+    calls = []
+    paths = GraphMetric.distances_from
+
+    def counted(h, x):
+        calls.append(x)
+        return paths(h, x)
+
+    monkeypatch.setattr(GraphMetric, "distances_from", counted)
+    got = extend_to_full(g, ExtensionPolicy(seed=5))
+    assert got.assignments and calls == []
+    want = extend_to_full(plain, ExtensionPolicy(seed=5))
+    assert calls == list(g.vertices[:-1])
+    assert got.assignments == want.assignments
+    assert got.intervals == want.intervals
+    assert got.full.edges == want.full.edges
+
+
+def test_path_rows_are_fresh_dicts():
+    template = build_mu(OMEGA1, 1, 4)
+    g = ScaledMu(template, SurdValue(Fraction(3, 2)),
+                 {v: f"a{v}" for v in template.vertices})
+    for graph, x, y in ((template, "-2", "3"), (g, "a-2", "a3")):
+        row = graph.distances_from(x)
+        kept = dict(row)
+        row[y] = ZERO
+        del row[x]
+        assert graph.distances_from(x) == kept
+        with pytest.raises(KeyError, match="unknown vertex"):
+            graph.distances_from("nowhere")
 
 
 @given(weighted_graphs(), families, st.integers(0, 10 ** 6),

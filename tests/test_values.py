@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 import oracles
 from banakh.graph_metric import _default_sample, _exceeds, _nearer_gap
 from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
-                           format_rat, is_prime, primes_from, rational_between,
-                           sqrt_brackets)
+                           format_rat, is_prime, primes_from, rational_between)
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -159,7 +158,8 @@ def test_equality_is_structural_and_hash_consistent(a):
 
 @given(st.sampled_from(SMALL_PRIMES), st.integers(min_value=4, max_value=60))
 def test_sqrt_brackets_certify(p, scale):
-    lo, hi = sqrt_brackets(p, scale)
+    # the brackets that sign and the gap search refine, at one root
+    lo, hi = SurdValue.sqrt(p).brackets(scale)
     assert lo * lo <= p < hi * hi
     assert hi - lo == Fraction(1, 2 ** scale)
 
