@@ -19,12 +19,13 @@ certificates.
 Every graph answers ``hat`` and ``check`` from one all-pairs table,
 :class:`_DistanceTable`, built on first use from the class's one hook,
 ``_hat_row``: shortest paths for a plain graph, the closed difference
-formula for :class:`MuGraph` and :class:`ScaledMu`.  A difference graph
-answers its path values (``distances_from``) from its own int table; a
-plain graph's shortest paths, the table's updates and its ``check`` all
-compare certified double enclosures first and exact values only where
-those cannot decide, under the one error bound derived in
-:class:`_DistanceTable`.  A full table is a
+formula for a difference graph (a :class:`MuGraph` or a :class:`ScaledMu`
+copy).  A difference graph reads its closed hats and its path values
+(``distances_from``) from its template's int core, as numbers of steps
+times the value of one step; a plain graph's shortest paths, the table's
+updates and its ``check`` all compare certified double enclosures first
+and exact values only where those cannot decide, under the one error
+bound derived in :class:`_DistanceTable`.  A full table is a
 :class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
 :mod:`banakh.banakh_space` reads its geometry from.
 """
@@ -36,7 +37,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 from math import isqrt, lcm
 from operator import sub
@@ -276,7 +277,37 @@ class MetricFragment(GraphMetric):
         return len(self.points)
 
 
-class MuGraph(GraphMetric):
+class _DifferenceGraph(GraphMetric):
+    """A difference graph on ``_core``, the :class:`MuGraph` that owns the
+    ints: a MuGraph is its own core, and a :class:`ScaledMu` shares its
+    template's.  A graph holds only its vertex names, in the core's unit
+    order, and the value of one step."""
+
+    def __init__(self, names: list, step: SurdValue):
+        self._names = names
+        self._at = {name: i for i, name in enumerate(names)}
+        self._step = step
+        self._value = cache(step.__mul__)       # n steps ↦ step × n
+        super().__init__(names, {(names[i], names[j]): self._value(n)
+                                 for i, j, n in self._core._int_edges})
+
+    def distances_from(self, x: str) -> dict:
+        """The path value from x to every vertex of the window, read from
+        the core's int path table (a fresh dict)."""
+        i = self._at.get(x)
+        if i is None:
+            raise KeyError(f"unknown vertex {x!r}")
+        return dict(zip(self._names,
+                        map(self._value, self._core._path_rows[i])))
+
+    def _hat_row(self, x: str) -> dict:
+        steps, closed = self._core._steps, self._core._closed
+        t, value = steps[self._at[x]], self._value
+        return {y: value(closed[abs(s - t)])
+                for y, s in zip(self._names, steps)}
+
+
+class MuGraph(_DifferenceGraph):
     """Windowed difference graph of a monoid M, scaled by a radius.
 
     Vertices are the elements of (M - M) scaled by r inside [-window, window];
@@ -285,21 +316,24 @@ class MuGraph(GraphMetric):
     ``hat`` and ``check`` therefore read the closed difference formula
     |x-y| + 2*inf{v in M : v + |x-y| in M}, which is the true value on the
     infinite graph, while ``distances_from`` (and so ``hat_path``) gives the
-    path values of the window (they agree given enough window slack).  Every
-    distinct difference of units takes one membership test and one value,
-    and more than ``ENUMERATION_CAP`` pairs raise
+    path values of the window (they agree given enough window slack).  More
+    than ``ENUMERATION_CAP`` pairs raise
     :class:`~banakh.values.InputTooLarge` before the first one.
 
-    The path values come from one table on ints, built on the first
-    ``distances_from`` and kept.  The units are ints over their common
-    denominator, ascending, and an edge weighs the int |ta - tb|, so a plain
-    Dijkstra on ints gives every path value exactly, and a path value
-    becomes a :class:`SurdValue` once per distinct int.  Only the rows of
-    the units t >= 0 are searched: t -> -t is an automorphism of the
-    graph, because the unit set is symmetric (``diff_elements`` builds it
-    so) and an edge and its weight depend only on |ta - tb| = |(-ta) -
-    (-tb)|.  So d(-t, s) = d(t, -s), and in ascending order the row of -t
-    is the row of t reversed.
+    The graph is its own int core, which its :class:`ScaledMu` copies share.
+    The units are ints over their common denominator ``_den``, ascending
+    (``_steps``), and every value is a number of steps times the value of
+    one step, r/den here: an edge is the int |ta - tb| (one membership test
+    per distinct difference), a closed hat |Δ| + 2*min_add(|Δ|)*den (one
+    ``min_add`` per distinct |Δ|, a Fraction where min_add(|Δ|)*den is not
+    an int), and a path value the int length from a plain Dijkstra, built
+    on the first ``distances_from`` and kept.  Each distinct number of steps
+    becomes a :class:`SurdValue` once per graph.  Only the rows of the
+    units t >= 0 are searched: t -> -t is an automorphism of the graph,
+    because the unit set is symmetric (``diff_elements`` builds it so) and
+    an edge and its weight depend only on |ta - tb| = |(-ta) - (-tb)|.  So
+    d(-t, s) = d(t, -s), and in ascending order the row of -t is the row of
+    t reversed.
     """
 
     def __init__(self, monoid: MonoidDesc, r, window, denom_bound: int = 64):
@@ -320,44 +354,31 @@ class MuGraph(GraphMetric):
         if not nonzero:
             raise ValueError("monoid has no nonzero elements in the window")
         self.unit_of = {format_rat(t * self.r): t for t in units}
-        # the units ascend, as ints over their common denominator
-        self._den = lcm(*(t.denominator for t in units))
-        self._steps = [t.numerator * (self._den // t.denominator)
-                       for t in units]
-        weight_of = {}          # difference ↦ its edge value, or None
-        edges = {}
-        for (a, na), (b, nb) in combinations(zip(self.unit_of, self._steps),
-                                             2):
-            delta = nb - na
-            if delta not in weight_of:
-                weight_of[delta] = (self._value(delta) if monoid.member(
-                    Fraction(delta, self._den)) else None)
-            if weight_of[delta] is not None:
-                edges[(a, b)] = weight_of[delta]
-        super().__init__(self.unit_of, edges)
-        self._hat_units_cache = {}
+        den = self._den = lcm(*(t.denominator for t in units))
+        self._steps = [t.numerator * (den // t.denominator) for t in units]
+        member = {}             # difference in steps ↦ whether M holds it
+        self._int_edges = []    # (i, j, steps) for the joined units i < j
+        for (i, a), (j, b) in combinations(enumerate(self._steps), 2):
+            if b - a not in member:
+                member[b - a] = monoid.member(Fraction(b - a, den))
+            if member[b - a]:
+                self._int_edges.append((i, j, b - a))
+        super().__init__(list(self.unit_of), SurdValue.of(self.r / den))
 
-    def _value(self, n: int) -> SurdValue:
-        """The value of n steps: n/den times r."""
-        return SurdValue.of(Fraction(n * self.r.numerator,
-                                     self._den * self.r.denominator))
+    @property
+    def _core(self) -> MuGraph:     # as an attribute, a reference cycle
+        return self
 
     @cached_property
-    def _path_rows(self) -> dict:
-        """Vertex ↦ the list of its path values in unit order (see the
-        class docstring)."""
-        names = list(self.unit_of)
-        n = len(names)
-        at = {name: i for i, name in enumerate(names)}
-        steps = self._steps
+    def _path_rows(self) -> list:
+        """Unit index ↦ the path lengths in steps to every unit, in unit
+        order (see the class docstring)."""
+        n = len(self._steps)
         adj = [[] for _ in range(n)]
-        for a, b in self.edges:
-            i, j = at[a], at[b]
-            w = abs(steps[i] - steps[j])
+        for i, j, w in self._int_edges:
             adj[i].append((j, w))
             adj[j].append((i, w))
-        value_of = {}
-        rows = {}
+        rows = [None] * n
         for i in range(n // 2, n):      # zero is the middle unit
             dist = [None] * n
             dist[i] = 0
@@ -370,49 +391,34 @@ class MuGraph(GraphMetric):
                     if dist[v] is None or d + w < dist[v]:
                         dist[v] = d + w
                         heapq.heappush(heap, (d + w, v))
-            row = []
-            for d in dist:
-                if d not in value_of:
-                    value_of[d] = self._value(d)
-                row.append(value_of[d])
-            rows[names[i]] = row
-            rows[names[n - 1 - i]] = row[::-1]
+            rows[i] = dist
+            rows[n - 1 - i] = dist[::-1]
         return rows
 
-    def distances_from(self, x: str) -> dict:
-        """The path value from x to every vertex of the window, read from
-        the int table (a fresh dict)."""
-        row = self._path_rows.get(x)
-        if row is None:
-            raise KeyError(f"unknown vertex {x!r}")
-        return dict(zip(self.unit_of, row))
-
-    def _hat_units(self, delta: Fraction) -> Fraction:
-        delta = abs(delta)
-        if delta not in self._hat_units_cache:
-            extra = self.monoid.min_add(delta)
+    @cached_property
+    def _closed(self) -> dict:
+        """|Δ| in steps ↦ its closed hat in steps (see the class)."""
+        out = {}
+        for n in {b - a for a in self._steps for b in self._steps if b >= a}:
+            extra = self.monoid.min_add(Fraction(n, self._den))
             if extra is None:
-                raise ValueError(f"{delta} is outside the difference set")
-            self._hat_units_cache[delta] = delta + 2 * extra
-        return self._hat_units_cache[delta]
-
-    def _hat_row(self, x: str) -> dict:
-        tx = self.unit_of[x]
-        return {y: SurdValue.of(self._hat_units(self.unit_of[y] - tx) * self.r)
-                for y in self.vertices}
+                raise ValueError(f"{Fraction(n, self._den)} is outside the "
+                                 "difference set")
+            out[n] = n + 2 * extra * self._den
+        return out
 
 
-class ScaledMu(GraphMetric):
+class ScaledMu(_DifferenceGraph):
     """A difference graph rescaled by a positive (possibly irrational) factor
-    and relabeled.  Vertices carry new names; edge values and the closed
-    hat formula are the template's, multiplied by the scale.  This is
-    how copies with irrational radii attach to a build without leaving exact
-    arithmetic: the template stays rational, the scale carries the surd.
-    Each distinct template value is multiplied by the scale once, for the
-    edges, the hat rows and the path values alike.
+    and relabeled: a :class:`MuGraph` or another copy as its ``template``.
+    Vertices carry new names; it shares the template's int core, and its
+    step is the template's times the scale, so its edges, closed hats and
+    path values are the template's times the scale.  This is how copies with
+    irrational radii attach to a build without leaving exact arithmetic:
+    the core stays on ints, the step carries the surd.
     """
 
-    def __init__(self, template: MuGraph, scale, rename: dict):
+    def __init__(self, template: MuGraph | ScaledMu, scale, rename: dict):
         if not isinstance(scale, SurdValue):
             scale = SurdValue.of(scale)
         if not scale.sign() > 0:
@@ -423,31 +429,9 @@ class ScaledMu(GraphMetric):
             raise ValueError("rename must be injective")
         self.template = template
         self.scale = scale
-        self._rename = dict(rename)
-        self._back = {new: old for old, new in rename.items()}
-        self._scaled_of = {}    # template value ↦ scale times it
-        edges = {(rename[u], rename[v]): self._scaled(w)
-                 for (u, v), w in template.edges.items()}
-        super().__init__(rename.values(), edges)
-
-    def _scaled(self, w: SurdValue) -> SurdValue:
-        out = self._scaled_of.get(w)
-        if out is None:
-            out = self._scaled_of[w] = self.scale * w
-        return out
-
-    def _hat_row(self, x: str) -> dict:
-        row = self.template._hat_row(self._back[x])
-        return {self._rename[y]: self._scaled(h) for y, h in row.items()}
-
-    def distances_from(self, x: str) -> dict:
-        """The template's path values from x, scaled (a fresh dict)."""
-        if x not in self._back:
-            raise KeyError(f"unknown vertex {x!r}")
-        row = self.template._path_rows[self._back[x]]
-        rename = self._rename
-        return {rename[y]: self._scaled(w)
-                for y, w in zip(self.template.unit_of, row)}
+        self._core = template._core
+        super().__init__([rename[v] for v in template._names],
+                         scale * template._step)
 
 
 # ---------------------------------------------------------------------------

@@ -16,13 +16,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 
 from .banakh_space import MetricFragment, verify_fragment
 from .graph_metric import (ExtensionExhausted, ExtensionPolicy, MuGraph,
                            ScaledMu, extend_to_full, floppy_union)
-from .monoid_algebra import MonoidDesc, is_floppy
-from .values import SurdValue, rat
+from .monoid_algebra import ENUMERATION_CAP, MonoidDesc, is_floppy
+from .values import InputTooLarge, SurdValue, rat
 
 __all__ = [
     "RadiusClass",
@@ -55,6 +55,15 @@ class RadiusClass:
     monoid: MonoidDesc
 
 
+# A stage that adds no point leaves the fragment as it was, so every later
+# stage repeats it (about 0.24 ms and one log entry each), and completion
+# refuses more than 447 points (ENUMERATION_CAP pairs): a build's stages
+# after the 447th only repeat, or are refused.  Real builds meet that cap
+# far sooner: radii 1 and sqrt(2) over Z+ at window 2 have 205 points after
+# three stages and are refused in the fourth.
+_STAGE_CAP = (1 + isqrt(1 + 8 * ENUMERATION_CAP)) // 2
+
+
 @dataclass
 class BuildSpec:
     radii: tuple
@@ -68,6 +77,9 @@ class BuildSpec:
         self.window = rat(self.window)
         if self.stages < 1:
             raise SpecRejected("stages must be at least 1")
+        if self.stages > _STAGE_CAP:
+            raise InputTooLarge(f"the build would run {self.stages} stages, "
+                                f"above the cap of {_STAGE_CAP}")
         if self.window <= 0:
             raise SpecRejected("window must be positive")
         for cls in self.radii:

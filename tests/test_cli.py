@@ -940,6 +940,21 @@ def test_extend_above_the_pair_cap_is_bad_input(capsys, tmp_path):
     assert "100128 pairs" in err
 
 
+def test_build_above_the_stage_cap_is_bad_input(capsys, tmp_path):
+    # each of 10**9 stages would cost a fraction of a millisecond; the count
+    # is refused with the cap before the first one
+    spec = {"radii": [{"r": "1", "monoid": {"variant": "fingen",
+                                            "generators": ["1"]}}],
+            "stages": 1000000000, "window": "2"}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "build", "--spec", str(path), "--seed", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("bad input:")
+    assert "1000000000 stages, above the cap of 447" in err
+
+
 # -- fuzzing main() ----------------------------------------------------------------
 
 

@@ -1,7 +1,9 @@
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -712,6 +714,14 @@ difference_monoids = st.one_of(
 PATH_SCALES = [SurdValue(1), SurdValue(Fraction(3, 2)), SurdValue.sqrt(2)]
 
 
+def copy_of_a_copy(template):
+    """A 3/2 copy of a sqrt(2) copy of the template, named t<vertex>."""
+    inner = ScaledMu(template, SurdValue.sqrt(2),
+                     {v: f"s{v}" for v in template.vertices})
+    return ScaledMu(inner, SurdValue(Fraction(3, 2)),
+                    {f"s{v}": f"t{v}" for v in template.vertices})
+
+
 @given(difference_monoids, st.sampled_from([1, Fraction(1, 2), 2]),
        st.integers(1, 5), st.sampled_from(PATH_SCALES))
 @example(MonoidDesc.fingen([3, 5]), 1, 3, SurdValue.sqrt(2))
@@ -719,20 +729,19 @@ PATH_SCALES = [SurdValue(1), SurdValue(Fraction(3, 2)), SurdValue.sqrt(2)]
 def test_difference_graph_paths_match_the_oracle_and_the_search(
         monoid, r, units, scale):
     # every row of the int table, mirrored or searched, against the plain
-    # Dijkstra and against the float-filtered search it replaces; the
-    # example is a window whose closed hat falls below its path values
+    # Dijkstra and against the float-filtered search it replaces, on the
+    # window, on a copy and on a copy of a copy; the example is a window
+    # whose closed hat falls below its path values
     try:
         g = build_mu(monoid, r, r * units)
     except ValueError:        # no edge in the window, or not connected
         assume(False)
-    rename = {v: f"s{v}" for v in g.vertices}
-    scaled = ScaledMu(g, scale, rename)
-    for x in g.vertices:
-        want = oracles.dijkstra(g.vertices, g.edges, x)
-        assert g.distances_from(x) == want == GraphMetric.distances_from(g, x)
-        want = oracles.dijkstra(scaled.vertices, scaled.edges, rename[x])
-        assert scaled.distances_from(rename[x]) == want == \
-            GraphMetric.distances_from(scaled, rename[x])
+    for graph in (g, ScaledMu(g, scale, {v: f"s{v}" for v in g.vertices}),
+                  copy_of_a_copy(g)):
+        for x in graph.vertices:
+            want = oracles.dijkstra(graph.vertices, graph.edges, x)
+            assert graph.distances_from(x) == want == \
+                GraphMetric.distances_from(graph, x)
 
 
 def test_the_path_table_is_not_the_closed_hat():
@@ -747,10 +756,12 @@ def test_the_path_table_is_not_the_closed_hat():
 
 
 def test_difference_completion_seeds_from_the_int_table(monkeypatch):
+    # a sqrt(2) copy of an omega-1 window, and a copy of a copy of one:
+    # both have missing pairs
     template = build_mu(OMEGA1, 1, 6)
-    g = ScaledMu(template, SurdValue.sqrt(2),
-                 {v: f"a{v}" for v in template.vertices})
-    plain = GraphMetric(g.vertices, g.edges)
+    copies = [ScaledMu(template, SurdValue.sqrt(2),
+                       {v: f"a{v}" for v in template.vertices}),
+              copy_of_a_copy(build_mu(OMEGA1, 1, 4))]
     calls = []
     paths = GraphMetric.distances_from
 
@@ -759,13 +770,28 @@ def test_difference_completion_seeds_from_the_int_table(monkeypatch):
         return paths(h, x)
 
     monkeypatch.setattr(GraphMetric, "distances_from", counted)
-    got = extend_to_full(g, ExtensionPolicy(seed=5))
-    assert got.assignments and calls == []
-    want = extend_to_full(plain, ExtensionPolicy(seed=5))
-    assert calls == list(g.vertices[:-1])
-    assert got.assignments == want.assignments
-    assert got.intervals == want.intervals
-    assert got.full.edges == want.full.edges
+    for g in copies:
+        plain = GraphMetric(g.vertices, g.edges)
+        calls.clear()
+        got = extend_to_full(g, ExtensionPolicy(seed=5))
+        assert got.assignments and calls == []
+        want = extend_to_full(plain, ExtensionPolicy(seed=5))
+        assert calls == list(g.vertices[:-1])
+        assert got.assignments == want.assignments
+        assert got.intervals == want.intervals
+        assert got.full.edges == want.full.edges
+
+
+@pytest.mark.parametrize("closure", ["dyadic-plus-thirds", "dyadic"])
+def test_the_closed_hat_is_exact_in_steps(closure):
+    # |Δ| + 2*min_add(|Δ|) on Fractions, times r: a hat is kept in steps,
+    # and a step count that is not an int is never rounded
+    monoid, r = MonoidDesc.closure(closure), Fraction(1, 2)
+    g = build_mu(monoid, r, 2, denom_bound=16)
+    for x, y in itertools.product(g.vertices, repeat=2):
+        delta = abs(g.unit_of[x] - g.unit_of[y])
+        assert g.hat(x, y) == \
+            SurdValue((delta + 2 * monoid.min_add(delta)) * r), (x, y)
 
 
 def test_path_rows_are_fresh_dicts():
@@ -780,6 +806,22 @@ def test_path_rows_are_fresh_dicts():
         assert graph.distances_from(x) == kept
         with pytest.raises(KeyError, match="unknown vertex"):
             graph.distances_from("nowhere")
+
+
+def test_a_dropped_difference_graph_is_freed_at_once():
+    # a MuGraph is its own int core: held as an attribute, it would be a
+    # reference cycle, left for the cyclic collector with all its tables
+    template = build_mu(OMEGA1, 1, 4)
+    copy = ScaledMu(template, SurdValue.sqrt(2),
+                    {v: f"a{v}" for v in template.vertices})
+    assert copy.hat("a0", "a1") == copy.hat_path("a0", "a1")   # both tables
+    freed = weakref.ref(template)
+    gc.disable()
+    try:
+        del template, copy
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @given(weighted_graphs(), families, st.integers(0, 10 ** 6),
@@ -916,12 +958,20 @@ def test_scaled_mu_carries_the_surd():
 
 
 @pytest.mark.parametrize("r", [2, Fraction(1, 2)])
-@pytest.mark.parametrize("scale", [SurdValue(1), SurdValue(1, {3: 1})])
+@pytest.mark.parametrize("scale", [SurdValue(1), SurdValue(1, {3: 1}),
+                                   "copy of a copy"])
 def test_scaled_mu_scales_its_template_at_any_radius(r, scale):
-    # the template's own values, radius included, times the scale
+    # the template's own values, radius included, times the scale: edges,
+    # closed hats, checks and path values; a 3/2 copy of a sqrt(2) copy
+    # scales them by both
     template = build_mu(MonoidDesc.fingen([2, 3]), r, 5 * r)
-    rename = {v: f"s{v}" for v in template.vertices}
-    scaled = ScaledMu(template, scale, rename)
+    if scale == "copy of a copy":
+        scale = SurdValue(Fraction(3, 2)) * SurdValue.sqrt(2)
+        rename = {v: f"t{v}" for v in template.vertices}
+        scaled = copy_of_a_copy(template)
+    else:
+        rename = {v: f"s{v}" for v in template.vertices}
+        scaled = ScaledMu(template, scale, rename)
     assert len(scaled.edges) == len(template.edges)
     for (u, v), w in template.edges.items():
         assert scaled.edge_value(rename[u], rename[v]) == scale * w
@@ -929,6 +979,8 @@ def test_scaled_mu_scales_its_template_at_any_radius(r, scale):
         assert scaled.hat(rename[x], rename[y]) == scale * template.hat(x, y)
         assert scaled.check(rename[x], rename[y]) == \
             scale * template.check(x, y)
+        assert scaled.hat_path(rename[x], rename[y]) == \
+            scale * template.hat_path(x, y)
 
 
 def test_scaled_mu_rejects_bad_scale_and_rename():

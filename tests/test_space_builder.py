@@ -17,8 +17,8 @@ from banakh.serialize import (certificate_from_json, certificate_to_json,
                               dumps, fragment_from_json, fragment_to_json)
 from banakh.space_builder import (RadiusClass, BuildSpec, Certificate,
                                   SpecRejected, BuildExhausted, build,
-                                  verify_certificate)
-from banakh.values import SurdValue
+                                  verify_certificate, _STAGE_CAP)
+from banakh.values import InputTooLarge, SurdValue
 
 ZP = MonoidDesc.fingen([1])
 OMEGA = MonoidDesc.closure("omega-minus-1")
@@ -43,6 +43,22 @@ def test_spec_rejects_bad_shapes():
         BuildSpec(radii=unit, window=Fraction(0))
     with pytest.raises(SpecRejected):
         BuildSpec(radii=(RadiusClass(SurdValue(-1), ZP),))
+
+
+def test_spec_refuses_a_stage_count_above_the_cap():
+    unit = (RadiusClass(SurdValue(1), ZP),)
+    with pytest.raises(InputTooLarge,
+                       match=f"{_STAGE_CAP + 1} stages, above the cap of "
+                             f"{_STAGE_CAP}"):
+        BuildSpec(radii=unit, stages=_STAGE_CAP + 1)
+    # the cap's argument: the one-class window-2 build grows at stage 1
+    # only, and every later stage repeats it
+    few, _ = build(zp_spec(window=2, stages=2))
+    many, cert = build(zp_spec(window=2, stages=_STAGE_CAP))
+    assert many.edges == few.edges
+    assert len(cert.stages) == _STAGE_CAP and cert.stages[1]["new_vertices"]
+    assert all(e["copies"] == 0 and e["new_vertices"] == 0
+               for e in cert.stages[2:])
 
 
 def test_spec_rejects_non_floppy_value_monoid():
