@@ -18,11 +18,18 @@ shortest-path search over residues modulo the smallest generator) yields
 the conductor, so membership, half-group and divisibility verdicts below
 are complete, never sampled.
 
-The fingen and groupcone paths run on the reduced semigroup's ints.  With
-g the gcd of the scaled generators, M - M is the multiples k*g/scale of
-g/scale, the gcd of M; x = n/d in lowest terms is one exactly when d*g
-divides n*scale, and then its unit k = n*scale/(d*g) is a member exactly
-when k >= apery[k % m0], for m0 the least reduced generator.  Membership,
+Every monoid answers through exactly one of two cores, and every method and
+verdict branches once, on ``MonoidDesc._closure``.  A closure holds its
+closed-form ``_Closure`` record there; so does the zero monoid {0}, fingen
+or groupcone with no generators, as the module-level record ``_ZERO``,
+which is no entry of ``CLOSURES``.  Every other fingen or groupcone monoid
+leaves ``_closure`` None and runs on its semigroup's ints, which it keeps
+itself: the step g, the gcd of the scaled generators; the reduced
+generators; their Apery list, its modulus m0 and the reduced conductor.
+M - M is the multiples k*g/scale of g/scale, the gcd of M; x = n/d in
+lowest terms is one exactly when d*g divides n*scale, and then its unit
+k = n*scale/(d*g) is a member exactly when k >= apery[k % m0]
+(``_has(k)``), for m0 the least reduced generator.  Membership,
 enumeration, the half-group and divisibility scans and ``ddot_set`` loop
 over units and build a ``Fraction`` only for a value they return (and the
 conductor in an inconclusive half-group message).
@@ -173,39 +180,6 @@ class MonoidTooLarge(InputTooLarge):
             f"Apery set would need one entry per residue")
 
 
-class _Semigroup:
-    """Integer numerical semigroup <gens> with complete membership.
-
-    Its elements are the multiples k*step whose unit k passes the Apery
-    test k >= apery[k % m0], in the reduced semigroup <gens / step>."""
-
-    def __init__(self, gens: tuple[int, ...]):
-        self.step = gcd(*gens)
-        reduced = tuple(sorted({g // self.step for g in gens}))
-        self.reduced = reduced
-        self.apery = _apery_set(reduced)
-        self.m0 = m0 = reduced[0]
-        # conductor of the reduced semigroup: least c with c + Z+ inside it
-        self.reduced_conductor = 0 if m0 == 1 else max(self.apery) - m0 + 1
-
-    def has(self, k: int) -> bool:
-        """Is the unit k in the reduced semigroup?  Never for k < 0: every
-        Apery entry is >= 0."""
-        return k >= self.apery[k % self.m0]
-
-    def member(self, n: int) -> bool:
-        return n % self.step == 0 and self.has(n // self.step)
-
-    def conductor(self) -> int:
-        """Least integer c >= 0 with every multiple of the step >= c inside."""
-        return self.reduced_conductor * self.step
-
-    def smallest_gap(self) -> Optional[int]:
-        """The least unit k >= 0 outside the reduced semigroup, or None."""
-        return next((k for k in range(self.reduced_conductor)
-                     if not self.has(k)), None)
-
-
 def _apery_set(reduced_gens: tuple[int, ...]) -> list[int]:
     """Minimal semigroup element in each residue class mod the least
     generator; MonoidTooLarge, before any allocation, above APERY_CAP."""
@@ -297,7 +271,6 @@ def _dpt_min_add(d: Fraction) -> Optional[Fraction]:
 
 @dataclass(frozen=True)
 class _Closure:
-    cid: str
     member: Callable[[Fraction], bool]
     diff_member: Callable[[Fraction], bool]
     min_add: Callable[[Fraction], Optional[Fraction]]
@@ -306,7 +279,6 @@ class _Closure:
     denominators: Callable[[int], list]
     ddot_empty: bool
     divisibility: Callable[[int, str], Optional[Fraction]]
-    doc: str
 
 
 def _powers_of_two(bound: int) -> list[int]:
@@ -334,8 +306,8 @@ def _dpt_counterexample(p: int, domain: str) -> Optional[Fraction]:
 
 
 CLOSURES = {
+    # nonnegative integers without 1
     "omega-minus-1": _Closure(
-        cid="omega-minus-1",
         member=_omega_member,
         diff_member=lambda x: x.denominator == 1,
         min_add=_omega_min_add,
@@ -344,10 +316,9 @@ CLOSURES = {
         denominators=lambda bound: [1],
         ddot_empty=False,
         divisibility=lambda p, domain: Fraction(1),
-        doc="nonnegative integers without 1",
     ),
+    # nonnegative dyadic rationals
     "dyadic": _Closure(
-        cid="dyadic",
         member=_dyadic_member,
         diff_member=lambda x: _dyadic_part(x.denominator)[1] == 1,
         min_add=lambda d: Fraction(0) if _dyadic_member(d) else None,
@@ -356,10 +327,9 @@ CLOSURES = {
         denominators=_powers_of_two,
         ddot_empty=True,
         divisibility=lambda p, domain: None,
-        doc="nonnegative dyadic rationals",
     ),
+    # monoid generated by {2^-n : n>=1} and {1/3 + 2^-n : n>=1}
     "dyadic-plus-thirds": _Closure(
-        cid="dyadic-plus-thirds",
         member=_dpt_member,
         diff_member=_dpt_diff_member,
         min_add=_dpt_min_add,
@@ -368,11 +338,24 @@ CLOSURES = {
         denominators=_dpt_denoms,
         ddot_empty=True,
         divisibility=_dpt_counterexample,
-        doc="monoid generated by {2^-n : n>=1} and {1/3 + 2^-n : n>=1}",
     ),
 }
 
 CLOSURE_IDS = tuple(sorted(CLOSURES))
+
+# the zero monoid {0}: fingen and groupcone with no generators.  It is no
+# entry of CLOSURES, so no document or flag can name it; with no
+# denominators its grid is empty and it enumerates nothing
+_ZERO = _Closure(
+    member=lambda x: x == 0,
+    diff_member=lambda x: x == 0,
+    min_add=lambda d: Fraction(0) if d == 0 else None,
+    floppy=(True, None),
+    half_group=(True, None),
+    denominators=lambda bound: [],
+    ddot_empty=True,
+    divisibility=lambda p, domain: None,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +392,6 @@ class MonoidDesc:
         self.generators = tuple(by_int[n] for n in scaled)
         self.closure_id = closure_id
         self._closure = None
-        self._semigroup = None
 
         if variant == "closure":
             if closure_id not in CLOSURES:
@@ -420,11 +402,19 @@ class MonoidDesc:
         if scaled and scaled[0] <= 0:
             raise ValueError("generators must be positive")
         if not scaled:
-            return  # the zero monoid
-        # a group cone is the nonnegative multiples of its step, the
+            self._closure = _ZERO
+            return
+        # the numerical semigroup <scaled>: its members are the multiples
+        # k*step whose unit k is in the reduced semigroup <scaled / step>.
+        # A group cone is the nonnegative multiples of its step, the
         # one-generator semigroup of that step
-        self._semigroup = _Semigroup(scaled if variant == "fingen"
-                                     else (gcd(*scaled),))
+        self._step = step = gcd(*scaled)
+        self._reduced = (tuple(n // step for n in scaled)
+                         if variant == "fingen" else (1,))
+        self._apery = _apery_set(self._reduced)
+        self._m0 = m0 = self._reduced[0]
+        # conductor of the reduced semigroup: least c with c + Z+ inside it
+        self._reduced_conductor = 0 if m0 == 1 else max(self._apery) - m0 + 1
 
     # -- identity --------------------------------------------------------
 
@@ -456,7 +446,7 @@ class MonoidDesc:
         return cls("closure", (), closure_id)
 
     def is_zero_monoid(self) -> bool:
-        return self.variant != "closure" and not self.generators
+        return self._closure is _ZERO
 
     # -- membership --------------------------------------------------------
 
@@ -464,44 +454,45 @@ class MonoidDesc:
         x = rat(x)
         if self._closure:
             return self._closure.member(x)
-        if self.is_zero_monoid():
-            return x == 0
         k = self._unit(x)
-        return k is not None and self._semigroup.has(k)
+        return k is not None and self._has(k)
 
     def diff_member(self, x) -> bool:
         """Membership in the difference set M - M."""
         x = rat(x)
         if self._closure:
             return self._closure.diff_member(x)
-        if self.is_zero_monoid():
-            return x == 0
         return self._unit(x) is not None
+
+    def _has(self, k: int) -> bool:
+        """Is the unit k in the reduced semigroup?  Never for k < 0: every
+        Apery entry is >= 0."""
+        return k >= self._apery[k % self._m0]
 
     def _unit(self, x: Fraction) -> Optional[int]:
         """The int k with x = k * gcd(M), or None when x is not in M - M,
         the multiples of gcd(M) = step/scale."""
         k, rest = divmod(x.numerator * self.scale,
-                         x.denominator * self._semigroup.step)
+                         x.denominator * self._step)
         return None if rest else k
 
     def _value(self, k: int) -> Fraction:
         """The multiple k * gcd(M)."""
-        return Fraction(k * self._semigroup.step, self.scale)
+        return Fraction(k * self._step, self.scale)
 
     def _top_unit(self, window: Fraction) -> int:
         """The largest k with k * gcd(M) <= window; InputTooLarge when the
         units 0 to k are more than ENUMERATION_CAP."""
         top = (window.numerator * self.scale
-               // (window.denominator * self._semigroup.step))
+               // (window.denominator * self._step))
         _check_enumeration(top + 1)
         return top
 
     def conductor(self) -> Optional[Fraction]:
         """Least c with every multiple of the gcd above c a member; None if n/a."""
-        if self._semigroup is None:
+        if self._closure:
             return None
-        return self._value(self._semigroup.reduced_conductor)
+        return self._value(self._reduced_conductor)
 
     # -- infima -------------------------------------------------------------
 
@@ -514,16 +505,13 @@ class MonoidDesc:
         d = rat(d)
         if self._closure:
             return self._closure.min_add(d)
-        if self.member(d):
-            return Fraction(0)
-        if self.is_zero_monoid() or not self.diff_member(d):
-            return None
-        sg = self._semigroup
         n = self._unit(d)
-        start = max(0, -n)
-        limit = sg.reduced_conductor + start + 1
-        for v in range(start, limit + 1):
-            if sg.has(v) and sg.has(v + n):
+        if n is None:
+            return None
+        # v = 0 comes first when d is a member, so that gives 0
+        has, start = self._has, max(0, -n)
+        for v in range(start, self._reduced_conductor + start + 2):
+            if has(v) and has(v + n):
                 return self._value(v)
         return None
 
@@ -542,22 +530,21 @@ class MonoidDesc:
     def elements(self, window, denom_bound: int = 64) -> list[Fraction]:
         """Sorted members of M in [0, window] (denominator-bounded for closures)."""
         window = rat(window)
-        if self.is_zero_monoid():
-            return [Fraction(0)]
         if self._closure:
-            return sorted(self._closure_grid(window, denom_bound, 0,
-                                             self.member))
-        has = self._semigroup.has
+            # 0 is added, not enumerated, so the zero monoid's grid is empty
+            grid = self._closure_grid(window, denom_bound, 0,
+                                      self._closure.member)
+            return sorted(grid | {Fraction(0)}) if window >= 0 else []
+        has = self._has
         return [self._value(k) for k in range(self._top_unit(window) + 1)
                 if has(k)]
 
     def diff_elements(self, window, denom_bound: int = 64) -> list[Fraction]:
         """Sorted members of M - M in [-window, window]."""
         window = rat(window)
-        if self.is_zero_monoid():
-            return [Fraction(0)]
         if self._closure:
-            half = self._closure_grid(window, denom_bound, 1, self.diff_member)
+            half = self._closure_grid(window, denom_bound, 1,
+                                      self._closure.diff_member)
             return sorted(half | {-x for x in half} | {Fraction(0)})
         step = self._value(1)
         top = int(window / step)
@@ -589,22 +576,23 @@ def is_half_group(monoid: MonoidDesc, bound=None):
     False verdict is a pair (a, b) of members whose difference b - a is in
     (M - M) but not in M.
     """
+    if monoid._closure:
+        return monoid._closure.half_group
     # a cone is a half-group whatever the bound; the semigroup path would
     # call a bound below its conductor 0 inconclusive
-    if monoid.variant == "groupcone" or monoid.is_zero_monoid():
+    if monoid.variant == "groupcone":
         return True, None
-    if monoid.variant == "closure":
-        return CLOSURES[monoid.closure_id].half_group
     if bound is not None:
         conductor = monoid.conductor()
         if rat(bound) < conductor:
             return None, f"bound below conductor {conductor}"
-    sg = monoid._semigroup
-    gap = sg.smallest_gap()
+    has = monoid._has
+    gap = next((k for k in range(monoid._reduced_conductor) if not has(k)),
+               None)
     if gap is None:
         return True, None
     # the least positive member a with a + gap a member; the conductor is one
-    a = next(k for k in count(1) if sg.has(k) and sg.has(k + gap))
+    a = next(k for k in count(1) if has(k) and has(k + gap))
     return False, (monoid._value(a), monoid._value(a + gap))
 
 
@@ -623,35 +611,36 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
     _require_prime(p)
     if domain not in ("Z_plus", "M_minus_M"):
         raise ValueError(f"unknown domain {domain!r}")
-    if monoid.is_zero_monoid():
-        return DivisibilityWitness("divisible")
-    if monoid.variant == "closure":
-        witness = CLOSURES[monoid.closure_id].divisibility(p, domain)
+    if monoid._closure:
+        witness = monoid._closure.divisibility(p, domain)
         if witness is None:
             return DivisibilityWitness("divisible")
         _assert_counterexample(monoid, p, domain, witness)
         return DivisibilityWitness("counterexample", witness)
 
-    sg = monoid._semigroup
+    has, step = monoid._has, monoid._step
     if domain == "M_minus_M":
         # the units k of the nonnegative multiples of the gcd below the
         # conductor: p*s is no member for s < 0, and s is one from the
         # conductor on
-        has = sg.has
-        k = next((k for k in range(sg.reduced_conductor)
+        k = next((k for k in range(monoid._reduced_conductor)
                   if has(p * k) and not has(k)), None)
         if k is None:
             return DivisibilityWitness("divisible")
         return DivisibilityWitness("counterexample", monoid._value(k))
-    complete = True
-    scale, member = monoid.scale, sg.member
+
+    def holds(n: int) -> bool:
+        """Is n / scale a member?"""
+        return n % step == 0 and has(n // step)
+
+    complete, scale = True, monoid.scale
     # one period g past the conductor, which is rounded up
-    last = -(-sg.conductor() // scale) + sg.step - 1
+    last = -(-monoid._reduced_conductor * step // scale) + step - 1
     if bound is not None:
         complete = rat(bound) >= last
         last = min(last, floor(rat(bound)))
     for s in range(last + 1):
-        if member(p * s * scale) and not member(s * scale):
+        if holds(p * s * scale) and not holds(s * scale):
             return DivisibilityWitness("counterexample", Fraction(s))
     return DivisibilityWitness("divisible" if complete else "inconclusive")
 
@@ -672,10 +661,10 @@ def is_floppy(monoid: MonoidDesc):
     dense closure classes ship hand-verified infimum formulas, so the verdict
     is exact there as well.  Returns (verdict, witness_r_or_None).
     """
-    if monoid.variant == "closure":
-        return CLOSURES[monoid.closure_id].floppy
-    # fingen/groupcone (and the zero monoid): inf of the nonzero elements is
-    # the smallest scaled generator, which is positive
+    if monoid._closure:
+        return monoid._closure.floppy
+    # fingen/groupcone: inf of the nonzero elements is the smallest scaled
+    # generator, which is positive
     return True, None
 
 
@@ -688,17 +677,14 @@ def ddot_set(monoid: MonoidDesc, window, denom_bound: int = 64) -> list[Fraction
     (see the module docstring); closures scan their denominator grid.
     """
     window = rat(window)
-    if monoid.is_zero_monoid():
-        return []
-    if monoid.variant == "closure":
-        if CLOSURES[monoid.closure_id].ddot_empty:
+    if monoid._closure:
+        if monoid._closure.ddot_empty:
             return []
         members = monoid.elements(window, denom_bound)
         member_set = set(members)
         return [r for r in members if r != 0 and not any(
             0 < x < r and (r - x) in member_set for x in members)]
-    sg = monoid._semigroup
     top = monoid._top_unit(window)
-    gens = sg.reduced
+    has, gens = monoid._has, monoid._reduced
     return [monoid._value(g) for g in gens if g <= top
-            and not any(sg.has(g - h) for h in gens if h < g)]
+            and not any(has(g - h) for h in gens if h < g)]

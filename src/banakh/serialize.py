@@ -30,7 +30,7 @@ from fractions import Fraction
 from .banakh_space import MetricFragment
 from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
-from .monoid_algebra import CLOSURES, MonoidDesc
+from .monoid_algebra import CLOSURES, ENUMERATION_CAP, MonoidDesc
 from .space_builder import BuildSpec, Certificate, RadiusClass
 from .values import (InputTooLarge, SurdValue, _ratio, format_rat,
                      format_ratio)
@@ -166,13 +166,23 @@ def _edge_list_to_json(keys, names, edges) -> dict:
 
 
 def _edge_list_from_json(obj, keys, what: str):
-    """(names, {(u, v): value}) of an edge list, else "not a <what>:"."""
+    """(names, {(u, v): value}) of an edge list, else "not a <what>:".
+
+    Above ENUMERATION_CAP pairs of names it raises InputTooLarge before
+    any row is read: every command that reads one scans its triangles,
+    O(n**3), and completion refuses such a graph anyway."""
     value = _memo(value_from_json)
     try:
         names = [str(p) for p in obj[keys[0]]]
+        pairs = len(names) * (len(names) - 1) // 2
+        if pairs > ENUMERATION_CAP:
+            raise InputTooLarge(f"the {what} would hold {pairs} pairs, "
+                                f"above the cap of {ENUMERATION_CAP}")
         edges = {}
         for u, v, w in obj[keys[1]]:
             edges[(str(u), str(v))] = value(w)
+    except InputTooLarge:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"not a {what}: {exc}") from exc
     return names, edges

@@ -135,6 +135,42 @@ def test_work_above_a_cap_is_bad_input(capsys, line_file, argv):
     assert code == 2 and out == "" and err.startswith("bad input:")
 
 
+@pytest.fixture(scope="module")
+def big_line_doc():
+    """A complete 448-point line: 100,128 pairs, one above the cap."""
+    names = [f"p{k}" for k in range(448)]
+    return {"points": names,
+            "dist": [[a, b, str(j - i)] for i, a in enumerate(names)
+                     for j, b in enumerate(names) if i < j]}
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "{file}"),
+    ("embed", "{file}"),
+    ("line", "{file}", "--a", "p0", "--b", "p1", "-n", "2"),
+    ("gps", "{file}", "--a", "p0", "--ra", "2", "--b", "p3", "--rb", "1"),
+    ("orient", "{file}", "--origin", "p0", "--x", "p1", "--y", "p2"),
+    ("segment", "{file}", "--x", "p0", "--y", "p1", "--r", "2"),
+    ("certify", "{built}", "{built}"),
+], ids=lambda argv: argv[0])
+def test_a_file_above_the_pair_cap_is_bad_input(capsys, tmp_path,
+                                                big_line_doc, argv):
+    # the triangle scan of 100,128 pairs would run for minutes; the file is
+    # refused once its names are read
+    # (`extend` has its own test: its graphs have far fewer edges)
+    paths = {"file": big_line_doc,
+             "built": {"fragment": big_line_doc, "certificate": {}}}
+    for key, obj in paths.items():
+        (tmp_path / f"{key}.json").write_text(json.dumps(obj))
+    argv = [a.format(**{k: str(tmp_path / f"{k}.json") for k in paths})
+            for a in argv]
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and err.startswith("bad input:")
+    assert "100128 pairs" in err
+
+
 @pytest.mark.parametrize("argv", [
     ("halfgroup", "--gens", "1e100000000"),
     ("ddot", "--gens", "1", "--window", "1e100000000"),

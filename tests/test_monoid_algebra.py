@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 import oracles
 from banakh.values import InputTooLarge
+from banakh.graph_metric import MuGraph
 from banakh.monoid_algebra import (APERY_CAP, ENUMERATION_CAP, MonoidDesc,
-                                   MonoidTooLarge,
+                                   DivisibilityWitness, MonoidTooLarge,
                                    MonoidMembershipError,
                                    dzik_reduce, delta_p, div_p,
                                    is_half_group, is_p_divisible_in,
                                    is_floppy, ddot_set, CLOSURES)
+from banakh.serialize import monoid_from_json, monoid_to_json
 
 
 OMEGA1 = MonoidDesc.closure("omega-minus-1")
@@ -190,11 +192,40 @@ def test_half_group_witness_needs_no_window_enumeration():
 
 
 def test_zero_monoid_degenerate_cases():
-    z = MonoidDesc.fingen([])
-    assert z.is_zero_monoid()
-    assert z.member(0) and not z.member(1)
-    assert z.elements(10) == [Fraction(0)]
-    assert is_half_group(z) == (True, None)
+    for variant in ("fingen", "groupcone"):
+        z = MonoidDesc(variant, [])
+        assert z.is_zero_monoid()
+        assert z.member(0) and not z.member(1)
+        assert z.diff_member(0) and not z.diff_member(1)
+        assert z.min_add(0) == 0 and z.min_add(1) is None
+        assert z.conductor() is None
+        # the only member is 0, so no window is too wide to enumerate
+        assert z.elements(10 ** 6) == [Fraction(0)]
+        assert z.diff_elements(10 ** 6) == [Fraction(0)]
+        assert is_half_group(z) == (True, None)
+        assert is_half_group(z, bound=-1) == (True, None)
+        for domain in ("M_minus_M", "Z_plus"):
+            assert is_p_divisible_in(z, 2, domain) == DivisibilityWitness(
+                "divisible")
+        with pytest.raises(ValueError):
+            is_p_divisible_in(z, 4)
+        with pytest.raises(ValueError):
+            is_p_divisible_in(z, 2, "bogus")
+        assert is_floppy(z) == (True, None)
+        assert ddot_set(z, 10 ** 9) == []
+        doc = monoid_to_json(z)
+        assert doc == {"variant": variant, "generators": []}
+        assert monoid_from_json(doc) == z
+        assert repr(z) == f"MonoidDesc({variant} <>)"
+        with pytest.raises(ValueError, match="no nonzero elements"):
+            MuGraph(z, 1, 3)
+
+
+@pytest.mark.parametrize("m", [MonoidDesc.fingen([]), MonoidDesc.fingen([2]),
+                               OMEGA1, DYADIC, DPT], ids=repr)
+def test_a_negative_window_holds_no_member(m):
+    assert m.elements(Fraction(-1, 2)) == []
+    assert m.elements(0) == [0]
 
 
 # -- half-group verdicts -------------------------------------------------------

@@ -216,6 +216,21 @@ def test_fragment_incomplete_table_still_fails():
         fragment_from_json(doc)
 
 
+def test_edge_lists_above_the_pair_cap_are_refused_before_any_row():
+    # 448 names are 100,128 pairs, above ENUMERATION_CAP; the malformed row
+    # would be a FormatError if it were read
+    names = [f"p{k}" for k in range(448)]
+    for reader, keys in ((fragment_from_json, ("points", "dist")),
+                         (graph_from_json, ("vertices", "edges"))):
+        with pytest.raises(InputTooLarge, match="100128 pairs.*100000"):
+            reader({keys[0]: names, keys[1]: [["p0"]]})
+    # one name fewer is under the cap and read as before
+    with pytest.raises(ValueError,
+                       match=r"distance table incomplete: 0/99681$") as info:
+        fragment_from_json({"points": names[:447], "dist": []})
+    assert not isinstance(info.value, (InputTooLarge, FormatError))
+
+
 # -- build specs ---------------------------------------------------------------------
 
 
