@@ -43,9 +43,9 @@ from math import isqrt, lcm
 from operator import sub
 from typing import Callable, Optional
 
-from .monoid_algebra import ENUMERATION_CAP, MonoidDesc
-from .values import (InputTooLarge, SurdValue, ZERO, primes_from, rat,
-                     _between, _exceeds, _lowest, _sum, format_rat)
+from .monoid_algebra import MonoidDesc, _check_pairs
+from .values import (SurdValue, ZERO, primes_from, rat, _between,
+                     _exceeds, _lowest, _sum, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -344,11 +344,7 @@ class MuGraph(_DifferenceGraph):
         if self.r <= 0:
             raise ValueError("radius must be positive")
         units = monoid.diff_elements(self.window / self.r, denom_bound)
-        pairs = len(units) * (len(units) - 1) // 2
-        if pairs > ENUMERATION_CAP:
-            raise InputTooLarge(
-                f"the difference graph would test {pairs} unit pairs, "
-                f"above the cap of {ENUMERATION_CAP}")
+        _check_pairs(len(units), "difference graph")
         nonzero = [t for t in monoid.elements(2 * self.window / self.r, denom_bound)
                    if t > 0]
         if not nonzero:
@@ -603,10 +599,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     :class:`~banakh.values.InputTooLarge` before building anything.
     """
     verts = list(g.vertices)
-    pairs = len(verts) * (len(verts) - 1) // 2
-    if pairs > ENUMERATION_CAP:
-        raise InputTooLarge(f"the completion would hold {pairs} pairs, "
-                            f"above the cap of {ENUMERATION_CAP}")
+    _check_pairs(len(verts), "completion")
     missing = [p for p in combinations(verts, 2) if p not in g.edges]
     assignments, intervals, backtracks = \
         _assign(g, verts, missing, policy) if missing else ({}, {}, 0)

@@ -376,6 +376,15 @@ def _check_enumeration(points: int) -> None:
                             f"above the cap of {ENUMERATION_CAP}")
 
 
+def _check_pairs(n: int, what: str) -> None:
+    """InputTooLarge, before any loop, when the n(n-1)/2 pairs of n points
+    of ``what`` are more than ENUMERATION_CAP."""
+    pairs = n * (n - 1) // 2
+    if pairs > ENUMERATION_CAP:
+        raise InputTooLarge(f"the {what} would hold {pairs} pairs, "
+                            f"above the cap of {ENUMERATION_CAP}")
+
+
 class MonoidDesc:
     """A decidable description of a submonoid of the nonnegative rationals."""
 
@@ -540,8 +549,11 @@ class MonoidDesc:
                 if has(k)]
 
     def diff_elements(self, window, denom_bound: int = 64) -> list[Fraction]:
-        """Sorted members of M - M in [-window, window]."""
+        """Sorted members of M - M in [-window, window]; none when the
+        window is negative."""
         window = rat(window)
+        if window < 0:
+            return []
         if self._closure:
             half = self._closure_grid(window, denom_bound, 1,
                                       self._closure.diff_member)

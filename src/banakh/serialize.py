@@ -16,10 +16,11 @@ errors.  An edge list or a certificate reads each distinct value
 string once, through a memo local to the call, so equal values share one
 immutable object with its cached hash and enclosure.  Integer fields
 (``stages``, ``denom_bound``, ``seed``, a ledger entry's ``class``) take
-only a JSON integer, never a bool, float or string.  Writing leaves a
-leaf of a dict or a list in place without a recursive call, and a
-certificate formats each distinct value once, through a memo local to the
-call.
+only a JSON integer, never a bool, float or string.  A row that repeats
+a pair with a different value is a format error, never its last value.
+Every ``_plain`` call, the one writer of certificates and reports, formats
+each distinct value once, through a memo local to the call, and leaves a
+leaf of a dict or a list in place without a recursive call.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from fractions import Fraction
 from .banakh_space import MetricFragment
 from .banakh_group import DistToken, GroupElement
 from .graph_metric import GraphMetric
-from .monoid_algebra import CLOSURES, ENUMERATION_CAP, MonoidDesc
+from .monoid_algebra import CLOSURES, MonoidDesc, _check_pairs
 from .space_builder import BuildSpec, Certificate, RadiusClass
 from .values import (InputTooLarge, SurdValue, _ratio, format_rat,
                      format_ratio)
@@ -166,7 +167,8 @@ def _edge_list_to_json(keys, names, edges) -> dict:
 
 
 def _edge_list_from_json(obj, keys, what: str):
-    """(names, {(u, v): value}) of an edge list, else "not a <what>:".
+    """(names, {(u, v): value}) of an edge list, else "not a <what>:"; a
+    pair given twice as (u, v) must repeat its value.
 
     Above ENUMERATION_CAP pairs of names it raises InputTooLarge before
     any row is read: every command that reads one scans its triangles,
@@ -174,13 +176,13 @@ def _edge_list_from_json(obj, keys, what: str):
     value = _memo(value_from_json)
     try:
         names = [str(p) for p in obj[keys[0]]]
-        pairs = len(names) * (len(names) - 1) // 2
-        if pairs > ENUMERATION_CAP:
-            raise InputTooLarge(f"the {what} would hold {pairs} pairs, "
-                                f"above the cap of {ENUMERATION_CAP}")
-        edges = {}
-        for u, v, w in obj[keys[1]]:
-            edges[(str(u), str(v))] = value(w)
+        _check_pairs(len(names), what)
+        rows = obj[keys[1]]
+        edges = {(str(u), str(v)): value(w) for u, v, w in rows}
+        if len(edges) < len(rows):      # a pair is repeated
+            for u, v, w in rows:
+                if edges[key := (str(u), str(v))] != value(w):
+                    raise ValueError(f"conflicting values for {key}")
     except InputTooLarge:
         raise
     except (KeyError, TypeError, ValueError) as exc:
@@ -262,55 +264,41 @@ def token_from_json(obj) -> DistToken:
 _LEAVES = frozenset((str, int, bool, float, type(None)))
 
 
-def _exact_to_json(obj):
-    """The JSON form of a value or a Fraction; any other object as it is."""
-    if isinstance(obj, SurdValue):
-        return value_to_json(obj)
-    if isinstance(obj, Fraction):
-        return format_ratio(obj.numerator, obj.denominator)
-    return obj
+def _plain(obj, memo=None):
+    """The JSON form of nested dicts, lists and tuples of exact values.
 
-
-def _plain(obj, leaf=_exact_to_json):
-    """Recursively flatten exact values for JSON embedding, each through
-    ``leaf``; a leaf of a dict or a list is left in place without a call."""
+    Each distinct :class:`SurdValue` or ``Fraction`` (equal values have
+    equal forms, whatever their type) is formatted once per top-level call,
+    through ``memo``; an irrational value's form is a fresh dict at each
+    place, so the document shares no mutable part.  A leaf of a dict or a
+    list is left in place without a call, and any other object as it is."""
+    if memo is None:
+        memo = {}
     if isinstance(obj, dict):
-        return {str(k): v if type(v) in _LEAVES else _plain(v, leaf)
+        return {str(k): v if type(v) in _LEAVES else _plain(v, memo)
                 for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [v if type(v) in _LEAVES else _plain(v, leaf) for v in obj]
-    return leaf(obj)
-
-
-def _memo_forms():
-    """:func:`_exact_to_json` run once per distinct value of one document
-    (equal values have equal forms, whatever their type).  An irrational
-    value's form is a fresh dict each time, so the document shares no
-    mutable part."""
-    memo = {}
-
-    def form(obj):
-        if not isinstance(obj, (SurdValue, Fraction)):
-            return obj
-        out = memo.get(obj)
-        if out is None:
-            out = memo[obj] = _exact_to_json(obj)
-        if type(out) is dict:
-            return {"rat": out["rat"], "surds": dict(out["surds"])}
-        return out
-    return form
+        return [v if type(v) in _LEAVES else _plain(v, memo) for v in obj]
+    if not isinstance(obj, (SurdValue, Fraction)):
+        return obj
+    out = memo.get(obj)
+    if out is None:
+        out = memo[obj] = (value_to_json(obj) if isinstance(obj, SurdValue)
+                           else format_ratio(obj.numerator, obj.denominator))
+    if type(out) is dict:
+        return {"rat": out["rat"], "surds": dict(out["surds"])}
+    return out
 
 
 def certificate_to_json(cert: Certificate) -> dict:
-    form = _memo_forms()
-    return {"seed": cert.seed,
-            "stages": _plain(cert.stages, form),
-            "classes": _plain(cert.classes, form),
-            "realized_distances": [form(v) for v in cert.realized_distances],
-            "generic_values": [form(v) for v in cert.generic_values],
-            "spheres": _plain(cert.spheres, form),
-            "sphere_law_ok": cert.sphere_law_ok,
-            "growth_ok": cert.growth_ok}
+    return _plain({"seed": cert.seed,
+                   "stages": cert.stages,
+                   "classes": cert.classes,
+                   "realized_distances": cert.realized_distances,
+                   "generic_values": cert.generic_values,
+                   "spheres": cert.spheres,
+                   "sphere_law_ok": cert.sphere_law_ok,
+                   "growth_ok": cert.growth_ok})
 
 
 def certificate_from_json(obj) -> Certificate:

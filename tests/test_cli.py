@@ -784,6 +784,25 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("task", ["verify", "embed", "extend"])
+@pytest.mark.parametrize("values", [("5", "2"), ("2", "5")])
+def test_a_pair_repeated_with_another_value_is_a_format_error(
+        capsys, tmp_path, task, values):
+    # a later row once replaced an earlier one: verify read a-b as 2 and
+    # passed in one order, and extend completed with a-b = 1
+    rows = [["a", "b", values[0]], ["a", "b", values[1]], ["b", "c", "1"]]
+    if task == "extend":
+        doc, argv = {"vertices": ["a", "b", "c"], "edges": rows}, ("--seed", "1")
+    else:
+        doc, argv = {"points": ["a", "b", "c"],
+                     "dist": rows + [["a", "c", "1"]]}, ()
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, task, str(path), *argv)
+    assert code == 2 and out == "" and err.startswith("format error")
+    assert "conflicting values for ('a', 'b')" in err
+
+
 def test_a_padded_surd_key_is_a_format_error(capsys, tmp_path):
     # "02" once read as a second sqrt(2) coefficient and verified
     value = {"rat": "1", "surds": {"2": "1", "02": "1"}}

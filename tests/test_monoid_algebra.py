@@ -191,6 +191,22 @@ def test_half_group_witness_needs_no_window_enumeration():
     assert verdict is False and witness == (1000, 1001)
 
 
+@pytest.mark.parametrize("monoid", [
+    MonoidDesc.fingen([1]), MonoidDesc.fingen([2, 3]),
+    MonoidDesc.groupcone([Fraction(1, 2)]), MonoidDesc.fingen([]),
+    MonoidDesc.groupcone([]), OMEGA1, DYADIC, DPT],
+    ids=["line", "2-3", "cone-half", "zero-fingen", "zero-cone",
+         "omega-minus-1", "dyadic", "dyadic-plus-thirds"])
+def test_a_negative_window_enumerates_nothing(monoid):
+    # M - M in [-w, w] is empty for w < 0; int(window / step) once
+    # truncated -1/2 and -1/3 to 0 and gave [0]
+    for window in (-1, Fraction(-1, 2), Fraction(-1, 3)):
+        assert monoid.diff_elements(window) == []
+        assert monoid.elements(window) == []
+    assert monoid.diff_elements(0) == [0]
+    assert monoid.elements(0) == [0]
+
+
 def test_zero_monoid_degenerate_cases():
     for variant in ("fingen", "groupcone"):
         z = MonoidDesc(variant, [])

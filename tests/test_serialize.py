@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from banakh import serialize
 from banakh.banakh_group import DistToken, GroupElement
 from banakh.graph_metric import build_mu
 from banakh.monoid_algebra import MonoidDesc
@@ -216,6 +217,24 @@ def test_fragment_incomplete_table_still_fails():
         fragment_from_json(doc)
 
 
+@pytest.mark.parametrize("reader, keys, what", [
+    (fragment_from_json, ("points", "dist"), "fragment"),
+    (graph_from_json, ("vertices", "edges"), "graph")])
+def test_a_repeated_row_must_repeat_its_value(reader, keys, what):
+    # a later row once replaced an earlier one before any check ran
+    rest = [["a", "c", "1"], ["b", "c", "1"]]
+    for first, second in (("5", "2"), ("2", "5")):
+        doc = {keys[0]: ["a", "b", "c"],
+               keys[1]: [["a", "b", first], ["a", "b", second]] + rest}
+        with pytest.raises(FormatError, match=rf"^not a {what}: "
+                           r"conflicting values for \('a', 'b'\)$"):
+            reader(doc)
+    # an equal value, however it is written, repeats the row
+    doc = {keys[0]: ["a", "b", "c"],
+           keys[1]: [["a", "b", "2"], ["a", "b", "4/2"]] + rest}
+    assert reader(doc).edge_value("a", "b") == 2
+
+
 def test_edge_lists_above_the_pair_cap_are_refused_before_any_row():
     # 448 names are 100,128 pairs, above ENUMERATION_CAP; the malformed row
     # would be a FormatError if it were read
@@ -359,6 +378,43 @@ def test_writer_matches_the_recursive_reference(stages, classes, spheres,
                        spheres=spheres, sphere_law_ok=True, growth_ok=False)
     assert (dumps(certificate_to_json(cert))
             == dumps(oracles.certificate_doc(cert)))
+
+
+def test_each_place_of_a_certificate_holds_its_own_form():
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(0, {2: 1}),
+                                        MonoidDesc.fingen([1])),),
+                     stages=1, window=Fraction(2), seed=2)
+    _, cert = build(spec)
+    doc = certificate_to_json(cert)
+    before = dumps(doc)
+    radii = [entry["radius"] for entry in doc["spheres"]]
+    assert len(radii) > 1 and all(isinstance(r, dict) for r in radii)
+    radii[0]["rat"] = "7"
+    radii[0]["surds"]["2"] = "7"
+    assert radii[1] == value_to_json(SurdValue(0, {2: 1}))
+    doc["spheres"][0]["radius"] = value_to_json(SurdValue(0, {2: 1}))
+    assert dumps(doc) == before
+
+
+def test_a_report_formats_each_distinct_value_once(monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return value_to_json(v)
+    monkeypatch.setattr(serialize, "value_to_json", counted)
+    root2, half = SurdValue(0, {2: 1}), SurdValue(Fraction(1, 2))
+    report = {"violations": [{"pair": ["a", "b"], "value": root2},
+                             {"pair": ("b", "c"), "value": half},
+                             {"pair": ["a", "c"], "value": root2}],
+              "values": [root2, half, root2 + half, root2],
+              "unit": Fraction(1, 2)}
+    doc = _plain(report)
+    assert sorted(calls) == sorted([root2, half, root2 + half])
+    assert dumps(doc) == dumps(oracles.plain_doc(report))
+    # each top-level call has its own memo
+    _plain(report)
+    assert len(calls) == 6
 
 
 def test_canonical_bytes():
