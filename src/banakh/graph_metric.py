@@ -665,13 +665,8 @@ def _assign(g: GraphMetric, verts: list, missing: list,
     return assignments, intervals, backtracks
 
 
-def _enclosure(value: SurdValue) -> tuple[float, float]:
-    """Doubles lo <= value <= hi (up to the rounding of mid -+ err, see
-    _DistanceTable) from the value's midpoint and error radius.  Neither is
-    NaN: lo < inf and hi > -inf, and a value beyond the double range gives
-    (-inf, inf)."""
-    mid, err = value._float_interval()
-    return mid - err, mid + err
+# the one enclosure, read through a module name that the filter tests patch
+_enclosure = SurdValue._enclosure
 
 
 def _tol(bound: float) -> float:
@@ -716,8 +711,8 @@ class _DistanceTable:
     it and leave it to the exact values otherwise.  Their error bound, with
     u = 2**-53 and B = ``bound`` >= |every enclosure end| seen so far:
 
-    * each stored end is mid -+ err rounded once, so it misses a true bound
-      by at most u*B;
+    * each end is the value's own :meth:`SurdValue._enclosure`, mid -+ err
+      rounded once, so it misses a true bound by at most u*B;
     * a filter adds or subtracts three ends with two roundings, of partial
       sums below 3B, so the sum misses its exact value by at most 3u*B
       (the ends) + 5u*B (the roundings) = 8u*B;

@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from .banakh_space import MetricFragment
 from .banakh_group import DistToken, GroupElement
-from .graph_metric import GraphMetric
+from .graph_metric import GraphMetric, _pair
 from .monoid_algebra import CLOSURES, MonoidDesc, _check_pairs
 from .space_builder import BuildSpec, Certificate, RadiusClass
 from .values import (InputTooLarge, SurdValue, _ratio, format_rat,
@@ -167,8 +167,8 @@ def _edge_list_to_json(keys, names, edges) -> dict:
 
 
 def _edge_list_from_json(obj, keys, what: str):
-    """(names, {(u, v): value}) of an edge list, else "not a <what>:"; a
-    pair given twice as (u, v) must repeat its value.
+    """(names, {_pair(u, v): value}) of an edge list, else "not a <what>:";
+    a pair given twice, in either orientation, must repeat its value.
 
     Above ENUMERATION_CAP pairs of names it raises InputTooLarge before
     any row is read: every command that reads one scans its triangles,
@@ -178,10 +178,10 @@ def _edge_list_from_json(obj, keys, what: str):
         names = [str(p) for p in obj[keys[0]]]
         _check_pairs(len(names), what)
         rows = obj[keys[1]]
-        edges = {(str(u), str(v)): value(w) for u, v, w in rows}
+        edges = {_pair(str(u), str(v)): value(w) for u, v, w in rows}
         if len(edges) < len(rows):      # a pair is repeated
             for u, v, w in rows:
-                if edges[key := (str(u), str(v))] != value(w):
+                if edges[key := _pair(str(u), str(v))] != value(w):
                     raise ValueError(f"conflicting values for {key}")
     except InputTooLarge:
         raise

@@ -19,8 +19,9 @@ element's ``_items`` keyed by coordinate), in lowest terms: the gcd of
 ``_den`` and every numerator is 1, and zero has ``_den == 1``.  The form is
 unique, so equality and hashing compare ints.  Its normalization, reduction,
 sum and proportionality test are the helpers ``_over_lcm``, ``_lowest``,
-``_sum`` and ``_pivots`` below.  Arithmetic, order, brackets, the float
-enclosure and the gap search ``_between`` run on ints; ``Fraction``s are
+``_sum`` and ``_pivots`` below.  Arithmetic, brackets and the gap search
+``_between`` run on ints, and so do sign and order where the value's one
+cached float enclosure, ``_enclosure``, cannot decide; ``Fraction``s are
 built only for public results and read-only views.  Only the public
 constructors validate; arithmetic builds through the trusted ``_raw``.
 Outside the two modules only :mod:`banakh.serialize` touches the format:
@@ -223,11 +224,11 @@ class SurdValue:
     """Immutable exact value rational_part + sum surd_coeffs[p]*sqrt(p).
 
     ``rational_part`` and ``surd_coeffs`` are read-only views: the hash and
-    the float enclosure are cached, so the value must never change under
-    them.
+    the float enclosure's ends are cached, so the value must never change
+    under them.
     """
 
-    __slots__ = ("_den", "_num", "_surds", "_hash", "_approx")
+    __slots__ = ("_den", "_num", "_surds", "_hash", "_ends")
 
     def __init__(self, rational_part=0, surd_coeffs=None):
         q = rat(rational_part)
@@ -238,7 +239,7 @@ class SurdValue:
             q.numerator, q.denominator,
             ((p, c.numerator, c.denominator) for p, c in coeffs))
         self._hash = None
-        self._approx = None
+        self._ends = None
 
     # -- construction helpers -------------------------------------------
 
@@ -252,7 +253,7 @@ class SurdValue:
         v._num = num
         v._surds = surds
         v._hash = None
-        v._approx = None
+        v._ends = None
         return v
 
     @classmethod
@@ -399,8 +400,9 @@ class SurdValue:
         den = self._den << scale
         return Fraction(lo, den), Fraction(hi, den)
 
-    def _float_interval(self) -> tuple[float, float]:
-        """(midpoint, rigorous error radius) in double precision.
+    def _enclosure(self) -> tuple[float, float]:
+        """Doubles lo <= value <= hi, cached: the one float enclosure that
+        every filter compares, mid -+ err with each end rounded once.
 
         The midpoint is _num / den plus, per surd term, (c / den) *
         sqrt(p).  Int true division is correctly rounded, and so are sqrt,
@@ -412,13 +414,14 @@ class SurdValue:
         the float sum of the terms' sizes, up to a factor 1 + (k + 3)u.  A
         rounding in the subnormals errs by up to 2**-1075 more, which a
         root below 2**16 (primes stay below PRIME_CAP) scales by less than
-        2**16.  The radius (4k + 1) * (2u * mag + 2**-1058) is twice that
-        bound, which covers the higher-order terms and the roundings of mag
-        and of the radius itself.  A value the doubles cannot hold gives
-        (0.0, inf), which decides nothing.
+        2**16.  The radius err = (4k + 1) * (2u * mag + 2**-1058) is twice
+        that bound, which covers the higher-order terms, the roundings of
+        mag and of err, and the one rounding of each end, by at most u *
+        (|mid| + err) or 2**-1075.  A value the doubles cannot hold gives
+        (-inf, inf), which decides nothing.
         """
-        cached = self._approx
-        if cached is None:
+        ends = self._ends
+        if ends is None:
             den = self._den
             try:
                 mid = self._num / den
@@ -433,19 +436,19 @@ class SurdValue:
                 mid = mag = math.inf
             err = (4 * len(self._surds) + 1) * (mag * 2.0 ** -52
                                                 + 2.0 ** -1058)
-            cached = (mid, err) if math.isfinite(mid) and math.isfinite(err) \
-                else (0.0, math.inf)
-            self._approx = cached
-        return cached
+            finite = math.isfinite(mid) and math.isfinite(err)
+            ends = (mid - err, mid + err) if finite else (-math.inf, math.inf)
+            self._ends = ends
+        return ends
 
     def sign(self) -> int:
         if not self._surds:
             n = self._num
             return (n > 0) - (n < 0)
-        mid, err = self._float_interval()
-        if mid - err > 0.0:
+        lo, hi = self._enclosure()
+        if lo > 0.0:
             return 1
-        if mid + err < 0.0:
+        if hi < 0.0:
             return -1
         scale = 16
         while scale <= (1 << 20):
@@ -475,11 +478,11 @@ class SurdValue:
         if (self._num == other._num and self._den == other._den
                 and self._surds == other._surds):
             return False
-        fa, ea = self._float_interval()
-        fb, eb = other._float_interval()
-        if fa + ea < fb - eb:
+        a_lo, a_hi = self._enclosure()
+        b_lo, b_hi = other._enclosure()
+        if a_hi < b_lo:
             return True
-        if fb + eb < fa - ea:
+        if b_hi < a_lo:
             return False
         return (self - other).sign() < 0
 

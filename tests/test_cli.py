@@ -14,12 +14,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import banakh
+import banakh.cli
 from banakh.cli import main
 from banakh.serialize import (buildspec_from_json, certificate_to_json, dumps,
                               fragment_to_json, graph_to_json)
 from banakh.graph_metric import GraphMetric
 from banakh.monoid_algebra import APERY_CAP
-from banakh.space_builder import build
+from banakh.space_builder import BuildExhausted, build
 from banakh.values import SurdValue
 
 from conftest import line_fragment
@@ -273,6 +274,44 @@ def test_gps_point_and_null(capsys, line_file):
     code, doc, _ = run_json(capsys, "gps", line_file, "--a", "p+0", "--ra", "1",
                             "--b", "p+3", "--rb", "1")
     assert code == 0 and doc == {"point": None}
+
+
+# a-b and p-q are the diagonals of a unit square: the unit spheres at a and
+# at b both hold p and q
+SQUARE = {"points": ["a", "b", "p", "q"],
+          "dist": [["a", "p", "1"], ["a", "q", "1"], ["b", "p", "1"],
+                   ["b", "q", "1"], ["a", "b", "2"], ["p", "q", "2"]]}
+
+
+def test_gps_on_a_two_point_intersection_is_a_false_verdict(capsys,
+                                                             tmp_path):
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps(SQUARE))
+    code, doc, _ = run_json(capsys, "verify", str(path))
+    assert code == 0 and doc["metric_ok"] and doc["violations"] == []
+    code, doc, err = run_json(capsys, "gps", str(path), "--a", "a", "--ra",
+                              "1", "--b", "b", "--rb", "1")
+    assert code == 1 and err == ""
+    assert doc == {"error": "two-point-intersection",
+                   "detail": "spheres at 'a','b' intersect in 2 points: "
+                             "['p', 'q']"}
+
+
+def test_an_exhausted_build_prints_its_error_and_writes_no_file(
+        capsys, tmp_path, monkeypatch):
+    def exhausted(spec):
+        raise BuildExhausted(1, ("a", "c"), "extension budget spent (3)")
+
+    monkeypatch.setattr(banakh.cli, "build", exhausted)
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"radii": [{"r": "1", "monoid": {
+        "variant": "fingen", "generators": ["1"]}}], "window": "2"}))
+    dest = tmp_path / "built.json"
+    code, doc, err = run_json(capsys, "build", "--spec", str(spec), "--seed",
+                              "1", "--out", str(dest))
+    assert code == 1 and err == ""
+    assert doc == {"error": "build-exhausted", "stage": 1, "pair": ["a", "c"]}
+    assert not dest.exists()
 
 
 def test_orient_senses(capsys, line_file):
@@ -785,12 +824,16 @@ def test_zero_denominator_is_a_usage_error(capsys, argv):
 
 
 @pytest.mark.parametrize("task", ["verify", "embed", "extend"])
-@pytest.mark.parametrize("values", [("5", "2"), ("2", "5")])
+@pytest.mark.parametrize("values", [("5", "2"), ("2", "5"),
+                                    ("5", "2", "reversed"),
+                                    ("2", "5", "reversed")])
 def test_a_pair_repeated_with_another_value_is_a_format_error(
         capsys, tmp_path, task, values):
     # a later row once replaced an earlier one: verify read a-b as 2 and
-    # passed in one order, and extend completed with a-b = 1
-    rows = [["a", "b", values[0]], ["a", "b", values[1]], ["b", "c", "1"]]
+    # passed in one order, and extend completed with a-b = 1; written as
+    # b-a, the repeat once reached the graph's check as "bad input"
+    again = ["b", "a"] if "reversed" in values else ["a", "b"]
+    rows = [["a", "b", values[0]], again + [values[1]], ["b", "c", "1"]]
     if task == "extend":
         doc, argv = {"vertices": ["a", "b", "c"], "edges": rows}, ("--seed", "1")
     else:

@@ -422,7 +422,9 @@ def reference_extend_to_full(g, policy):
     pairs: every comparison and sum on SurdValues, the relaxation in place,
     the check maximum over every live edge, the shortest paths and the final
     validation by the oracle's linear-minimum Dijkstra.  Same sampler,
-    prime source and backtracking as the library."""
+    prime source and backtracking as the library.  ``tables[k]`` is the
+    exact table after the first k kept assignments, so a backtrack pops one
+    instead of replaying the rest."""
     verts = list(g.vertices)
     missing = [p for p in itertools.combinations(verts, 2)
                if p not in g.edges]
@@ -436,17 +438,17 @@ def reference_extend_to_full(g, policy):
     sampler = policy.dense_family or (
         lambda pair, lo, hi, r, prime: _default_sample(lo, hi, r, prime))
 
-    base_dist = _all_pairs(g)
+    tables = [_all_pairs(g)]
 
     assignments = {}
     intervals = {}
     order = []
-    dist = dict(base_dist)
     live_edges = dict(g.edges)
     backtracks = 0
     idx = 0
     while idx < len(missing):
         pair = missing[idx]
+        dist = tables[-1]
         lo = _check_from(dist, live_edges, pair)
         hi = dist[pair]
         if lo < hi:
@@ -457,7 +459,9 @@ def reference_extend_to_full(g, policy):
             intervals[pair] = (lo, hi)
             order.append(pair)
             live_edges[pair] = value
+            dist = dict(dist)
             _shrink(dist, verts, pair, value)
+            tables.append(dist)
             idx += 1
             continue
         backtracks += 1
@@ -465,9 +469,7 @@ def reference_extend_to_full(g, policy):
             raise ExtensionExhausted(pair, backtracks)
         dropped = order.pop()
         del assignments[dropped], intervals[dropped], live_edges[dropped]
-        dist = dict(base_dist)
-        for done in order:
-            _shrink(dist, verts, done, assignments[done])
+        tables.pop()
         idx = missing.index(dropped)
 
     edges = dict(g.edges)
@@ -1037,6 +1039,41 @@ def test_floppy_union_condition_violations():
     with pytest.raises(ValueError, match="full"):
         floppy_union(GraphMetric(["x", "y", "z"],
                                  {("x", "y"): 1, ("y", "z"): 1}), [])
+
+
+def test_floppy_union_withholds_certificate_for_a_pinched_member():
+    # b-d is pinched in the member: the edge a-d = 4 forces
+    # check(b, d) = 4 - 1 = 3 = hat(b, d)
+    member = GraphMetric(["a", "b", "c", "d"],
+                         {("a", "d"): 4, ("a", "b"): 1, ("b", "c"): 1,
+                          ("c", "d"): 2})
+    base = GraphMetric(["a", "c"], {("a", "c"): 2})
+    union, report = floppy_union(base, [member])
+    assert union.edge_value("a", "d") == SurdValue(4)
+    assert report.certified_floppy is False
+    assert report.member_floppy == [False]
+    # the same pinch among inner points, none of them between a and c: the
+    # margins are positive, and the member's verdict alone withholds it
+    member = GraphMetric(["a", "c", "u", "m", "v", "w"],
+                         {("a", "c"): 2, ("a", "u"): 2, ("c", "u"): 2,
+                          ("u", "w"): 4, ("u", "m"): 1, ("m", "v"): 1,
+                          ("v", "w"): 2})
+    _, report = floppy_union(base, [member])
+    inner, outer = report.lambdas[0]
+    assert inner.sign() > 0 and outer is None
+    assert report.certified_floppy is False
+    assert report.member_floppy == [False]
+
+
+def test_floppy_union_refuses_a_member_edge_that_disagrees_with_the_base():
+    # the member's path value x-m-y agrees with the base, its edge x-y does
+    # not
+    member = GraphMetric(["x", "m", "y"],
+                         {("x", "y"): 5, ("x", "m"): 1, ("m", "y"): 1})
+    assert member.hat("x", "y") == SurdValue(2)
+    with pytest.raises(ConditionViolation, match="value conflict") as info:
+        floppy_union(base_pair(2), [member])
+    assert info.value.condition == 2
 
 
 def test_extend_to_full_refuses_a_completion_above_the_pair_cap():

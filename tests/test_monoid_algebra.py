@@ -15,7 +15,8 @@ from banakh.monoid_algebra import (APERY_CAP, ENUMERATION_CAP, MonoidDesc,
                                    MonoidMembershipError,
                                    dzik_reduce, delta_p, div_p,
                                    is_half_group, is_p_divisible_in,
-                                   is_floppy, ddot_set, CLOSURES)
+                                   is_floppy, ddot_set, CLOSURES,
+                                   _assert_counterexample)
 from banakh.serialize import monoid_from_json, monoid_to_json
 
 
@@ -468,6 +469,47 @@ def test_dyadic_plus_thirds_min_add_formula_vs_brute():
     # truncated closure can only overshoot the true infimum, and not by much
     assert brute is not None
     assert Fraction(1, 3) < brute <= Fraction(1, 3) + Fraction(1, 2 ** 7)
+
+
+def _dyadic(x):
+    return x.denominator & (x.denominator - 1) == 0
+
+
+def _dpt_by_definition(x):
+    """x = 0, or x = a/3 + d for an integer a >= 0 and a dyadic d > 0."""
+    return x == 0 or any(x - Fraction(a, 3) > 0 and _dyadic(x - Fraction(a, 3))
+                         for a in range(3 * ceil(x) + 1))
+
+
+# each closure written out from its definition: (member, M - M)
+CLOSURE_DEFINITIONS = {
+    "omega-minus-1": (lambda x: x.denominator == 1 and x >= 0 and x != 1,
+                      lambda x: x.denominator == 1),
+    "dyadic": (lambda x: x >= 0 and _dyadic(x), _dyadic),
+    "dyadic-plus-thirds": (_dpt_by_definition,
+                           lambda x: _dyadic(3 * x)),
+}
+
+
+@pytest.mark.parametrize("cid", sorted(CLOSURE_DEFINITIONS))
+def test_closure_divisibility_verdicts_hold_by_definition(cid):
+    member, differences = CLOSURE_DEFINITIONS[cid]
+    in_domain = {"Z_plus": lambda s: s.denominator == 1 and s >= 0,
+                 "M_minus_M": differences}
+    grid = {Fraction(n, q) for q in range(1, 49) for n in range(4 * q + 1)}
+    for p in (2, 3, 5, 7, 11, 13):
+        for domain, inside in in_domain.items():
+            w = is_p_divisible_in(MonoidDesc.closure(cid), p, domain)
+            if w.kind == "counterexample":
+                s = w.element
+                assert member(p * s) and not member(s) and inside(s), (p, s)
+            else:
+                assert w == DivisibilityWitness("divisible"), (p, domain)
+                assert not [s for s in grid if inside(s)
+                            and member(p * s) and not member(s)], (p, domain)
+    # the stored witnesses are checked before they are returned
+    with pytest.raises(RuntimeError, match="failed its facts"):
+        _assert_counterexample(DPT, 3, "M_minus_M", Fraction(1, 2))
 
 
 def test_half_group_verdicts_of_closures_match_registry():

@@ -221,18 +221,23 @@ def test_fragment_incomplete_table_still_fails():
     (fragment_from_json, ("points", "dist"), "fragment"),
     (graph_from_json, ("vertices", "edges"), "graph")])
 def test_a_repeated_row_must_repeat_its_value(reader, keys, what):
-    # a later row once replaced an earlier one before any check ran
+    # a later row once replaced an earlier one before any check ran; a
+    # reversed row once passed the reader and met another message later
     rest = [["a", "c", "1"], ["b", "c", "1"]]
-    for first, second in (("5", "2"), ("2", "5")):
-        doc = {keys[0]: ["a", "b", "c"],
-               keys[1]: [["a", "b", first], ["a", "b", second]] + rest}
+    for rows in ([["a", "b", "5"], ["a", "b", "2"]],
+                 [["a", "b", "2"], ["a", "b", "5"]],
+                 [["a", "b", "5"], ["b", "a", "2"]],
+                 [["b", "a", "2"], ["a", "b", "5"]]):
+        doc = {keys[0]: ["a", "b", "c"], keys[1]: rows + rest}
         with pytest.raises(FormatError, match=rf"^not a {what}: "
                            r"conflicting values for \('a', 'b'\)$"):
             reader(doc)
-    # an equal value, however it is written, repeats the row
-    doc = {keys[0]: ["a", "b", "c"],
-           keys[1]: [["a", "b", "2"], ["a", "b", "4/2"]] + rest}
-    assert reader(doc).edge_value("a", "b") == 2
+    # an equal value, however it is written and in either orientation,
+    # repeats the row
+    for again in (["a", "b", "4/2"], ["b", "a", "4/2"]):
+        doc = {keys[0]: ["a", "b", "c"],
+               keys[1]: [["a", "b", "2"], again] + rest}
+        assert reader(doc).edge_value("a", "b") == 2
 
 
 def test_edge_lists_above_the_pair_cap_are_refused_before_any_row():

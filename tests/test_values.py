@@ -190,8 +190,8 @@ def test_sign_of_tiny_surd_difference():
 
 
 def _doubles_overlap(a, b):
-    (fa, ea), (fb, eb) = a._float_interval(), b._float_interval()
-    return fa - ea <= fb + eb and fb - eb <= fa + ea
+    (a_lo, a_hi), (b_lo, b_hi) = a._enclosure(), b._enclosure()
+    return a_lo <= b_hi and b_lo <= a_hi
 
 
 # p**2 - 2*q**2 is +1 above sqrt(2) and -1 below: each gap to sqrt(2) is
@@ -235,7 +235,7 @@ def test_order_and_sign_beyond_the_double_range():
     # exact brackets instead of raising
     huge = 10 ** 400
     a, b = SurdValue(huge, {2: 1}), SurdValue(huge, {3: 1})
-    assert a._float_interval() == (0.0, math.inf)
+    assert a._enclosure() == (-math.inf, math.inf)
     assert a < b and not b < a
     assert a.sign() == 1 and (a - b).sign() == -1
     assert SurdValue(-huge, {3: 1}).sign() == -1
@@ -504,10 +504,10 @@ def test_ratio_to_and_exceeds_match_the_reference(pair):
 @settings(max_examples=200, deadline=None)
 def test_float_interval_encloses_the_exact_value(pair):
     for v, rv in pair[:2], pair[2:]:
-        mid, err = v._float_interval()
-        if err == math.inf:
+        lo, hi = v._enclosure()
+        if (lo, hi) == (-math.inf, math.inf):
             continue
-        lo, hi = Fraction(mid) - Fraction(err), Fraction(mid) + Fraction(err)
+        lo, hi = Fraction(lo), Fraction(hi)
         if not rv[1]:
             assert lo <= rv[0] <= hi
         else:
@@ -519,9 +519,10 @@ def test_float_interval_encloses_the_exact_value(pair):
                                Fraction(10 ** 30 + 1, 3 ** 70),
                                Fraction(1, 10 ** 400)])
 def test_float_interval_of_a_rational_covers_its_rounding(q):
-    # one division by den, rounded: the radius must count it
-    mid, err = SurdValue(q)._float_interval()
-    assert Fraction(mid) - Fraction(err) <= q <= Fraction(mid) + Fraction(err)
+    # one division by den, rounded, then each end rounded: the radius must
+    # count both
+    lo, hi = SurdValue(q)._enclosure()
+    assert Fraction(lo) <= q <= Fraction(hi)
 
 
 def test_arithmetic_and_the_sampler_make_no_validating_calls(monkeypatch):
@@ -557,10 +558,10 @@ def test_surd_indices_are_ints():
 def test_rational_part_is_read_only():
     # the hash and the float enclosure are cached before the write
     x = SurdValue(Fraction(1, 2), {2: 1})
-    h, approx = hash(x), x._float_interval()
+    h, ends = hash(x), x._enclosure()
     with pytest.raises(AttributeError):
         x.rational_part = Fraction(5)
     with pytest.raises(AttributeError):
         x.surd_coeffs = {}
     assert x.rational_part == Fraction(1, 2) and hash(x) == h
-    assert x._float_interval() == approx
+    assert x._enclosure() == ends
