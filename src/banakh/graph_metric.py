@@ -22,9 +22,11 @@ Every graph answers ``hat`` and ``check`` from one all-pairs table,
 formula for a difference graph (a :class:`MuGraph` or a :class:`ScaledMu`
 copy).  A difference graph reads its closed hats and its path values
 (``distances_from``) from its template's int core, as numbers of steps
-times the value of one step; a plain graph's shortest paths, the table's
-updates and its ``check`` all compare certified double enclosures first
-and exact values only where those cannot decide, under the one error
+times the value of one step; the union that ``floppy_union`` returns reads
+its path values from its parts, as minima over glue points of member paths
+and base entries (:class:`_Union`); a plain graph's shortest paths, the
+table's updates and its ``check`` all compare certified double enclosures
+first and exact values only where those cannot decide, under the one error
 bound derived in :class:`_DistanceTable`.  A full table is a
 :class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
 :mod:`banakh.banakh_space` reads its geometry from.
@@ -587,14 +589,16 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
 
     The table is built only when a pair is missing.  It starts from the
     path values of ``g`` itself (``g.distances_from``: the float-filtered
-    search of :meth:`GraphMetric.distances_from`, or a difference graph's
-    int table), not from ``g.hat``: a difference graph's closed formula is
-    the value on the infinite graph and can fall below the windowed path
-    near the window edge.  The result is a :class:`MetricFragment`,
-    validated by the scan that :func:`banakh.banakh_space.verify_fragment`
-    also uses, :meth:`MetricFragment.triangle_failures`, through the one
-    call :func:`validate_pseudometric`, whose per-vertex path search runs
-    only to name the witness edge of a failure.
+    search of :meth:`GraphMetric.distances_from`, a difference graph's int
+    table, or a union's glue-point minima over its parts, see
+    :class:`_Union`), not from ``g.hat``: a difference graph's closed
+    formula is the value on the infinite graph and can fall below the
+    windowed path near the window edge.  The result is a
+    :class:`MetricFragment`, validated by the scan that
+    :func:`banakh.banakh_space.verify_fragment` also uses,
+    :meth:`MetricFragment.triangle_failures`, through the one call
+    :func:`validate_pseudometric`, whose per-vertex path search runs only to
+    name the witness edge of a failure.
     Above ``ENUMERATION_CAP`` pairs (about 447 vertices) it raises
     :class:`~banakh.values.InputTooLarge` before building anything.
     """
@@ -957,18 +961,125 @@ class UnionReport:
     lambdas: list  # per member: (inner, outer) exact minima, None if vacuous
 
 
+class _Union(GraphMetric):
+    """The graph that :func:`floppy_union` returns: a full metric base P
+    with members glued on.  Its path values are read from the parts, so
+    only ``distances_from`` differs from a plain graph's.
+
+    Write G_C for the glue points of a member C (its vertices in P), d_C for
+    C's own ``distances_from`` (a difference graph's int path rows, the
+    search for a plain member) and p for the base entries.  Then, with a
+    base vertex its own glue point at distance 0:
+
+    * d(a, b) = p(a, b) for a, b in P;
+    * d(x, y) = min over a in G_C, b in G_C' of d_C(x,a) + p(a,b) + d_C'(b,y)
+      for x in C, y in C' outside P, and for a vertex x or y of P;
+    * for x, y in the same C outside P, d_C(x, y) is one more candidate.
+
+    Every candidate is the length of a walk in the union, so d is at most
+    the minimum.  It is at least the minimum: a vertex outside P lies in
+    one member only (condition 3), and every edge at it is an edge of that
+    member, so a path leaves a member's own vertices only through its glue
+    points.  Cut a shortest path at its vertices in P.  A stretch between
+    consecutive cuts a, b is a base edge; or a member edge, which equals
+    p(a, b) (a conflicting edge is refused); or a path through one member
+    C's own vertices, which costs at least d_C(a, b), hence at least C's
+    closed hat (a window's paths are paths of the infinite graph, and a
+    plain member's hat is its path value), which equals p(a, b) by
+    condition 2.  The base is a metric, so the stretches from the first cut
+    a to the last cut b cost at least p(a, b): a metric base collapses to
+    single edges.  Before a the path runs in x's member and costs at least
+    d_C(x, a); after b, at least d_C'(b, y).  A path with no cut runs inside
+    one member C, and costs at least d_C(x, y).
+
+    The in-copy path d_C(x, y) stays a candidate, so the formula holds at
+    any window: it needs no slack under which a copy's paths equal its
+    closed hats.  It is read in two steps.  d(x, b) for b in P is the min
+    over a in G_C of d_C(x, a) + p(a, b), and for y outside P in C',
+    d(x, y) is the min over b in G_C' of d(x, b) + d_C'(b, y).  A row keeps
+    its entries, so each unordered pair is built once, by the first of its
+    two rows; each row handed out is a fresh dict.  The minima are decided
+    on exact ``<``, which compares the cached enclosures first.
+    """
+
+    def __init__(self, base: GraphMetric, family: list, shares: list,
+                 verts, edges):
+        super().__init__(verts, edges)
+        self._p = {a: {a: ZERO} for a in base.vertices}
+        for (a, b), w in base.edges.items():
+            self._p[a][b] = self._p[b][a] = w
+        self._parts = list(zip(family, shares))
+        self._home = {x: i for i, f in enumerate(family)
+                      for x in f.vertices if x not in self._p}
+        self._rows = {}         # vertex ↦ its finished row
+
+    @cached_property
+    def _glue_rows(self) -> list:
+        """Per member: glue point a ↦ d_C(a, ·)."""
+        return [{a: f.distances_from(a) for a in shared}
+                for f, shared in self._parts]
+
+    def distances_from(self, x: str) -> dict:
+        row = self._rows.get(x)
+        if row is None:
+            if x not in self.adj:
+                raise KeyError(f"unknown vertex {x!r}")
+            row = self._rows[x] = self._row(x)
+        return dict(row)
+
+    def _row(self, x: str) -> dict:
+        """d(x, ·): the base entries first, then the members' own vertices,
+        each pair read from the other end's row where that is finished."""
+        rows, p, glue_rows = self._rows, self._p, self._glue_rows
+        home = self._home.get(x)
+        own = {}
+        if home is None:
+            row = dict(p[x])
+        else:
+            f, shared = self._parts[home]
+            own = f.distances_from(x)
+            row = {}
+            for b, p_b in p.items():
+                done = rows.get(b)
+                row[b] = done[x] if done is not None else min(
+                    own[a] if a == b else own[a] + p_b[a] for a in shared)
+        for y, j in self._home.items():
+            if y == x:
+                row[y] = ZERO
+                continue
+            done = rows.get(y)
+            if done is not None:
+                row[y] = done[x]
+                continue
+            via = glue_rows[j]
+            best = min(via[b][y] if b == x else row[b] + via[b][y]
+                       for b in self._parts[j][1])
+            if j == home and own[y] < best:
+                best = own[y]
+            row[y] = best
+        return row
+
+
 def floppy_union(p: GraphMetric, family: list) -> tuple[GraphMetric, UnionReport]:
     """Glue floppy fragments onto a full pseudometric.
 
-    Preconditions checked exactly: (1) every member meets the base, (2) the
-    member's hat agrees with the base on shared pairs, (3) distinct members
-    meet only inside the base.  The report carries, per member, the two
-    positivity minima that certify floppiness of the union: over glue points
-    a,b the quantities hat_f(a,x) + hat_f(x,b) - hat_f(a,b) for inner x and
+    Preconditions checked exactly: (0) the base is full and passes the
+    triangle scan, (1) every member meets the base, (2) the member's hat
+    agrees with the base on shared pairs, (3) distinct members meet only
+    inside the base.  The union reads its path values from the parts
+    (:class:`_Union`, which proves the formula from these conditions).  The
+    report carries, per member, the two positivity minima that certify
+    floppiness of the union: over glue points a,b the quantities
+    hat_f(a,x) + hat_f(x,b) - hat_f(a,b) for inner x and
     p(a,y) + p(y,b) - p(a,b) for outer y.
     """
     if not p.is_full():
         raise ValueError("base of a union must be a full pseudometric")
+    failures = _DistanceTable(p.vertices, p.edges).triangle_failures()
+    if failures:
+        a, b, c = failures[0]       # the side a-b, longer than a-c-b
+        raise ValueError("base of a union must be a full pseudometric: "
+                         f"d({a},{b}) exceeds the path through {c}")
     base_verts = set(p.vertices)
     shares = []
     for i, f in enumerate(family):
@@ -994,7 +1105,7 @@ def floppy_union(p: GraphMetric, family: list) -> tuple[GraphMetric, UnionReport
             if key in edges and edges[key] != w:
                 raise ConditionViolation(2, f"edge {key} value conflict")
             edges[key] = w
-    union = GraphMetric(verts, edges)
+    union = _Union(p, family, shares, verts, edges)
 
     member_floppy = []
     lambdas = []

@@ -746,6 +746,57 @@ def test_difference_graph_paths_match_the_oracle_and_the_search(
                 GraphMetric.distances_from(graph, x)
 
 
+@given(difference_monoids, st.sampled_from([1, Fraction(1, 2), 2]),
+       st.integers(1, 3), st.sampled_from(PATH_SCALES),
+       st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=3),
+       st.booleans(), st.booleans(), st.booleans())
+@example(MonoidDesc.fingen([3, 5]), 1, 3, SurdValue.sqrt(2), [0, 4],
+         True, True, True)
+@settings(max_examples=40, deadline=None)
+def test_union_paths_match_the_oracle_and_the_search(
+        monoid, r, units, scale, picks, a_everywhere, b_everywhere, plain):
+    # a base of window points at their scaled closed hats, and glued onto
+    # it: a copy and a copy of a copy (each at every base point or at the
+    # first), sharing glue, and a plain graph at the first base point.  The
+    # example puts -1 and 1 of <3, 5> at window 3 in the base, where the
+    # closed hat falls below the window's path value
+    try:
+        g = build_mu(monoid, r, r * units)
+    except ValueError:        # no edge in the window, or not connected
+        assume(False)
+    glue = sorted({g.vertices[k % len(g.vertices)] for k in picks})
+    base = GraphMetric([f"g{v}" for v in glue],
+                       {(f"g{u}", f"g{v}"): scale * g.hat(u, v)
+                        for u, v in itertools.combinations(glue, 2)})
+
+    def rename(tag, everywhere):
+        at = glue if everywhere else glue[:1]
+        return {v: f"g{v}" if v in at else f"{tag}{v}" for v in g.vertices}
+
+    inner = ScaledMu(g, SurdValue(Fraction(3, 2)),
+                     {v: f"i{v}" for v in g.vertices})
+    outer = rename("b", b_everywhere)
+    family = [ScaledMu(g, scale, rename("a", a_everywhere)),
+              ScaledMu(inner, scale * Fraction(2, 3),
+                       {f"i{v}": outer[v] for v in g.vertices})]
+    if plain:
+        own = rename("q", False)
+        family.append(GraphMetric(own.values(),
+                                  {(own[u], own[v]): scale * w
+                                   for (u, v), w in g.edges.items()}))
+    union, _ = floppy_union(base, family)
+    for x in union.vertices:
+        row = union.distances_from(x)
+        assert row == oracles.dijkstra(union.vertices, union.edges, x) == \
+            GraphMetric.distances_from(union, x), x
+        kept = dict(row)
+        row[x] = SurdValue(1)
+        row.popitem()
+        assert union.distances_from(x) == kept
+    with pytest.raises(KeyError, match="unknown vertex"):
+        union.distances_from("nowhere")
+
+
 def test_the_path_table_is_not_the_closed_hat():
     # at window 3, <3, 5> joins only differences 3, 5 and 6, and a detour
     # through the window is longer than the infinite graph's
@@ -1039,6 +1090,17 @@ def test_floppy_union_condition_violations():
     with pytest.raises(ValueError, match="full"):
         floppy_union(GraphMetric(["x", "y", "z"],
                                  {("x", "y"): 1, ("y", "z"): 1}), [])
+
+
+def test_floppy_union_refuses_a_base_that_is_not_a_metric():
+    # the union reads base entries as base distances, so a full base whose
+    # x-z entry exceeds the path through y is refused, and the triple named
+    base = GraphMetric(["x", "y", "z"],
+                       {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 5})
+    member = GraphMetric(["x", "m"], {("x", "m"): 1})
+    with pytest.raises(ValueError, match=r"full pseudometric: d\(x,z\) "
+                                         r"exceeds the path through y"):
+        floppy_union(base, [member])
 
 
 def test_floppy_union_withholds_certificate_for_a_pinched_member():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import oracles
 from banakh import space_builder
 from banakh.banakh_space import MetricFragment
+from banakh.graph_metric import GraphMetric
 from banakh.monoid_algebra import MonoidDesc
 from banakh.serialize import (certificate_from_json, certificate_to_json,
                               dumps, fragment_from_json, fragment_to_json)
@@ -279,6 +280,29 @@ def test_build_output_bytes_are_pinned(radii, window, digest):
     # to the completion or the sampler that moves one byte shows here
     text = build_bytes(radii, window, 5)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("stages, window, points", [(2, 2, 29),
+                                                     (3, Fraction(3, 2), 107)])
+def test_a_staged_build_runs_no_path_search(monkeypatch, stages, window,
+                                            points):
+    # every stage >= 1 union reads its paths from its parts, and stage 0
+    # from the difference graph's int table: no float-filtered search runs
+    calls = []
+    paths = GraphMetric.distances_from
+
+    def counted(g, x):
+        calls.append(x)
+        return paths(g, x)
+
+    monkeypatch.setattr(GraphMetric, "distances_from", counted)
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                            RadiusClass(SQRT2, ZP)),
+                     stages=stages, window=window, seed=5)
+    frag, cert = build(spec)
+    assert len(frag.points) == points
+    assert all(entry["copies"] for entry in cert.stages[1:])
+    assert calls == []
 
 
 @pytest.mark.parametrize("seed", [0, 13, 27, 39])
