@@ -27,7 +27,8 @@ its path values from its parts, as minima over glue points of member paths
 and base entries (:class:`_Union`); a plain graph's shortest paths, the
 table's updates and its ``check`` all compare certified double enclosures
 first and exact values only where those cannot decide, under the one error
-bound derived in :class:`_DistanceTable`.  A full table is a
+bound derived in :class:`_DistanceTable`, whose relaxed entries are sums
+built exactly only when they are read (:class:`_Sum`).  A full table is a
 :class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
 :mod:`banakh.banakh_space` reads its geometry from.
 """
@@ -41,13 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import isqrt, lcm
+from math import inf, isqrt, lcm, nextafter
 from operator import sub
 from typing import Callable, Optional
 
 from .monoid_algebra import MonoidDesc, _check_pairs
 from .values import (SurdValue, ZERO, primes_from, rat, _between,
-                     _exceeds, _lowest, _sum, format_rat)
+                     _exceeds, _lowest, _sum, _sum3, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -204,7 +205,7 @@ class GraphMetric:
 
     def hat(self, x: str, y: str) -> SurdValue:
         table = self._hat_table
-        return table.d[table.index[x]][table.index[y]]
+        return table.exact(table.index[x], table.index[y])
 
     def check(self, x: str, y: str) -> SurdValue:
         """Largest edge-forced lower bound for the pair (both orientations)."""
@@ -573,8 +574,11 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     The comparisons behind check and hat are float-filtered: each is first
     tried on certified double-precision enclosures of the exact values and
     decided on the exact values only where the enclosures cannot settle it,
-    so every result is the exact one.  Exact sums are built only for the
-    entries that the filter cannot show to be unchanged.
+    so every result is the exact one.  A relaxed entry is kept as an
+    unsummed sum with an outward-rounded enclosure, and its exact value is
+    built only when it is read: by ``check``, as the pair's ``hi``, or where
+    the enclosures cannot decide an update.  Every value handed out, to the
+    sampler or in the result, is a :class:`~banakh.values.SurdValue`.
 
     A new edge (u, v) = w is relaxed only over A x B and B x A, where A
     holds the i with d(i,u) + w < d(i,v) and B the j with
@@ -645,7 +649,7 @@ def _assign(g: GraphMetric, verts: list, missing: list,
         pair = missing[idx]
         i, j = index[pair[0]], index[pair[1]]
         lo = table.check(i, j)
-        hi = table.d[i][j]
+        hi = table.exact(i, j)
         if lo < hi:
             value = sampler(pair, lo, hi, rng, next(prime_source))
             if not (lo < value < hi):
@@ -679,13 +683,59 @@ def _tol(bound: float) -> float:
     return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 else math.inf
 
 
+class _Sum:
+    """A relaxed table entry a + w + b, kept unsummed: two earlier entries a
+    and b (values or sums) and the new edge's value w.  Its enclosure lives
+    in the table beside it; its exact value is built by :func:`_exact` on
+    the first read and kept, and then the operands are let go."""
+
+    __slots__ = ("a", "w", "b", "value")
+
+    def __init__(self, a, w: SurdValue, b):
+        self.a, self.w, self.b = a, w, b
+        self.value = None
+
+
+def _exact(entry) -> SurdValue:
+    """The exact value of a table entry: a value as it is, a sum forced.
+
+    A sum's operands are forced first, from an explicit stack, never by
+    recursion, since sums nest as deep as the relaxations that made them;
+    each is built once, by one three-term int sum."""
+    if entry.__class__ is not _Sum:
+        return entry
+    if entry.value is None:
+        stack = [entry]
+        while stack:
+            top = stack[-1]
+            if top.value is not None:
+                stack.pop()
+                continue
+            a, b = top.a, top.b
+            pending = [x for x in (a, b)
+                       if x.__class__ is _Sum and x.value is None]
+            if pending:
+                stack += pending
+                continue
+            stack.pop()
+            a, w, b = _exact(a), top.w, _exact(b)
+            top.value = SurdValue._raw(*_sum3(
+                a._den, a._num, a._surds, w._den, w._num, w._surds,
+                b._den, b._num, b._surds))
+            top.a = top.w = top.b = None
+    return entry.value
+
+
 class _DistanceTable:
     """A graph's vertex index, its live edges and its hat values, addressed
     by vertex index.  ``add_edge`` is the one place where edges and entries
     change: it adds an edge and relaxes the entries through it.
 
-    Entry d[i][j] is exact and lo[i][j], hi[i][j] enclose it in doubles;
-    each edge is kept as (i, j, w, lower bound of w, upper bound of w).
+    Entry d[i][j] is a value or, once ``add_edge`` has relaxed it, a
+    :class:`_Sum` whose exact value is built on its first read; ``exact`` is
+    the one read of an entry's value, and a sum never leaves the table.
+    lo[i][j], hi[i][j] enclose the entry in doubles; each edge is kept as
+    (i, j, w, lower bound of w, upper bound of w).
 
     ``add_edge`` needs entries that satisfy the triangle inequality, as the
     shortest-path values of any graph do, and keeps them shortest paths of
@@ -716,15 +766,25 @@ class _DistanceTable:
     u = 2**-53 and B = ``bound`` >= |every enclosure end| seen so far:
 
     * each end is the value's own :meth:`SurdValue._enclosure`, mid -+ err
-      rounded once, so it misses a true bound by at most u*B;
+      rounded once, so it misses a true bound by at most u*B; or, for a
+      :class:`_Sum`, its operands' ends added with each addition rounded
+      outward (``nextafter`` of the rounded sum, away from the value).  An
+      outward-rounded sum of true bounds is a true bound, and a sum adds
+      no rounding error of its own, however deep the sums nest: its end
+      misses by no more than the ends of its leaves (edge values and
+      seed entries) together, at most u times their sum.  The leaves are
+      nonnegative and add up to the sum's value, so that is u*B again;
     * a filter adds or subtracts three ends with two roundings, of partial
       sums below 3B, so the sum misses its exact value by at most 3u*B
       (the ends) + 5u*B (the roundings) = 8u*B;
     * add_edge compares such a sum with a fourth end (u*B) after
       subtracting ``tol`` from it (one more rounding, about 2u*B): off by
       < 11u*B; its A and B tests drop one end and one rounding of that
-      sum, so they are off by less; check compares two such sums, one
-      after subtracting ``tol`` (3u*B): off by < 19u*B; triangle_failures
+      sum, so they are off by less; where that skip fails, it proves an
+      update by comparing the new sum's upper end with the entry's lower
+      end less ``tol``: two ends and one rounding, off by < 3u*B; check
+      compares two such sums, one after subtracting ``tol`` (3u*B): off
+      by < 19u*B; triangle_failures
       compares one end with the sum of two less ``tol``: three ends and
       two roundings of 2u*B each, off by < 7u*B, and so does
       ``GraphMetric.distances_from``, whose B is the largest |end| of the
@@ -771,14 +831,15 @@ class _DistanceTable:
         self.edges = [(self.index[u], self.index[v], w, *_enclosure(w))
                       for (u, v), w in edges.items()]
         if row is None:
-            for i, j, w, _, _ in self.edges:
-                self.set(i, j, w)
+            for edge in self.edges:
+                self.set(*edge)
             return
         # the last row sets no entry
         for i, x in enumerate(verts[:-1]):
             from_x = row(x)
             for j in range(i + 1, n):
-                self.set(i, j, from_x[verts[j]])
+                value = from_x[verts[j]]
+                self.set(i, j, value, *_enclosure(value))
         for _, _, _, w_lo, w_hi in self.edges:
             self._widen(w_lo, w_hi)
 
@@ -799,8 +860,12 @@ class _DistanceTable:
         if m > self.bound:
             self.bound, self.tol = m, _tol(m)
 
-    def set(self, i: int, j: int, value: SurdValue) -> None:
-        lo, hi = _enclosure(value)
+    def exact(self, i: int, j: int) -> SurdValue:
+        """Entry (i, j), exactly: the one read of an entry's value."""
+        return _exact(self.d[i][j])
+
+    def set(self, i: int, j: int, value, lo: float, hi: float) -> None:
+        """Entry (i, j) = value, a value or a sum, enclosed in [lo, hi]."""
         self.d[i][j] = self.d[j][i] = value
         self.lo[i][j] = self.lo[j][i] = lo
         self.hi[i][j] = self.hi[j][i] = hi
@@ -840,7 +905,11 @@ class _DistanceTable:
     def add_edge(self, u: int, v: int, w: SurdValue) -> None:
         """Add the edge (u, v) = w and relax the entries through it:
         d[i][j] = min(d[i][j], d[i][u] + w + d[v][j], d[i][v] + w + d[u][j]),
-        tested only on the pairs of A x B and B x A (see the class).
+        tested only on the pairs of A x B and B x A (see the class).  A
+        pair that the skip filter keeps gets the :class:`_Sum` of its path
+        through the edge, with outward-rounded ends, when those ends prove
+        it below the entry; only otherwise are the two forced and compared
+        exactly.
 
         Rows u and v are read as they were before the pass: a path that
         uses the new edge twice is never shorter, so the exact result does
@@ -858,10 +927,11 @@ class _DistanceTable:
                 for q, p in ((u, v), (v, u)):
                     col_lo[q] = max(col_lo[q], w_lo - hk[p])
                     col_hi[q] = max(col_hi[q], w_hi - lk[p])
-        d, hi = self.d, self.hi
+        d, lo, hi, tol = self.d, self.lo, self.hi, self.tol
         du, dv = d[u][:], d[v][:]
-        lu, lv = self.lo[u][:], self.lo[v][:]
-        w_low = w_lo - self.tol
+        lu, lv = lo[u][:], lo[v][:]
+        hu, hv = hi[u][:], hi[v][:]
+        w_low = w_lo - tol
         # i leaves A only on a proven d(i,u) + w > d(i,v), j leaves B only on
         # a proven d(j,v) + w > d(j,u)
         in_a = [i for i, h in enumerate(hi[v]) if not lu[i] + w_low > h]
@@ -869,14 +939,21 @@ class _DistanceTable:
         for i in in_a:
             # a lower bound of d(i,u) + w, less the slack
             via_u = lu[i] + w_low
-            hi_i = hi[i]
+            # the outward-rounded ends of d(i,u) + w
+            s_lo = nextafter(lu[i] + w_lo, -inf)
+            s_hi = nextafter(hu[i] + w_hi, inf)
+            lo_i, hi_i = lo[i], hi[i]
             for j in in_b:
                 # skip a proven d(i,u) + w + d(v,j) > d(i,j)
                 if via_u + lv[j] > hi_i[j] or i == j:
                     continue
-                through = du[i] + w + dv[j]
-                if through < d[i][j]:
-                    self.set(i, j, through)
+                through = _Sum(du[i], w, dv[j])
+                t_hi = nextafter(s_hi + hv[j], inf)
+                # a proven through < d(i,j), or else the exact values
+                if (t_hi < lo_i[j] - tol
+                        or _exact(through) < _exact(d[i][j])):
+                    self.set(i, j, through,
+                              nextafter(s_lo + lv[j], -inf), t_hi)
 
     def check(self, x: int, y: int) -> SurdValue:
         """max(0, w - d(a,x) - d(b,y)) over the edges (a, b) = w in both
@@ -890,7 +967,6 @@ class _DistanceTable:
         best = max(0.0, max(map(sub, self.col_lo, self.hi[y])))
         floor = best - self.tol
         adj, lx, ly = self.adj, self.lo[x], self.lo[y]
-        dx, dy = self.d[x], self.d[y]
         result = None if 0.0 < floor else ZERO
         for q, c in enumerate(map(sub, self.col_hi, ly)):
             if c < floor:
@@ -899,7 +975,7 @@ class _DistanceTable:
             for p, w, _, w_hi in adj[q]:
                 if w_hi - lx[p] - l_q < floor:
                     continue
-                cand = w - dx[p] - dy[q]
+                cand = w - self.exact(x, p) - self.exact(y, q)
                 if result is None or result < cand:
                     result = cand
         return result
@@ -912,7 +988,10 @@ class _DistanceTable:
         the other two, and a failing side is named by its ends, then the
         third point: (x, z, y), (y, z, x) or (x, y, z).  A side c passes on
         the enclosures when c_hi < a_lo + b_lo - tol, which proves c < a + b;
-        every other side is decided exactly."""
+        every other side is decided exactly.  The scan runs only on tables
+        built from values, which hold no :class:`_Sum`, so it reads the
+        entries directly: a call per read would slow the scan of a
+        collinear line, which reads an exact side in every triple."""
         points, d, lo, hi, tol = self.verts, self.d, self.lo, self.hi, self.tol
         n = len(points)
         failures = []

@@ -206,6 +206,30 @@ def _sum(d1: int, n1: int, v1: tuple, d2: int, n2: int, v2: tuple,
     return _lowest(d1 * m1, n1 * m1 + n2 * m2, items, g)
 
 
+def _sum3(d1: int, n1: int, v1: tuple, d2: int, n2: int, v2: tuple,
+          d3: int, n3: int, v3: tuple) -> tuple[int, int, tuple]:
+    """The lowest-terms (den, num, items) of the sum of three operands in
+    lowest terms, over m = lcm(d1, d2, d3), with one reduction.  As in
+    :func:`_sum`, a prime p with p**e exactly dividing m divides the sum's
+    common factor only when two of the denominators hold p**e (mod p the
+    numerators are otherwise one operand's own times a unit), and then
+    p**e divides g = gcd(d1, d2) or h = gcd(lcm(d1, d2), d3).  So the sum is
+    reduced by its common factor with lcm(g, h), which divides m, and not at
+    all when that is 1."""
+    g = d1 if d1 == d2 else gcd(d1, d2)
+    d12 = d1 // g * d2
+    h = d12 if d12 == d3 else gcd(d12, d3)
+    k = d3 // h
+    m1, m2, m3 = d2 // g * k, d1 // g * k, d12 // h
+    acc = {}
+    for v, m in ((v1, m1), (v2, m2), (v3, m3)):
+        for key, c in v:
+            acc[key] = acc.get(key, 0) + c * m
+    items = tuple(sorted(item for item in acc.items() if item[1]))
+    return _lowest(d12 * k, n1 * m1 + n2 * m2 + n3 * m3, items,
+                   h if g == 1 else lcm(g, h))
+
+
 def _pivots(n1: int, v1: tuple, n2: int, v2: tuple):
     """The pivot numerators (p1, p2) when (n1, v1) = q*(n2, v2) for nonzero
     vectors over denominators d1 and d2, decided on cross-multiplied ints,

@@ -2,7 +2,10 @@
 
 Everything here is deliberately written the dumb way (full factorization,
 breadth-first closures, dense dynamic programming, quadratic scans) and
-shares no code with src/.  When a test disagrees, trust the oracle.
+shares no code with src/.  When a test disagrees, trust the oracle.  The one
+exception is :func:`eager_add_edge`, the completion table's relaxation as it
+was before its sums were lazy: it runs on the library's own table, so that
+the two relaxations can be compared entry by entry.
 """
 
 from fractions import Fraction
@@ -378,6 +381,41 @@ def check_scan(vertices, edges, hat, x, y):
             if best < cand:
                 best = cand
     return best
+
+
+def eager_add_edge(table, u, v, w):
+    """Add the edge (u, v) = w to a completion table and relax its entries
+    eagerly: the add_edge of the library's distance table with every sum
+    that passes the skip filter built exactly, by two additions, and kept
+    when it is exactly below its entry.  Every entry it sets is a value."""
+    w_lo, w_hi = w._enclosure()
+    table.edges.append((u, v, w, w_lo, w_hi))
+    table._widen(w_lo, w_hi)
+    if table.adj is not None:
+        table.adj[u].append((v, w, w_lo, w_hi))
+        table.adj[v].append((u, w, w_lo, w_hi))
+        key = table.key
+        if key is not None:
+            lk, hk = table.lo[key], table.hi[key]
+            col_lo, col_hi = table.col_lo, table.col_hi
+            for q, p in ((u, v), (v, u)):
+                col_lo[q] = max(col_lo[q], w_lo - hk[p])
+                col_hi[q] = max(col_hi[q], w_hi - lk[p])
+    d, hi = table.d, table.hi
+    du, dv = d[u][:], d[v][:]
+    lu, lv = table.lo[u][:], table.lo[v][:]
+    w_low = w_lo - table.tol
+    in_a = [i for i, h in enumerate(hi[v]) if not lu[i] + w_low > h]
+    in_b = [j for j, h in enumerate(hi[u]) if not lv[j] + w_low > h]
+    for i in in_a:
+        via_u = lu[i] + w_low
+        hi_i = hi[i]
+        for j in in_b:
+            if via_u + lv[j] > hi_i[j] or i == j:
+                continue
+            through = du[i] + w + dv[j]
+            if through < d[i][j]:
+                table.set(i, j, through, *through._enclosure())
 
 
 def triangle_scan(points, distance):

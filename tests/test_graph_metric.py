@@ -20,8 +20,8 @@ from banakh.graph_metric import (GraphMetric, MuGraph, ScaledMu, build_mu,
                                  extend_to_full, ExtensionPolicy,
                                  ExtensionExhausted, ExtensionResult,
                                  floppy_union, ConditionViolation,
-                                 MetricFragment, _DistanceTable,
-                                 _default_sample, _enclosure)
+                                 MetricFragment, _DistanceTable, _Sum,
+                                 _default_sample, _enclosure, _exact)
 
 
 OMEGA1 = MonoidDesc.closure("omega-minus-1")
@@ -905,7 +905,7 @@ def test_distance_table_follows_its_growing_graph(g, data):
     for step, pair in enumerate(data.draw(st.permutations(missing)) + [None]):
         paths = {v: oracles.dijkstra(verts, edges, v) for v in verts}
         for x, y in itertools.product(verts, repeat=2):
-            assert table.d[index[x]][index[y]] == paths[x][y], (step, x, y)
+            assert table.exact(index[x], index[y]) == paths[x][y], (step, x, y)
         asked = [p[::-1] if data.draw(st.booleans()) else p
                  for p in data.draw(st.permutations(unordered))]
         if table.key is not None:
@@ -921,7 +921,7 @@ def test_distance_table_follows_its_growing_graph(g, data):
             table = table.copy()
             assert table.key is None
         i, j = index[pair[0]], index[pair[1]]
-        lo, hi = table.check(i, j), table.d[i][j]
+        lo, hi = table.check(i, j), table.exact(i, j)
         if not lo < hi:
             continue
         value = data.draw(st.sampled_from([
@@ -931,6 +931,125 @@ def test_distance_table_follows_its_growing_graph(g, data):
         assert lo < value < hi
         table.add_edge(i, j, value)
         edges[pair] = value
+
+
+@given(weighted_graphs() | nudged_graphs(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_lazy_sums_match_the_eager_relaxation(g, data):
+    # the table's lazy relaxation and the eager one of oracles.eager_add_edge
+    # take the same edges, the same copy()s and the same backtracking
+    # replays (from copies of their bases, as the completion replays);
+    # after every step each exact entry and each check agree
+    verts = g.vertices
+    n = len(verts)
+
+    def row(x):
+        return GraphMetric.distances_from(g, x)
+
+    bases = [_DistanceTable(verts, g.edges, row) for _ in range(2)]
+    lazy, eager = (base.copy() for base in bases)
+    index = lazy.index
+    rng = random.Random(data.draw(st.integers(0, 10 ** 6)))
+    primes = primes_from(2)
+    kept = []
+
+    def add(i, j, value):
+        lazy.add_edge(i, j, value)
+        oracles.eager_add_edge(eager, i, j, value)
+
+    def assert_agree(step):
+        for i, j in itertools.product(range(n), repeat=2):
+            assert eager.d[i][j].__class__ is SurdValue
+            assert lazy.exact(i, j) == eager.d[i][j], (step, i, j)
+        for i, j in data.draw(st.permutations(
+                list(itertools.product(range(n), repeat=2)))):
+            assert lazy.check(i, j) == eager.check(i, j), (step, i, j)
+
+    assert_agree("start")
+    missing = [p for p in itertools.combinations(verts, 2)
+               if p not in g.edges]
+    for step, pair in enumerate(data.draw(st.permutations(missing))):
+        action = data.draw(st.sampled_from(["add", "copy", "replay"]))
+        if action == "copy":
+            lazy, eager = lazy.copy(), eager.copy()
+        elif action == "replay" and kept:
+            del kept[data.draw(st.integers(0, len(kept) - 1)):]
+            lazy, eager = (base.copy() for base in bases)
+            for edge in kept:
+                add(*edge)
+        i, j = index[pair[0]], index[pair[1]]
+        lo, hi = lazy.check(i, j), lazy.exact(i, j)
+        if lo < hi:
+            value = data.draw(st.sampled_from([
+                lambda: (lo + hi) / 2,
+                lambda: near_hi(pair, lo, hi, rng, None),
+                lambda: _default_sample(lo, hi, rng, next(primes))]))()
+            add(i, j, value)
+            kept.append((i, j, value))
+        assert_agree(step)
+
+
+def test_a_deep_chain_of_sums_is_forced_without_recursion():
+    # each sum nests the one before: forcing the last builds all 10,000
+    # from an explicit stack, far past the interpreter's recursion limit
+    one, root2 = SurdValue(1), SurdValue.sqrt(2)
+    entry = ZERO
+    for k in range(10_000):
+        entry = _Sum(entry, one, root2 if k % 2 else ZERO)
+    assert _exact(entry) == SurdValue(10_000, {2: 5_000})
+
+
+def test_a_forced_sum_is_built_once(monkeypatch):
+    inner = _Sum(SurdValue(1), SurdValue.sqrt(2), SurdValue(Fraction(1, 3)))
+    outer = _Sum(inner, SurdValue(2), inner)
+    value = _exact(outer)
+    assert value == SurdValue(Fraction(14, 3), {2: 2})
+
+    def no_arithmetic(*args):
+        raise AssertionError("a forced sum was built again")
+
+    monkeypatch.setattr(banakh.graph_metric, "_sum3", no_arithmetic)
+    monkeypatch.setattr(SurdValue, "_combine", no_arithmetic)
+    assert _exact(outer) is value
+    assert _exact(inner) == SurdValue(Fraction(4, 3), {2: 1})
+
+
+def count_sums(monkeypatch):
+    """A list that grows by one for every lazy sum the table makes."""
+    made = []
+    init = _Sum.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(_Sum, "__init__", counted)
+    return made
+
+
+def test_a_custom_dense_family_sees_only_values(monkeypatch):
+    made = count_sums(monkeypatch)
+    seen = []
+
+    def recording(pair, lo, hi, rng, prime):
+        seen.append((lo, hi))
+        return _default_sample(lo, hi, rng, prime)
+
+    g = build_mu(MonoidDesc.fingen([2, 3]), 1, 4)
+    extend_to_full(g, ExtensionPolicy(seed=3, dense_family=recording))
+    assert made and seen
+    assert all(lo.__class__ is hi.__class__ is SurdValue for lo, hi in seen)
+
+
+def test_a_completion_hands_out_only_values(monkeypatch):
+    made = count_sums(monkeypatch)
+    g = build_mu(MonoidDesc.fingen([2, 3]), 1, 4)
+    result = extend_to_full(g, ExtensionPolicy(seed=3))
+    assert made and result.assignments
+    assert all(v.__class__ is SurdValue for v in result.assignments.values())
+    assert all(lo.__class__ is hi.__class__ is SurdValue
+               for lo, hi in result.intervals.values())
+    assert all(v.__class__ is SurdValue for v in result.full.edges.values())
 
 
 @pytest.mark.parametrize("w", [

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 import oracles
 from banakh.graph_metric import _default_sample, _exceeds, _nearer_gap
 from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
-                           format_rat, is_prime, primes_from, rational_between)
+                           format_rat, is_prime, primes_from, rational_between,
+                           _sum3)
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -78,6 +79,31 @@ def test_addition_matches_componentwise(a, b):
         assert s.coefficient(p) == a.coefficient(p) + b.coefficient(p)
     # normal form: no stored zero coefficient
     assert all(c != 0 for c in s.surd_coeffs.values())
+
+
+def three_term_sum(a, b, c):
+    return SurdValue._raw(*_sum3(a._den, a._num, a._surds, b._den, b._num,
+                                 b._surds, c._den, c._num, c._surds))
+
+
+@given(surds(), surds(), surds())
+def test_three_term_sum_is_the_lowest_terms_sum(a, b, c):
+    s = three_term_sum(a, b, c)
+    assert s == a + b + c
+    assert s._den > 0
+    assert math.gcd(s._den, s._num, *(n for _, n in s._surds)) == 1
+    assert all(n for _, n in s._surds)
+
+
+def test_three_term_sum_reduces_by_a_shared_denominator():
+    # 1/3 + 4/3 + 4/3 = 9/3: both gcds of the reduction bound are 3, and
+    # only 3, not their product 9, may be divided out of the denominator
+    third = SurdValue(Fraction(1, 3))
+    four_thirds = SurdValue(Fraction(4, 3))
+    assert three_term_sum(third, four_thirds, four_thirds) == SurdValue(3)
+    half_root = SurdValue(0, {2: Fraction(1, 2)})
+    assert three_term_sum(half_root, SurdValue(Fraction(1, 6)),
+                          -half_root) == SurdValue(Fraction(1, 6))
 
 
 @given(surds(), surds())
