@@ -80,15 +80,17 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
 
     Positivity is already guaranteed by the :class:`MetricFragment`
     constructor.  The triangle failures come from
-    :meth:`MetricFragment.triangle_failures`, the float-filtered exact scan
-    that also validates every :func:`banakh.graph_metric.extend_to_full`
-    result; on a full table it agrees with the path check
-    :func:`banakh.graph_metric.validate_pseudometric`.  The spheres are
-    read from ``f.spheres``, each center's in the order of their member
-    lists.  A sphere with one member is *incomplete*, not inconsistent: no
-    finite table can realize both members of every sphere.  Violations are
-    the triangle failures, then spheres with three or more members, or
-    two-member spheres whose mutual distance differs from twice the radius.
+    :meth:`MetricFragment.triangle_failures`, the exact scan that also
+    validates every :func:`banakh.graph_metric.extend_to_full` result: on
+    ints for a one-dimensional table such as a window of a line, float
+    filtered with exact fallbacks otherwise; on a full table it agrees with
+    the path check :func:`banakh.graph_metric.validate_pseudometric`.  The
+    spheres are read from ``f.spheres``, each center's in the order of their
+    member lists.  A sphere with one member is *incomplete*, not
+    inconsistent: no finite table can realize both members of every sphere.
+    Violations are the triangle failures, then spheres with three or more
+    members, or two-member spheres whose mutual distance differs from twice
+    the radius.
     """
     violations = [{"kind": "triangle", "points": list(names)}
                   for names in f.triangle_failures()]

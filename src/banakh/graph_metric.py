@@ -42,13 +42,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
-from math import inf, isqrt, lcm, nextafter
+from math import gcd, inf, isqrt, lcm, nextafter
 from operator import sub
 from typing import Callable, Optional
 
 from .monoid_algebra import MonoidDesc, _check_pairs
 from .values import (SurdValue, ZERO, primes_from, rat, _between,
-                     _exceeds, _lowest, _sum, _sum3, format_rat)
+                     _exceeds, _lowest, _pivots, _sum, _sum3, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -244,8 +244,10 @@ class MetricFragment(GraphMetric):
 
     def triangle_failures(self) -> list:
         """The strict triangle failures, as name triples (see
-        :meth:`_DistanceTable.triangle_failures`).  Only ``self.edges`` is
-        read and no verdict is kept, so each call checks the table afresh.
+        :func:`_triangle_failures`: on ints for a one-dimensional table, by
+        the float-filtered scan of :meth:`_DistanceTable.triangle_failures`
+        otherwise).  Only ``self.edges`` is read and no verdict is kept, so
+        each call checks the table afresh.
 
         For a full table of positive values the list is empty exactly when
         every edge is its shortest path (:func:`validate_pseudometric`): a
@@ -253,7 +255,7 @@ class MetricFragment(GraphMetric):
         one, the first two edges of any path can be replaced by the edge
         between their ends, down to a single edge, never lengthening it.
         """
-        return _DistanceTable(self.points, self.edges).triangle_failures()
+        return _triangle_failures(self.points, self.edges)
 
     @cached_property
     def spheres(self) -> dict:
@@ -442,13 +444,12 @@ def validate_pseudometric(g: GraphMetric):
     """True iff every edge value equals the shortest-path value (path
     semantics, also for difference graphs).  Returns (verdict, witness).
 
-    A full graph is decided by the triangle scan of its edges
-    (:meth:`MetricFragment.triangle_failures`, which proves the two checks
-    equivalent on a full graph of positive values); the per-vertex path
-    search runs only on a graph that is not full, or to name the witness
-    of a failed scan."""
-    if (g.is_full()
-            and not _DistanceTable(g.vertices, g.edges).triangle_failures()):
+    A full graph is decided by the triangle scan of its edges,
+    :func:`_triangle_failures` (:meth:`MetricFragment.triangle_failures`
+    proves the two checks equivalent on a full graph of positive values);
+    the per-vertex path search runs only on a graph that is not full, or to
+    name the witness of a failed scan."""
+    if g.is_full() and not _triangle_failures(g.vertices, g.edges):
         return True, None
     return _path_witness(g)
 
@@ -990,8 +991,9 @@ class _DistanceTable:
         the enclosures when c_hi < a_lo + b_lo - tol, which proves c < a + b;
         every other side is decided exactly.  The scan runs only on tables
         built from values, which hold no :class:`_Sum`, so it reads the
-        entries directly: a call per read would slow the scan of a
-        collinear line, which reads an exact side in every triple."""
+        entries directly.  A collinear tie c = a + b is never decided on
+        the enclosures, so a one-dimensional table, whose every triple can
+        be one, is scanned on ints by :func:`_triangle_failures` instead."""
         points, d, lo, hi, tol = self.verts, self.d, self.lo, self.hi, self.tol
         n = len(points)
         failures = []
@@ -1017,6 +1019,90 @@ class _DistanceTable:
                     if not xy_ok and _exceeds(dxy, dyz, dxz):
                         failures.append((x, y, z))
         return failures
+
+
+def _triangle_failures(verts, edges: dict) -> list:
+    """The strict triangle failures of a full table of positive values, as
+    :meth:`_DistanceTable.triangle_failures` orders and names them; that
+    float scan takes every table but a one-dimensional one.
+
+    There every value is q*u, for u > 0 the first value and q rational
+    (from ``values._pivots``, once per distinct value).  With D the lcm of
+    the q's denominators, N = q*D is a positive int, and c > a + b exactly
+    when N_c > N_a + N_b (divide by u > 0, multiply by D > 0).  Each row of
+    N is packed into an int of W-bit fields, 2**(W-2) > every N: for a pair
+    x < y with a = N(x,y), the fields over every z > y of H-1-a + N(x,z) -
+    N(y,z), H-1-a - N(x,z) + N(y,z) and H-1+a - N(x,z) - N(y,z), H =
+    2**(W-1), lie in [H - 2*max N, H + max N), inside [0, 2**W), so none
+    borrows from the next, and one reaches H exactly where side xz, yz or xy
+    fails.  So one int test per pair tells whether a triple through it
+    fails, and only such a pair is scanned triple by triple, for the names.
+    An N of more than ``_LINE_BITS`` bits, whose rows would outgrow the
+    float scan's tables, leaves for the float scan too."""
+    n = len(verts)
+    ints = _line_ints(list(edges.values())) if n > 2 else None
+    if ints is None:
+        return _DistanceTable(verts, edges).triangle_failures()
+    index = {v: k for k, v in enumerate(verts)}
+    rows = [[0] * n for _ in range(n)]
+    for (x, y), v in zip(edges, ints):
+        i, j = index[x], index[y]
+        rows[i][j] = rows[j][i] = v
+    width = max(ints).bit_length() + 2
+    bits = {v: format(v, f"0{width}b") for v in {0, *ints}}
+    packed = [int("".join(map(bits.__getitem__, reversed(row))), 2)
+              for row in rows]
+    ones, pairs = ((1 << width * n) - 1) // ((1 << width) - 1), []
+    for j in range(1, n - 1):
+        shift = width * (j + 1)
+        one = ones >> shift
+        high, y = one << (width - 1), packed[j] >> shift
+        for i in range(j):
+            a, x = rows[i][j], packed[i] >> shift
+            low = high - (a + 1) * one
+            if ((low + x - y) | (low - x + y)
+                    | (low + 2 * a * one - x - y)) & high:
+                pairs.append((i, j))
+    failures = []
+    for i, j in sorted(pairs):
+        x, y, a = verts[i], verts[j], rows[i][j]
+        for k in range(j + 1, n):
+            xz, yz, z = rows[i][k], rows[j][k], verts[k]
+            if xz > a + yz:
+                failures.append((x, z, y))
+            if yz > a + xz:
+                failures.append((y, z, x))
+            if a > xz + yz:
+                failures.append((x, y, z))
+    return failures
+
+
+# 128-bit fields at most: 16 bytes an entry
+_LINE_BITS = 126
+
+
+def _line_ints(values: list) -> Optional[list]:
+    """Each value's N (see :func:`_triangle_failures`), or None if one is no
+    rational multiple of the first or an N has more than ``_LINE_BITS``."""
+    u, ratios, qs, lcm_den = values[0], {}, [], 1
+    for w in values:
+        key = w._den, w._num, w._surds      # the unique form, hashed in C
+        q = ratios.get(key)
+        if q is None:
+            piv = _pivots(w._num, w._surds, u._num, u._surds)
+            if piv is None:
+                return None
+            # den may be negative: lcm ignores its sign, and num*(D//den)
+            # is q*D either way
+            num, den = piv[0] * u._den, piv[1] * w._den
+            g = gcd(num, den)
+            ratios[key] = q = num // g, den // g
+            lcm_den = lcm(lcm_den, q[1])
+            if lcm_den.bit_length() > _LINE_BITS:
+                return None
+        qs.append(q)
+    ints = [num * (lcm_den // den) for num, den in qs]
+    return ints if max(ints).bit_length() <= _LINE_BITS else None
 
 
 # ---------------------------------------------------------------------------
@@ -1154,7 +1240,7 @@ def floppy_union(p: GraphMetric, family: list) -> tuple[GraphMetric, UnionReport
     """
     if not p.is_full():
         raise ValueError("base of a union must be a full pseudometric")
-    failures = _DistanceTable(p.vertices, p.edges).triangle_failures()
+    failures = _triangle_failures(p.vertices, p.edges)
     if failures:
         a, b, c = failures[0]       # the side a-b, longer than a-c-b
         raise ValueError("base of a union must be a full pseudometric: "

@@ -337,6 +337,157 @@ def test_validate_pseudometric_names_the_witness_of_a_full_graph():
     assert validate_pseudometric(bad) == banakh.graph_metric._path_witness(bad)
 
 
+# -- the int lane of a one-dimensional table, and the float lane beside it ------
+
+
+@given(full_tables())
+@settings(max_examples=150, deadline=None)
+def test_the_float_scan_matches_the_plain_scan(f):
+    # the float-filtered scan itself, on the one- and two-dimensional tables
+    # alike, whichever lane the fragment takes
+    table = _DistanceTable(f.points, f.edges)
+    assert table.triangle_failures() == oracles.triangle_scan(f.points,
+                                                              f.distance)
+
+
+# units of a line: rational, one surd, a rational multiple of a surd, one
+# with a negative rational part, each also beyond the double range and below
+# it
+LINE_UNITS = [SurdValue(1), SurdValue.sqrt(2), SurdValue(0, {5: Fraction(3, 7)}),
+              SurdValue(-1, {3: 1})]
+# added to a line distance, in units: nothing, a last-bits change of either
+# sign, plain rationals, and one too fine for the int lane's width
+LINE_NUDGES = [0, TINY, -TINY, Fraction(1, 2), Fraction(1, 3),
+               Fraction(1, 2 ** 130)]
+
+
+@st.composite
+def line_tables(draw):
+    """One-dimensional full tables on 0-7 points: unit times (distance of
+    points on a line, each entry nudged or not)."""
+    n = draw(st.integers(min_value=0, max_value=7))
+    points = [f"p{i}" for i in range(n)]
+    coords = draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+    unit = (draw(st.sampled_from(LINE_UNITS))
+            * draw(st.sampled_from([1, HUGE, Fraction(1, HUGE)])))
+    table = {}
+    for i, j in itertools.combinations(range(n), 2):
+        base = abs(coords[i] - coords[j]) or draw(st.integers(1, 12))
+        table[(points[i], points[j])] = \
+            unit * (base + draw(st.sampled_from(LINE_NUDGES)))
+    return MetricFragment(points, table)
+
+
+def line(n, unit=1, sides=()):
+    """Points 0..n-1 on a line, times the unit, with the given sides set to
+    other lengths (in units)."""
+    points = [f"p{k:02d}" for k in range(n)]
+    dist = {(a, b): j - i for (i, a), (j, b)
+            in itertools.combinations(enumerate(points), 2)}
+    dist.update(sides)
+    return MetricFragment(points, {key: unit * d for key, d in dist.items()})
+
+
+@given(line_tables())
+# failures through the pairs p00-p03 and p01-p02, named in triple order
+@example(line(5, sides={("p01", "p02"): 4, ("p00", "p03"): 5}))
+# the pair p00-p01 fails through p03 and ties through p02
+@example(line(4, sides={("p00", "p01"): 2, ("p00", "p02"): 1,
+                        ("p01", "p02"): 1, ("p00", "p03"): 5,
+                        ("p01", "p03"): 1, ("p02", "p03"): 4}))
+@example(MetricFragment([], {}))
+@example(MetricFragment(["a"], {}))
+@example(MetricFragment(["a", "b"], {("a", "b"): SurdValue.sqrt(2)}))
+@settings(max_examples=200, deadline=None)
+def test_one_dimensional_tables_match_the_plain_scan(f):
+    failures = f.triangle_failures()
+    assert failures == oracles.triangle_scan(f.points, f.distance)
+    assert (not failures) == validate_pseudometric(f)[0]
+
+
+def refuse(*args):
+    raise AssertionError("the float scan ran on a one-dimensional table")
+
+
+@pytest.mark.parametrize("unit", [SurdValue(1), SurdValue.sqrt(2)],
+                         ids=["rational", "sqrt2"])
+def test_a_line_is_scanned_without_the_float_scan(monkeypatch, unit):
+    monkeypatch.setattr(banakh.graph_metric, "_DistanceTable", refuse)
+    monkeypatch.setattr(banakh.graph_metric, "_exceeds", refuse)
+    f = line(40, unit)
+    assert f.triangle_failures() == []
+    assert validate_pseudometric(f) == (True, None)
+    # the end-to-end side exceeds its path through every inner point
+    long = line(40, unit, {("p00", "p39"): 39 + Fraction(1, 3)})
+    assert long.triangle_failures() == [("p00", "p39", f"p{k:02d}")
+                                        for k in range(1, 39)]
+
+
+@pytest.mark.parametrize("off", [
+    SurdValue(1, {3: 1}),
+    SurdValue(3 + Fraction(1, 2 ** 130)),
+], ids=["off-the-line", "too-wide"])
+def test_the_int_lane_stops_at_a_value_it_cannot_hold(monkeypatch, off):
+    # one value off the line, or one whose int is wider than the lane's
+    # fields, sends the table to the float scan, with the oracle's failures
+    scans = []
+    scan = _DistanceTable.triangle_failures
+    monkeypatch.setattr(_DistanceTable, "triangle_failures",
+                        lambda self: scans.append(self) or scan(self))
+    points = [f"p{k}" for k in range(6)]
+    dist = {(a, b): SurdValue(j - i) for (i, a), (j, b)
+            in itertools.combinations(enumerate(points), 2)}
+    dist[("p0", "p3")] = off
+    f = MetricFragment(points, dist)
+    failures = f.triangle_failures()
+    assert len(scans) == 1
+    assert failures == oracles.triangle_scan(f.points, f.distance)
+    # d(p0,p4) = 4 > (1 + sqrt(3)) + 1, and 3 + 2**-130 > 1 + 2
+    assert failures
+    assert validate_pseudometric(f)[0] is False
+
+
+def test_a_union_refuses_a_broken_line_base_on_the_int_lane(monkeypatch):
+    # the base check takes the int lane, with the same message
+    monkeypatch.setattr(banakh.graph_metric, "_DistanceTable", refuse)
+    monkeypatch.setattr(banakh.graph_metric, "_exceeds", refuse)
+    base = GraphMetric(["x", "y", "z"],
+                       {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 5})
+    member = GraphMetric(["x", "m"], {("x", "m"): 1})
+    with pytest.raises(ValueError, match=r"^base of a union must be a full "
+                                         r"pseudometric: d\(x,z\) exceeds "
+                                         r"the path through y$"):
+        floppy_union(base, [member])
+
+
+# sides x-y and y-z of rank 2 over Q, so that the table stays on the float
+# lane; x-z exceeds their sum by TINY, or by 1 beyond the double range
+PLANE = [(SurdValue(1), SurdValue.sqrt(2), TINY),
+         (SurdValue(HUGE), SurdValue.sqrt(2) * HUGE, 1)]
+
+
+@pytest.mark.parametrize("xy, yz, over", PLANE, ids=["rational", "beyond-doubles"])
+def test_a_two_dimensional_table_finds_a_last_bits_failure(xy, yz, over):
+    f = MetricFragment(["x", "y", "z"], {("x", "y"): xy, ("y", "z"): yz,
+                                         ("x", "z"): xy + yz + over})
+    assert banakh.graph_metric._line_ints(list(f.edges.values())) is None
+    assert f.triangle_failures() == [("x", "z", "y")]
+    tie = MetricFragment(["x", "y", "z"], {("x", "y"): xy, ("y", "z"): yz,
+                                           ("x", "z"): xy + yz})
+    assert tie.triangle_failures() == []
+
+
+def test_two_dimensional_filter_margin_covers_rounded_ends(monkeypatch):
+    monkeypatch.setattr(banakh.graph_metric, "_enclosure", off_by_an_ulp)
+    xy, yz, _ = PLANE[0]
+    f = MetricFragment(["x", "y", "z"], {("x", "y"): xy, ("y", "z"): yz,
+                                         ("x", "z"): xy + yz + TINY})
+    assert f.triangle_failures() == [("x", "z", "y")]
+    tie = MetricFragment(["x", "y", "z"], {("x", "y"): xy, ("y", "z"): yz,
+                                           ("x", "z"): xy + yz})
+    assert tie.triangle_failures() == []
+
+
 # -- generic completion ---------------------------------------------------------
 
 
