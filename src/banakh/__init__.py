@@ -7,56 +7,61 @@ pseudometrics with hat/check bounds and generic completion
 (``banakh_space``), the symbolic free-group model (``banakh_group``), the
 staged fragment builder with certificates (``space_builder``), and JSON
 round-trips plus a CLI (``serialize``, ``cli``).
+
+Importing the package loads no layer.  A public name or a submodule is
+imported on first access (PEP 562 module ``__getattr__``), so a command
+line run pays only for the layers its command reads; ``from banakh
+import *`` loads every layer, as before.
 """
 
-from .values import SurdValue, ZERO, rat, format_rat, rational_between
-from .monoid_algebra import (MonoidDesc, DzikResult, dzik_reduce, delta_p,
-                             div_p, is_half_group, is_p_divisible_in,
-                             is_floppy, ddot_set, CLOSURES)
-from .graph_metric import (GraphMetric, MuGraph, ScaledMu, build_mu, hat,
-                           check, is_floppy_graph, validate_pseudometric,
-                           extend_to_full, ExtensionPolicy, ExtensionResult,
-                           ExtensionExhausted, floppy_union, UnionReport,
-                           ConditionViolation)
-from .banakh_space import (MetricFragment, verify_fragment, FragmentReport,
-                           real_line_banakh_check, SphereOracle, ZLineOracle,
-                           FragmentOracle, Orientation, gps_locate,
-                           discrete_line, orientation, segment_construct,
-                           split_segment, directed_point, zr_sphere_map,
-                           hypersphere_map, HypersphereReport,
-                           embed_in_real_line, EmbedResult, SphereDeficiency,
-                           NoSuchRadius, AmbiguityViolation,
-                           BanakhLawViolation)
-from .banakh_group import (GroupElement, zero, basis, add, neg, scale,
-                           norm_equal, normsq, DistToken, dist_token, sphere,
-                           ratio_in_Q, between, is_p_divisible_elem,
-                           numeric_norm, h_norm_certificate,
-                           solve_norm_equation, NormEquationResult,
-                           GroupOracle)
-from .space_builder import (RadiusClass, BuildSpec, Certificate, build,
-                            verify_certificate, SpecRejected, BuildExhausted)
+from importlib import import_module as _import_module
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "SurdValue", "ZERO", "rat", "format_rat", "rational_between",
-    "MonoidDesc", "DzikResult", "dzik_reduce", "delta_p", "div_p",
-    "is_half_group", "is_p_divisible_in", "is_floppy", "ddot_set", "CLOSURES",
-    "GraphMetric", "MuGraph", "ScaledMu", "build_mu", "hat", "check",
-    "is_floppy_graph", "validate_pseudometric", "extend_to_full",
-    "ExtensionPolicy", "ExtensionResult", "ExtensionExhausted",
-    "floppy_union", "UnionReport", "ConditionViolation",
-    "MetricFragment", "verify_fragment", "FragmentReport",
-    "real_line_banakh_check", "SphereOracle", "ZLineOracle", "FragmentOracle",
-    "Orientation", "gps_locate", "discrete_line", "orientation",
-    "segment_construct", "split_segment", "directed_point", "zr_sphere_map",
-    "hypersphere_map", "HypersphereReport", "embed_in_real_line",
-    "EmbedResult", "SphereDeficiency", "NoSuchRadius", "AmbiguityViolation",
-    "BanakhLawViolation",
-    "GroupElement", "zero", "basis", "add", "neg", "scale", "norm_equal",
-    "normsq", "DistToken", "dist_token", "sphere", "ratio_in_Q", "between",
-    "is_p_divisible_elem", "numeric_norm", "h_norm_certificate",
-    "solve_norm_equation", "NormEquationResult", "GroupOracle",
-    "RadiusClass", "BuildSpec", "Certificate", "build", "verify_certificate",
-    "SpecRejected", "BuildExhausted",
-]
+# each layer and its public names, in the order of __all__
+_LAYERS = {
+    "values": ("SurdValue", "ZERO", "rat", "format_rat", "rational_between"),
+    "monoid_algebra": (
+        "MonoidDesc", "DzikResult", "dzik_reduce", "delta_p", "div_p",
+        "is_half_group", "is_p_divisible_in", "is_floppy", "ddot_set",
+        "CLOSURES"),
+    "graph_metric": (
+        "GraphMetric", "MuGraph", "ScaledMu", "build_mu", "hat", "check",
+        "is_floppy_graph", "validate_pseudometric", "extend_to_full",
+        "ExtensionPolicy", "ExtensionResult", "ExtensionExhausted",
+        "floppy_union", "UnionReport", "ConditionViolation"),
+    "banakh_space": (
+        "MetricFragment", "verify_fragment", "FragmentReport",
+        "real_line_banakh_check", "SphereOracle", "ZLineOracle",
+        "FragmentOracle", "Orientation", "gps_locate", "discrete_line",
+        "orientation", "segment_construct", "split_segment",
+        "directed_point", "zr_sphere_map", "hypersphere_map",
+        "HypersphereReport", "embed_in_real_line", "EmbedResult",
+        "SphereDeficiency", "NoSuchRadius", "AmbiguityViolation",
+        "BanakhLawViolation"),
+    "banakh_group": (
+        "GroupElement", "zero", "basis", "add", "neg", "scale", "norm_equal",
+        "normsq", "DistToken", "dist_token", "sphere", "ratio_in_Q",
+        "between", "is_p_divisible_elem", "numeric_norm",
+        "h_norm_certificate", "solve_norm_equation", "NormEquationResult",
+        "GroupOracle"),
+    "space_builder": (
+        "RadiusClass", "BuildSpec", "Certificate", "build",
+        "verify_certificate", "SpecRejected", "BuildExhausted"),
+}
+_HOME = {name: layer for layer, names in _LAYERS.items() for name in names}
+_SUBMODULES = (*_LAYERS, "serialize", "cli")
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name):
+    if name in _HOME:
+        return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
+    if name in _SUBMODULES:
+        return _import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

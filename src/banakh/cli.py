@@ -15,6 +15,16 @@ is a JSON value (canonical, or indented under ``--human``), finished text
 its one stderr line.  It goes to ``--out`` on exit 0 and to stdout
 otherwise, so a failed ``extend`` or ``build`` prints its error object and
 writes no file.
+
+A run is a cold process, so it pays only for its command.  ``_COMMANDS``
+is the one table of subcommands; ``main`` builds the subparser of the
+command named first in ``argv``, or all of them for anything else (help,
+no arguments, an unknown name), with the same usage line either way.  The
+module imports at the top only the layers that parsing, the error mapping
+and the monoid commands read (``values``, ``monoid_algebra``,
+``serialize``).  A handler's names from the layers above are bound by
+``main``, for its command only, before it dispatches; module
+``__getattr__`` serves them to any other reader (PEP 562).
 """
 
 from __future__ import annotations
@@ -23,14 +33,8 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from importlib import import_module
 
-from . import banakh_group
-from .banakh_space import (AmbiguityViolation, BanakhLawViolation,
-                           FragmentOracle, NoSuchRadius, SphereDeficiency,
-                           embed_in_real_line, gps_locate, discrete_line,
-                           orientation, segment_construct, verify_fragment)
-from .graph_metric import (ExtensionExhausted, ExtensionPolicy, GraphMetric,
-                           build_mu, extend_to_full, validate_pseudometric)
 from .monoid_algebra import (CLOSURES, MonoidDesc, MonoidMembershipError,
                              ddot_set, dzik_reduce, is_floppy, is_half_group)
 from .serialize import (FormatError, buildspec_from_json,
@@ -39,7 +43,6 @@ from .serialize import (FormatError, buildspec_from_json,
                         fragment_from_json, fragment_to_json, graph_from_json,
                         graph_to_json, token_to_json,
                         value_from_json, value_to_json, _plain)
-from .space_builder import BuildExhausted, SpecRejected, build, verify_certificate
 from .values import format_rat, rat
 
 __all__ = ["main"]
@@ -75,12 +78,6 @@ def _parse_value(text: str):
     if text.lstrip().startswith("{"):
         text = json.loads(text, object_pairs_hook=_unique_keys)
     return value_from_json(text)
-
-
-def _add_monoid_flags(sp) -> None:
-    sp.add_argument("--gens", help="comma-separated positive rationals (finitely generated)")
-    sp.add_argument("--cone", help="comma-separated generators (group-cone: all non-negative combinations)")
-    sp.add_argument("--monoid", help="closure id, one of: " + ", ".join(sorted(CLOSURES)))
 
 
 def _monoid_from_args(args) -> MonoidDesc:
@@ -254,26 +251,25 @@ def cmd_group(args):
     if task == "dist":
         x = element_from_json(_load_json(args.paths[0]))
         y = element_from_json(_load_json(args.paths[1]))
-        return token_to_json(banakh_group.dist_token(x, y)), 0
+        return token_to_json(dist_token(x, y)), 0
     if task == "sphere":
         c = element_from_json(_load_json(args.paths[0]))
-        t = banakh_group.DistToken(element_from_json(_load_json(args.paths[1])))
-        members = banakh_group.GroupOracle(args.lattice).sphere(c, t)
+        t = DistToken(element_from_json(_load_json(args.paths[1])))
+        members = GroupOracle(args.lattice).sphere(c, t)
         return {"sphere": [element_to_json(m) for m in members]}, 0
     if task == "normeq":
         x = element_from_json(_load_json(args.paths[0]))
         y = element_from_json(_load_json(args.paths[1]))
-        verdict = banakh_group.norm_equal(x, y)
+        verdict = norm_equal(x, y)
         return {"norm_equal": verdict}, 0 if verdict else 1
     if task == "hnorm":
-        cert = banakh_group.h_norm_certificate(
-            element_from_json(_load_json(args.paths[0])))
+        cert = h_norm_certificate(element_from_json(_load_json(args.paths[0])))
         return _plain(cert), 0 if cert["holds"] else 1
     if task == "solve":
         coeffs = _rat_list(args.coeffs or "")
         if len(coeffs) != 6:
             raise FormatError("--coeffs needs a1,a2,a3,b1,b2,b3")
-        result = banakh_group.solve_norm_equation(*coeffs)
+        result = solve_norm_equation(*coeffs)
         return {"infinite": result.infinite,
                 "solutions": [format_rat(t) for t in result.solutions]}, 0
     raise FormatError(f"unknown group task {task!r}")
@@ -305,102 +301,127 @@ def cmd_certify(args):
 
 
 # ---------------------------------------------------------------------------
-# parser
+# parser: one table of the subcommands, and the layers their handlers read
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _arg(*flags, **options):
+    return flags, options
+
+
+def _required(*flags, **options):
+    return tuple(_arg(flag, required=True, **options) for flag in flags)
+
+
+_MONOID = (
+    _arg("--gens",
+         help="comma-separated positive rationals (finitely generated)"),
+    _arg("--cone", help="comma-separated generators "
+                        "(group-cone: all non-negative combinations)"),
+    _arg("--monoid",
+         help="closure id, one of: " + ", ".join(sorted(CLOSURES))))
+_WINDOW = (_arg("--window", required=True),
+           _arg("--denom-bound", type=int, default=64, dest="denom_bound"))
+_FRAGMENT, _OUT = _arg("fragment"), _arg("--out")
+
+# name: (handler, help, arguments after --human, the layer above serialize
+# whose names in _LAYER_NAMES the handler reads, or None)
+_COMMANDS = {
+    "verify": (cmd_verify, "check a fragment's metric and sphere axioms",
+               (_FRAGMENT,), "banakh_space"),
+    "embed": (cmd_embed, "exact real-line embedding or an obstruction",
+              (_FRAGMENT,), "banakh_space"),
+    "halfgroup": (cmd_halfgroup, "is ±M a group under addition?",
+                  (*_MONOID, _arg("--bound", help="search cap (rational)")),
+                  None),
+    "floppy": (cmd_floppy, "floppiness verdict for a monoid", _MONOID, None),
+    "ddot": (cmd_ddot, "two-term-indecomposable members up to a window",
+             (*_MONOID, *_WINDOW), None),
+    "dzik": (cmd_dzik, "p-free gcd by the descending pair reduction",
+             (*_required("--a", "--b", "--p", type=int), *_MONOID), None),
+    "mu": (cmd_mu, "windowed difference graph of a scaled monoid",
+           (*_MONOID, _arg("--r", required=True, help="radius (rational)"),
+            *_WINDOW, _OUT,
+            _arg("--dot", action="store_true",
+                 help="emit a DOT graph description instead of JSON")),
+           "graph_metric"),
+    "extend": (cmd_extend, "complete a floppy graph to a full metric",
+               (_arg("graph"), _arg("--seed", type=int, required=True),
+                _arg("--budget", type=int, default=1000), _OUT),
+               "graph_metric"),
+    "line": (cmd_line, "discrete line through two fragment points",
+             (_FRAGMENT, *_required("--a", "--b"),
+              _arg("-n", type=int, required=True)), "banakh_space"),
+    "gps": (cmd_gps, "locate a point from two anchor distances",
+            (_FRAGMENT, *_required("--a", "--ra", "--b", "--rb")),
+            "banakh_space"),
+    "orient": (cmd_orient, "ray orientation of two points from an origin",
+               (_FRAGMENT, *_required("--origin", "--x", "--y")),
+               "banakh_space"),
+    "segment": (cmd_segment, "extend a segment beyond its endpoint",
+                (_FRAGMENT, *_required("--x", "--y", "--r")), "banakh_space"),
+    "group": (cmd_group, "symbolic free-group geometry tasks",
+              (_arg("task", choices=["dist", "sphere", "normeq", "hnorm",
+                                     "solve"]),
+               _arg("paths", nargs="*"),
+               _arg("--lattice", choices=["H", "L"], default="L"),
+               _arg("--coeffs", help="a1,a2,a3,b1,b2,b3 for solve")),
+              "banakh_group"),
+    "build": (cmd_build, "run the staged fragment construction",
+              (_arg("--spec", required=True),
+               _arg("--seed", type=int, required=True), _OUT),
+              "space_builder"),
+    "certify": (cmd_certify, "re-verify a build output against its spec",
+                (_FRAGMENT, _arg("spec")), "space_builder"),
+}
+
+# what the handlers read from the layers above serialize; main binds the
+# names of its command's layer, and __getattr__ serves any of them
+_LAYER_NAMES = {
+    "graph_metric": ("ExtensionExhausted", "ExtensionPolicy", "build_mu",
+                     "extend_to_full", "validate_pseudometric"),
+    "banakh_space": ("AmbiguityViolation", "BanakhLawViolation",
+                     "FragmentOracle", "NoSuchRadius", "SphereDeficiency",
+                     "discrete_line", "embed_in_real_line", "gps_locate",
+                     "orientation", "segment_construct", "verify_fragment"),
+    "banakh_group": ("DistToken", "GroupOracle", "dist_token",
+                     "h_norm_certificate", "norm_equal", "solve_norm_equation"),
+    "space_builder": ("BuildExhausted", "SpecRejected", "build",
+                      "verify_certificate"),
+}
+
+
+def _layer(name: str):
+    return import_module(f"{__package__}.{name}")
+
+
+def __getattr__(name):
+    for layer, names in _LAYER_NAMES.items():
+        if name in names:
+            return getattr(_layer(layer), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of the one named ``only``; its
+    usage line names all of them either way."""
     parser = argparse.ArgumentParser(
         prog="banakh",
         description="Exact arithmetic for two-point-sphere metric geometry.")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def new(name, handler, help_text):
+    # the metavar is the one argparse writes for all the choices; given
+    # always, it would rename the subcommand in "required" and "invalid
+    # choice" errors, which only the full parser reports
+    sub = parser.add_subparsers(
+        dest="subcommand", required=True,
+        metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
+    for name in [only] if only else _COMMANDS:
+        handler, help_text, arguments, _ = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--human", action="store_true",
                         help="indented output instead of canonical JSON")
+        for flags, options in arguments:
+            sp.add_argument(*flags, **options)
         sp.set_defaults(func=handler)
-        return sp
-
-    sp = new("verify", cmd_verify, "check a fragment's metric and sphere axioms")
-    sp.add_argument("fragment")
-
-    sp = new("embed", cmd_embed, "exact real-line embedding or an obstruction")
-    sp.add_argument("fragment")
-
-    sp = new("halfgroup", cmd_halfgroup, "is ±M a group under addition?")
-    _add_monoid_flags(sp)
-    sp.add_argument("--bound", help="search cap (rational)")
-
-    sp = new("floppy", cmd_floppy, "floppiness verdict for a monoid")
-    _add_monoid_flags(sp)
-
-    sp = new("ddot", cmd_ddot, "two-term-indecomposable members up to a window")
-    _add_monoid_flags(sp)
-    sp.add_argument("--window", required=True)
-    sp.add_argument("--denom-bound", type=int, default=64, dest="denom_bound")
-
-    sp = new("dzik", cmd_dzik, "p-free gcd by the descending pair reduction")
-    sp.add_argument("--a", type=int, required=True)
-    sp.add_argument("--b", type=int, required=True)
-    sp.add_argument("--p", type=int, required=True)
-    _add_monoid_flags(sp)
-
-    sp = new("mu", cmd_mu, "windowed difference graph of a scaled monoid")
-    _add_monoid_flags(sp)
-    sp.add_argument("--r", required=True, help="radius (rational)")
-    sp.add_argument("--window", required=True)
-    sp.add_argument("--denom-bound", type=int, default=64, dest="denom_bound")
-    sp.add_argument("--out")
-    sp.add_argument("--dot", action="store_true",
-                    help="emit a DOT graph description instead of JSON")
-
-    sp = new("extend", cmd_extend, "complete a floppy graph to a full metric")
-    sp.add_argument("graph")
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--budget", type=int, default=1000)
-    sp.add_argument("--out")
-
-    sp = new("line", cmd_line, "discrete line through two fragment points")
-    sp.add_argument("fragment")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("-n", type=int, required=True)
-
-    sp = new("gps", cmd_gps, "locate a point from two anchor distances")
-    sp.add_argument("fragment")
-    sp.add_argument("--a", required=True)
-    sp.add_argument("--ra", required=True)
-    sp.add_argument("--b", required=True)
-    sp.add_argument("--rb", required=True)
-
-    sp = new("orient", cmd_orient, "ray orientation of two points from an origin")
-    sp.add_argument("fragment")
-    sp.add_argument("--origin", required=True)
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-
-    sp = new("segment", cmd_segment, "extend a segment beyond its endpoint")
-    sp.add_argument("fragment")
-    sp.add_argument("--x", required=True)
-    sp.add_argument("--y", required=True)
-    sp.add_argument("--r", required=True)
-
-    sp = new("group", cmd_group, "symbolic free-group geometry tasks")
-    sp.add_argument("task", choices=["dist", "sphere", "normeq", "hnorm", "solve"])
-    sp.add_argument("paths", nargs="*")
-    sp.add_argument("--lattice", choices=["H", "L"], default="L")
-    sp.add_argument("--coeffs", help="a1,a2,a3,b1,b2,b3 for solve")
-
-    sp = new("build", cmd_build, "run the staged fragment construction")
-    sp.add_argument("--spec", required=True)
-    sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--out")
-
-    sp = new("certify", cmd_certify, "re-verify a build output against its spec")
-    sp.add_argument("fragment")
-    sp.add_argument("spec")
-
     return parser
 
 
@@ -418,8 +439,14 @@ def _write(payload, args, code: int) -> None:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    only = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(only).parse_args(argv)
+    layer = _COMMANDS[args.subcommand][3]
+    if layer is not None:
+        module = _layer(layer)
+        for name in _LAYER_NAMES[layer]:   # a name set before (a patch) stays
+            globals().setdefault(name, getattr(module, name))
     try:
         payload, code = args.func(args)
         if payload is not None:
@@ -434,11 +461,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-    except SpecRejected as exc:
-        print(f"spec rejected: {exc}", file=sys.stderr)
-        return 2
     except (ValueError, KeyError, IndexError) as exc:
-        print(f"bad input: {exc}", file=sys.stderr)
+        # SpecRejected is bound only once a command has loaded its layer
+        if isinstance(exc, globals().get("SpecRejected", ())):
+            print(f"spec rejected: {exc}", file=sys.stderr)
+        else:
+            print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -13,8 +13,11 @@ canonical-key check (zero coefficients dropped, then a prime index).
 Every other form (decimals, whitespace, "+", underscores, non-ASCII
 digits) falls back to ``Fraction(str)``, with its reading and its
 errors.  An edge list or a certificate reads each distinct value
-string once, through a memo local to the call, so equal values share one
-immutable object with its cached hash and enclosure.  Integer fields
+string, and each distinct surd form of strings, once, through a memo local
+to the call, so equal values share one immutable object with its cached
+hash and enclosure.  The readers import the layers whose objects they
+build (``graph_metric``, ``banakh_group``, ``space_builder``) when they
+run, so a command that reads none of those loads none.  Integer fields
 (``stages``, ``denom_bound``, ``seed``, a ledger entry's ``class``) take
 only a JSON integer, never a bool, float or string.  A row that repeats
 a pair with a different value is a format error, never its last value.
@@ -28,11 +31,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .banakh_space import MetricFragment
-from .banakh_group import DistToken, GroupElement
-from .graph_metric import GraphMetric, _pair
 from .monoid_algebra import CLOSURES, MonoidDesc, _check_pairs
-from .space_builder import BuildSpec, Certificate, RadiusClass
 from .values import (InputTooLarge, SurdValue, _ratio, format_rat,
                      format_ratio)
 
@@ -82,16 +81,25 @@ def _int_from(obj, what: str) -> int:
 
 
 def _memo(read):
-    """``read`` run once per distinct string of one document: equal values
-    then share one immutable object, with its cached hash."""
+    """``read`` run once per distinct string of one document, and once per
+    distinct surd form whose "rat" and coefficients are all strings: equal
+    values then share one immutable object, with its cached hash, and a
+    dict finds them by identity.  Any other form is read afresh, so a bool
+    never meets an int's entry."""
     memo = {}
 
     def cached(obj):
-        if type(obj) is not str:
+        if type(obj) is str:
+            key = obj
+        elif (type(obj) is dict and type(obj.get("rat")) is str
+              and type(surds := obj.get("surds", {})) is dict
+              and all(type(c) is str for c in surds.values())):
+            key = (obj["rat"], *surds.items())
+        else:
             return read(obj)
-        out = memo.get(obj)
+        out = memo.get(key)
         if out is None:
-            out = memo[obj] = read(obj)
+            out = memo[key] = read(obj)
         return out
     return cached
 
@@ -173,6 +181,7 @@ def _edge_list_from_json(obj, keys, what: str):
     Above ENUMERATION_CAP pairs of names it raises InputTooLarge before
     any row is read: every command that reads one scans its triangles,
     O(n**3), and completion refuses such a graph anyway."""
+    from .graph_metric import _pair
     value = _memo(value_from_json)
     try:
         names = [str(p) for p in obj[keys[0]]]
@@ -195,6 +204,7 @@ def graph_to_json(g: GraphMetric) -> dict:
 
 
 def graph_from_json(obj) -> GraphMetric:
+    from .graph_metric import GraphMetric
     return GraphMetric(*_edge_list_from_json(obj, ("vertices", "edges"), "graph"))
 
 
@@ -203,6 +213,7 @@ def fragment_to_json(f: MetricFragment) -> dict:
 
 
 def fragment_from_json(obj) -> MetricFragment:
+    from .graph_metric import MetricFragment
     return MetricFragment(*_edge_list_from_json(obj, ("points", "dist"),
                                                 "fragment"))
 
@@ -217,6 +228,7 @@ def buildspec_to_json(spec: BuildSpec) -> dict:
 
 
 def buildspec_from_json(obj, seed=None) -> BuildSpec:
+    from .space_builder import BuildSpec, RadiusClass
     try:
         radii = [RadiusClass(value_from_json(c["r"]), monoid_from_json(c["monoid"]))
                  for c in obj["radii"]]
@@ -238,6 +250,7 @@ def element_to_json(x: GroupElement) -> dict:
 
 
 def element_from_json(obj) -> GroupElement:
+    from .banakh_group import GroupElement
     if not isinstance(obj, dict) or not isinstance(obj.get("coeffs"), dict):
         raise FormatError(f"not a group element: {obj!r}")
     try:
@@ -257,6 +270,7 @@ def token_to_json(t: DistToken) -> dict:
 
 
 def token_from_json(obj) -> DistToken:
+    from .banakh_group import DistToken
     return DistToken(element_from_json(obj))
 
 
@@ -302,6 +316,7 @@ def certificate_to_json(cert: Certificate) -> dict:
 
 
 def certificate_from_json(obj) -> Certificate:
+    from .space_builder import Certificate
     value, unit = _memo(value_from_json), _memo(_rat_from)
     try:
         spheres = []

@@ -1002,6 +1002,70 @@ def test_installed_script_matches_library(tmp_path):
     assert (proc.returncode, proc.stdout) == (1, lib.stdout), proc.stderr
 
 
+# -- what a cold run loads and parses ------------------------------------------
+
+_LOADED = """
+import contextlib, io, json, sys
+import banakh.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = banakh.cli.main({argv!r})
+print(json.dumps([code, sorted(m for m in sys.modules
+                               if m.startswith("banakh."))]))
+"""
+
+
+@pytest.mark.parametrize("argv, code, absent", [
+    (["halfgroup", "--gens", "2,4"], 0,
+     {"graph_metric", "banakh_space", "banakh_group", "space_builder"}),
+    (["mu", "--gens", "2,3", "--r", "1", "--window", "3"], 0,
+     {"banakh_space", "banakh_group", "space_builder"}),
+    (["orient", "LINE", "--origin", "p+0", "--x", "p+1", "--y", "p-2"], 0,
+     {"banakh_group", "space_builder"})])
+def test_a_command_loads_only_the_layers_it_reads(line_file, argv, code,
+                                                  absent):
+    src = Path(banakh.__file__).resolve().parent.parent
+    argv = [line_file if a == "LINE" else a for a in argv]
+    proc = subprocess.run([sys.executable, "-c", _LOADED.format(argv=argv)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    got, loaded = json.loads(proc.stdout)
+    assert got == code
+    assert {"banakh.cli", "banakh.serialize", "banakh.values"} <= set(loaded)
+    assert not {f"banakh.{m}" for m in absent} & set(loaded)
+
+
+def _parse_exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"], [], ["frobnicate"], ["halfgroup", "--gens", "2", "extra"],
+    ["ddot", "--gens", "3,5"], ["-h", "halfgroup"],
+    *([name, "-h"] for name in banakh.cli._COMMANDS)])
+def test_one_subparser_parses_like_the_full_parser(capsys, monkeypatch,
+                                                   argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse_exit(capsys, banakh.cli._build_parser().parse_args, argv)
+    assert _parse_exit(capsys, main, argv) == full
+    assert full[0] == (0 if "-h" in argv or "--help" in argv else 2)
+
+
+def test_the_usage_line_names_every_subcommand(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    usage = ("usage: banakh [-h]\n"
+             "              {verify,embed,halfgroup,floppy,ddot,dzik,mu,"
+             "extend,line,gps,orient,segment,group,build,certify}\n"
+             "              ...\n")
+    for argv in (["halfgroup", "--gens", "2", "extra"], []):
+        code, out, err = _parse_exit(capsys, main, argv)
+        assert code == 2 and out == "" and err.startswith(usage)
+    code, out, _ = _parse_exit(capsys, main, ["--help"])
+    assert code == 0 and out.startswith(usage)
+
+
 # -- bad input graphs and caps on extend -------------------------------------------
 
 

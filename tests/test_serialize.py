@@ -211,6 +211,27 @@ def test_a_document_reads_each_distinct_value_once():
     assert len({id(r) for r in radii}) == len(set(radii)) < len(radii)
 
 
+def test_a_document_reads_each_distinct_surd_form_once():
+    root2 = {"rat": "0", "surds": {"2": "1"}}
+    doc = {"points": ["a", "b", "c"],
+           "dist": [["a", "b", root2], ["b", "c", dict(root2)],
+                    ["a", "c", {"rat": "0", "surds": {"2": "2"}}]]}
+    f = fragment_from_json(doc)
+    assert f.edge_value("a", "b") is f.edge_value("b", "c")
+    assert f.edge_value("a", "b") == SurdValue(0, {2: 1})
+    # a form with a non-string part is read afresh: a bool after an int
+    # of the same value is still refused
+    for first, again in ((1, True), ({"rat": "0", "surds": {"2": 1}},
+                                     {"rat": "0", "surds": {"2": True}}),
+                         ({"rat": 0, "surds": {"2": "1"}},
+                          {"rat": False, "surds": {"2": "1"}})):
+        doc = {"points": ["a", "b", "c"],
+               "dist": [["a", "b", first], ["b", "c", first],
+                        ["a", "c", again]]}
+        with pytest.raises(FormatError):
+            fragment_from_json(doc)
+
+
 def test_fragment_incomplete_table_still_fails():
     doc = {"points": ["a", "b", "c"], "dist": [["a", "b", "1"]]}
     with pytest.raises(ValueError):
