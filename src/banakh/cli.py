@@ -22,9 +22,8 @@ command named first in ``argv``, or all of them for anything else (help,
 no arguments, an unknown name), with the same usage line either way.  The
 module imports at the top only the layers that parsing, the error mapping
 and the monoid commands read (``values``, ``monoid_algebra``,
-``serialize``).  A handler's names from the layers above are bound by
-``main``, for its command only, before it dispatches; module
-``__getattr__`` serves them to any other reader (PEP 562).
+``serialize``).  A handler imports what it reads from the layers above at
+the top of its own body, as ``serialize``'s readers do.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import argparse
 import json
 import sys
 from fractions import Fraction
-from importlib import import_module
 
 from .monoid_algebra import (CLOSURES, MonoidDesc, MonoidMembershipError,
                              ddot_set, dzik_reduce, is_floppy, is_half_group)
@@ -98,6 +96,7 @@ def _monoid_from_args(args) -> MonoidDesc:
 def _fragment_oracle(path) -> FragmentOracle:
     """Sphere oracle over the fragment stored at ``path``; a ValueError
     unless the fragment is a metric that keeps the two-point-sphere law."""
+    from .banakh_space import FragmentOracle, verify_fragment
     fragment = fragment_from_json(_load_json(path))
     report = verify_fragment(fragment)
     if not (report.metric_ok and report.banakh_consistent):
@@ -122,6 +121,7 @@ def _dot_text(g: GraphMetric) -> str:
 
 
 def cmd_verify(args):
+    from .banakh_space import verify_fragment
     report = verify_fragment(fragment_from_json(_load_json(args.fragment)))
     return ({"metric_ok": report.metric_ok,
              "banakh_consistent": report.banakh_consistent,
@@ -131,6 +131,7 @@ def cmd_verify(args):
 
 
 def cmd_embed(args):
+    from .banakh_space import embed_in_real_line
     result = embed_in_real_line(fragment_from_json(_load_json(args.fragment)))
     if result.embeddable:
         return {"embeddable": True,
@@ -183,12 +184,15 @@ def cmd_dzik(args):
 
 
 def cmd_mu(args):
+    from .graph_metric import build_mu
     g = build_mu(_monoid_from_args(args), rat(args.r), rat(args.window),
                  args.denom_bound)
     return (_dot_text(g) if args.dot else graph_to_json(g)), 0
 
 
 def cmd_extend(args):
+    from .graph_metric import (ExtensionExhausted, ExtensionPolicy,
+                               extend_to_full, validate_pseudometric)
     g = graph_from_json(_load_json(args.graph))
     try:
         result = extend_to_full(g, ExtensionPolicy(seed=args.seed,
@@ -209,6 +213,7 @@ def cmd_extend(args):
 
 
 def cmd_line(args):
+    from .banakh_space import NoSuchRadius, SphereDeficiency, discrete_line
     oracle = _fragment_oracle(args.fragment)
     try:
         return {"line": list(discrete_line(oracle, args.a, args.b, args.n))}, 0
@@ -217,6 +222,7 @@ def cmd_line(args):
 
 
 def cmd_gps(args):
+    from .banakh_space import BanakhLawViolation, gps_locate
     oracle = _fragment_oracle(args.fragment)
     try:
         return {"point": gps_locate(oracle, args.a, args.b,
@@ -227,6 +233,7 @@ def cmd_gps(args):
 
 
 def cmd_orient(args):
+    from .banakh_space import NoSuchRadius, SphereDeficiency, orientation
     oracle = _fragment_oracle(args.fragment)
     try:
         sense = orientation(oracle, args.origin, args.x, args.y)
@@ -236,6 +243,8 @@ def cmd_orient(args):
 
 
 def cmd_segment(args):
+    from .banakh_space import (AmbiguityViolation, NoSuchRadius,
+                               SphereDeficiency, segment_construct)
     oracle = _fragment_oracle(args.fragment)
     try:
         return {"point": segment_construct(oracle, args.x, args.y,
@@ -247,6 +256,9 @@ def cmd_segment(args):
 
 
 def cmd_group(args):
+    from .banakh_group import (DistToken, GroupOracle, dist_token,
+                               h_norm_certificate, norm_equal,
+                               solve_norm_equation)
     task = args.task
     if task == "dist":
         x = element_from_json(_load_json(args.paths[0]))
@@ -276,17 +288,22 @@ def cmd_group(args):
 
 
 def cmd_build(args):
-    spec = buildspec_from_json(_load_json(args.spec), seed=args.seed)
+    from .space_builder import BuildExhausted, SpecRejected, build
     try:
-        fragment, cert = build(spec)
+        fragment, cert = build(buildspec_from_json(_load_json(args.spec),
+                                                   seed=args.seed))
     except BuildExhausted as exc:
         return {"error": "build-exhausted", "stage": exc.stage,
                 "pair": _plain(exc.pair)}, 1
+    except SpecRejected as exc:
+        print(f"spec rejected: {exc}", file=sys.stderr)
+        return None, 2
     return {"fragment": fragment_to_json(fragment),
             "certificate": certificate_to_json(cert)}, 0
 
 
 def cmd_certify(args):
+    from .space_builder import SpecRejected, verify_certificate
     doc = _load_json(args.fragment)
     if not isinstance(doc, dict) or "fragment" not in doc or "certificate" not in doc:
         raise FormatError("expected a build output with 'fragment' and 'certificate'")
@@ -295,13 +312,18 @@ def cmd_certify(args):
     spec_obj = _load_json(args.spec)
     if not isinstance(spec_obj, dict):
         raise FormatError("expected a build spec object")
-    spec = buildspec_from_json(spec_obj, seed=spec_obj.get("seed", cert.seed))
-    report = verify_certificate(fragment, spec, cert)
+    try:
+        spec = buildspec_from_json(spec_obj,
+                                   seed=spec_obj.get("seed", cert.seed))
+        report = verify_certificate(fragment, spec, cert)
+    except SpecRejected as exc:
+        print(f"spec rejected: {exc}", file=sys.stderr)
+        return None, 2
     return _plain(report), 0 if report["all_ok"] else 1
 
 
 # ---------------------------------------------------------------------------
-# parser: one table of the subcommands, and the layers their handlers read
+# parser: one table of the subcommands
 # ---------------------------------------------------------------------------
 
 
@@ -324,83 +346,48 @@ _WINDOW = (_arg("--window", required=True),
            _arg("--denom-bound", type=int, default=64, dest="denom_bound"))
 _FRAGMENT, _OUT = _arg("fragment"), _arg("--out")
 
-# name: (handler, help, arguments after --human, the layer above serialize
-# whose names in _LAYER_NAMES the handler reads, or None)
+# name: (handler, help, arguments after --human)
 _COMMANDS = {
     "verify": (cmd_verify, "check a fragment's metric and sphere axioms",
-               (_FRAGMENT,), "banakh_space"),
+               (_FRAGMENT,)),
     "embed": (cmd_embed, "exact real-line embedding or an obstruction",
-              (_FRAGMENT,), "banakh_space"),
+              (_FRAGMENT,)),
     "halfgroup": (cmd_halfgroup, "is ±M a group under addition?",
-                  (*_MONOID, _arg("--bound", help="search cap (rational)")),
-                  None),
-    "floppy": (cmd_floppy, "floppiness verdict for a monoid", _MONOID, None),
+                  (*_MONOID, _arg("--bound", help="search cap (rational)"))),
+    "floppy": (cmd_floppy, "floppiness verdict for a monoid", _MONOID),
     "ddot": (cmd_ddot, "two-term-indecomposable members up to a window",
-             (*_MONOID, *_WINDOW), None),
+             (*_MONOID, *_WINDOW)),
     "dzik": (cmd_dzik, "p-free gcd by the descending pair reduction",
-             (*_required("--a", "--b", "--p", type=int), *_MONOID), None),
+             (*_required("--a", "--b", "--p", type=int), *_MONOID)),
     "mu": (cmd_mu, "windowed difference graph of a scaled monoid",
            (*_MONOID, _arg("--r", required=True, help="radius (rational)"),
             *_WINDOW, _OUT,
             _arg("--dot", action="store_true",
-                 help="emit a DOT graph description instead of JSON")),
-           "graph_metric"),
+                 help="emit a DOT graph description instead of JSON"))),
     "extend": (cmd_extend, "complete a floppy graph to a full metric",
                (_arg("graph"), _arg("--seed", type=int, required=True),
-                _arg("--budget", type=int, default=1000), _OUT),
-               "graph_metric"),
+                _arg("--budget", type=int, default=1000), _OUT)),
     "line": (cmd_line, "discrete line through two fragment points",
              (_FRAGMENT, *_required("--a", "--b"),
-              _arg("-n", type=int, required=True)), "banakh_space"),
+              _arg("-n", type=int, required=True))),
     "gps": (cmd_gps, "locate a point from two anchor distances",
-            (_FRAGMENT, *_required("--a", "--ra", "--b", "--rb")),
-            "banakh_space"),
+            (_FRAGMENT, *_required("--a", "--ra", "--b", "--rb"))),
     "orient": (cmd_orient, "ray orientation of two points from an origin",
-               (_FRAGMENT, *_required("--origin", "--x", "--y")),
-               "banakh_space"),
+               (_FRAGMENT, *_required("--origin", "--x", "--y"))),
     "segment": (cmd_segment, "extend a segment beyond its endpoint",
-                (_FRAGMENT, *_required("--x", "--y", "--r")), "banakh_space"),
+                (_FRAGMENT, *_required("--x", "--y", "--r"))),
     "group": (cmd_group, "symbolic free-group geometry tasks",
               (_arg("task", choices=["dist", "sphere", "normeq", "hnorm",
                                      "solve"]),
                _arg("paths", nargs="*"),
                _arg("--lattice", choices=["H", "L"], default="L"),
-               _arg("--coeffs", help="a1,a2,a3,b1,b2,b3 for solve")),
-              "banakh_group"),
+               _arg("--coeffs", help="a1,a2,a3,b1,b2,b3 for solve"))),
     "build": (cmd_build, "run the staged fragment construction",
               (_arg("--spec", required=True),
-               _arg("--seed", type=int, required=True), _OUT),
-              "space_builder"),
+               _arg("--seed", type=int, required=True), _OUT)),
     "certify": (cmd_certify, "re-verify a build output against its spec",
-                (_FRAGMENT, _arg("spec")), "space_builder"),
+                (_FRAGMENT, _arg("spec"))),
 }
-
-# what the handlers read from the layers above serialize; main binds the
-# names of its command's layer, and __getattr__ serves any of them
-_LAYER_NAMES = {
-    "graph_metric": ("ExtensionExhausted", "ExtensionPolicy", "build_mu",
-                     "extend_to_full", "validate_pseudometric"),
-    "banakh_space": ("AmbiguityViolation", "BanakhLawViolation",
-                     "FragmentOracle", "NoSuchRadius", "SphereDeficiency",
-                     "discrete_line", "embed_in_real_line", "gps_locate",
-                     "orientation", "segment_construct", "verify_fragment"),
-    "banakh_group": ("DistToken", "GroupOracle", "dist_token",
-                     "h_norm_certificate", "norm_equal", "solve_norm_equation"),
-    "space_builder": ("BuildExhausted", "SpecRejected", "build",
-                      "verify_certificate"),
-}
-
-
-def _layer(name: str):
-    return import_module(f"{__package__}.{name}")
-
-
-def __getattr__(name):
-    for layer, names in _LAYER_NAMES.items():
-        if name in names:
-            return getattr(_layer(layer), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 
 def _build_parser(only=None) -> argparse.ArgumentParser:
     """The parser of every subcommand, or of the one named ``only``; its
@@ -415,7 +402,7 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
         dest="subcommand", required=True,
         metavar="{" + ",".join(_COMMANDS) + "}" if only else None)
     for name in [only] if only else _COMMANDS:
-        handler, help_text, arguments, _ = _COMMANDS[name]
+        handler, help_text, arguments = _COMMANDS[name]
         sp = sub.add_parser(name, help=help_text)
         sp.add_argument("--human", action="store_true",
                         help="indented output instead of canonical JSON")
@@ -442,11 +429,6 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     only = argv[0] if argv and argv[0] in _COMMANDS else None
     args = _build_parser(only).parse_args(argv)
-    layer = _COMMANDS[args.subcommand][3]
-    if layer is not None:
-        module = _layer(layer)
-        for name in _LAYER_NAMES[layer]:   # a name set before (a patch) stays
-            globals().setdefault(name, getattr(module, name))
     try:
         payload, code = args.func(args)
         if payload is not None:
@@ -462,11 +444,7 @@ def main(argv=None) -> int:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError, IndexError) as exc:
-        # SpecRejected is bound only once a command has loaded its layer
-        if isinstance(exc, globals().get("SpecRejected", ())):
-            print(f"spec rejected: {exc}", file=sys.stderr)
-        else:
-            print(f"bad input: {exc}", file=sys.stderr)
+        print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
 

@@ -45,7 +45,6 @@ the minimal generators, found in O(#gens**2) Apery lookups.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
 from math import floor, gcd, lcm
@@ -269,8 +268,7 @@ def _dpt_min_add(d: Fraction) -> Optional[Fraction]:
     return min(candidates)
 
 
-@dataclass(frozen=True)
-class _Closure:
+class _Closure(NamedTuple):
     member: Callable[[Fraction], bool]
     diff_member: Callable[[Fraction], bool]
     min_add: Callable[[Fraction], Optional[Fraction]]
@@ -564,8 +562,7 @@ class MonoidDesc:
         return [k * step for k in range(-top, top + 1)]
 
 
-@dataclass(frozen=True)
-class DivisibilityWitness:
+class DivisibilityWitness(NamedTuple):
     """Outcome of a p-divisibility check.
 
     kind is "divisible", "counterexample" (element holds the witness s with

@@ -55,6 +55,27 @@ def elem_file(tmp_path):
     return make
 
 
+@pytest.fixture
+def input_files(capsys, tmp_path, line_file, elem_file):
+    """Paths by placeholder name: a line fragment, a graph, two group
+    elements, a one-class build spec and its build."""
+    files = {"LINE": line_file, "X": elem_file("x", {1: 1, 2: -1}),
+             "Y": elem_file("y", {1: 2})}
+    for name, doc in [
+            ("GRAPH", {"vertices": ["a", "b", "c"],
+                       "edges": [["a", "b", "1"], ["b", "c", "1"]]}),
+            ("SPEC", {"radii": [{"r": "1", "monoid": {
+                "variant": "fingen", "generators": ["1"]}}],
+                "window": "2"})]:
+        files[name] = str(tmp_path / f"input_{name.lower()}.json")
+        Path(files[name]).write_text(json.dumps(doc))
+    files["BUILT"] = str(tmp_path / "input_built.json")
+    assert main(["build", "--spec", files["SPEC"], "--seed", "1",
+                 "--out", files["BUILT"]]) == 0
+    capsys.readouterr()
+    return files
+
+
 # -- verdict plumbing -----------------------------------------------------------------
 
 
@@ -302,7 +323,7 @@ def test_an_exhausted_build_prints_its_error_and_writes_no_file(
     def exhausted(spec):
         raise BuildExhausted(1, ("a", "c"), "extension budget spent (3)")
 
-    monkeypatch.setattr(banakh.cli, "build", exhausted)
+    monkeypatch.setattr(banakh.space_builder, "build", exhausted)
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"radii": [{"r": "1", "monoid": {
         "variant": "fingen", "generators": ["1"]}}], "window": "2"}))
@@ -747,7 +768,7 @@ def test_certify_rejects_a_spec_that_is_not_an_object(capsys, tmp_path, spec):
     assert "format error" in err and "build spec" in err
 
 
-def test_build_rejects_bad_spec(capsys, tmp_path):
+def test_build_rejects_bad_spec(capsys, tmp_path, input_files):
     spec = {"radii": [{"r": "1",
                        "monoid": {"variant": "closure",
                                   "closure_id": "dyadic-plus-thirds"}}]}
@@ -755,6 +776,9 @@ def test_build_rejects_bad_spec(capsys, tmp_path):
     path.write_text(json.dumps(spec))
     code, out, err = run(capsys, "build", "--spec", str(path), "--seed", "0")
     assert code == 2 and out == "" and "spec rejected" in err
+    # certify reads the same spec the same way, against a good build
+    code, out, err = run(capsys, "certify", input_files["BUILT"], str(path))
+    assert code == 2 and out == "" and err.startswith("spec rejected:")
 
 
 @pytest.mark.parametrize("field, bad", [
@@ -993,12 +1017,16 @@ def test_installed_script_matches_library(tmp_path):
     script.chmod(0o755)
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = ["halfgroup", "--gens", "2,3"]
+    # each child reads no stdin and has a time limit of its own, so a
+    # stuck child fails its test instead of stalling the whole run
     lib = subprocess.run([sys.executable, "-m", "banakh.cli", *argv],
-                         capture_output=True, text=True, env=env)
+                         capture_output=True, text=True, env=env,
+                         stdin=subprocess.DEVNULL, timeout=60)
     assert lib.returncode == 1, lib.stderr
     assert json.loads(lib.stdout)["witness"] == "1 = 3-2 not in M"
     proc = subprocess.run([str(script), *argv], capture_output=True,
-                          text=True, env=env)
+                          text=True, env=env, stdin=subprocess.DEVNULL,
+                          timeout=60)
     assert (proc.returncode, proc.stdout) == (1, lib.stdout), proc.stderr
 
 
@@ -1014,24 +1042,54 @@ print(json.dumps([code, sorted(m for m in sys.modules
 """
 
 
+def _run_fresh(script, **fields):
+    """The JSON that ``script`` prints in a new interpreter over this
+    source tree: earlier tests here may have loaded or bound anything."""
+    src = Path(banakh.__file__).resolve().parent.parent
+    proc = subprocess.run([sys.executable, "-c", script.format(**fields)],
+                          capture_output=True, text=True, check=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          stdin=subprocess.DEVNULL, timeout=60)
+    return json.loads(proc.stdout)
+
+
 @pytest.mark.parametrize("argv, code, absent", [
     (["halfgroup", "--gens", "2,4"], 0,
      {"graph_metric", "banakh_space", "banakh_group", "space_builder"}),
     (["mu", "--gens", "2,3", "--r", "1", "--window", "3"], 0,
      {"banakh_space", "banakh_group", "space_builder"}),
+    (["extend", "GRAPH", "--seed", "1"], 0,
+     {"banakh_space", "banakh_group", "space_builder"}),
     (["orient", "LINE", "--origin", "p+0", "--x", "p+1", "--y", "p-2"], 0,
-     {"banakh_group", "space_builder"})])
-def test_a_command_loads_only_the_layers_it_reads(line_file, argv, code,
+     {"banakh_group", "space_builder"}),
+    (["certify", "BUILT", "SPEC"], 0, {"banakh_group"}),
+    (["group", "dist", "X", "Y"], 0, {"space_builder"})])
+def test_a_command_loads_only_the_layers_it_reads(input_files, argv, code,
                                                   absent):
-    src = Path(banakh.__file__).resolve().parent.parent
-    argv = [line_file if a == "LINE" else a for a in argv]
-    proc = subprocess.run([sys.executable, "-c", _LOADED.format(argv=argv)],
-                          capture_output=True, text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
-    got, loaded = json.loads(proc.stdout)
+    argv = [input_files.get(a, a) for a in argv]
+    got, loaded = _run_fresh(_LOADED, argv=argv)
     assert got == code
     assert {"banakh.cli", "banakh.serialize", "banakh.values"} <= set(loaded)
     assert not {f"banakh.{m}" for m in absent} & set(loaded)
+
+
+_BOUND = """
+import contextlib, io, json
+import banakh.cli
+names = set(vars(banakh.cli))
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert banakh.cli.main(argv) == 0, argv
+print(json.dumps(sorted(set(vars(banakh.cli)) ^ names)))
+"""
+
+
+def test_a_run_binds_no_module_name(input_files):
+    argvs = [["mu", "--gens", "2,3", "--r", "1", "--window", "3"],
+             ["verify", "LINE"], ["group", "dist", "X", "Y"],
+             ["build", "--spec", "SPEC", "--seed", "1"]]
+    argvs = [[input_files.get(a, a) for a in argv] for argv in argvs]
+    assert _run_fresh(_BOUND, argvs=argvs) == []
 
 
 def _parse_exit(capsys, parse, argv):

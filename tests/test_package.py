@@ -65,7 +65,8 @@ def test_a_submodule_and_a_name_load_on_first_use():
     src = Path(banakh.__file__).resolve().parent.parent
     proc = subprocess.run([sys.executable, "-c", _FRESH], capture_output=True,
                           text=True, check=True,
-                          env=dict(os.environ, PYTHONPATH=str(src)))
+                          env=dict(os.environ, PYTHONPATH=str(src)),
+                          stdin=subprocess.DEVNULL, timeout=60)
     before, name, value, after = json.loads(proc.stdout)
     assert before == []
     assert (name, value) == ("banakh.graph_metric", "2")
