@@ -11,7 +11,9 @@ round-trips plus a CLI (``serialize``, ``cli``).
 Importing the package loads no layer.  A public name or a submodule is
 imported on first access (PEP 562 module ``__getattr__``), so a command
 line run pays only for the layers its command reads; ``from banakh
-import *`` loads every layer, as before.
+import *`` loads every layer, as before.  No layer imports
+``dataclasses``: its ``inspect`` chain costs a cold process about 6 ms, so
+the result records are ``typing.NamedTuple`` classes.
 """
 
 from importlib import import_module as _import_module

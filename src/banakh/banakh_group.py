@@ -28,12 +28,11 @@ arithmetic never builds a ``Fraction``.  ``coeffs`` is a read-only
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
 from operator import index
 from types import MappingProxyType
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .banakh_space import SphereOracle
 from .values import _lowest, _over_lcm, _pivots, _sum, rat
@@ -195,8 +194,7 @@ def norm_equal(x: GroupElement, y: GroupElement) -> bool:
     return x == y or x == -y
 
 
-@dataclass(frozen=True)
-class NormSq:
+class NormSq(NamedTuple):
     linear: GroupElement   # coefficient vector of Σ f(α)w(α)
     tail: Fraction         # Σ_{α≠0} f(α)²
 
@@ -321,8 +319,7 @@ def h_norm_certificate(x: GroupElement) -> dict:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class NormEquationResult:
+class NormEquationResult(NamedTuple):
     infinite: bool
     solutions: tuple
 

@@ -27,10 +27,9 @@ answers their spheres from the fragment's own sphere index.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .graph_metric import MetricFragment
 from .monoid_algebra import MonoidDesc
@@ -67,8 +66,7 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class FragmentReport:
+class FragmentReport(NamedTuple):
     metric_ok: bool
     banakh_consistent: bool
     incomplete_spheres: list
@@ -416,8 +414,7 @@ def zr_sphere_map(o: SphereOracle, a, r, n: int) -> dict:
     return {k: line[n + k] for k in range(-n, n + 1)}
 
 
-@dataclass
-class HypersphereReport:
+class HypersphereReport(NamedTuple):
     """Per-point construction data and per-pair bound verification."""
     r_is_member: bool
     points: dict          # t (units of r) -> {"u": Fraction, "v": Fraction}
@@ -503,8 +500,7 @@ def hypersphere_map(o: SphereOracle, a, b, window, denom_bound: int = 64,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class EmbedResult:
+class EmbedResult(NamedTuple):
     coords: Optional[dict] = None
     obstruction: Optional[tuple] = None
 

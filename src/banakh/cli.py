@@ -23,7 +23,9 @@ no arguments, an unknown name), with the same usage line either way.  The
 module imports at the top only the layers that parsing, the error mapping
 and the monoid commands read (``values``, ``monoid_algebra``,
 ``serialize``).  A handler imports what it reads from the layers above at
-the top of its own body, as ``serialize``'s readers do.
+the top of its own body, as ``serialize``'s readers do.  No layer imports
+``dataclasses``, whose ``inspect`` chain would add about 6 ms to each cold
+run.
 """
 
 from __future__ import annotations

@@ -38,13 +38,12 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations
 from math import gcd, inf, isqrt, lcm, nextafter
 from operator import sub
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .monoid_algebra import MonoidDesc, _check_pairs
 from .values import (SurdValue, ZERO, primes_from, rat, _between,
@@ -505,8 +504,7 @@ class ExtensionExhausted(RuntimeError):
                          f"after {backtracks} backtracks")
 
 
-@dataclass
-class ExtensionPolicy:
+class ExtensionPolicy(NamedTuple):
     """How to choose values for missing edges.
 
     The default dense family draws c + eps*sqrt(p) with a fresh prime p per
@@ -519,8 +517,7 @@ class ExtensionPolicy:
     dense_family: Optional[Callable] = None
 
 
-@dataclass
-class ExtensionResult:
+class ExtensionResult(NamedTuple):
     full: MetricFragment
     assignments: dict
     intervals: dict
@@ -1119,8 +1116,7 @@ class ConditionViolation(ValueError):
         super().__init__(f"union condition ({condition}) failed: {witness}")
 
 
-@dataclass
-class UnionReport:
+class UnionReport(NamedTuple):
     certified_floppy: bool
     member_floppy: list
     lambdas: list  # per member: (inner, outer) exact minima, None if vacuous

@@ -14,9 +14,9 @@ be re-verified without rerunning the build.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt, lcm
+from typing import NamedTuple
 
 from .banakh_space import MetricFragment, verify_fragment
 from .graph_metric import (ExtensionExhausted, ExtensionPolicy, MuGraph,
@@ -47,8 +47,7 @@ class BuildExhausted(RuntimeError):
                          + (f": {detail}" if detail else ""))
 
 
-@dataclass(frozen=True)
-class RadiusClass:
+class RadiusClass(NamedTuple):
     """A prescribed radius r with its unit monoid N (so the value set is
     r·N, and 1 ∈ N because r itself is a realized distance)."""
     r: SurdValue
@@ -64,17 +63,23 @@ class RadiusClass:
 _STAGE_CAP = (1 + isqrt(1 + 8 * ENUMERATION_CAP)) // 2
 
 
-@dataclass
 class BuildSpec:
-    radii: tuple
-    stages: int = 1
-    window: Fraction = Fraction(5)
-    denom_bound: int = 64
-    seed: int = 0
+    """A build request: the radius classes, the stage count, the window,
+    the denominator bound and the seed.  The radii are kept as a tuple and
+    the window as a Fraction; a request that cannot be built is refused
+    here.  Specs compare by their fields and are unhashable."""
 
-    def __post_init__(self):
-        self.radii = tuple(self.radii)
-        self.window = rat(self.window)
+    __slots__ = ("radii", "stages", "window", "denom_bound", "seed")
+    __hash__ = None
+
+    def __init__(self, radii: tuple, stages: int = 1,
+                 window: Fraction = Fraction(5), denom_bound: int = 64,
+                 seed: int = 0):
+        self.radii = tuple(radii)
+        self.stages = stages
+        self.window = rat(window)
+        self.denom_bound = denom_bound
+        self.seed = seed
         if self.stages < 1:
             raise SpecRejected("stages must be at least 1")
         if self.stages > _STAGE_CAP:
@@ -89,6 +94,19 @@ class BuildSpec:
             if not verdict:
                 raise SpecRejected(
                     f"monoid of radius {cls.r} is not floppy (witness {witness})")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        return (f"{type(self).__qualname__}("
+                + ", ".join(f"{name}={value!r}" for name, value
+                            in zip(self.__slots__, self._values())) + ")")
 
     def canonical_classes(self):
         """Deduplicate classes that coincide after rational rescaling;
@@ -114,8 +132,7 @@ class BuildSpec:
         return tuple(kept)
 
 
-@dataclass
-class Certificate:
+class Certificate(NamedTuple):
     seed: int
     stages: list
     classes: list              # per class: {"r", "floppy", "units_window"}

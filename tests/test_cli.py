@@ -1092,6 +1092,30 @@ def test_a_run_binds_no_module_name(input_files):
     assert _run_fresh(_BOUND, argvs=argvs) == []
 
 
+_INSPECT_CHAIN = """
+import contextlib, io, json, sys
+start = set(sys.modules)
+import banakh.cli
+from banakh import (banakh_group, banakh_space, graph_metric,
+                    monoid_algebra, serialize, space_builder, values)
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [banakh.cli.main(argv) for argv in {argvs!r}]
+print(json.dumps([codes, sorted(set(sys.modules) - start)]))
+"""
+
+
+def test_no_layer_loads_dataclasses_or_the_inspect_chain(input_files):
+    """``dataclasses`` imports ``inspect``, ``ast``, ``dis`` and
+    ``tokenize``: about 6 ms of every cold run.  Compared with the
+    interpreter's own start, so a site hook that loads one is no failure."""
+    argvs = [["certify", "BUILT", "SPEC"], ["group", "dist", "X", "Y"]]
+    argvs = [[input_files.get(a, a) for a in argv] for argv in argvs]
+    codes, loaded = _run_fresh(_INSPECT_CHAIN, argvs=argvs)
+    assert codes == [0, 0]
+    assert "banakh.space_builder" in loaded
+    assert not {"dataclasses", "inspect", "ast", "dis", "tokenize"} & set(loaded)
+
+
 def _parse_exit(capsys, parse, argv):
     with pytest.raises(SystemExit) as exc:
         parse(argv)

@@ -155,6 +155,27 @@ def test_difference_graph_hat_and_check_match_the_plain_scan(monoid, scale):
         assert g.check(name[x], name[y]) == scale * want, (x, y)
 
 
+@pytest.mark.parametrize("g", [
+    path_graph([SurdValue(1), SurdValue(Fraction(1, 2)), SurdValue.sqrt(2)]),
+    build_mu(MonoidDesc.fingen([2, 3]), 1, 4)], ids=["path", "fingen-2-3"])
+def test_the_module_hat_and_check_are_the_methods(g):
+    paths = {v: oracles.dijkstra(g.vertices, g.edges, v) for v in g.vertices}
+    for x, y in itertools.product(g.vertices, repeat=2):
+        assert (banakh.graph_metric.hat(g, x, y) == g.hat(x, y)
+                == paths[x][y]), (x, y)
+        want = oracles.check_scan(g.vertices, g.edges, g.hat, x, y)
+        assert banakh.graph_metric.check(g, x, y) == g.check(x, y) == want
+    x = g.vertices[0]
+    for f, method in ((banakh.graph_metric.hat, g.hat),
+                      (banakh.graph_metric.check, g.check)):
+        for pair in ((x, "nowhere"), ("nowhere", x)):
+            with pytest.raises(KeyError) as want:
+                method(*pair)
+            with pytest.raises(KeyError) as got:
+                f(g, *pair)
+            assert got.value.args == want.value.args
+
+
 # -- the worked difference-graph values ----------------------------------------
 
 

@@ -1,7 +1,6 @@
 import hashlib
 import json
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,10 +10,12 @@ from hypothesis import strategies as st
 
 import oracles
 from banakh import space_builder
-from banakh.banakh_space import MetricFragment
-from banakh.graph_metric import GraphMetric
+from banakh.banakh_group import NormEquationResult
+from banakh.banakh_space import EmbedResult, MetricFragment
+from banakh.graph_metric import ExtensionPolicy, GraphMetric
 from banakh.monoid_algebra import MonoidDesc
-from banakh.serialize import (certificate_from_json, certificate_to_json,
+from banakh.serialize import (buildspec_from_json, buildspec_to_json,
+                              certificate_from_json, certificate_to_json,
                               dumps, fragment_from_json, fragment_to_json)
 from banakh.space_builder import (RadiusClass, BuildSpec, Certificate,
                                   SpecRejected, BuildExhausted, build,
@@ -124,6 +125,71 @@ def test_exception_taxonomy():
     assert issubclass(BuildExhausted, RuntimeError)
 
 
+# -- the records ---------------------------------------------------------------------
+
+
+def test_spec_takes_keywords_or_positions_and_normalises_its_fields():
+    unit = RadiusClass(SurdValue(1), ZP)
+    spec = BuildSpec(radii=[unit], stages=2, window="3/2", denom_bound=32,
+                     seed=7)
+    assert spec == BuildSpec([unit], 2, "3/2", 32, 7)
+    assert type(spec.radii) is tuple and spec.radii == (unit,)
+    assert type(spec.window) is Fraction and spec.window == Fraction(3, 2)
+    whole = BuildSpec([unit], window=2)
+    assert type(whole.window) is Fraction and whole.window == 2
+    default = BuildSpec([unit])
+    assert (default.stages, default.window, default.denom_bound,
+            default.seed) == (1, Fraction(5), 64, 0)
+
+
+@pytest.mark.parametrize("fields, error, message", [
+    ({"stages": 0}, SpecRejected, "stages must be at least 1"),
+    ({"stages": _STAGE_CAP + 1}, InputTooLarge,
+     f"the build would run {_STAGE_CAP + 1} stages, above the cap of "
+     f"{_STAGE_CAP}"),
+    ({"window": 0}, SpecRejected, "window must be positive"),
+    ({"radii": [RadiusClass(SurdValue(-1), ZP)]}, SpecRejected,
+     "radii must be positive"),
+    ({"radii": [RadiusClass(SurdValue(1),
+                            MonoidDesc.closure("dyadic-plus-thirds"))]},
+     SpecRejected, "monoid of radius 1 is not floppy (witness 1/3)"),
+    # the checks run in this order: stages, window, then each radius
+    ({"stages": 0, "window": 0}, SpecRejected, "stages must be at least 1"),
+    ({"window": 0, "radii": [RadiusClass(SurdValue(-1), ZP)]}, SpecRejected,
+     "window must be positive")],
+    ids=["stages-0", "stages-above-cap", "window-0", "radius-negative",
+         "not-floppy", "stages-first", "window-before-radii"])
+def test_spec_refuses_a_bad_request_with_its_message(fields, error, message):
+    with pytest.raises(error) as exc:
+        BuildSpec(**{"radii": [RadiusClass(SurdValue(1), ZP)], **fields})
+    assert type(exc.value) is error and str(exc.value) == message
+
+
+def test_spec_compares_by_fields_is_unhashable_and_keeps_its_repr():
+    spec = BuildSpec((RadiusClass(SurdValue(1), ZP),), stages=2,
+                     window=Fraction(3, 2), seed=7)
+    assert spec == BuildSpec([RadiusClass(SurdValue(1), ZP)], 2, "3/2", 64, 7)
+    assert spec != BuildSpec(spec.radii, 2, "3/2", 64, 8)
+    assert spec != (spec.radii, 2, Fraction(3, 2), 64, 7)
+    with pytest.raises(TypeError):
+        hash(spec)
+    assert repr(spec) == (
+        "BuildSpec(radii=(RadiusClass(r=1, monoid=MonoidDesc(fingen <1>)),), "
+        "stages=2, window=Fraction(3, 2), denom_bound=64, seed=7)")
+    assert buildspec_from_json(buildspec_to_json(spec)) == spec
+
+
+def test_the_result_records_keep_their_defaults():
+    policy = ExtensionPolicy(5)
+    assert policy.max_backtracks == 1000 and policy.dense_family is None
+    cert = Certificate(0, [], [], [], [], [])
+    assert cert.sphere_law_ok is True and cert.growth_ok is True
+    assert EmbedResult().embeddable is False
+    assert EmbedResult(coords={"a": Fraction(0)}).embeddable is True
+    assert NormEquationResult(True, ()).count == "infinite"
+    assert NormEquationResult(False, (Fraction(1), Fraction(2))).count == 2
+
+
 # -- degenerate and single-class builds ------------------------------------------------
 
 
@@ -134,7 +200,7 @@ def test_empty_radius_list_builds_a_single_point():
     assert cert.realized_distances == [] and cert.stages == []
     report = verify_certificate(frag, spec, cert)
     assert report["stages_ok"] and report["all_ok"]
-    forged = replace(cert, stages=[{"stage": 0, "new_vertices": 1}])
+    forged = cert._replace(stages=[{"stage": 0, "new_vertices": 1}])
     assert not verify_certificate(frag, spec, forged)["stages_ok"]
 
 
@@ -524,7 +590,7 @@ def _edit_entry(cert, pair, **changes):
              if (len(e["members"]) == 2) is pair)
     spheres = list(cert.spheres)
     spheres[i] = dict(spheres[i], **changes)
-    return replace(cert, spheres=spheres)
+    return cert._replace(spheres=spheres)
 
 
 CERT_EDITS = {
@@ -546,21 +612,21 @@ CERT_EDITS = {
                            "sphere_ledger_ok"),
     "extra-key": (lambda c: _edit_entry(c, True, note="x"),
                   "sphere_ledger_ok"),
-    "units_window": (lambda c: replace(c, classes=[
+    "units_window": (lambda c: c._replace(classes=[
         dict(c.classes[0], units_window=Fraction(99))]), "classes_match_cert"),
-    "floppy": (lambda c: replace(c, classes=[
+    "floppy": (lambda c: c._replace(classes=[
         dict(c.classes[0], floppy=False)]), "classes_match_cert"),
-    "classes-dropped": (lambda c: replace(c, classes=[]),
+    "classes-dropped": (lambda c: c._replace(classes=[]),
                         "classes_match_cert"),
-    "sphere_law_ok": (lambda c: replace(c, sphere_law_ok=False),
+    "sphere_law_ok": (lambda c: c._replace(sphere_law_ok=False),
                       "sphere_ledger_ok"),
-    "growth_ok": (lambda c: replace(c, growth_ok=False), "sphere_ledger_ok"),
-    "stages-emptied": (lambda c: replace(c, stages=[]), "stages_ok"),
-    "stage-dropped": (lambda c: replace(c, stages=c.stages[:-1]),
+    "growth_ok": (lambda c: c._replace(growth_ok=False), "sphere_ledger_ok"),
+    "stages-emptied": (lambda c: c._replace(stages=[]), "stages_ok"),
+    "stage-dropped": (lambda c: c._replace(stages=c.stages[:-1]),
                       "stages_ok"),
-    "stage-renumbered": (lambda c: replace(c, stages=[
+    "stage-renumbered": (lambda c: c._replace(stages=[
         c.stages[0], dict(c.stages[1], stage=2)]), "stages_ok"),
-    "new_vertices": (lambda c: replace(c, stages=[
+    "new_vertices": (lambda c: c._replace(stages=[
         dict(c.stages[0], new_vertices=c.stages[0]["new_vertices"] + 1)]
         + c.stages[1:]), "stages_ok"),
 }
@@ -613,5 +679,5 @@ def test_verifier_accepts_the_per_pair_ledger_of_a_fragment_read_back(spec):
                for cls, c in zip(spec.canonical_classes(), read.classes)]
     ledger = oracles.class_sphere_ledger(again.points, again.distance, classes)
     assert ledger
-    report = verify_certificate(again, spec, replace(read, spheres=ledger))
+    report = verify_certificate(again, spec, read._replace(spheres=ledger))
     assert report["sphere_ledger_ok"] and report["all_ok"], report
