@@ -24,13 +24,13 @@ copy).  A difference graph reads its closed hats and its path values
 (``distances_from``) from its template's int core, as numbers of steps
 times the value of one step; the union that ``floppy_union`` returns reads
 its path values from its parts, as minima over glue points of member paths
-and base entries (:class:`_Union`); a plain graph's shortest paths, the
-table's updates and its ``check`` all compare certified double enclosures
-first and exact values only where those cannot decide, under the one error
-bound derived in :class:`_DistanceTable`, whose relaxed entries are sums
-built exactly only when they are read (:class:`_Sum`).  A full table is a
-:class:`MetricFragment`, the graph that ``extend_to_full`` returns and that
-:mod:`banakh.banakh_space` reads its geometry from.
+and base entries (:class:`_Union`).  A plain graph's path search, the
+table's updates and ``check`` compare double enclosures first and exact
+values only where those cannot decide, under the error bound derived in
+:class:`_DistanceTable`, whose relaxed entries are built exactly when read
+(:class:`_Sum`).  A full table is a :class:`MetricFragment`, the graph that
+``extend_to_full`` returns and that :mod:`banakh.banakh_space` reads its
+geometry from.
 """
 
 from __future__ import annotations
@@ -147,52 +147,39 @@ class GraphMetric:
         return self.distances_from(x)[y]
 
     def distances_from(self, x: str) -> dict:
-        """The exact shortest-path value from x to every vertex.
-
-        A float-filtered, label-correcting Dijkstra: each reached vertex
-        keeps its exact value and its ``_enclosure``, and the heap is keyed
-        on the lower ends.  A relaxation of the edge (u, v) = w is skipped
-        when lo(u) + lo(w) - tol > hi(v), which proves d(u) + w > d(v);
-        every other one is decided on the exact values (:func:`_exceeds`,
-        which builds no sum for rational values).  The lower ends can
-        misorder values closer than their enclosures, so a vertex is pushed
-        again whenever its value improves and expanded again with the new
-        value (a pop whose value was already expanded is stale and skipped).
-        Every value is the length of a path, and at the end no edge can
-        shorten one, so the result is exact whatever the pop order.
-        ``tol`` follows :class:`_DistanceTable`'s rule, with B the largest
-        |end| of the edges relaxed and of the values reached so far, since a
-        path sum can exceed every edge (see the error derivation there).
-        """
+        """The exact shortest-path value from x to every vertex: Dijkstra
+        on a heap of (exact value, vertex) pairs, which expands each vertex
+        once, at its final value, and skips a pop whose value is stale.  A
+        relaxation of the edge (u, v) = w is skipped when lo(u) + lo(w) -
+        tol > hi(v), which proves d(u) + w > d(v), and decided on the exact
+        values otherwise (:func:`_exceeds`, which builds no rational sum)."""
         if x not in self.adj:
             raise KeyError(f"unknown vertex {x!r}")
+        tol = self._path_tol
         best = {x: (ZERO, 0.0, 0.0)}        # value, lower end, upper end
-        expanded = {}
-        bound, tol = 0.0, math.inf
-        heap = [(0.0, x)]
+        heap = [(ZERO, x)]
         while heap:
-            _, u = heapq.heappop(heap)
-            d_u, lo_u, _ = best[u]
-            if expanded.get(u) is d_u:
+            d_u, u = heapq.heappop(heap)
+            d, lo_u, _ = best[u]
+            if d is not d_u:
                 continue
-            expanded[u] = d_u
             for v, w in self.adj[u]:
-                w_lo, w_hi = _enclosure(w)
-                m = max(abs(w_lo), abs(w_hi))
-                if m > bound:
-                    bound, tol = m, _tol(m)
                 old = best.get(v)
-                if old is not None and (lo_u + w_lo - tol > old[2]
+                if old is not None and (lo_u + _enclosure(w)[0] - tol > old[2]
                                         or not _exceeds(old[0], d_u, w)):
                     continue
                 cand = d_u + w
-                c_lo, c_hi = _enclosure(cand)
-                m = max(abs(c_lo), abs(c_hi))
-                if m > bound:
-                    bound, tol = m, _tol(m)
-                best[v] = (cand, c_lo, c_hi)
-                heapq.heappush(heap, (c_lo, v))
+                best[v] = (cand, *_enclosure(cand))
+                heapq.heappush(heap, (cand, v))
         return {v: value for v, (value, _, _) in best.items()}
+
+    @cached_property
+    def _path_tol(self) -> float:
+        """``distances_from``'s margin, :func:`_tol` of B = n × the largest
+        |end| of an edge: a shortest path has fewer than n edges, so B bounds
+        every d(u) + w and every tentative value."""
+        ends = [abs(end) for w in self.edges.values() for end in _enclosure(w)]
+        return _tol(len(self.vertices) * max(ends, default=0.0))
 
     def _hat_row(self, x: str) -> dict:
         """hat(x, y) for every vertex y: the shortest-path values."""
@@ -782,12 +769,10 @@ class _DistanceTable:
       update by comparing the new sum's upper end with the entry's lower
       end less ``tol``: two ends and one rounding, off by < 3u*B; check
       compares two such sums, one after subtracting ``tol`` (3u*B): off
-      by < 19u*B; triangle_failures
-      compares one end with the sum of two less ``tol``: three ends and
-      two roundings of 2u*B each, off by < 7u*B, and so does
-      ``GraphMetric.distances_from``, whose B is the largest |end| of the
-      edges relaxed and of the path values reached so far (a path sum can
-      exceed every edge, so the edges alone do not bound it);
+      by < 19u*B; triangle_failures compares one end with the sum of two
+      less ``tol``: three ends and two roundings of 2u*B each, off by
+      < 7u*B, and so does ``GraphMetric.distances_from`` (with the B of
+      ``_path_tol``);
     * the column holds check's per-edge sums after their first rounding:
       col_lo[q] is the largest w_lo - hi(x,p) and col_hi[q] at least the
       largest w_hi - lo(x,p) over the edges (q, p) = w.  The second

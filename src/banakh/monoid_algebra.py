@@ -30,9 +30,9 @@ M - M is the multiples k*g/scale of g/scale, the gcd of M; x = n/d in
 lowest terms is one exactly when d*g divides n*scale, and then its unit
 k = n*scale/(d*g) is a member exactly when k >= apery[k % m0]
 (``_has(k)``), for m0 the least reduced generator.  Membership,
-enumeration, the half-group and divisibility scans and ``ddot_set`` loop
-over units and build a ``Fraction`` only for a value they return (and the
-conductor in an inconclusive half-group message).
+enumeration, the half-group witness, the divisibility scans and
+``ddot_set`` work on units and build a ``Fraction`` only for a value they
+return (and the conductor in an inconclusive half-group message).
 
 ``ddot_set`` needs no pairwise scan there: a nonzero member that is no
 generator is a sum of two or more generators, and a generator g is a sum
@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from itertools import count
 from math import floor, gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
@@ -595,14 +594,15 @@ def is_half_group(monoid: MonoidDesc, bound=None):
         conductor = monoid.conductor()
         if rat(bound) < conductor:
             return None, f"bound below conductor {conductor}"
-    has = monoid._has
-    gap = next((k for k in range(monoid._reduced_conductor) if not has(k)),
-               None)
-    if gap is None:
+    if not monoid._reduced_conductor:
         return True, None
-    # the least positive member a with a + gap a member; the conductor is one
-    a = next(k for k in count(1) if has(k) and has(k + gap))
-    return False, (monoid._value(a), monoid._value(a + gap))
+    # the least gap is 1, below m0, and a the least positive member with
+    # a + 1 one too: per class r mod m0, the least a >= 1 in the class with
+    # a >= apery[r] and a + 1 >= apery[r + 1]
+    apery, m0 = monoid._apery, monoid._m0
+    a = min(low + (r - low) % m0 for r in range(m0)
+            for low in [max(1, apery[r], apery[(r + 1) % m0] - 1)])
+    return False, (monoid._value(a), monoid._value(a + 1))
 
 
 def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",

@@ -24,9 +24,12 @@ sum and proportionality test are the helpers ``_over_lcm``, ``_lowest``,
 cached float enclosure, ``_enclosure``, cannot decide; ``Fraction``s are
 built only for public results and read-only views.  Only the public
 constructors validate; arithmetic builds through the trusted ``_raw``.
-Outside the two modules only :mod:`banakh.serialize` touches the format:
-``value_to_json`` reads the fields, and ``value_from_json`` builds through
-``_from_ints``, the validating constructor on the ints of ``_ratio``.
+Outside the two modules, :mod:`banakh.serialize` reads the fields in
+``value_to_json`` and builds through ``_from_ints``, the validating
+constructor on the ints of ``_ratio``, in ``value_from_json``; and
+:mod:`banakh.graph_metric` reads them in ``_exact`` (through ``_sum3``),
+``_default_sample`` (``_raw``, ``_lowest``, ``_sum``) and ``_line_ints``
+(``_pivots``).
 """
 
 from __future__ import annotations

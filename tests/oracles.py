@@ -214,15 +214,16 @@ def half_group_verdict_ints(gens, bound: int = 4096):
         g = gcd(g, x)
     reduced = sorted({x // g for x in gens})
     members = closure_ints(reduced, bound)
-    half = bound // 2
-    for b in sorted(members):
-        if b > half:
-            break
-        for a in sorted(members):
-            if a >= b:
-                break
-            if (b - a) not in members:
-                return False, (Fraction(a * g), Fraction(b * g))
+    gaps = []           # the non-members below b, ascending
+    for b in range(1, bound // 2 + 1):
+        if b not in members:
+            gaps.append(b)
+            continue
+        # the least member a with b - a a gap: c = b - a is the largest
+        # gap below b with b - c a member
+        for c in reversed(gaps):
+            if b - c in members:
+                return False, (Fraction((b - c) * g), Fraction(b * g))
     return True, None
 
 

@@ -279,14 +279,15 @@ def test_numeric_norm_is_display_only_but_sane():
 
 
 def brute_solutions(a1, a2, a3, b1, b2, b3, grid=8):
-    hits = []
+    """The grid points t = num/den that solve the equation, on ints: both
+    sides times den**2."""
+    hits = set()
     for num in range(-grid * grid, grid * grid + 1):
         for den in range(1, grid + 1):
-            t = Fraction(num, den)
-            lhs = (a1 * t + a2) ** 2 + a3 ** 2
-            rhs = (b1 * t + b2) ** 2 + b3 ** 2
-            if lhs == rhs and t not in hits:
-                hits.append(t)
+            lhs = (a1 * num + a2 * den) ** 2 + (a3 * den) ** 2
+            rhs = (b1 * num + b2 * den) ** 2 + (b3 * den) ** 2
+            if lhs == rhs:
+                hits.add(Fraction(num, den))
     return sorted(hits)
 
 
@@ -295,7 +296,7 @@ def brute_solutions(a1, a2, a3, b1, b2, b3, grid=8):
 @settings(max_examples=200, deadline=None)
 def test_solve_norm_equation_matches_brute_grid(a1, a2, a3, b1, b2, b3):
     result = solve_norm_equation(a1, a2, a3, b1, b2, b3)
-    brute = brute_solutions(*map(Fraction, (a1, a2, a3, b1, b2, b3)))
+    brute = brute_solutions(a1, a2, a3, b1, b2, b3)
     if result.infinite:
         assert len(brute) > 20       # the whole grid satisfies it
         return

@@ -815,9 +815,9 @@ LAST_BITS_SHORTCUT = GraphMetric(
                       ("s", "v"): SurdValue(2 + TINY)})
 
 
-# from s, v is reached at 10 and lowered to 2 before it is expanded, and w
-# is expanded at 5 before v lowers it to 3: each lowered vertex must be
-# queued again, or x keeps 6 for 4
+# from s, v is reached at 10 and lowered to 2 through a, and w is reached
+# at 5 and lowered to 3 through v, each before it is expanded: a lowered
+# vertex must be queued again at its new value, or x keeps 6 for 4
 LOWERED_TWICE = GraphMetric(
     ["s", "a", "v", "w", "x"],
     {("s", "v"): SurdValue(10), ("s", "a"): SurdValue(1),
@@ -825,11 +825,24 @@ LOWERED_TWICE = GraphMetric(
      ("s", "w"): SurdValue(5), ("w", "x"): SurdValue(1)})
 
 
+# two unit chains of 40 edges from s meet at t, and b's last edge is TINY
+# short of 1: t is reached at 40 through a39 first and lowered from b39,
+# near 40, where an ulp is 2**-47; a margin from the edges alone (B = 1,
+# tol = 2**-48) lets ends one ulp the wrong way skip that relaxation
+LONG_CHAINS = GraphMetric(
+    ["s", "t"] + [f"{c}{i}" for c in "ab" for i in range(1, 40)],
+    {**{(f"{c}{i}", f"{c}{i + 1}"): SurdValue(1)
+        for c in "ab" for i in range(1, 39)},
+     ("s", "a1"): SurdValue(1), ("s", "b1"): SurdValue(1),
+     ("a39", "t"): SurdValue(1), ("b39", "t"): SurdValue(1 - TINY)})
+
+
 @pytest.mark.parametrize("ends", [_enclosure, off_by_an_ulp],
                          ids=["certified", "off-by-an-ulp"])
 @given(st.one_of(weighted_graphs(), nudged_graphs()))
 @example(LAST_BITS_SHORTCUT)
 @example(LOWERED_TWICE)
+@example(LONG_CHAINS)
 @settings(max_examples=100, deadline=None)
 def test_distances_from_matches_the_oracle(ends, g):
     with pytest.MonkeyPatch.context() as patch:
@@ -840,9 +853,9 @@ def test_distances_from_matches_the_oracle(ends, g):
 
 
 def test_distances_from_beyond_the_double_range():
-    # every end is infinite, and so is tol: each relaxation is exact, and
-    # the heap pops by name alone, b (reached at 3H) before z.  b must be
-    # improved to 2H after it was expanded, and expanded again for c
+    # every end is infinite, and so is tol: each relaxation is decided on
+    # the exact values.  b, reached at 3H, is lowered to 2H through z
+    # before it is expanded, and c is reached from b at its final value
     h = SurdValue(HUGE)
     g = GraphMetric(["a", "b", "c", "z"],
                     {("a", "z"): h, ("z", "b"): h, ("a", "b"): h * 3,

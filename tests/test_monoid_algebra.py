@@ -192,6 +192,16 @@ def test_half_group_witness_needs_no_window_enumeration():
     assert verdict is False and witness == (1000, 1001)
 
 
+def test_half_group_witness_is_read_from_the_apery_set():
+    # the least consecutive members of <2, 10**40 + 1> are 10**40 and
+    # 10**40 + 1, far beyond any scan; the Apery set gives them at once
+    big = 10 ** 40
+    start = time.perf_counter()
+    assert is_half_group(MonoidDesc.fingen([2, big + 1])) == \
+        (False, (big, big + 1))
+    assert time.perf_counter() - start < 1.0
+
+
 @pytest.mark.parametrize("monoid", [
     MonoidDesc.fingen([1]), MonoidDesc.fingen([2, 3]),
     MonoidDesc.groupcone([Fraction(1, 2)]), MonoidDesc.fingen([]),
