@@ -61,6 +61,7 @@ def __getattr__(name):
     if name in _HOME:
         return getattr(_import_module(f"{__name__}.{_HOME[name]}"), name)
     if name in _SUBMODULES:
+        # untraced: in process every submodule is imported; a fresh one runs it
         return _import_module(f"{__name__}.{name}")
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 

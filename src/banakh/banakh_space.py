@@ -206,10 +206,8 @@ class ZLineOracle(SphereOracle):
         return SurdValue.of(abs(x - y))
 
     def sphere(self, c, r):
-        if not r.is_rational():
-            return ()
-        k = r.as_rational()
-        if k.denominator != 1:
+        k = r.ratio_to(1)       # None for an irrational r
+        if k is None or k.denominator != 1:
             return ()
         if k < 0:
             raise ValueError("negative radius")

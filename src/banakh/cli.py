@@ -14,7 +14,8 @@ is a JSON value (canonical, or indented under ``--human``), finished text
 (``mu --dot``, ``ddot --human``), or ``None`` when the handler has written
 its one stderr line.  It goes to ``--out`` on exit 0 and to stdout
 otherwise, so a failed ``extend`` or ``build`` prints its error object and
-writes no file.
+writes no file.  ``extend`` names an edge longer than a path (exit 2)
+before completion runs, whose one failure is an exhausted budget (exit 1).
 
 A run is a cold process, so it pays only for its command.  ``_COMMANDS``
 is the one table of subcommands; ``main`` builds the subparser of the
@@ -196,16 +197,14 @@ def cmd_extend(args):
     from .graph_metric import (ExtensionExhausted, ExtensionPolicy,
                                extend_to_full, validate_pseudometric)
     g = graph_from_json(_load_json(args.graph))
+    # no completion exists when an edge is longer than a path: blame it
+    ok, edge = validate_pseudometric(g)
+    if not ok:
+        raise ValueError(f"edge {edge} is longer than a path")
     try:
         result = extend_to_full(g, ExtensionPolicy(seed=args.seed,
                                                    max_backtracks=args.budget))
-    except (ExtensionExhausted, RuntimeError) as exc:
-        # no completion exists when an edge is longer than a path: blame it
-        ok, edge = validate_pseudometric(g)
-        if not ok:
-            raise ValueError(f"edge {edge} is longer than a path") from exc
-        if not isinstance(exc, ExtensionExhausted):
-            raise
+    except ExtensionExhausted as exc:
         return {"error": "extension-exhausted", "pair": list(exc.pair),
                 "backtracks": exc.backtracks}, 1
     return {"graph": graph_to_json(result.full),
@@ -245,16 +244,15 @@ def cmd_orient(args):
 
 
 def cmd_segment(args):
-    from .banakh_space import (AmbiguityViolation, NoSuchRadius,
-                               SphereDeficiency, segment_construct)
+    # never AmbiguityViolation on a verified fragment: two members of S(y, r)
+    # at R = d(x,y) + r from x make S(x, R), 2R = 2r apart, so d(x,y) = 0
+    from .banakh_space import NoSuchRadius, SphereDeficiency, segment_construct
     oracle = _fragment_oracle(args.fragment)
     try:
         return {"point": segment_construct(oracle, args.x, args.y,
                                            _parse_value(args.r))}, 0
     except (SphereDeficiency, NoSuchRadius) as exc:
         return {"point": None, "reason": str(exc)}, 0
-    except AmbiguityViolation as exc:
-        return {"error": "ambiguous-extension", "detail": str(exc)}, 1
 
 
 def cmd_group(args):
@@ -279,14 +277,13 @@ def cmd_group(args):
     if task == "hnorm":
         cert = h_norm_certificate(element_from_json(_load_json(args.paths[0])))
         return _plain(cert), 0 if cert["holds"] else 1
-    if task == "solve":
-        coeffs = _rat_list(args.coeffs or "")
-        if len(coeffs) != 6:
-            raise FormatError("--coeffs needs a1,a2,a3,b1,b2,b3")
-        result = solve_norm_equation(*coeffs)
-        return {"infinite": result.infinite,
-                "solutions": [format_rat(t) for t in result.solutions]}, 0
-    raise FormatError(f"unknown group task {task!r}")
+    # "solve", the last of the parser's choices
+    coeffs = _rat_list(args.coeffs or "")
+    if len(coeffs) != 6:
+        raise FormatError("--coeffs needs a1,a2,a3,b1,b2,b3")
+    result = solve_norm_equation(*coeffs)
+    return {"infinite": result.infinite,
+            "solutions": [format_rat(t) for t in result.solutions]}, 0
 
 
 def cmd_build(args):
@@ -451,4 +448,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
+    # untraced: only `python -m banakh.cli` runs it, in the subprocess tests
     sys.exit(main())

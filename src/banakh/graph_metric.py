@@ -122,10 +122,8 @@ class GraphMetric:
             self.adj[v].append((u, w))
 
     def _connected(self) -> bool:
-        if not self.vertices:
-            return True
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
+        seen = set(self.vertices[:1])
+        stack = list(seen)
         while stack:
             for nxt, _ in self.adj[stack.pop()]:
                 if nxt not in seen:
@@ -389,6 +387,7 @@ class MuGraph(_DifferenceGraph):
         for n in {b - a for a in self._steps for b in self._steps if b >= a}:
             extra = self.monoid.min_add(Fraction(n, self._den))
             if extra is None:
+                # untraced: guards a fault; n is a difference of members
                 raise ValueError(f"{Fraction(n, self._den)} is outside the "
                                  "difference set")
             out[n] = n + 2 * extra * self._den
@@ -406,8 +405,7 @@ class ScaledMu(_DifferenceGraph):
     """
 
     def __init__(self, template: MuGraph | ScaledMu, scale, rename: dict):
-        if not isinstance(scale, SurdValue):
-            scale = SurdValue.of(scale)
+        scale = SurdValue.of(scale)
         if not scale.sign() > 0:
             raise ValueError("scale must be positive")
         if set(rename) != set(template.vertices):

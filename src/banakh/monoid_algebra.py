@@ -30,7 +30,7 @@ M - M is the multiples k*g/scale of g/scale, the gcd of M; x = n/d in
 lowest terms is one exactly when d*g divides n*scale, and then its unit
 k = n*scale/(d*g) is a member exactly when k >= apery[k % m0]
 (``_has(k)``), for m0 the least reduced generator.  Membership,
-enumeration, the half-group witness, the divisibility scans and
+enumeration, the half-group witness, the divisibility witness and
 ``ddot_set`` work on units and build a ``Fraction`` only for a value they
 return (and the conductor in an inconclusive half-group message).
 
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import floor, gcd, lcm
+from math import gcd, lcm
 from typing import Callable, NamedTuple, Optional
 
 from .values import InputTooLarge, is_prime, rat
@@ -115,8 +115,9 @@ def dzik_reduce(a: int, b: int, p: int,
     Starting from the p-free parts of a and b, each step keeps the smaller
     value x and replaces the larger value y by the p-free part of y + k*x,
     where k < p is chosen so that the sum is divisible by p.  The pair sums
-    strictly decrease, and the recursion stops when both entries agree; the
-    common value is the p-free part of gcd(a, b).
+    strictly decrease, the successor being at most (y + (p-1)*x)/p < y, and
+    the recursion stops when both entries agree; the common value is the
+    p-free part of gcd(a, b).
 
     ``member`` is an optional membership oracle for a monoid M containing a
     and b; every trace element is checked against it and a denial raises
@@ -143,8 +144,6 @@ def dzik_reduce(a: int, b: int, p: int,
         successor = y + (-y * pow(x, -1, p)) % p * x
         while successor % p == 0:
             successor //= p
-        if x + successor >= ak + bk:
-            raise RuntimeError("reduction sums failed to decrease")
         ak, bk = x, successor
         trace.append((ak, bk))
         if member is not None and not member(successor):
@@ -216,8 +215,8 @@ def _omega_member(x: Fraction) -> bool:
 
 
 def _omega_min_add(d: Fraction) -> Optional[Fraction]:
-    if d.denominator != 1 or d <= 0:
-        return Fraction(0) if d == 0 else None
+    if d.denominator != 1:
+        return None
     return Fraction(2) if d == 1 else Fraction(0)
 
 
@@ -234,10 +233,7 @@ def _dpt_class(x: Fraction) -> Optional[int]:
 
 
 def _dpt_member(x: Fraction) -> bool:
-    if x == 0:
-        return True
-    if x < 0:
-        return False
+    # 0 is dyadic, and a negative x is no dyadic member and below a0/3
     if _dyadic_member(x):
         return True
     a0 = _dpt_class(x)
@@ -251,8 +247,6 @@ def _dpt_diff_member(x: Fraction) -> bool:
 def _dpt_min_add(d: Fraction) -> Optional[Fraction]:
     if _dpt_member(d):
         return Fraction(0)
-    if d <= 0:
-        return None
     a0 = _dpt_class(d)
     if a0 is None:
         return None
@@ -509,17 +503,18 @@ class MonoidDesc:
         fingen/groupcone it always is.
         """
         d = rat(d)
+        if d < 0:
+            # v + d = w is in M exactly when v = w - d is: inf{w} - d
+            extra = self.min_add(-d)
+            return None if extra is None else extra - d
         if self._closure:
             return self._closure.min_add(d)
-        n = self._unit(d)
+        n, has = self._unit(d), self._has
         if n is None:
             return None
-        # v = 0 comes first when d is a member, so that gives 0
-        has, start = self._has, max(0, -n)
-        for v in range(start, self._reduced_conductor + start + 2):
-            if has(v) and has(v + n):
-                return self._value(v)
-        return None
+        # v = 0 comes first when d is a member; v = the conductor qualifies
+        return self._value(next(v for v in range(self._reduced_conductor + 1)
+                                if has(v) and has(v + n)))
 
     # -- enumeration ----------------------------------------------------------
 
@@ -610,12 +605,12 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
     """Check whether S intersected with (1/p)M lies inside M.
 
     S is the nonnegative integers ("Z_plus") or the difference set
-    ("M_minus_M").  Verdicts for fingen/groupcone are complete.  Past the
-    conductor, s and p*s are members exactly when they are multiples of the
-    gcd, that is when the scaled step g divides s*scale and p*s*scale; for
-    an integer s both depend only on s mod g, so the Z_plus scan stops one
-    period past the conductor.  An explicit ``bound`` cuts that scan and
-    answers "inconclusive" when it stops short of the period.
+    ("M_minus_M").  Verdicts for fingen/groupcone are complete: the least
+    witness s (p*s in M, s in S and not in M) is read per residue class mod
+    m0 from the Apery set.  It lies below the conductor or, for Z_plus,
+    one period g past it: past the conductor s and p*s are members exactly
+    when g divides s*scale and p*s*scale.  An explicit ``bound`` answers
+    "inconclusive" when it stops short of that period below any witness.
     """
     _require_prime(p)
     if domain not in ("Z_plus", "M_minus_M"):
@@ -627,30 +622,39 @@ def is_p_divisible_in(monoid: MonoidDesc, p: int, domain: str = "M_minus_M",
         _assert_counterexample(monoid, p, domain, witness)
         return DivisibilityWitness("counterexample", witness)
 
-    has, step = monoid._has, monoid._step
+    apery, m0 = monoid._apery, monoid._m0
+
+    def least(c: int) -> Optional[int]:
+        """The least j >= 0 with the unit p*j*c a member and j*c not."""
+        best, pc = None, p * c
+        for r in range(m0):
+            low = -(-apery[pc * r % m0] // pc)
+            j = low + (r - low) % m0
+            if j * c < apery[r * c % m0] and (best is None or j < best):
+                best = j
+        return best
+
     if domain == "M_minus_M":
-        # the units k of the nonnegative multiples of the gcd below the
-        # conductor: p*s is no member for s < 0, and s is one from the
-        # conductor on
-        k = next((k for k in range(monoid._reduced_conductor)
-                  if has(p * k) and not has(k)), None)
-        if k is None:
-            return DivisibilityWitness("divisible")
-        return DivisibilityWitness("counterexample", monoid._value(k))
-
-    def holds(n: int) -> bool:
-        """Is n / scale a member?"""
-        return n % step == 0 and has(n // step)
-
-    complete, scale = True, monoid.scale
+        # the least unit k >= 0 of the gcd with p*k a member and k not
+        k = least(1)
+        return (DivisibilityWitness("divisible") if k is None else
+                DivisibilityWitness("counterexample", monoid._value(k)))
+    # s is a member when s = j*a and the unit j*c is one (a = step/g, c =
+    # scale/g, g = gcd(step, scale)); when p | a, s = i*a/p for i prime to p
+    # is none while p*s = i*a is one if i*c is: per class, i or i + m0
+    step, scale = monoid._step, monoid.scale
+    a, c = step // gcd(step, scale), scale // gcd(step, scale)
+    found = [j * a for j in [least(c)] if j is not None]
+    if a % p == 0:
+        found += [(i + m0 * (i % p == 0)) * a // p for r in range(m0)
+                  for low in [max(1, -(-apery[r * c % m0] // c))]
+                  for i in [low + (r - low) % m0] if i % p or m0 % p]
+    s = min(found, default=None)
     # one period g past the conductor, which is rounded up
     last = -(-monoid._reduced_conductor * step // scale) + step - 1
-    if bound is not None:
-        complete = rat(bound) >= last
-        last = min(last, floor(rat(bound)))
-    for s in range(last + 1):
-        if holds(p * s * scale) and not holds(s * scale):
-            return DivisibilityWitness("counterexample", Fraction(s))
+    if s is not None and s <= last and (bound is None or s <= rat(bound)):
+        return DivisibilityWitness("counterexample", Fraction(s))
+    complete = bound is None or rat(bound) >= last
     return DivisibilityWitness("divisible" if complete else "inconclusive")
 
 

@@ -350,7 +350,13 @@ def _make_copy(tmpl: MuGraph, cls: RadiusClass, stage: int, idx: int,
 
 def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
     """The stage's fragment, completed from g, and its backtracks; the
-    assigned values go to generic_log in pair order."""
+    assigned values go to generic_log in pair order.
+
+    No spec is known to exhaust completion, an error extend_to_full
+    documents: a floppy graph stays floppy under c + eps*sqrt(p), p fresh
+    (a later tie reduces to an old tie or a zero distance), stage 0's window
+    is floppy (check_window <= check_inf < hat_inf <= hat_window), and so is
+    each union, certified."""
     policy = ExtensionPolicy(seed=spec.seed + 7919 * stage)
     try:
         result = extend_to_full(g, policy)

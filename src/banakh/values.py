@@ -395,12 +395,8 @@ class SurdValue:
     def __truediv__(self, other):
         if isinstance(other, SurdValue):
             other = other.as_rational()
-        q = rat(other)
-        if q == 0:
-            raise ZeroDivisionError("division by zero")
-        if q.numerator < 0:
-            return self._scaled(-q.denominator, -q.numerator)
-        return self._scaled(q.denominator, q.numerator)
+        q = 1 / rat(other)      # ZeroDivisionError at 0; q's denominator > 0
+        return self._scaled(q.numerator, q.denominator)
 
     def __abs__(self):
         return -self if self.sign() < 0 else self
@@ -485,8 +481,7 @@ class SurdValue:
             if hi < 0:
                 return -1
             scale *= 4
-        # unreachable: a formally nonzero combination over distinct primes
-        # is numerically nonzero, so a bracket must eventually exclude zero
+        # untraced: guards a fault; a nonzero surd sum is nonzero numerically
         raise RuntimeError(f"sign refinement did not converge for {self!r}")
 
     def __eq__(self, other):

@@ -2,10 +2,12 @@
 
 Everything here is deliberately written the dumb way (full factorization,
 breadth-first closures, dense dynamic programming, quadratic scans) and
-shares no code with src/.  When a test disagrees, trust the oracle.  The one
-exception is :func:`eager_add_edge`, the completion table's relaxation as it
-was before its sums were lazy: it runs on the library's own table, so that
-the two relaxations can be compared entry by entry.
+shares no code with src/.  When a test disagrees, trust the oracle.  The two
+exceptions run on the library's own ints, so that the old and the new path
+can be compared case by case: :func:`eager_add_edge`, the completion table's
+relaxation as it was before its sums were lazy, and
+:func:`p_divisible_scan`, the p-divisibility verdict as a scan over every
+unit below the conductor, as it was before it read the Apery set.
 """
 
 from fractions import Fraction
@@ -309,6 +311,33 @@ def p_divisible_fraction(m: FractionMonoid, p: int, domain: str, bound=None):
     for s in candidates:
         if m.member(p * s) and not m.member(s):
             return "counterexample", s
+    return ("divisible" if complete else "inconclusive"), None
+
+
+def p_divisible_scan(monoid, p: int, domain: str, bound=None):
+    """is_p_divisible_in of a fingen or groupcone monoid with generators
+    as (kind, element), by scanning its semigroup's units: every unit
+    below the conductor (M_minus_M), or every integer up to one scaled
+    step past the conductor, cut at ``bound`` (Z_plus)."""
+    has, step, scale = monoid._has, monoid._step, monoid.scale
+    if domain == "M_minus_M":
+        k = next((k for k in range(monoid._reduced_conductor)
+                  if has(p * k) and not has(k)), None)
+        return ("divisible", None) if k is None else \
+            ("counterexample", monoid._value(k))
+
+    def holds(n: int) -> bool:
+        """Is n / scale a member?"""
+        return n % step == 0 and has(n // step)
+
+    complete = True
+    last = -(-monoid._reduced_conductor * step // scale) + step - 1
+    if bound is not None:
+        complete = Fraction(bound) >= last
+        last = min(last, floor(Fraction(bound)))
+    for s in range(last + 1):
+        if holds(p * s * scale) and not holds(s * scale):
+            return "counterexample", Fraction(s)
     return ("divisible" if complete else "inconclusive"), None
 
 

@@ -187,6 +187,7 @@ def test_norm_equal_iff_plus_minus_exhaustive():
 @given(elements, elements)
 def test_dist_token_is_symmetric_and_sign_blind(x, y):
     assert dist_token(x, y) == dist_token(y, x)
+    assert hash(dist_token(x, y)) == hash(dist_token(y, x))
     t = dist_token(x, y)
     assert t.is_zero() == (x == y)
     # leading coefficient of the canonical representative is positive
@@ -266,6 +267,17 @@ def test_is_p_divisible_elem():
     assert is_p_divisible_elem(x, 3, lattice="L")
     with pytest.raises(ValueError):
         is_p_divisible_elem(GroupElement({0: Fraction(1, 2)}), 2)
+    for bad in (lambda: is_p_divisible_elem(x, 2, lattice="Z"),
+                lambda: in_lattice(x, "Z")):
+        with pytest.raises(ValueError, match="unknown lattice 'Z'"):
+            bad()
+
+
+def test_reprs_name_the_coordinates():
+    assert repr(zero()) == "0"
+    x = GroupElement({0: 1, 1: Fraction(-3, 2), 4: 2})
+    assert repr(x) == "e0 - 3/2*e1 + 2*e4"
+    assert repr(DistToken(neg(x))) == "|e0 - 3/2*e1 + 2*e4|"
 
 
 def test_numeric_norm_is_display_only_but_sane():

@@ -148,6 +148,7 @@ def test_triangle_failures_on_the_fixtures(request, make, failures):
 
 def test_real_line_closure_condition():
     assert real_line_banakh_check([0, 1, 2, 3]) == (True, None)
+    assert real_line_banakh_check(()) == (True, None)
     verdict, witness = real_line_banakh_check([0, 1, 3])
     assert verdict is False
     assert witness[3] == 2        # the missing combination
@@ -156,6 +157,21 @@ def test_real_line_closure_condition():
 
 
 # -- line-oracle geometry ----------------------------------------------------------
+
+
+def test_line_and_fragment_spheres_at_edge_radii(z_line_window):
+    # Z holds no point at an irrational or fractional distance, only the
+    # center at 0, and refuses a negative radius
+    assert Z.sphere(3, SurdValue.sqrt(2)) == ()
+    assert Z.sphere(3, SurdValue(Fraction(1, 2))) == ()
+    assert Z.sphere(3, ZERO) == (3,)
+    with pytest.raises(ValueError, match="negative radius"):
+        Z.sphere(3, SurdValue(-1))
+    assert FragmentOracle(z_line_window).sphere("p+0", ZERO) == ("p+0",)
+    # the interface itself answers nothing
+    for ask in (lambda o: o.dist(0, 1), lambda o: o.sphere(0, SurdValue(1))):
+        with pytest.raises(NotImplementedError):
+            ask(SphereOracle())
 
 
 def test_gps_locates_uniquely_on_the_line():
@@ -217,20 +233,29 @@ def test_segment_construct_extends_past_y():
     assert segment_construct(Z, 0, 4, SurdValue(3)) == 7
     assert segment_construct(Z, 4, 0, SurdValue(3)) == -3
     assert segment_construct(Z, 0, 4, ZERO) == 4
+    with pytest.raises(ValueError, match="rational multiple"):
+        segment_construct(Z, 0, 4, SurdValue.sqrt(2))
 
 
 def test_split_segment_picks_the_between_point():
     assert split_segment(Z, 0, 10, SurdValue(4), SurdValue(6)) == 4
     assert split_segment(Z, 10, 0, SurdValue(4), SurdValue(6)) == 6
     assert split_segment(Z, 0, 10, ZERO, SurdValue(10)) == 0
-    with pytest.raises(ValueError):
-        split_segment(Z, 0, 10, SurdValue(3), SurdValue(4))
+    assert split_segment(Z, 0, 10, SurdValue(10), ZERO) == 10
+    for a, b in ((3, 4), (0, 9), (9, 0)):
+        with pytest.raises(ValueError, match=r"a \+ b"):
+            split_segment(Z, 0, 10, SurdValue(a), SurdValue(b))
 
 
 def test_directed_point_walks_the_ray():
     assert directed_point(Z, 0, 1, SurdValue(6)) == 6
     assert directed_point(Z, 0, -2, SurdValue(6)) == -6
     assert directed_point(Z, 3, 1, SurdValue(4)) == -1
+    with pytest.raises(ValueError, match="rational multiple"):
+        directed_point(Z, 0, 1, SurdValue.sqrt(2))
+    for r in (ZERO, SurdValue(-2)):
+        with pytest.raises(ValueError, match="radius must be positive"):
+            directed_point(Z, 0, 1, r)
 
 
 def test_segment_deficiency_on_fragment_boundary(z_line_window):
@@ -247,6 +272,11 @@ def test_zr_sphere_map_is_isometric():
     assert mapping[0] == 0
     for i, j in itertools.combinations(sorted(mapping), 2):
         assert Z.dist(mapping[i], mapping[j]) == SurdValue(2 * abs(i - j))
+    assert zr_sphere_map(Z, 5, SurdValue(2), 0) == {0: 5}
+    with pytest.raises(ValueError, match="nonnegative"):
+        zr_sphere_map(Z, 0, SurdValue(2), -1)
+    with pytest.raises(NoSuchRadius):
+        zr_sphere_map(Z, 0, SurdValue.sqrt(2), 1)
 
 
 # -- the one sphere-member rule -----------------------------------------------------
@@ -310,6 +340,38 @@ def test_constructions_share_the_sphere_member_rule(construct, coords, hidden,
         assert exc.value.center == center
 
 
+def _seed5_build():
+    sqrt2 = SurdValue.sqrt(2)
+    zp = MonoidDesc.fingen([1])
+    fragment, _ = build(BuildSpec(radii=(RadiusClass(SurdValue(1), zp),
+                                         RadiusClass(sqrt2, zp)),
+                                  stages=2, window=Fraction(2), seed=5))
+    return fragment
+
+
+@pytest.mark.parametrize("make", [
+    _seed5_build, lambda: line_fragment({f"p{k}": k for k in range(41)})],
+    ids=["seed-5 build", "41-point line"])
+def test_segment_on_a_verified_fragment_is_never_ambiguous(make):
+    # the AmbiguityViolation above needs a fragment that breaks the law: on
+    # a verified one, two members of S(y, r) at d(x,y) + r from x would be
+    # all of that sphere, 2r and 2(d(x,y) + r) apart at once
+    fragment = make()
+    report = verify_fragment(fragment)
+    assert report.metric_ok and report.banakh_consistent
+    oracle = FragmentOracle(fragment)
+    points = 0
+    for y in fragment.points:
+        for r in fragment.spheres[y]:
+            for x in fragment.points:
+                try:
+                    segment_construct(oracle, x, y, r)
+                    points += 1
+                except (NoSuchRadius, SphereDeficiency, ValueError):
+                    pass
+    assert points > len(fragment.points)
+
+
 # -- hypersphere parametrization ----------------------------------------------------
 
 
@@ -321,6 +383,17 @@ def test_hypersphere_map_on_the_integer_line():
         assert entry["lower_ok"] and entry["upper_ok"] is not False
         assert entry["equivalence_ok"]
         assert entry["tight"]     # on the line every distance collapses
+
+
+def test_hypersphere_map_skips_what_a_one_sided_window_lacks():
+    # sphere(p0, 1) holds only p1, the parallel member: t = -1 has no
+    # antiparallel point, and no other u reaches one either
+    oracle = FragmentOracle(line_fragment({f"p{k}": k for k in range(4)}))
+    mapping, report = hypersphere_map(oracle, "p0", "p1", 1)
+    assert mapping == {0: "p0", 1: "p1"}
+    assert report.skipped == [(-1, "window edge")]
+    with pytest.raises(ValueError, match="two distinct points"):
+        hypersphere_map(Z, 0, 0, 1)
 
 
 def test_hypersphere_bounds_are_unknown_over_unordered_tokens():

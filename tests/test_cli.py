@@ -750,6 +750,19 @@ def test_certify_gives_a_verdict_on_a_window_with_large_units(capsys,
     assert doc["metric_ok"] is True and doc["sphere_ledger_ok"] is True
 
 
+@pytest.mark.parametrize("doc", [{"fragment": {"points": ["a"], "dist": []}},
+                                 {"certificate": {}}, [1]],
+                         ids=["no certificate", "no fragment", "list"])
+def test_certify_needs_a_fragment_and_a_certificate(capsys, tmp_path, doc):
+    built, spec = tmp_path / "built.json", tmp_path / "spec.json"
+    built.write_text(json.dumps(doc))
+    spec.write_text(json.dumps({"radii": []}))
+    code, out, err = run(capsys, "certify", str(built), str(spec))
+    assert (code, out) == (2, "")
+    assert err == ("format error: expected a build output with 'fragment' "
+                   "and 'certificate'\n")
+
+
 @pytest.mark.parametrize("spec", [[1], "spec"], ids=["list", "string"])
 def test_certify_rejects_a_spec_that_is_not_an_object(capsys, tmp_path, spec):
     # a format error (exit 2), not a false verdict (exit 1) or a traceback

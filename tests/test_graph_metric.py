@@ -49,6 +49,18 @@ def test_rejects_disconnected_and_bad_edges():
         GraphMetric(["a", "b"], {("a", "x"): 1})
 
 
+def test_the_empty_graph_and_an_unknown_vertex():
+    # no vertex: connected, full and a pseudometric; a fragment's length is
+    # its number of points
+    empty = GraphMetric([], {})
+    assert empty.is_full() and validate_pseudometric(empty) == (True, None)
+    assert len(MetricFragment([], {})) == 0
+    g = path_graph([1, 2])
+    assert len(extend_to_full(g, ExtensionPolicy(seed=0)).full) == 3
+    with pytest.raises(KeyError, match="unknown vertex"):
+        g.distances_from("nowhere")
+
+
 def test_edge_storage_is_orientation_free():
     g = GraphMetric(["a", "b"], {("b", "a"): 3})
     assert g.edge_value("a", "b") == SurdValue(3)
@@ -1342,10 +1354,17 @@ def test_scaled_mu_scales_its_template_at_any_radius(r, scale):
 
 def test_scaled_mu_rejects_bad_scale_and_rename():
     template = build_mu(MonoidDesc.fingen([1]), 1, 2)
-    with pytest.raises(ValueError):
-        ScaledMu(template, SurdValue(0), {v: v for v in template.vertices})
-    with pytest.raises(ValueError):
+    same = {v: v for v in template.vertices}
+    for zero in (SurdValue(0), 0):
+        with pytest.raises(ValueError, match="scale must be positive"):
+            ScaledMu(template, zero, same)
+    with pytest.raises(ValueError, match="cover exactly"):
         ScaledMu(template, SurdValue(1), {"0": "x"})
+    with pytest.raises(ValueError, match="injective"):
+        ScaledMu(template, SurdValue(1), {v: "x" for v in template.vertices})
+    # a rational scale is read as a value
+    assert ScaledMu(template, Fraction(3, 2), same).edge_value("0", "1") == \
+        SurdValue(Fraction(3, 2))
 
 
 def base_pair(d=2):

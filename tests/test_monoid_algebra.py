@@ -77,6 +77,10 @@ def test_dzik_reduce_membership_oracle_denial():
     assert info.value.element not in (1, 4, 6)
     # a permissive oracle changes nothing: p-free gcd of (4, 6) at p=2 is 1
     assert dzik_reduce(4, 6, 2, member=lambda n: True).value == 1
+    # the start (3, 5) passes, its successor 1 = (5 + 3)/8 does not
+    with pytest.raises(MonoidMembershipError) as info:
+        dzik_reduce(3, 5, 2, member=lambda n: n in (3, 5))
+    assert info.value.element == 1
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
@@ -248,6 +252,13 @@ def test_zero_monoid_degenerate_cases():
             MuGraph(z, 1, 3)
 
 
+def test_an_unknown_variant_or_closure_id_is_refused():
+    with pytest.raises(ValueError, match="unknown monoid variant 'cone'"):
+        MonoidDesc("cone", [1])
+    with pytest.raises(ValueError, match="unknown closure id 'primes'; known"):
+        MonoidDesc.closure("primes")
+
+
 @pytest.mark.parametrize("m", [MonoidDesc.fingen([]), MonoidDesc.fingen([2]),
                                OMEGA1, DYADIC, DPT], ids=repr)
 def test_a_negative_window_holds_no_member(m):
@@ -389,6 +400,22 @@ def test_z_plus_divisibility_for_a_large_prime_is_fast(p):
     assert time.perf_counter() - start < 1.0
 
 
+@pytest.mark.parametrize("domain", ["M_minus_M", "Z_plus"])
+def test_divisibility_witness_is_read_from_the_apery_set(domain):
+    # the odd members of <2, 10^40 + 1> start at 10^40 + 1, so the least s
+    # with 3s a member and s not is the least odd s >= (10^40 + 1)/3.  A
+    # scan of the units below the conductor, near 10^40, never ends; the
+    # two residue classes mod 2 answer at once
+    m = MonoidDesc.fingen([2, 10 ** 40 + 1])
+    start = time.perf_counter()
+    w = is_p_divisible_in(m, 3, domain)
+    assert time.perf_counter() - start < 1.0
+    s = w.element
+    assert w.kind == "counterexample"
+    assert s == (10 ** 40 + 5) // 3
+    assert m.member(3 * s) and not m.member(s)
+
+
 def test_divisibility_known_cases():
     # 2Z+: the difference set only holds even numbers, so divisibility in
     # M-M is automatic; in Z_plus the odd s with 2s in M break it
@@ -434,6 +461,22 @@ def test_omega_minus_one_min_add():
     assert OMEGA1.min_add(Fraction(1, 2)) is None
 
 
+@pytest.mark.parametrize("monoid, d, inf", [
+    (OMEGA1, -1, 3),                       # 3 - 1 = 2; 2 - 1 = 1 is no member
+    (OMEGA1, -2, 2),                       # 2 - 2 = 0
+    (OMEGA1, Fraction(-1, 2), None),
+    (DYADIC, Fraction(-1, 2), Fraction(1, 2)),
+    (DYADIC, Fraction(-1, 3), None),
+    (DPT, Fraction(-1, 3), Fraction(1, 3)),   # 1/3 + 2^-n - 1/3 = 2^-n
+    (DPT, Fraction(-1, 6), Fraction(1, 2)),   # 1/2 + 2^-n - 1/6 = 1/3 + 2^-n
+    (DPT, Fraction(-1, 5), None),
+    (MonoidDesc.fingen([]), -1, None),
+])
+def test_min_add_of_a_negative_difference(monoid, d, inf):
+    # v + d = w in M for d < 0 means v = w - d: the infimum is min_add(-d) - d
+    assert monoid.min_add(d) == inf
+
+
 def test_dyadic_closure_facts():
     assert DYADIC.member(Fraction(3, 8)) and not DYADIC.member(Fraction(1, 3))
     assert is_half_group(DYADIC) == (True, None)
@@ -449,8 +492,10 @@ def test_dyadic_plus_thirds_membership_agrees_with_brute_closure():
     brute = oracles.closure_fractions(gens, Fraction(2))
     for x in sorted(brute):
         assert DPT.member(x), x
-    # and no on the classic gaps
-    for x in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 12)):
+    # and no on the classic gaps, on a denominator that is neither 2^k nor
+    # 3*2^k, and below 0
+    for x in (Fraction(1, 3), Fraction(2, 3), Fraction(1, 12), Fraction(1, 5),
+              Fraction(-1, 2)):
         assert not DPT.member(x), x
 
 
@@ -471,6 +516,8 @@ def test_dyadic_plus_thirds_min_add_formula_vs_brute():
     # D = 1/6 sits in residue class 2; stored formula gives exactly 1/3
     d = Fraction(1, 6)
     assert DPT.min_add(d) == Fraction(1, 3)
+    # no v and v + 1/5 are both members: no v has a denominator 5
+    assert DPT.min_add(Fraction(1, 5)) is None
     gens = [Fraction(1, 2 ** n) for n in range(1, 9)]
     gens += [Fraction(1, 3) + Fraction(1, 2 ** n) for n in range(1, 9)]
     brute_members = oracles.closure_fractions(gens, Fraction(2))
@@ -557,7 +604,8 @@ def test_ddot_known_fingen(gens, window, expected):
 def test_min_add_fingen_vs_brute():
     m = MonoidDesc.fingen([2, 3])
     members = m.elements(30)
-    for d in (Fraction(1), Fraction(4), Fraction(7)):
+    for d in (Fraction(1), Fraction(4), Fraction(7), Fraction(-1),
+              Fraction(-4), Fraction(-7)):
         brute = oracles.min_add_brute(m.member, d, members)
         assert m.min_add(d) == brute
     assert m.min_add(Fraction(1, 2)) is None
@@ -628,6 +676,19 @@ def test_divisibility_matches_the_fraction_reference(variant, gens, p, domain,
         w = is_p_divisible_in(m, p, domain, bound)
         assert (w.kind, w.element) == \
             oracles.p_divisible_fraction(ref, p, domain, bound), bound
+
+
+@given(variants, monoid_gens, st.sampled_from([2, 3, 5, 7]),
+       st.sampled_from(["Z_plus", "M_minus_M"]),
+       st.one_of(st.none(), st.integers(min_value=-2, max_value=200),
+                 st.fractions(min_value=0, max_value=200, max_denominator=5)))
+@settings(max_examples=150, deadline=None)
+def test_divisibility_matches_the_unit_scan(variant, gens, p, domain, bound):
+    # the verdict read per residue class from the Apery set against the
+    # scan over every unit below the conductor that it replaced
+    m = MonoidDesc(variant, gens)
+    w = is_p_divisible_in(m, p, domain, bound)
+    assert (w.kind, w.element) == oracles.p_divisible_scan(m, p, domain, bound)
 
 
 @given(variants, monoid_gens, st.integers(min_value=0, max_value=80),

@@ -12,7 +12,7 @@ import oracles
 from banakh import space_builder
 from banakh.banakh_group import NormEquationResult
 from banakh.banakh_space import EmbedResult, MetricFragment
-from banakh.graph_metric import ExtensionPolicy, GraphMetric
+from banakh.graph_metric import ExtensionExhausted, ExtensionPolicy, GraphMetric
 from banakh.monoid_algebra import MonoidDesc
 from banakh.serialize import (buildspec_from_json, buildspec_to_json,
                               certificate_from_json, certificate_to_json,
@@ -320,6 +320,32 @@ def test_growth_verdict_reads_the_ledger_before_the_law(monkeypatch, thin,
     monkeypatch.setattr(space_builder, "_sphere_ledger", forged)
     with pytest.raises(BuildExhausted, match=message):
         build(spec)
+
+
+def test_an_exhausted_completion_stops_the_build(monkeypatch):
+    # no spec is known to exhaust completion (see _complete's docstring), so
+    # a stub raises the error extend_to_full documents, at stage 1
+    complete = space_builder.extend_to_full
+    exhausted = ExtensionExhausted(("a", "b"), 3)
+    stages = []
+
+    def stub(g, policy):
+        stages.append(policy.seed)
+        if len(stages) == 2:
+            raise exhausted
+        return complete(g, policy)
+
+    monkeypatch.setattr(space_builder, "extend_to_full", stub)
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                            RadiusClass(SQRT2, ZP)),
+                     stages=2, window=Fraction(2), seed=5)
+    with pytest.raises(BuildExhausted) as info:
+        build(spec)
+    assert stages == [5, 5 + 7919]
+    assert (info.value.stage, info.value.pair) == (1, ("a", "b"))
+    assert str(info.value) == ("build stalled at stage 1 on ('a', 'b'): "
+                               "extension budget spent (3)")
+    assert info.value.__cause__ is exhausted
 
 
 def build_bytes(radii, window, seed):

@@ -138,6 +138,28 @@ def test_reflected_ops(a):
     assert -a == ZERO - a
 
 
+def test_a_float_is_no_operand_and_division_takes_rationals():
+    # each operator answers NotImplemented to a float, so Python raises
+    # TypeError, and == is False
+    v = SurdValue(1, {2: 1})
+    for op in (lambda: v + 0.5, lambda: v - 0.5, lambda: 0.5 - v,
+               lambda: v * 0.5, lambda: v < 0.5):
+        with pytest.raises(TypeError):
+            op()
+    assert v != 0.5
+    assert SurdValue.of(v) is v
+    # a rational SurdValue divides, an irrational one or zero does not
+    assert SurdValue(0, {2: 3}) / SurdValue(Fraction(3, 2)) == \
+        SurdValue(0, {2: 2})
+    assert SurdValue(1, {2: 3}) / Fraction(-3, 2) == \
+        SurdValue(Fraction(-2, 3), {2: -2})
+    with pytest.raises(ValueError, match="irrational"):
+        SurdValue(1) / v
+    for zero in (0, ZERO):
+        with pytest.raises(ZeroDivisionError):
+            v / zero
+
+
 # -- ordering and sign -------------------------------------------------------
 
 
