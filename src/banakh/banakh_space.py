@@ -20,8 +20,9 @@ NoSuchRadius, a sphere with no kept member SphereDeficiency, and one with
 two kept members AmbiguityViolation.  :func:`gps_locate` is no such pick.
 
 The finite fragments are :class:`banakh.graph_metric.MetricFragment`, the
-full graph metrics, re-exported here; this module checks their axioms and
-answers their spheres from the fragment's own sphere index.
+full graph metrics, re-exported here; this module checks their axioms, with
+no triangle scan on a fragment that its one forced real-line placement
+embeds, and answers their spheres from the fragment's own sphere index.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .graph_metric import MetricFragment
+from .graph_metric import MetricFragment, _line_ints, _pair, _tol
 from .monoid_algebra import MonoidDesc
 from .values import SurdValue, ZERO, rat
 
@@ -77,7 +78,12 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     """Exact check of the triangle inequality and the two-point-sphere law.
 
     Positivity is already guaranteed by the :class:`MetricFragment`
-    constructor.  The triangle failures come from
+    constructor.  A fragment that :func:`_placement` embeds in ℝ is reported
+    without a scan: d(x,y) = |x - y| is a metric, and a sphere lies in
+    {c - r, c + r}, two points 2r apart, so no violation exists and only the
+    one-member spheres are listed.  Any other fragment, which embeds nowhere
+    since the placement is forced, takes the full check.  Its triangle
+    failures come from
     :meth:`MetricFragment.triangle_failures`, the exact scan that also
     validates every :func:`banakh.graph_metric.extend_to_full` result: on
     ints for a one-dimensional table such as a window of a line, float
@@ -90,25 +96,26 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     members, or two-member spheres whose mutual distance differs from twice
     the radius.
     """
-    violations = [{"kind": "triangle", "points": list(names)}
-                  for names in f.triangle_failures()]
+    embeds = _placement(f)[0] is not None
+    violations = [] if embeds else [{"kind": "triangle", "points": list(names)}
+                                    for names in f.triangle_failures()]
     metric_ok = not violations
     incomplete = []
     banakh = True
     for c in f.points:
         for r, members in sorted(f.spheres[c].items(), key=lambda kv: kv[1]):
-            if len(members) > 2:
+            if len(members) == 1:
+                incomplete.append((c, r))
+            elif embeds:
+                continue
+            elif len(members) > 2:
                 banakh = False
                 violations.append({"kind": "sphere-size", "center": c,
                                    "radius": r, "members": list(members)})
-            elif len(members) == 2:
-                u, v = members
-                if f.distance(u, v) != r + r:
-                    banakh = False
-                    violations.append({"kind": "sphere-diameter", "center": c,
-                                       "radius": r, "members": list(members)})
-            else:
-                incomplete.append((c, r))
+            elif f.distance(*members) != r + r:
+                banakh = False
+                violations.append({"kind": "sphere-diameter", "center": c,
+                                   "radius": r, "members": list(members)})
     return FragmentReport(metric_ok=metric_ok, banakh_consistent=banakh,
                           incomplete_spheres=incomplete, violations=violations)
 
@@ -516,35 +523,76 @@ def _trichotomy_triple(f: MetricFragment):
     return None
 
 
-def embed_in_real_line(f: MetricFragment) -> EmbedResult:
-    """Exact coordinates on ℝ realizing the fragment, or a witness that
-    none exist: a triple violating the three-point collinearity criterion,
-    or (only possible at exactly 4 points) the full 4-point witness.
+def _tie(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
+    """c = a + b exactly, for positive values: on the ints when all three
+    are rational, as :func:`banakh.values._exceeds` decides c > a + b;
+    otherwise refuted on the cached enclosures where they can, and summed
+    only where they cannot (``graph_metric._tol`` covers the roundings)."""
+    if not (c._surds or a._surds or b._surds):
+        da, db = a._den, b._den
+        return c._num * da * db == (a._num * db + b._num * da) * c._den
+    c_lo, c_hi = c._enclosure()
+    a_lo, a_hi = a._enclosure()
+    b_lo, b_hi = b._enclosure()
+    tol = _tol(c_hi + a_hi + b_hi)
+    if c_hi < a_lo + b_lo - tol or c_lo > a_hi + b_hi + tol:
+        return False
+    return c == a + b
 
-    One placement is complete at every size: with p0 at 0 and p1 at
-    d(p0, p1) > 0, any other point q sits at ±d(p0, q), and both signs
-    give the distance d(p1, q) only when d(p0, q) = 0 or d(p0, p1) = 0,
-    which a fragment's positive distances exclude.  So an embedding, if one
-    exists, is the one built here.  When the placement fails, a triple with
-    no collinear split names the obstruction; at four points every triple
-    can split and the set still not embed (Menger's pseudo-linear
-    quadruple), and then the whole set is the witness.
+
+def _placement(f: MetricFragment):
+    """The one real-line placement: ``(coords, None)`` when it realizes f,
+    ``(None, q)`` when the point q does not place, and ``(None, None)``
+    when every point places but a pair fails.
+
+    p0 sits at 0, p1 at a = d(p0, p1) > 0, and q, with b = d(p0, q) and
+    c = d(p1, q), at -b when c = b + a, or at b when b = c + a or a = c + b:
+    the ways that |x - a| = c for x = +-b, of which positive values allow
+    at most one.  So an embedding, if one exists, is this one, complete at
+    every size.  Each test is a :func:`_tie`, which builds a sum only where
+    the enclosures cannot refute it.  Then each pair's distance must be
+    x_u - x_v or x_v - x_u: on the ints N of a one-dimensional table
+    (:func:`_line_ints`), each value N*u/D for one u > 0, else on values.
     """
     pts = f.points
     if len(pts) <= 1:
-        return EmbedResult(coords={p: ZERO for p in pts})
+        return {p: ZERO for p in pts}, None
     p0, p1 = pts[0], pts[1]
-    d01 = f.distance(p0, p1)
-    coords = {p0: ZERO, p1: d01}
+    a = f.distance(p0, p1)
+    coords, side = {p0: ZERO, p1: a}, {p0: 1, p1: 1}
     for q in pts[2:]:
-        d0, d1 = f.distance(p0, q), f.distance(p1, q)
-        signs = [s for s in (1, -1) if abs(s * d0 - d01) == d1]
-        if not signs:
-            return EmbedResult(obstruction=(p0, p1, q))
-        coords[q] = d0 if signs[0] == 1 else -d0
-    for u, v in combinations(pts, 2):
-        if abs(coords[u] - coords[v]) != f.distance(u, v):
-            bad = _trichotomy_triple(f)
-            return EmbedResult(obstruction=bad if bad is not None
-                               else tuple(pts))
-    return EmbedResult(coords=coords)
+        b, c = f.distance(p0, q), f.distance(p1, q)
+        if _tie(c, b, a):
+            coords[q], side[q] = -b, -1
+        elif _tie(b, c, a) or _tie(a, c, b):
+            coords[q], side[q] = b, 1
+        else:
+            return None, q
+    x, values = coords, f.edges.values()
+    ints = _line_ints(list(values))
+    if ints is not None:
+        n = dict(zip(f.edges, ints))
+        x = {p: s * n.get(_pair(p0, p), 0) for p, s in side.items()}
+        values = ints
+    for (u, v), d in zip(f.edges, values):
+        gap = x[u] - x[v]
+        if d != gap and d != -gap:
+            return None, None
+    return coords, None
+
+
+def embed_in_real_line(f: MetricFragment) -> EmbedResult:
+    """Exact coordinates on ℝ realizing the fragment (:func:`_placement`),
+    or a witness that none exist: a triple with no collinear split, which
+    (p0, p1, q) is for a point q that does not place; or, when every triple
+    splits (only at exactly 4 points: Menger's pseudo-linear quadruple),
+    the whole set.
+    """
+    coords, q = _placement(f)
+    if coords is not None:
+        return EmbedResult(coords=coords)
+    if q is not None:
+        return EmbedResult(obstruction=(f.points[0], f.points[1], q))
+    bad = _trichotomy_triple(f)
+    return EmbedResult(obstruction=bad if bad is not None
+                       else tuple(f.points))

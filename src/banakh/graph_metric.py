@@ -205,8 +205,8 @@ class MetricFragment(GraphMetric):
     every off-diagonal value coercible and positive) in the one pass of
     ``_set_edges``; a full table is connected, so no search follows.  The
     triangle inequality is :meth:`triangle_failures`, and the two-point-sphere
-    law is checked by :func:`banakh.banakh_space.verify_fragment`; neither is
-    assumed.
+    law is checked by :func:`banakh.banakh_space.verify_fragment`, which
+    skips the scan only on a proven embedding in ℝ; neither is assumed.
     """
 
     _ENTRY_ERRORS = {
@@ -231,7 +231,8 @@ class MetricFragment(GraphMetric):
         :func:`_triangle_failures`: on ints for a one-dimensional table, by
         the float-filtered scan of :meth:`_DistanceTable.triangle_failures`
         otherwise).  Only ``self.edges`` is read and no verdict is kept, so
-        each call checks the table afresh.
+        each call checks the table afresh; ``verify_fragment`` calls it on
+        every fragment that it does not embed in ℝ.
 
         For a full table of positive values the list is empty exactly when
         every edge is its shortest path (:func:`validate_pseudometric`): a
@@ -582,10 +583,10 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     formula is the value on the infinite graph and can fall below the
     windowed path near the window edge.  The result is a
     :class:`MetricFragment`, validated by the scan that
-    :func:`banakh.banakh_space.verify_fragment` also uses,
-    :meth:`MetricFragment.triangle_failures`, through the one call
-    :func:`validate_pseudometric`, whose per-vertex path search runs only to
-    name the witness edge of a failure.
+    :func:`banakh.banakh_space.verify_fragment` runs on a fragment that
+    does not embed in ℝ, :meth:`MetricFragment.triangle_failures`, through
+    the one call :func:`validate_pseudometric`, whose per-vertex path
+    search runs only to name the witness edge of a failure.
     Above ``ENUMERATION_CAP`` pairs (about 447 vertices) it raises
     :class:`~banakh.values.InputTooLarge` before building anything.
     """

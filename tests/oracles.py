@@ -492,6 +492,33 @@ def embed_scan(points, distance):
 # -- spheres -----------------------------------------------------------------
 
 
+def reference_verify_fragment(points, distance):
+    """The fragment report by the full path, as the tuple (metric_ok,
+    banakh_consistent, incomplete_spheres, violations): every strict
+    triangle failure (:func:`triangle_scan`), then, center by center, each
+    sphere (:func:`sphere_scan`) in the order of the member lists.  A
+    sphere with three or more members, or two members at other than twice
+    the radius, is a violation; one with one member is incomplete."""
+    violations = [{"kind": "triangle", "points": list(names)}
+                  for names in triangle_scan(points, distance)]
+    metric_ok, banakh, incomplete = not violations, True, []
+    for c in points:
+        radii = {distance(c, p) for p in points if p != c}
+        spheres = sorted(((sphere_scan(points, distance, c, r), r)
+                          for r in radii), key=lambda pair: pair[0])
+        for members, r in spheres:
+            if len(members) == 1:
+                incomplete.append((c, r))
+                continue
+            if len(members) == 2 and distance(*members) == r + r:
+                continue
+            banakh = False
+            kind = "sphere-size" if len(members) > 2 else "sphere-diameter"
+            violations.append({"kind": kind, "center": c, "radius": r,
+                               "members": members})
+    return metric_ok, banakh, incomplete, violations
+
+
 def sphere_scan(points, dist, center, radius):
     """Brute-force sphere membership scan."""
     return sorted(p for p in points if p != center and dist(center, p) == radius)

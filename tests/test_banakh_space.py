@@ -534,3 +534,109 @@ def test_embed_trivial_sizes():
     assert r.embeddable
     gap = r.coords["a"] - r.coords["b"]
     assert (gap if gap.sign() > 0 else -gap) == SurdValue(5)
+
+
+# -- verify_fragment on an embedding -------------------------------------------------
+
+
+def surd_line(coords: dict) -> MetricFragment:
+    """The named exact values as a fragment of the real line, with its
+    points in the given order."""
+    names = list(coords)
+    table = {}
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            gap = coords[y] - coords[x]
+            table[(x, y)] = gap if gap.sign() > 0 else -gap
+    return MetricFragment(names, table)
+
+
+BASIS = {1: SurdValue(1), 2: SurdValue.sqrt(2), 3: SurdValue.sqrt(3)}
+
+
+@st.composite
+def embeddable_fragments(draw, min_points=1):
+    """1-12 distinct points of (Z + Z*sqrt(2) + Z*sqrt(3)) / den on the real
+    line, of rank 1 to 3, in drawn order, so any two can be p0 and p1."""
+    keys = sorted(draw(st.sets(st.sampled_from(sorted(BASIS)), min_size=1)))
+    den = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(min_value=min_points, max_value=12))
+    vectors = draw(st.lists(st.tuples(*[st.integers(-5, 5)] * len(keys)),
+                            min_size=n, max_size=n, unique=True))
+    return surd_line({f"p{i}": sum((BASIS[k] * Fraction(c, den)
+                                    for k, c in zip(keys, v)), ZERO)
+                      for i, v in enumerate(vectors)})
+
+
+@st.composite
+def nudged_fragments(draw):
+    """An embeddable fragment of 3-12 points with one entry moved, kept
+    positive: one at p0 or p1 stops the placement, another the pair check."""
+    f = draw(embeddable_fragments(min_points=3))
+    table = dict(f.edges)
+    pair = draw(st.sampled_from(sorted(table)))
+    delta = draw(st.sampled_from([SurdValue(1), SurdValue(-1),
+                                  SurdValue(Fraction(1, 2)),
+                                  SurdValue.sqrt(2), -SurdValue.sqrt(3)]))
+    moved = table[pair] + delta
+    table[pair] = moved if moved.sign() > 0 else table[pair] - delta
+    return MetricFragment(f.points, table)
+
+
+def assert_reference_report(report, f):
+    metric_ok, banakh, incomplete, violations = \
+        oracles.reference_verify_fragment(f.points, f.distance)
+    assert report.metric_ok == metric_ok
+    assert report.banakh_consistent == banakh
+    assert report.incomplete_spheres == incomplete
+    assert report.violations == violations
+
+
+@pytest.mark.parametrize("fragments", [
+    embeddable_fragments(), nudged_fragments(), near_line_fragments()],
+    ids=["embeddable", "nudged", "near-line"])
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_verify_fragment_equals_the_full_path(fragments, data):
+    f = data.draw(fragments)
+    report = verify_fragment(f)
+    assert_reference_report(report, f)
+    if embed_in_real_line(f).embeddable:
+        assert report.metric_ok and report.banakh_consistent
+        assert not report.violations
+
+
+def _scan_ran(self):
+    raise AssertionError("the triangle scan ran")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: line_fragment({f"p{k}": k for k in range(41)}),
+    lambda: surd_line({f"x{a}{b}": SurdValue(a, {2: b})
+                       for a in range(5) for b in range(5)}),
+    lambda: MetricFragment(["a"], {}),
+    lambda: fragment_of({("a", "b"): 3}),
+    lambda: fragment_of({("a", "b"): 1, ("a", "c"): 3, ("b", "c"): 2}),
+], ids=["41-point line", "rank-2 window", "one point", "two points",
+        "three collinear points"])
+def test_an_embedding_skips_the_triangle_scan(monkeypatch, make):
+    f = make()
+    monkeypatch.setattr(MetricFragment, "triangle_failures", _scan_ran)
+    assert_reference_report(verify_fragment(f), f)
+
+
+@pytest.mark.parametrize("make", [
+    _two_class_build,
+    # placement fails: c sits at neither +1 nor -1 from a
+    lambda: fragment_of({("a", "b"): 2, ("a", "c"): 1, ("b", "c"): 2}),
+    # every point places, and the pair c-d fails: Menger's quadruple
+    lambda: fragment_of({("a", "b"): 1, ("b", "c"): 1, ("c", "d"): 1,
+                         ("a", "d"): 1, ("a", "c"): 2, ("b", "d"): 2}),
+], ids=["two-class-seed-5", "three points off the line",
+        "pseudo-linear quadruple"])
+def test_a_fragment_that_does_not_embed_reaches_the_scan(monkeypatch, make):
+    f = make()
+    assert not embed_in_real_line(f).embeddable
+    monkeypatch.setattr(MetricFragment, "triangle_failures", _scan_ran)
+    with pytest.raises(AssertionError, match="the triangle scan ran"):
+        verify_fragment(f)

@@ -18,7 +18,7 @@ import banakh.cli
 from banakh.cli import main
 from banakh.serialize import (buildspec_from_json, certificate_to_json, dumps,
                               fragment_to_json, graph_to_json)
-from banakh.graph_metric import GraphMetric
+from banakh.graph_metric import GraphMetric, MetricFragment
 from banakh.monoid_algebra import APERY_CAP
 from banakh.space_builder import BuildExhausted, build
 from banakh.values import SurdValue
@@ -463,8 +463,27 @@ def pinned_inputs(tmp_path, line_file, elem_file):
         "short": write("short", {"points": ["a", "b", "c"],
                                  "dist": [["a", "b", "1"], ["b", "c", "2"],
                                           ["a", "c", "3"]]}),
+        "rank2": write("rank2", _rank2_line()),
+        "unplaced": write("unplaced", _rank2_line(("x00", "x33"))),
+        "unpaired": write("unpaired", _rank2_line(("x32", "x33"))),
         "out": str(tmp_path / "out.txt"),
     }
+
+
+def _rank2_line(longer=None):
+    """The 16 points a + b*sqrt(2), 0 <= a, b <= 3, named x<a><b>, with the
+    pair ``longer`` one unit longer: from x00, x33 no longer places; between
+    x32 and x33, every point places and that pair fails."""
+    coords = {f"x{a}{b}": SurdValue(a, {2: b})
+              for a in range(4) for b in range(4)}
+    names = list(coords)
+    dist = {}
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            gap = coords[y] - coords[x]
+            dist[(x, y)] = (gap if gap.sign() > 0 else -gap) + (
+                1 if (x, y) == longer else 0)
+    return fragment_to_json(MetricFragment(names, dist))
 
 
 def _pinned(text):
@@ -591,6 +610,25 @@ CLI_OUTPUT_BYTES = [
      '', None),
     (("certify", "{forged}", "{spec}"), 1,
      'sha256:911bf215ea93909fd57dba2cb93e7f02',
+     '', None),
+    # the rank-2 line and its two longer copies: placement and pair check
+    (("verify", "{rank2}"), 0,
+     'sha256:9ca1e3657c9fe9e84396ce0ac05c62af',
+     '', None),
+    (("embed", "{rank2}"), 0,
+     'sha256:b5f1a74cde92fe302a18ba03d1974be1',
+     '', None),
+    (("verify", "{unplaced}"), 1,
+     'sha256:d3dcf9747b905006d9e921fb58fb142d',
+     '', None),
+    (("embed", "{unplaced}"), 1,
+     '{"embeddable":false,"obstruction":["x00","x01","x33"]}\n',
+     '', None),
+    (("verify", "{unpaired}"), 1,
+     'sha256:52988c811cdb5f21b7499c59648c819b',
+     '', None),
+    (("embed", "{unpaired}"), 1,
+     '{"embeddable":false,"obstruction":["x00","x32","x33"]}\n',
      '', None),
 ]
 
