@@ -90,7 +90,8 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     filtered with exact fallbacks otherwise; on a full table it agrees with
     the path check :func:`banakh.graph_metric.validate_pseudometric`.  The
     spheres are read from ``f.spheres``, each center's in the order of their
-    member lists.  A sphere with one member is *incomplete*, not
+    member tuples, the order the index keeps them in, so no call sorts
+    them.  A sphere with one member is *incomplete*, not
     inconsistent: no finite table can realize both members of every sphere.
     Violations are the triangle failures, then spheres with three or more
     members, or two-member spheres whose mutual distance differs from twice
@@ -103,7 +104,7 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     incomplete = []
     banakh = True
     for c in f.points:
-        for r, members in sorted(f.spheres[c].items(), key=lambda kv: kv[1]):
+        for r, members in f.spheres[c].items():
             if len(members) == 1:
                 incomplete.append((c, r))
             elif embeds:

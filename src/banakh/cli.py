@@ -43,7 +43,7 @@ from .serialize import (FormatError, buildspec_from_json,
                         element_from_json, element_to_json,
                         fragment_from_json, fragment_to_json, graph_from_json,
                         graph_to_json, token_to_json,
-                        value_from_json, value_to_json, _plain)
+                        value_from_json, value_to_json, _center_rows, _plain)
 from .values import format_rat, rat
 
 __all__ = ["main"]
@@ -128,7 +128,7 @@ def cmd_verify(args):
     report = verify_fragment(fragment_from_json(_load_json(args.fragment)))
     return ({"metric_ok": report.metric_ok,
              "banakh_consistent": report.banakh_consistent,
-             "incomplete_spheres": _plain(report.incomplete_spheres),
+             "incomplete_spheres": _center_rows(report.incomplete_spheres),
              "violations": _plain(report.violations)},
             0 if report.metric_ok and report.banakh_consistent else 1)
 

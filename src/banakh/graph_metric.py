@@ -80,8 +80,8 @@ class GraphMetric:
     ``_hat_row`` values, built on the first call and kept.
     """
 
-    # the messages of the entry checks in _set_edges; a subclass words them
-    # for its own kind of table
+    # the messages of the entry checks in _checked_edges; a subclass words
+    # them for its own kind of table
     _ENTRY_ERRORS = {
         "unknown": "edge ({u!r},{v!r}) uses an unknown vertex",
         "loop": "self-loop at {u!r}",
@@ -91,19 +91,17 @@ class GraphMetric:
 
     def __init__(self, vertices, edges):
         """edges: mapping from 2-tuples of vertex ids to positive values."""
-        self._set_edges(vertices, edges)
-        if not self._connected():
-            raise ValueError("graph is not connected")
+        vertices = set(vertices)
+        self._set_edges(vertices, self._checked_edges(vertices, edges))
+        self._require_connected()
 
-    def _set_edges(self, vertices, edges) -> None:
-        """Set ``vertices``, ``edges`` and ``adj`` in one validation pass:
-        every entry joins two distinct known vertices, is coerced to a
-        :class:`SurdValue`, is positive and agrees with its other
+    def _checked_edges(self, vertex_set: set, edges) -> dict:
+        """The entries of ``edges`` keyed by :func:`_pair`, after the entry
+        checks: every entry joins two distinct known vertices, is coerced to
+        a :class:`SurdValue`, is positive and agrees with its other
         orientation."""
-        self.vertices = tuple(sorted(set(vertices)))
-        vertex_set = set(self.vertices)
         errors = self._ENTRY_ERRORS
-        self.edges = {}
+        checked = {}
         for (u, v), w in dict(edges).items():
             if u not in vertex_set or v not in vertex_set:
                 raise ValueError(errors["unknown"].format(u=u, v=v))
@@ -113,15 +111,23 @@ class GraphMetric:
             if not w.sign() > 0:
                 raise ValueError(errors["sign"].format(u=u, v=v, w=w))
             key = _pair(u, v)
-            if key in self.edges and self.edges[key] != w:
+            if key in checked and checked[key] != w:
                 raise ValueError(errors["conflict"].format(key=key))
-            self.edges[key] = w
+            checked[key] = w
+        return checked
+
+    def _set_edges(self, vertices, edges: dict) -> None:
+        """Store the distinct ``vertices`` (sorted), ``edges``, positive
+        values keyed by :func:`_pair`, and their adjacency lists ``adj``; no
+        entry is checked here."""
+        self.vertices = tuple(sorted(vertices))
+        self.edges = edges
         self.adj = {v: [] for v in self.vertices}
-        for (u, v), w in self.edges.items():
+        for (u, v), w in edges.items():
             self.adj[u].append((v, w))
             self.adj[v].append((u, w))
 
-    def _connected(self) -> bool:
+    def _require_connected(self) -> None:
         seen = set(self.vertices[:1])
         stack = list(seen)
         while stack:
@@ -129,7 +135,8 @@ class GraphMetric:
                 if nxt not in seen:
                     seen.add(nxt)
                     stack.append(nxt)
-        return len(seen) == len(self.vertices)
+        if len(seen) != len(self.vertices):
+            raise ValueError("graph is not connected")
 
     def is_full(self) -> bool:
         n = len(self.vertices)
@@ -203,7 +210,7 @@ class MetricFragment(GraphMetric):
 
     The constructor validates the table (full, symmetric, zero diagonal,
     every off-diagonal value coercible and positive) in the one pass of
-    ``_set_edges``; a full table is connected, so no search follows.  The
+    ``_checked_edges``; a full table is connected, so no search follows.  The
     triangle inequality is :meth:`triangle_failures`, and the two-point-sphere
     law is checked by :func:`banakh.banakh_space.verify_fragment`, which
     skips the scan only on a proven embedding in ℝ; neither is assumed.
@@ -218,9 +225,10 @@ class MetricFragment(GraphMetric):
 
     def __init__(self, points, dist):
         given = list(points)
-        if len(set(given)) != len(given):
+        names = set(given)
+        if len(names) != len(given):
             raise ValueError("duplicate point ids")
-        self._set_edges(given, dist)
+        self._set_edges(names, self._checked_edges(names, dist))
         want = len(given) * (len(given) - 1) // 2
         if len(self.edges) != want:
             raise ValueError(f"distance table incomplete: {len(self.edges)}/{want}")
@@ -245,12 +253,17 @@ class MetricFragment(GraphMetric):
     @cached_property
     def spheres(self) -> dict:
         """center ↦ {distance value ↦ tuple of the points at that distance
-        from center, in point order}; zero radii are not listed."""
+        from center, in point order}; zero radii are not listed.  A center's
+        items are in member-tuple order, that is by first member, as no
+        point lies on two of its spheres: readers walk them unsorted.  The
+        pairs are read in pair order (one linear pass over a table stored
+        so, as a file's is), so c's members arrive in point order: the u < c
+        of the pairs (u, c), then the v > c of the pairs (c, v)."""
         index = {c: {} for c in self.points}
-        for (x, y), v in self.edges.items():
+        for (x, y), v in sorted(self.edges.items()):
             index[x].setdefault(v, []).append(y)
             index[y].setdefault(v, []).append(x)
-        return {c: {v: tuple(sorted(ms)) for v, ms in by_value.items()}
+        return {c: {v: tuple(ms) for v, ms in by_value.items()}
                 for c, by_value in index.items()}
 
     def distance(self, x, y) -> SurdValue:
@@ -277,9 +290,12 @@ class _DifferenceGraph(GraphMetric):
         self._names = names
         self._at = {name: i for i, name in enumerate(names)}
         self._step = step
-        self._value = cache(step.__mul__)       # n steps ↦ step × n
-        super().__init__(names, {(names[i], names[j]): self._value(n)
-                                 for i, j, n in self._core._int_edges})
+        self._value = value = cache(step.__mul__)   # n steps ↦ step × n
+        # the core's edges join distinct units by a positive number of
+        # steps, once each: stored as they are, with no entry check
+        self._set_edges(names, {_pair(names[i], names[j]): value(n)
+                                for i, j, n in self._core._int_edges})
+        self._require_connected()
 
     def distances_from(self, x: str) -> dict:
         """The path value from x to every vertex of the window, read from

@@ -23,7 +23,9 @@ only a JSON integer, never a bool, float or string.  A row that repeats
 a pair with a different value is a format error, never its last value.
 Every ``_plain`` call, the one writer of certificates and reports, formats
 each distinct value once, through a memo local to the call, and leaves a
-leaf of a dict or a list in place without a recursive call.
+leaf of a dict or a list in place without a recursive call;
+``_center_rows`` writes a report's (center, value) pairs, up to about
+100,000 of them, in the same form without the recursion.
 """
 
 from __future__ import annotations
@@ -302,6 +304,20 @@ def _plain(obj, memo=None):
     if type(out) is dict:
         return {"rat": out["rat"], "surds": dict(out["surds"])}
     return out
+
+
+def _center_rows(pairs) -> list:
+    """The [center, value] rows ``_plain`` makes of (center, SurdValue)
+    pairs; each value object is formatted once and its rows share the form,
+    so the rows are fit only for writing out."""
+    forms = {}
+    rows = []
+    for c, v in pairs:
+        form = forms.get(id(v))
+        if form is None:
+            form = forms[id(v)] = value_to_json(v)
+        rows.append([c, form])
+    return rows
 
 
 def certificate_to_json(cert: Certificate) -> dict:

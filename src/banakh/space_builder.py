@@ -289,7 +289,7 @@ def build(spec: BuildSpec):
                      lambdas=report.lambdas, new_vertices=new_count,
                      extension_backtracks=backtracks)
 
-    spheres, law_ok = _sphere_ledger(fragment, table)
+    spheres, law_ok = _sphere_ledger(fragment, table, fits)
     # every targeted (point, class, unit) ends with a two-member entry
     growth_ok = targets_seen <= {(e["center"], e["class"], e["unit"])
                                  for e in spheres if e["complete"]}
@@ -367,30 +367,87 @@ def _complete(g, spec: BuildSpec, stage: int, generic_log: list):
     return result.full, result.backtracks
 
 
-def _sphere_ledger(f: MetricFragment, table):
-    """Nonempty spheres at every windowed class radius of the class table,
-    read from the sphere index, and the two-point law's verdict on them.  A
-    deficient sphere is recorded (a later stage would complete it); more than
-    two members, or a pair at the wrong mutual distance, violates the law."""
+def _ledger_rows(f: MetricFragment, table, fits):
+    """The sphere ledger's rows in ledger order (class, center, unit):
+    (class index, center, unit n, radius n·r, member tuple, diameter_ok)
+    for each nonempty sphere at a windowed class radius; diameter_ok tells
+    whether two members lie 2n·r apart, and is None for other sizes.  The
+    radius and diameter are the fragment's own value objects, from its
+    unit ``fits`` inverted, so on a table with one object per value, as
+    read from a file, each sphere lookup hits by identity; a radius that
+    no pair realizes is never looked up."""
+    for ci, (_, _, radii) in enumerate(table):
+        by_unit = {q: v for v, (cj, q) in fits.items() if cj == ci}
+        windowed = [(n, by_unit[n], by_unit.get(2 * n))
+                    for n in radii if n in by_unit]
+        for x in f.points:
+            at = f.spheres[x]
+            for n, radius, diameter in windowed:
+                members = at.get(radius)
+                if members is None:
+                    continue
+                ok = None
+                if len(members) == 2:
+                    d = f.distance(*members)
+                    ok = diameter is not None and (d is diameter
+                                                   or d == diameter)
+                yield ci, x, n, radius, members, ok
+
+
+def _sphere_ledger(f: MetricFragment, table, fits):
+    """The ledger's entries, the dicts of :func:`_ledger_rows`, and the
+    two-point law's verdict on them.  A deficient sphere is recorded (a
+    later stage would complete it); more than two members, or a pair at
+    the wrong mutual distance, violates the law."""
     ledger = []
     ok = True
-    for ci, (cls, _, radii) in enumerate(table):
-        windowed = [(n, cls.r * n, cls.r * (2 * n)) for n in radii]
-        for x in f.points:
-            for n, radius, diameter in windowed:
-                members = list(f.spheres[x].get(radius, ()))
-                if not members:
-                    continue
-                entry = {"center": x, "class": ci, "unit": n,
-                         "radius": radius, "members": members,
-                         "complete": len(members) == 2}
-                if len(members) == 2:
-                    u, v = members
-                    entry["diameter_ok"] = f.distance(u, v) == diameter
-                    ok = ok and entry["diameter_ok"]
-                ok = ok and len(members) <= 2
-                ledger.append(entry)
+    for ci, x, n, radius, members, diameter_ok in _ledger_rows(f, table, fits):
+        entry = {"center": x, "class": ci, "unit": n, "radius": radius,
+                 "members": list(members), "complete": len(members) == 2}
+        if diameter_ok is not None:
+            entry["diameter_ok"] = diameter_ok
+        ok = ok and len(members) <= 2 and diameter_ok is not False
+        ledger.append(entry)
     return ledger, ok
+
+
+def _ledger_matches(rows, entries) -> bool:
+    """Do the certificate's ledger ``entries`` equal the dicts that
+    :func:`_sphere_ledger` makes of ``rows``, with the law holding on every
+    row and each entry's ``complete`` and ``diameter_ok`` a bool?  Entries
+    and rows are walked in step up to the first mismatch.  Each field
+    compares as dict ``==`` would, row value on the left (``True == 1`` and
+    ``Fraction(2) == 2`` pass, a tuple of members does not; a missing key
+    reads as None, which no row value equals), and each distinct pair of
+    unit or radius objects once, remembered by their ids while both live."""
+    if not isinstance(entries, list):
+        return False
+    same = set()    # (id(entry object), id(row object)) of the equal pairs
+    count = 0
+    for ci, x, n, radius, members, diameter_ok in rows:
+        size = len(members)
+        if count == len(entries) or size > 2 or diameter_ok is False:
+            return False
+        e = entries[count]
+        count += 1
+        if not (isinstance(e, dict)
+                and len(e) == (6 if diameter_ok is None else 7)
+                and x == e.get("center") and ci == e.get("class")
+                and list(members) == e.get("members")
+                and e.get("complete") is (size == 2)
+                and (diameter_ok is None
+                     or e.get("diameter_ok") is diameter_ok)):
+            return False
+        unit, value = e.get("unit"), e.get("radius")
+        if (id(unit), id(n)) not in same:
+            if not (n is unit or n == unit):
+                return False
+            same.add((id(unit), id(n)))
+        if (id(value), id(radius)) not in same:
+            if not (radius is value or radius == value):
+                return False
+            same.add((id(value), id(radius)))
+    return count == len(entries)
 
 
 # ---------------------------------------------------------------------------
@@ -421,10 +478,12 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
       under in-window addition;
     - that the certificate's classes are the spec's canonical classes, with
       their `r`, `floppy: true` and `units_window`;
-    - that the sphere ledger equals the ledger rebuilt from the fragment
-      and spec, with the two-point law holding on it and its `complete`
-      and `diameter_ok` flags bools; and that the certificate's
-      `sphere_law_ok` and `growth_ok` are both `true`;
+    - that the sphere ledger equals the one the build writes for the
+      fragment and spec, with the two-point law holding on it and its
+      `complete` and `diameter_ok` flags bools, checked entry by entry
+      against the fragment's ledger rows (:func:`_ledger_matches`), no
+      ledger built; and that the certificate's `sphere_law_ok` and
+      `growth_ok` are both `true`;
     - that the `stages` log has one entry per stage, numbered from 0 (none
       when the spec has no classes), whose integer `new_vertices` sum to
       the fragment's point count.
@@ -457,12 +516,8 @@ def verify_certificate(fragment: MetricFragment, spec: BuildSpec,
 
     table = _class_table(spec, classes)
     report["classes_match_cert"] = cert.classes == _certified_classes(table)
-    ledger, law_ok = _sphere_ledger(fragment, table)
-    # 1 == True: the equal ledger's flags must also be bools
-    ledger_ok = (law_ok and ledger == cert.spheres
-                 and all(type(e["complete"]) is bool
-                         and type(e.get("diameter_ok", False)) is bool
-                         for e in cert.spheres)
+    ledger_ok = (_ledger_matches(_ledger_rows(fragment, table, fits),
+                                 cert.spheres)
                  and cert.sphere_law_ok is True and cert.growth_ok is True)
     report["sphere_ledger_ok"] = ledger_ok
 

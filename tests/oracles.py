@@ -575,6 +575,22 @@ def class_sphere_ledger(points, dist, classes):
     return ledger
 
 
+def reference_ledger_ok(ledger, cert) -> bool:
+    """The sphere-ledger verdict by rebuild and compare: ``ledger`` is the
+    ledger rebuilt as fresh dicts (:func:`class_sphere_ledger`); the
+    two-point law must hold on it (at most two members, two at twice the
+    radius), it must equal the certificate's entries under ``==``, each
+    entry's ``complete`` and ``diameter_ok`` must be bools (``==`` lets 1
+    pass for True), and the certificate's two verdicts must be ``True``."""
+    law = all(len(e["members"]) <= 2 and e.get("diameter_ok", True)
+              for e in ledger)
+    return (law and ledger == cert.spheres
+            and all(type(e["complete"]) is bool
+                    and type(e.get("diameter_ok", False)) is bool
+                    for e in cert.spheres)
+            and cert.sphere_law_ok is True and cert.growth_ok is True)
+
+
 # -- group vectors -----------------------------------------------------------
 #
 # A group element as a plain {index: Fraction} dict with no zero values; the

@@ -1,4 +1,5 @@
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import oracles
 from conftest import line_fragment
 from banakh.values import SurdValue, ZERO
 from banakh.monoid_algebra import MonoidDesc
+from banakh.serialize import dumps, fragment_from_json, fragment_to_json
 from banakh.space_builder import BuildSpec, RadiusClass, build
 from banakh.banakh_group import GroupOracle, basis, zero
 from banakh.banakh_space import (MetricFragment, verify_fragment,
@@ -126,6 +128,39 @@ def test_sphere_index_matches_the_reference_scan(request, make, largest):
                                                         c, v))
             sizes.add(len(members))
     assert max(sizes) == largest and 0 in sizes
+
+
+def _scrambled_line():
+    """The points 0..12 of Z named out of coordinate order, each distance
+    its own value object (equal values, distinct objects), the pairs given
+    last to first and in both orientations."""
+    names = {k: f"n{(5 * k) % 13:02d}" for k in range(13)}
+    pairs = [((names[j], names[i]), SurdValue(j - i))
+             for i in range(13) for j in range(i + 1, 13)]
+    return MetricFragment(list(names.values())[::-1], dict(pairs[::-1]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda request: _two_class_build(),
+    lambda request: fragment_from_json(json.loads(dumps(
+        fragment_to_json(_two_class_build())))),
+    lambda request: request.getfixturevalue("z_line_window"),
+    lambda request: _scrambled_line(),
+    lambda request: fragment_of(CROWDED),
+], ids=["two-class-seed-5", "read-back", "z-line-window", "scrambled-line",
+        "crowded-sphere"])
+def test_the_sphere_index_keeps_member_tuple_order(request, make):
+    # each center's spheres come in the order of their member tuples, each
+    # tuple in point order, and together they hold every other point once;
+    # verify_fragment reads them in that order, with no sort of its own
+    f = make(request)
+    for c in f.points:
+        tuples = list(f.spheres[c].values())
+        assert tuples == sorted(tuples)
+        assert all(list(t) == sorted(t) for t in tuples)
+        assert sorted(p for t in tuples for p in t) == [p for p in f.points
+                                                         if p != c]
+    assert_reference_report(verify_fragment(f), f)
 
 
 @pytest.mark.parametrize("make, failures", [

@@ -707,3 +707,120 @@ def test_verifier_accepts_the_per_pair_ledger_of_a_fragment_read_back(spec):
     assert ledger
     report = verify_certificate(again, spec, read._replace(spheres=ledger))
     assert report["sphere_ledger_ok"] and report["all_ok"], report
+
+
+# -- the ledger check against the rebuild and compare -------------------------------
+
+
+LEDGER_SPECS = {
+    "two-classes": BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                                    RadiusClass(SQRT2, ZP)),
+                             stages=2, window=Fraction(2), seed=5),
+    "omega-minus-1": BuildSpec(radii=(RadiusClass(SurdValue(1), OMEGA),),
+                               stages=1, window=Fraction(7), seed=3),
+    "41-point-line": zp_spec(window=20, seed=5),
+}
+
+
+@pytest.fixture(scope="module", params=sorted(LEDGER_SPECS))
+def read_back(request):
+    """A build as read back from its JSON: (spec, fragment, certificate,
+    the verifier's report on it, the per-pair ledger of the fragment)."""
+    spec = LEDGER_SPECS[request.param]
+    frag, cert = build(spec)
+    doc = json.loads(dumps({"fragment": fragment_to_json(frag),
+                            "certificate": certificate_to_json(cert)}))
+    frag = fragment_from_json(doc["fragment"])
+    cert = certificate_from_json(doc["certificate"])
+    classes = [(cls.r, cls.monoid.member,
+                [n for n in cls.monoid.elements(c["units_window"],
+                                                spec.denom_bound) if n > 0])
+               for cls, c in zip(spec.canonical_classes(), cert.classes)]
+    ledger = oracles.class_sphere_ledger(frag.points, frag.distance, classes)
+    return spec, frag, cert, verify_certificate(frag, spec, cert), ledger
+
+
+def _tamper(kind, spheres, i, j, frag):
+    """Edit the ledger ``spheres`` (a list of entry copies) in place: the
+    i-th entry, or the i-th and j-th, by the named edit."""
+    e = spheres[i]
+    if kind == "drop":
+        del spheres[i]
+    elif kind == "duplicate":
+        spheres.insert(i, dict(e))
+    elif kind == "swap":
+        spheres[i], spheres[j] = spheres[j], spheres[i]
+    elif kind == "append":
+        spheres.append(dict(e, center=frag.points[j % len(frag.points)]))
+    elif kind == "class-true":
+        e["class"] = True
+    elif kind == "unit-int":
+        e["unit"] = int(e["unit"])
+    elif kind == "unit-bool":
+        e["unit"] = True
+    elif kind == "radius-fraction":
+        r = SurdValue.of(e["radius"])
+        e["radius"] = r.as_rational() if r.is_rational() else r.rational_part
+    elif kind == "radius-copy":
+        r = SurdValue.of(e["radius"])
+        e["radius"] = SurdValue(r.rational_part, r.surd_coeffs)
+    elif kind == "members-tuple":
+        e["members"] = tuple(e["members"])
+    elif kind == "complete-one":
+        e["complete"] = 1
+    elif kind == "diameter_ok-toggled":
+        if "diameter_ok" in e:
+            del e["diameter_ok"]
+        else:
+            e["diameter_ok"] = True
+    else:   # "extra-key"
+        e["note"] = "x"
+
+
+LEDGER_EDITS = ("drop", "duplicate", "swap", "append", "class-true",
+                "unit-int", "unit-bool", "radius-fraction", "radius-copy",
+                "members-tuple", "complete-one", "diameter_ok-toggled",
+                "extra-key")
+
+
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_the_ledger_check_equals_the_rebuild_and_compare(read_back, data):
+    # a read-back certificate's ledger, edited one to three times: the
+    # verifier's whole report is its report on the true certificate with
+    # the ledger verdict of the rebuild and compare
+    spec, frag, cert, clean, ledger = read_back
+    assert clean["all_ok"] and oracles.reference_ledger_ok(ledger, cert)
+    spheres = [dict(e) for e in cert.spheres]
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(LEDGER_EDITS))
+        i, j = (data.draw(st.integers(0, len(spheres) - 1)) for _ in "ij")
+        _tamper(kind, spheres, i, j, frag)
+    forged = cert._replace(spheres=spheres)
+    ok = oracles.reference_ledger_ok(ledger, forged)
+    assert verify_certificate(frag, spec, forged) == dict(
+        clean, sphere_ledger_ok=ok, all_ok=ok)
+
+
+@pytest.mark.parametrize("read_back", ["two-classes"], indirect=True)
+@pytest.mark.parametrize("kind, ci, passes", [
+    ("class-true", 1, True), ("class-true", 0, False), ("unit-int", 1, True),
+    ("unit-bool", 1, True), ("radius-fraction", 0, True),
+    ("radius-fraction", 1, False), ("radius-copy", 1, True),
+    ("members-tuple", 1, False),
+])
+def test_the_ledger_check_keeps_the_dict_equality(read_back, kind, ci,
+                                                  passes):
+    # on the first entry of class ci (radius 1 or sqrt(2)) at unit 1: an
+    # equal int, bool, Fraction or distinct value passes, as dict == lets
+    # it, and a tuple of members fails (CERT_EDITS has the flag and key
+    # edits, _ledger_forgeries the reordered ledgers)
+    spec, frag, cert, clean, ledger = read_back
+    i = next(i for i, e in enumerate(cert.spheres)
+             if e["class"] == ci and e["unit"] == 1)
+    spheres = [dict(e) for e in cert.spheres]
+    _tamper(kind, spheres, i, i + 1, frag)
+    forged = cert._replace(spheres=spheres)
+    assert oracles.reference_ledger_ok(ledger, forged) is passes
+    report = verify_certificate(frag, spec, forged)
+    assert report["sphere_ledger_ok"] is passes and report["all_ok"] is passes
