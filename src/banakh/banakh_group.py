@@ -381,6 +381,8 @@ class GroupOracle(SphereOracle):
         return dist_token(x, y)
 
     def sphere(self, c, t):
+        if self.lattice == "H" and not in_lattice(c, "H"):
+            raise ValueError("center is not in the integer lattice")
         if t.is_zero():
             return (c,)
         if self.lattice == "H" and not in_lattice(t.rep, "H"):

@@ -16,11 +16,12 @@ monoid, ``extend_to_full`` completes floppy graphs with certified-generic
 surd values, and ``floppy_union`` glues fragments with positivity
 certificates.
 
-Every graph answers ``hat`` and ``check`` from one all-pairs table,
-:class:`_DistanceTable`, built on first use from the class's one hook,
-``_hat_row``: shortest paths for a plain graph, the closed difference
-formula for a difference graph (a :class:`MuGraph` or a :class:`ScaledMu`
-copy).  A difference graph reads its closed hats and its path values
+Every graph reads its path values from one all-pairs table, ``_path_table``
+(a :class:`_DistanceTable` seeded by ``distances_from``): ``hat``,
+``check``, the witness of :func:`validate_pseudometric` and the seed that
+:func:`extend_to_full` completes.  A difference graph (a :class:`MuGraph` or
+a :class:`ScaledMu` copy) answers ``hat`` and ``check`` from its closed
+formula instead, and reads its closed hats and its path values
 (``distances_from``) from its template's int core, as numbers of steps
 times the value of one step; the union that ``floppy_union`` returns reads
 its path values from its parts, as minima over glue points of member paths
@@ -76,8 +77,8 @@ def _pair(u: str, v: str) -> tuple[str, str]:
 class GraphMetric:
     """Connected graph with exact positive edge values.
 
-    Immutable after construction: ``hat`` and ``check`` read one table of
-    ``_hat_row`` values, built on the first call and kept.
+    Immutable after construction: ``hat`` and ``check`` read the path
+    table ``_path_table``, built on first use and kept.
     """
 
     # the messages of the entry checks in _checked_edges; a subclass words
@@ -186,13 +187,16 @@ class GraphMetric:
         ends = [abs(end) for w in self.edges.values() for end in _enclosure(w)]
         return _tol(len(self.vertices) * max(ends, default=0.0))
 
-    def _hat_row(self, x: str) -> dict:
-        """hat(x, y) for every vertex y: the shortest-path values."""
-        return self.distances_from(x)
-
     @cached_property
-    def _hat_table(self) -> "_DistanceTable":
-        return _DistanceTable(self.vertices, self.edges, self._hat_row)
+    def _path_table(self) -> "_DistanceTable":
+        """The path value of every pair, seeded by ``distances_from`` from
+        every vertex but the last (the search above, a difference graph's int
+        table, or a union's glue-point minima).  A completion starts from a
+        copy: a difference graph's closed hats can fall below these values."""
+        return _DistanceTable(self.vertices, self.edges, self.distances_from)
+
+    # what hat and check read; a difference graph reads its closed formula
+    _hat_table = property(lambda self: self._path_table)
 
     def hat(self, x: str, y: str) -> SurdValue:
         table = self._hat_table
@@ -306,11 +310,13 @@ class _DifferenceGraph(GraphMetric):
         return dict(zip(self._names,
                         map(self._value, self._core._path_rows[i])))
 
-    def _hat_row(self, x: str) -> dict:
-        steps, closed = self._core._steps, self._core._closed
-        t, value = steps[self._at[x]], self._value
-        return {y: value(closed[abs(s - t)])
-                for y, s in zip(self._names, steps)}
+    @cached_property
+    def _hat_table(self) -> "_DistanceTable":
+        """The closed hats, a table apart from ``_path_table``."""
+        closed, value = self._core._closed, self._value
+        at = dict(zip(self._names, self._core._steps))     # name ↦ steps
+        return _DistanceTable(self.vertices, self.edges, lambda x: {
+            y: value(closed[abs(s - at[x])]) for y, s in at.items()})
 
 
 class MuGraph(_DifferenceGraph):
@@ -456,12 +462,12 @@ def validate_pseudometric(g: GraphMetric):
 
 
 def _path_witness(g: GraphMetric):
-    """(False, the first edge that is not its shortest path), or
-    (True, None) if there is none."""
-    for x in g.vertices:
-        dist = g.distances_from(x)
+    """(False, the first edge, in vertex and ``adj`` order, that is not its
+    shortest path in ``g._path_table``), or (True, None) if there is none."""
+    table = g._path_table
+    for i, x in enumerate(g.vertices):
         for v, w in g.adj[x]:
-            if dist[v] != w:
+            if table.exact(i, table.index[v]) != w:
                 return False, (x, v)
     return True, None
 
@@ -584,21 +590,14 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     holds the i with d(i,u) + w < d(i,v) and B the j with
     d(j,v) + w < d(j,u): by the triangle inequality of the entries no
     other pair can get shorter through it (see :class:`_DistanceTable`).
-    The entries start as the path values of ``g`` and stay shortest paths
-    of the growing graph, so that precondition holds throughout.  ``check``
-    reads one column cached for the pair's first point, which the
-    lexicographic order asks for pair after pair; the column stays valid
-    across ``add_edge`` because entries only shrink and edges are only
-    added.
+    The entries start as a copy of ``g._path_table`` and stay shortest
+    paths of the growing graph, so that precondition holds throughout.
+    ``check`` reads one column cached for the pair's first point, which
+    the lexicographic order asks for pair after pair; the column stays
+    valid across ``add_edge`` because entries only shrink and edges are
+    only added.
 
-    The table is built only when a pair is missing.  It starts from the
-    path values of ``g`` itself (``g.distances_from``: the float-filtered
-    search of :meth:`GraphMetric.distances_from`, a difference graph's int
-    table, or a union's glue-point minima over its parts, see
-    :class:`_Union`), not from ``g.hat``: a difference graph's closed
-    formula is the value on the infinite graph and can fall below the
-    windowed path near the window edge.  The result is a
-    :class:`MetricFragment`, validated by the scan that
+    The result is a :class:`MetricFragment`, validated by the scan that
     :func:`banakh.banakh_space.verify_fragment` runs on a fragment that
     does not embed in ℝ, :meth:`MetricFragment.triangle_failures`, through
     the one call :func:`validate_pseudometric`, whose per-vertex path
@@ -610,7 +609,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
     _check_pairs(len(verts), "completion")
     missing = [p for p in combinations(verts, 2) if p not in g.edges]
     assignments, intervals, backtracks = \
-        _assign(g, verts, missing, policy) if missing else ({}, {}, 0)
+        _assign(g, missing, policy) if missing else ({}, {}, 0)
 
     full_edges = dict(g.edges)
     full_edges.update(assignments)
@@ -622,8 +621,7 @@ def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
                            intervals=intervals, backtracks=backtracks)
 
 
-def _assign(g: GraphMetric, verts: list, missing: list,
-            policy: ExtensionPolicy):
+def _assign(g: GraphMetric, missing: list, policy: ExtensionPolicy):
     """The values of the ``missing`` pairs of ``g``, in the order and with
     the backtracking of :func:`extend_to_full`: (assignments, intervals,
     backtracks)."""
@@ -636,9 +634,8 @@ def _assign(g: GraphMetric, verts: list, missing: list,
     sampler = policy.dense_family or (
         lambda pair, lo, hi, r, prime: _default_sample(lo, hi, r, prime))
 
-    base = _DistanceTable(verts, g.edges, g.distances_from)
+    base = g._path_table        # shared with g: grown only in copies
     index = base.index
-
     assignments: dict = {}
     intervals: dict = {}
     order: list = []

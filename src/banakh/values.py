@@ -26,10 +26,11 @@ built only for public results and read-only views.  Only the public
 constructors validate; arithmetic builds through the trusted ``_raw``.
 Outside the two modules, :mod:`banakh.serialize` reads the fields in
 ``value_to_json`` and builds through ``_from_ints``, the validating
-constructor on the ints of ``_ratio``, in ``value_from_json``; and
+constructor on the ints of ``_ratio``, in ``value_from_json``;
 :mod:`banakh.graph_metric` reads them in ``_exact`` (through ``_sum3``),
 ``_default_sample`` (``_raw``, ``_lowest``, ``_sum``) and ``_line_ints``
-(``_pivots``).
+(``_pivots``); and :mod:`banakh.banakh_space` reads ``_surds``, ``_den``
+and ``_num`` in ``_tie``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from banakh.banakh_group import (GroupElement, zero, basis, add, neg, scale,
@@ -88,6 +88,8 @@ def test_results_are_in_lowest_terms():
         GroupElement({0: 1, 1: 2})
     assert GroupElement({0: "2/4", 3: "0"}) == half
     assert hash(GroupElement({0: "2/4"})) == hash(half)
+    # order on differing denominators compares the coefficients
+    assert half < basis(0) and not basis(0) < half
 
 
 # mixed denominators up to 12 over indices 0-5
@@ -168,6 +170,7 @@ def test_hot_path_makes_no_validating_constructor_calls(monkeypatch):
 
 
 @given(elements)
+@example(GroupElement({0: Fraction(1, 2)}))
 def test_lattice_membership(x):
     assert in_lattice(x, "L")
     assert in_lattice(x, "H") == all(c.denominator == 1
@@ -185,6 +188,7 @@ def test_norm_equal_iff_plus_minus_exhaustive():
 
 
 @given(elements, elements)
+@example(basis(0), zero())
 def test_dist_token_is_symmetric_and_sign_blind(x, y):
     assert dist_token(x, y) == dist_token(y, x)
     assert hash(dist_token(x, y)) == hash(dist_token(y, x))
@@ -327,6 +331,10 @@ def test_solve_norm_equation_shapes():
     assert one.solutions == (Fraction(-1),)
     nothing = solve_norm_equation(1, 0, 1, 1, 0, 0)  # t^2+1 = t^2
     assert nothing.solutions == () and not nothing.infinite
+    double = solve_norm_equation(1, 0, 0, 0, 0, 0)   # t^2 = 0
+    assert double.solutions == (Fraction(0),)
+    negative = solve_norm_equation(1, 0, 1, 0, 0, 0)  # t^2 + 1 = 0
+    assert negative.solutions == () and not negative.infinite
     infinite = solve_norm_equation(1, 2, 3, 1, 2, 3)
     assert infinite.infinite and infinite.count == "infinite"
     irrational = solve_norm_equation(1, 0, 0, 0, 1, 1)  # t^2 = 2: no rational
@@ -366,5 +374,18 @@ def test_group_oracle_h_lattice_rejects_fractional_spheres():
     assert o.sphere(c, t) == ()
     whole = DistToken(basis(1))
     assert len(o.sphere(c, whole)) == 2
+    assert o.sphere(c, DistToken(zero())) == (c,)
     with pytest.raises(ValueError):
         GroupOracle("X")
+
+
+@pytest.mark.parametrize("t", [basis(0), zero(),
+                               GroupElement({1: Fraction(1, 2)})],
+                         ids=["integral", "zero", "fractional"])
+def test_group_oracle_h_lattice_refuses_a_center_outside_it(t):
+    # S(1/2, 1) in H would hold -1/2 and 3/2, which H lacks; the oracle
+    # refuses the center, as h_norm_certificate refuses such an element
+    c = GroupElement({0: Fraction(1, 2)})
+    with pytest.raises(ValueError, match="not in the integer lattice"):
+        GroupOracle("H").sphere(c, DistToken(t))
+    assert len(GroupOracle("L").sphere(c, DistToken(basis(0)))) == 2

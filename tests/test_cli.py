@@ -221,6 +221,13 @@ def test_monoid_flags_are_exclusive(capsys):
     assert code == 2 and "exactly one" in err
 
 
+def test_an_unknown_closure_id_is_a_format_error(capsys):
+    code, out, err = run(capsys, "halfgroup", "--monoid", "nosuch")
+    assert (code, out) == (2, "")
+    assert err == ("format error: unknown closure id 'nosuch'; known: "
+                   "dyadic, dyadic-plus-thirds, omega-minus-1\n")
+
+
 def test_ddot_output_modes(capsys):
     code, doc, _ = run_json(capsys, "ddot", "--monoid", "omega-minus-1",
                             "--window", "6")
@@ -368,6 +375,14 @@ def test_group_tasks(capsys, elem_file):
     assert code == 0 and len(doc["sphere"]) == 2
     code, doc, _ = run_json(capsys, "group", "sphere", z, x, "--lattice", "H")
     assert code == 0 and doc == {"sphere": []}
+    # a center outside H has no sphere in H: bad input, not its L members
+    half, one = elem_file("half", {0: Fraction(1, 2)}), elem_file("one", {0: 1})
+    code, out, err = run(capsys, "group", "sphere", half, one, "--lattice", "H")
+    assert (code, out) == (2, "")
+    assert err == "bad input: center is not in the integer lattice\n"
+    code, doc, _ = run_json(capsys, "group", "sphere", half, one)
+    assert code == 0 and doc == {"sphere": [{"coeffs": {"0": "-1/2"}},
+                                            {"coeffs": {"0": "3/2"}}]}
     code, doc, _ = run_json(capsys, "group", "hnorm", z)
     assert code == 0 and doc["holds"] and doc["reason"] == "tail"
     code, doc, _ = run_json(capsys, "group", "solve",

@@ -47,6 +47,8 @@ def test_rejects_disconnected_and_bad_edges():
         GraphMetric(["a", "b"], {("a", "b"): 0})
     with pytest.raises(ValueError, match="unknown vertex"):
         GraphMetric(["a", "b"], {("a", "x"): 1})
+    with pytest.raises(ValueError, match="radius must be positive"):
+        build_mu(MonoidDesc.fingen([1]), 0, 2)
 
 
 def test_the_empty_graph_and_an_unknown_vertex():
@@ -325,6 +327,17 @@ def test_triangle_failures_find_a_last_bits_failure(over):
     assert tie.triangle_failures() == []
 
 
+@pytest.mark.parametrize("long_side,named", [
+    (("x", "z"), ("x", "z", "y")), (("y", "z"), ("y", "z", "x")),
+    (("x", "y"), ("x", "y", "z"))])
+def test_the_float_scan_names_the_failing_side(long_side, named):
+    # 3*sqrt(2) against two unit sides: a table that is not one-dimensional
+    f = MetricFragment(["x", "y", "z"], {
+        pair: SurdValue.sqrt(2) * 3 if pair == long_side else SurdValue(1)
+        for pair in (("x", "y"), ("x", "z"), ("y", "z"))})
+    assert f.triangle_failures() == [named]
+
+
 def off_by_an_ulp(value):
     """Ends that miss the value by up to one ulp the wrong way, more than a
     stored end ever does."""
@@ -589,6 +602,16 @@ def test_extension_rejects_pinched_input():
     with pytest.raises(ExtensionExhausted) as info:
         extend_to_full(g, ExtensionPolicy(seed=0, max_backtracks=40))
     assert info.value.pair == ("a", "c")
+
+
+def test_completion_of_a_graph_that_is_no_pseudometric_fails_validation():
+    # a-c = 3 is longer than the path a-b-c: completion fills (a, d) and
+    # (b, d), and the validating scan of the result names the edge
+    g = GraphMetric(["a", "b", "c", "d"], {("a", "b"): 1, ("b", "c"): 1,
+                                           ("a", "c"): 3, ("c", "d"): 1})
+    with pytest.raises(RuntimeError,
+                       match=r"failed validation at \('a', 'c'\)"):
+        extend_to_full(g, ExtensionPolicy(seed=1))
 
 
 def test_extension_guards_against_rogue_samplers():
@@ -877,6 +900,13 @@ def test_distances_from_beyond_the_double_range():
     assert got == oracles.dijkstra(g.vertices, g.edges, "a")
 
 
+def plain_window():
+    """The <2, 3> window of radius 1 and window 5 as a plain graph, as
+    `banakh extend` reads it from a file: 11 vertices, floppy, not full."""
+    g = build_mu(MonoidDesc.fingen([2, 3]), 1, 5)
+    return GraphMetric(g.vertices, g.edges)
+
+
 def test_completion_seeds_from_every_vertex_but_the_last(monkeypatch):
     calls = []
     paths = GraphMetric.distances_from
@@ -895,6 +925,53 @@ def test_completion_seeds_from_every_vertex_but_the_last(monkeypatch):
     # one missing pair: the last row sets no entry
     extend_to_full(path_graph([1, 1]), ExtensionPolicy(seed=0))
     assert calls == ["v0", "v1"]
+    # validate_pseudometric names its witness from the path table, and
+    # extend_to_full completes a copy of the same table: one search per
+    # vertex but the last, for both together
+    calls.clear()
+    g = plain_window()
+    assert validate_pseudometric(g) == (True, None)
+    assert calls == list(g.vertices[:-1])
+    assert extend_to_full(g, ExtensionPolicy(seed=3)).assignments
+    assert calls == list(g.vertices[:-1])
+
+
+def test_hat_and_check_of_a_plain_graph_read_its_path_table():
+    g = plain_window()
+    base = MetricFragment(["a", "b"], {("a", "b"): 2})
+    member = GraphMetric(["a", "b", "c"], {("a", "c"): 1, ("b", "c"): 1})
+    union, _ = floppy_union(base, [member])
+    for graph in (g, base, union):
+        assert graph._hat_table is graph._path_table
+    assert union.hat("a", "c") == 1 and union.check("a", "b") == 2
+
+
+def table_state(table):
+    return ([[table.exact(i, j) for j in range(len(table.verts))]
+             for i in range(len(table.verts))],
+            [row[:] for row in table.lo], [row[:] for row in table.hi],
+            table.edges[:], table.bound, table.tol)
+
+
+@pytest.mark.parametrize("make", [
+    plain_window,
+    lambda: build_mu(OMEGA1, 1, 6),
+    lambda: copy_of_a_copy(build_mu(OMEGA1, 1, 4))],
+    ids=["plain", "difference", "copy of a copy"])
+def test_completion_leaves_the_path_table_as_it_was(make):
+    g = make()
+    pairs = list(itertools.combinations(g.vertices, 2))
+    hats = [g.hat(x, y) for x, y in pairs]
+    checks = [g.check(x, y) for x, y in pairs]
+    before = table_state(g._path_table)
+    result = extend_to_full(g, ExtensionPolicy(seed=5))
+    assert result.assignments and result.backtracks == 0
+    assert [g.hat(x, y) for x, y in pairs] == hats
+    assert [g.check(x, y) for x, y in pairs] == checks
+    assert table_state(g._path_table) == before
+    again = extend_to_full(g, ExtensionPolicy(seed=5))
+    assert again.assignments == result.assignments
+    assert again.full.edges == result.full.edges
 
 
 # -- the difference graph's int path table ---------------------------------------
@@ -924,6 +1001,7 @@ def copy_of_a_copy(template):
 @given(difference_monoids, st.sampled_from([1, Fraction(1, 2), 2]),
        st.integers(1, 5), st.sampled_from(PATH_SCALES))
 @example(MonoidDesc.fingen([3, 5]), 1, 3, SurdValue.sqrt(2))
+@example(MonoidDesc.fingen([2, 5]), 1, 3, SurdValue(1))
 @settings(max_examples=100, deadline=None)
 def test_difference_graph_paths_match_the_oracle_and_the_search(
         monoid, r, units, scale):
@@ -1003,6 +1081,19 @@ def test_the_path_table_is_not_the_closed_hat():
     assert ("-1", "1") in below
     assert g.hat_path("-1", "1") == \
         oracles.dijkstra(g.vertices, g.edges, "-1")["1"]
+    # hat and check read a closed table apart from the path table, on the
+    # window and on a copy
+    copy = ScaledMu(g, SurdValue.sqrt(2), {v: f"s{v}" for v in g.vertices})
+    hats = [0, 11, 8, 11, 8, 3, 14]         # from -1, in vertex order
+    paths = [0, 19, 8, 11, 22, 3, 14]
+    for graph, unit in ((g, SurdValue(1)), (copy, SurdValue.sqrt(2))):
+        assert graph._hat_table is not graph._path_table
+        x, table = graph.vertices[0], graph._path_table
+        assert [graph.hat(x, y) for y in graph.vertices] == \
+            [unit * n for n in hats]
+        assert [table.exact(0, j) for j in range(len(paths))] == \
+            [graph.hat_path(x, y) for y in graph.vertices] == \
+            [unit * n for n in paths]
 
 
 def test_difference_completion_seeds_from_the_int_table(monkeypatch):
@@ -1080,6 +1171,23 @@ def test_a_dropped_difference_graph_is_freed_at_once():
 def test_engine_matches_reference_on_small_graphs(g, family, seed, budget):
     assert_engines_agree(g, ExtensionPolicy(seed=seed, max_backtracks=budget,
                                             dense_family=family))
+
+
+def test_the_column_follows_an_edge_away_from_its_key():
+    # on the path v0-v1-v2-v3 with the column keyed at v0, the edge
+    # (v3, v1) = 1 shortens the entry (v3, v0), whose second end is the key
+    g = path_graph([1, 1, 1])
+    verts, edges = g.vertices, dict(g.edges)
+    table = _DistanceTable(verts, edges, g.distances_from)
+    index = table.index
+    table.check(index["v0"], index["v2"])
+    table.add_edge(index["v3"], index["v1"], SurdValue(1))
+    edges[("v1", "v3")] = SurdValue(1)
+    paths = {v: oracles.dijkstra(verts, edges, v) for v in verts}
+    assert table.key == index["v0"] and table.exact(3, 0) == 2
+    for y in verts:
+        assert table.check(index["v0"], index[y]) == oracles.check_scan(
+            verts, edges, lambda a, b: paths[a][b], "v0", y), y
 
 
 @given(weighted_graphs(), st.data())

@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import ceil, floor, gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -33,6 +33,7 @@ gen_lists = st.lists(st.integers(min_value=1, max_value=30),
 
 @given(st.integers(min_value=1, max_value=10 ** 9),
        st.sampled_from([2, 3, 5, 7]))
+@example(12, 2)
 def test_delta_p_matches_factorization(x, p):
     assert delta_p(x, p) == oracles.p_free_part(x, p)
 
@@ -47,6 +48,8 @@ def test_delta_p_input_checks():
 @given(st.integers(min_value=1, max_value=10 ** 6),
        st.integers(min_value=1, max_value=10 ** 6),
        st.sampled_from([3, 5, 7, 11]))
+@example(4, 3, 5)
+@example(5, 3, 5)
 def test_div_p_defining_congruence(x, y, p):
     if x % p == 0 or y % p == 0:
         with pytest.raises(ValueError):
@@ -81,6 +84,12 @@ def test_dzik_reduce_membership_oracle_denial():
     with pytest.raises(MonoidMembershipError) as info:
         dzik_reduce(3, 5, 2, member=lambda n: n in (3, 5))
     assert info.value.element == 1
+
+
+@pytest.mark.parametrize("a,b", [(0, 5), (5, 0), (-2, 4)])
+def test_dzik_reduce_rejects_an_input_that_is_not_positive(a, b):
+    with pytest.raises(ValueError, match="needs positive integers"):
+        dzik_reduce(a, b, 2)
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 15])
@@ -222,6 +231,12 @@ def test_a_negative_window_enumerates_nothing(monoid):
     assert monoid.elements(0) == [0]
 
 
+def test_descriptions_compare_by_their_generator_set():
+    a, b = MonoidDesc.fingen([3, 2]), MonoidDesc.fingen([2, 3])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a != MonoidDesc.groupcone([2, 3]) != MonoidDesc.closure("dyadic")
+
+
 def test_zero_monoid_degenerate_cases():
     for variant in ("fingen", "groupcone"):
         z = MonoidDesc(variant, [])
@@ -317,6 +332,7 @@ def _rational_gcd(gens):
 @given(rational_gens, st.fractions(min_value=-30, max_value=30,
                                    max_denominator=24))
 @settings(max_examples=80, deadline=None)
+@example([Fraction(2), Fraction(3)], Fraction(1))
 def test_groupcone_is_the_semigroup_of_its_step(gens, x):
     cone = MonoidDesc.groupcone(gens)
     step = _rational_gcd(gens)

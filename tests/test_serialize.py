@@ -396,6 +396,7 @@ plain_docs = st.recursive(
 
 
 @given(plain_docs, plain_docs, plain_docs, st.lists(surd_values, max_size=3))
+@example([], [], None, [])
 def test_writer_matches_the_recursive_reference(stages, classes, spheres,
                                                 values):
     assert dumps(_plain(spheres)) == dumps(oracles.plain_doc(spheres))

@@ -638,6 +638,8 @@ CERT_EDITS = {
                            "sphere_ledger_ok"),
     "extra-key": (lambda c: _edit_entry(c, True, note="x"),
                   "sphere_ledger_ok"),
+    # a ledger that is not a list matches no sphere index
+    "ledger-as-dict": (lambda c: c._replace(spheres={}), "sphere_ledger_ok"),
     "units_window": (lambda c: c._replace(classes=[
         dict(c.classes[0], units_window=Fraction(99))]), "classes_match_cert"),
     "floppy": (lambda c: c._replace(classes=[

@@ -363,11 +363,12 @@ def test_surd_coeffs_is_a_read_only_view():
 def test_rational_between_lands_strictly_inside():
     lo = SurdValue.sqrt(2)
     hi = SurdValue(Fraction(3, 2))
-    mid = rational_between(lo, hi)
-    assert (SurdValue(mid) - lo).sign() == 1
-    assert (hi - SurdValue(mid)).sign() == 1
-    # an empty interval raises, never searches on: its first brackets meet
     near = lo + Fraction(1, 10 ** 30)
+    # (lo, near) is searched on finer scales until its brackets part
+    for a, b in ((lo, hi), (lo, near)):
+        mid = SurdValue(rational_between(a, b))
+        assert (mid - a).sign() == 1 and (b - mid).sign() == 1
+    # an empty interval raises, never searches on: its first brackets meet
     for a, b in ((hi, lo), (lo, lo), (hi, hi), (near, lo)):
         with pytest.raises(ValueError, match="empty interval"):
             rational_between(a, b)

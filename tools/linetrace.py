@@ -4,13 +4,13 @@ Run tier-1 under it from the repository root:
 
     PYTHONPATH=src:tools python -m pytest -q -p linetrace
 
-The tracer makes tier-1 several times slower (about 170-200 s on two
-cores), so it is a tool to run by hand, not a gate. When pytest finishes it
-prints every statement inside a function body in `src/banakh/` that no
-test ran in this process. A statement right below a comment block that
-holds `# untraced: <reason>` is listed as kept, with its reason; any other
-is a statement with neither a test nor a reason. Subprocess tests are not
-traced.
+The tracer makes tier-1 about three times slower, so CI runs it as a job
+of its own, outside tier-1. When pytest finishes it prints every statement
+inside a function body in `src/banakh/` that no test ran in this process.
+A statement right below a comment block that holds `# untraced: <reason>`
+is listed as kept, with its reason; any other is a statement with neither
+a test nor a reason, and one such statement makes the run exit with
+status 1, even when every test passed. Subprocess tests are not traced.
 """
 import ast
 import sys
@@ -116,3 +116,5 @@ def pytest_sessionfinish(session):
     write(f"linetrace: {counts['all']} function-body statements, "
           f"{counts['kept'] + counts['bare']} not run: {counts['kept']} kept "
           f"with a reason, {counts['bare']} with neither a test nor a reason")
+    if counts["bare"] and session.exitstatus == 0:
+        session.exitstatus = 1
