@@ -32,9 +32,9 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple, Optional
 
-from .graph_metric import MetricFragment, _line_ints, _pair, _tol
+from .graph_metric import MetricFragment, _line_ints, _pair
 from .monoid_algebra import MonoidDesc
-from .values import SurdValue, ZERO, rat
+from .values import SurdValue, ZERO, _vs_sum, rat
 
 __all__ = [
     "MetricFragment",
@@ -95,7 +95,7 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
     inconsistent: no finite table can realize both members of every sphere.
     Violations are the triangle failures, then spheres with three or more
     members, or two-member spheres whose mutual distance differs from twice
-    the radius.
+    the radius (:func:`banakh.values._vs_sum` against r + r).
     """
     embeds = _placement(f)[0] is not None
     violations = [] if embeds else [{"kind": "triangle", "points": list(names)}
@@ -113,7 +113,7 @@ def verify_fragment(f: MetricFragment) -> FragmentReport:
                 banakh = False
                 violations.append({"kind": "sphere-size", "center": c,
                                    "radius": r, "members": list(members)})
-            elif f.distance(*members) != r + r:
+            elif _vs_sum(f.distance(*members), r, r) != 0:
                 banakh = False
                 violations.append({"kind": "sphere-diameter", "center": c,
                                    "radius": r, "members": list(members)})
@@ -519,26 +519,9 @@ def _trichotomy_triple(f: MetricFragment):
     """A 3-subset where no distance equals the sum of the other two."""
     for x, y, z in combinations(f.points, 3):
         a, b, c = f.distance(y, z), f.distance(x, z), f.distance(x, y)
-        if a != b + c and b != a + c and c != a + b:
+        if _vs_sum(a, b, c) and _vs_sum(b, a, c) and _vs_sum(c, a, b):
             return (x, y, z)
     return None
-
-
-def _tie(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
-    """c = a + b exactly, for positive values: on the ints when all three
-    are rational, as :func:`banakh.values._exceeds` decides c > a + b;
-    otherwise refuted on the cached enclosures where they can, and summed
-    only where they cannot (``graph_metric._tol`` covers the roundings)."""
-    if not (c._surds or a._surds or b._surds):
-        da, db = a._den, b._den
-        return c._num * da * db == (a._num * db + b._num * da) * c._den
-    c_lo, c_hi = c._enclosure()
-    a_lo, a_hi = a._enclosure()
-    b_lo, b_hi = b._enclosure()
-    tol = _tol(c_hi + a_hi + b_hi)
-    if c_hi < a_lo + b_lo - tol or c_lo > a_hi + b_hi + tol:
-        return False
-    return c == a + b
 
 
 def _placement(f: MetricFragment):
@@ -550,8 +533,8 @@ def _placement(f: MetricFragment):
     c = d(p1, q), at -b when c = b + a, or at b when b = c + a or a = c + b:
     the ways that |x - a| = c for x = +-b, of which positive values allow
     at most one.  So an embedding, if one exists, is this one, complete at
-    every size.  Each test is a :func:`_tie`, which builds a sum only where
-    the enclosures cannot refute it.  Then each pair's distance must be
+    every size.  Each tie is a zero of :func:`banakh.values._vs_sum`, on
+    ints for rational values.  Then each pair's distance must be
     x_u - x_v or x_v - x_u: on the ints N of a one-dimensional table
     (:func:`_line_ints`), each value N*u/D for one u > 0, else on values.
     """
@@ -563,9 +546,9 @@ def _placement(f: MetricFragment):
     coords, side = {p0: ZERO, p1: a}, {p0: 1, p1: 1}
     for q in pts[2:]:
         b, c = f.distance(p0, q), f.distance(p1, q)
-        if _tie(c, b, a):
+        if _vs_sum(c, b, a) == 0:
             coords[q], side[q] = -b, -1
-        elif _tie(b, c, a) or _tie(a, c, b):
+        elif _vs_sum(b, c, a) == 0 or _vs_sum(a, c, b) == 0:
             coords[q], side[q] = b, 1
         else:
             return None, q

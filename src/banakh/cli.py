@@ -58,8 +58,10 @@ def _unique_keys(pairs) -> dict:
     """A JSON object; a repeated key is a format error, not its last value."""
     obj = dict(pairs)
     if len(obj) < len(pairs):
-        keys = [k for k, _ in pairs]
-        raise FormatError(f"repeated key {max(keys, key=keys.count)!r}")
+        counts = dict.fromkeys(obj, 0)      # keys in document order
+        for k, _ in pairs:
+            counts[k] += 1
+        raise FormatError(f"repeated key {max(counts, key=counts.get)!r}")
     return obj
 
 

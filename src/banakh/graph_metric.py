@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .monoid_algebra import MonoidDesc, _check_pairs
 from .values import (SurdValue, ZERO, primes_from, rat, _between,
-                     _exceeds, _lowest, _pivots, _sum, _sum3, format_rat)
+                     _lowest, _pivots, _sum, _sum3, _vs_sum, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -158,7 +158,7 @@ class GraphMetric:
         once, at its final value, and skips a pop whose value is stale.  A
         relaxation of the edge (u, v) = w is skipped when lo(u) + lo(w) -
         tol > hi(v), which proves d(u) + w > d(v), and decided on the exact
-        values otherwise (:func:`_exceeds`, which builds no rational sum)."""
+        values otherwise (:func:`banakh.values._vs_sum`)."""
         if x not in self.adj:
             raise KeyError(f"unknown vertex {x!r}")
         tol = self._path_tol
@@ -172,7 +172,7 @@ class GraphMetric:
             for v, w in self.adj[u]:
                 old = best.get(v)
                 if old is not None and (lo_u + _enclosure(w)[0] - tol > old[2]
-                                        or not _exceeds(old[0], d_u, w)):
+                                        or _vs_sum(old[0], d_u, w) <= 0):
                     continue
                 cand = d_u + w
                 best[v] = (cand, *_enclosure(cand))
@@ -759,7 +759,8 @@ class _DistanceTable:
     that never calls ``check`` keeps none.
 
     The filters decide a comparison on the enclosures when they can prove
-    it and leave it to the exact values otherwise.  Their error bound, with
+    it and leave it to the exact values otherwise (a value against a sum
+    of two, to :func:`banakh.values._vs_sum`).  Their error bound, with
     u = 2**-53 and B = ``bound`` >= |every enclosure end| seen so far:
 
     * each end is the value's own :meth:`SurdValue._enclosure`, mid -+ err
@@ -983,7 +984,7 @@ class _DistanceTable:
         the other two, and a failing side is named by its ends, then the
         third point: (x, z, y), (y, z, x) or (x, y, z).  A side c passes on
         the enclosures when c_hi < a_lo + b_lo - tol, which proves c < a + b;
-        every other side is decided exactly.  The scan runs only on tables
+        the rest go to :func:`_vs_sum`.  The scan runs only on tables
         built from values, which hold no :class:`_Sum`, so it reads the
         entries directly.  A collinear tie c = a + b is never decided on
         the enclosures, so a one-dimensional table, whose every triple can
@@ -1006,11 +1007,11 @@ class _DistanceTable:
                         continue
                     x, y, z = points[i], points[j], points[k]
                     dxy, dyz, dxz = d[i][j], d[j][k], d[i][k]
-                    if not xz_ok and _exceeds(dxz, dxy, dyz):
+                    if not xz_ok and _vs_sum(dxz, dxy, dyz) > 0:
                         failures.append((x, z, y))
-                    if not yz_ok and _exceeds(dyz, dxy, dxz):
+                    if not yz_ok and _vs_sum(dyz, dxy, dxz) > 0:
                         failures.append((y, z, x))
-                    if not xy_ok and _exceeds(dxy, dyz, dxz):
+                    if not xy_ok and _vs_sum(dxy, dyz, dxz) > 0:
                         failures.append((x, y, z))
         return failures
 

@@ -227,13 +227,14 @@ def build(spec: BuildSpec):
     cls0, uw0, _ = table[0]
     base = MuGraph(cls0.monoid, 1, uw0, spec.denom_bound)
     rename0 = {tid: f"a{tid}" for tid in base.vertices}
-    g = ScaledMu(base, cls0.r, rename0)
     stage_log = []
     generic_log = []
     targets_seen = set()  # (point, class, unit) that a glued copy completes
-    fragment, backtracks = _complete(g, spec, 0, generic_log)
+    # no name keeps a completed graph, or its path table, past _complete
+    fragment, backtracks = _complete(ScaledMu(base, cls0.r, rename0), spec,
+                                     0, generic_log)
     fits = _unit_fits(set(fragment.edges.values()), classes)
-    stage_log.append(_stage_entry(0, new_vertices=len(g.vertices),
+    stage_log.append(_stage_entry(0, new_vertices=len(rename0),
                                   extension_backtracks=backtracks))
 
     for stage in range(1, spec.stages):
@@ -282,6 +283,7 @@ def build(spec: BuildSpec):
         g, report = floppy_union(fragment, ordered)
         new_count = len(g.vertices) - len(fragment.vertices)
         fragment, backtracks = _complete(g, spec, stage, generic_log)
+        del g
         fits = _unit_fits(set(fragment.edges.values()), classes)
         entry.update(copies=len(ordered),
                      union_certified=report.certified_floppy,

@@ -29,8 +29,8 @@ Outside the two modules, :mod:`banakh.serialize` reads the fields in
 constructor on the ints of ``_ratio``, in ``value_from_json``;
 :mod:`banakh.graph_metric` reads them in ``_exact`` (through ``_sum3``),
 ``_default_sample`` (``_raw``, ``_lowest``, ``_sum``) and ``_line_ints``
-(``_pivots``); and :mod:`banakh.banakh_space` reads ``_surds``, ``_den``
-and ``_num`` in ``_tie``.
+(``_pivots``).  The exact test of a value against a sum of two, for
+every layer, is ``_vs_sum``.
 """
 
 from __future__ import annotations
@@ -564,15 +564,23 @@ def _coerce(value):
 ZERO = SurdValue._raw(1, 0, ())
 
 
-def _exceeds(c: SurdValue, a: SurdValue, b: SurdValue) -> bool:
-    """c > a + b, exactly; when all three are rational, on their ints by
-    cross-multiplying over the positive denominators, building no sum."""
+def _vs_sum(c: SurdValue, a: SurdValue, b: SurdValue) -> int:
+    """The sign of c - (a + b), exactly: the one test of a distance against
+    a sum of two.  Three rationals are decided on their ints, multiplied
+    across by the positive denominators, with no sum built; otherwise the
+    one sum s = a + b is built, and c == s gives 0 and ``<`` the sign, on
+    the cached enclosures first."""
     if c._surds or a._surds or b._surds:
-        return a + b < c
+        s = a + b
+        if c == s:
+            return 0
+        return -1 if c < s else 1
     da, db, dc = a._den, b._den, c._den
     if da == db == dc:
-        return c._num > a._num + b._num
-    return c._num * da * db > (a._num * db + b._num * da) * dc
+        t = c._num - a._num - b._num
+    else:
+        t = c._num * da * db - (a._num * db + b._num * da) * dc
+    return (t > 0) - (t < 0)
 
 
 def _between(lo: SurdValue, hi: SurdValue) -> tuple[int, int]:

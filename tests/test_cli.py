@@ -947,12 +947,22 @@ def test_a_padded_surd_key_is_a_format_error(capsys, tmp_path):
     assert "'02'" in err
 
 
-@pytest.mark.parametrize("task", ["surds", "points", "gps"])
+@pytest.mark.parametrize("task", ["surds", "points", "gps", "many", "two"])
 def test_a_repeated_key_is_a_format_error(capsys, tmp_path, line_file, task):
     # {"2": "1", "2": "5"} once read as 5*sqrt(2) and verified, and a second
     # "points" list replaced the first
     path = tmp_path / "doc.json"
-    if task == "surds":
+    if task == "many":
+        # 200,000 keys and one repeat: counted in one pass, not per key
+        keys = [f"k{i}" for i in range(200_000)] + ["k7"]
+        path.write_text("{" + ", ".join(f'"{k}": 0' for k in keys) + "}")
+        argv, key = ("verify", str(path)), "'k7'"
+    elif task == "two":
+        # x and y both twice: the first of the most repeated, in document
+        # order, is named
+        path.write_text('{"points": [], "y": 1, "x": 1, "x": 2, "y": 2}')
+        argv, key = ("verify", str(path)), "'y'"
+    elif task == "surds":
         path.write_text('{"points": ["a", "b"], "dist": [["a", "b", '
                         '{"rat": "1", "surds": {"2": "1", "2": "5"}}]]}')
         argv, key = ("verify", str(path)), "'2'"

@@ -459,7 +459,7 @@ def refuse(*args):
                          ids=["rational", "sqrt2"])
 def test_a_line_is_scanned_without_the_float_scan(monkeypatch, unit):
     monkeypatch.setattr(banakh.graph_metric, "_DistanceTable", refuse)
-    monkeypatch.setattr(banakh.graph_metric, "_exceeds", refuse)
+    monkeypatch.setattr(banakh.graph_metric, "_vs_sum", refuse)
     f = line(40, unit)
     assert f.triangle_failures() == []
     assert validate_pseudometric(f) == (True, None)
@@ -496,7 +496,7 @@ def test_the_int_lane_stops_at_a_value_it_cannot_hold(monkeypatch, off):
 def test_a_union_refuses_a_broken_line_base_on_the_int_lane(monkeypatch):
     # the base check takes the int lane, with the same message
     monkeypatch.setattr(banakh.graph_metric, "_DistanceTable", refuse)
-    monkeypatch.setattr(banakh.graph_metric, "_exceeds", refuse)
+    monkeypatch.setattr(banakh.graph_metric, "_vs_sum", refuse)
     base = GraphMetric(["x", "y", "z"],
                        {("x", "y"): 1, ("y", "z"): 1, ("x", "z"): 5})
     member = GraphMetric(["x", "m"], {("x", "m"): 1})

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import weakref
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
@@ -346,6 +347,31 @@ def test_an_exhausted_completion_stops_the_build(monkeypatch):
     assert str(info.value) == ("build stalled at stage 1 on ('a', 'b'): "
                                "extension budget spent (3)")
     assert info.value.__cause__ is exhausted
+
+
+@pytest.mark.parametrize("stages", [1, 2])
+def test_the_last_completed_graph_is_released_before_the_ledger(
+        monkeypatch, stages):
+    # the graph, and the path table cached on it, is dead once completed:
+    # the sphere ledger is built without it
+    complete, ledger = space_builder.extend_to_full, space_builder._sphere_ledger
+    graphs, alive = [], []
+
+    def completing(g, policy):
+        graphs.append(weakref.ref(g))
+        return complete(g, policy)
+
+    def ledger_after(*args):
+        alive.append(graphs[-1]() is not None)
+        return ledger(*args)
+
+    monkeypatch.setattr(space_builder, "extend_to_full", completing)
+    monkeypatch.setattr(space_builder, "_sphere_ledger", ledger_after)
+    spec = BuildSpec(radii=(RadiusClass(SurdValue(1), ZP),
+                            RadiusClass(SQRT2, ZP)),
+                     stages=stages, window=Fraction(2), seed=5)
+    build(spec)
+    assert len(graphs) == stages and alive == [False]
 
 
 def build_bytes(radii, window, seed):

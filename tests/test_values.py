@@ -4,14 +4,14 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.graph_metric import _default_sample, _exceeds, _nearer_gap
+from banakh.graph_metric import _default_sample, _nearer_gap
 from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
                            format_rat, is_prime, primes_from, rational_between,
-                           _sum3)
+                           _sum3, _vs_sum)
 
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
@@ -540,13 +540,69 @@ def test_ratio_to_and_exceeds_match_the_reference(pair):
     a, ra, b, rb = pair
     for x, rx, y, ry in ((a, ra, b, rb), (b, rb, a, ra)):
         assert x.ratio_to(y) == oracles.surd_ratio_ref(rx, ry)
-    # c > a + b, on all-rational triples as well as surd ones
+    # the sign of c - (a + b), on all-rational triples as well as surd ones
     for c, rc in ((a + b, oracles.surd_add(ra, rb)), (b, rb), (a * 3, None)):
         rc = rc or oracles.surd_scale(ra, 3)
         for x, rx, y, ry in ((a, ra, b, rb), (a, ra, a, ra)):
             want = oracles.surd_sign(oracles.surd_add(
-                rc, oracles.surd_add(rx, ry), -1)) > 0
-            assert _exceeds(c, x, y) == want
+                rc, oracles.surd_add(rx, ry), -1))
+            assert _vs_sum(c, x, y) == want
+
+
+@st.composite
+def sum_triples(draw):
+    """(c, a, b) with the reference of c - a - b.  The operands are values
+    with surds, zero (a path search's source), beyond the double range, or
+    all rational over one denominator or several; c is a + b built as a
+    separate object, that tie moved by a last-bits offset of either sign,
+    rationally or along a surd, or a free value."""
+    kind = draw(st.sampled_from(["surd", "zero", "huge", "one-den",
+                                 "rational"]))
+    den = draw(st.sampled_from([1, 3, 2 ** 61, 10 ** 20 + 1]))
+
+    def operand():
+        if kind == "one-den":
+            n = draw(st.integers(-10 ** 30, 10 ** 30).filter(
+                lambda n: math.gcd(n, den) == 1))
+            return Fraction(n, den), {}
+        q = draw(mixed_rationals)
+        if kind == "rational":
+            return q, {}
+        if kind == "huge":
+            q += draw(st.sampled_from([1, -1])) * 10 ** 400
+        return q, draw(coeff_maps)
+
+    (qa, ca), (qb, cb) = operand(), operand()
+    if kind == "zero":
+        qa, ca = 0, {}
+    ra, rb = oracles.surd(qa, ca), oracles.surd(qb, cb)
+    rc = oracles.surd_add(ra, rb)
+    how = draw(st.sampled_from(["tie", "offset", "free"]))
+    if how == "offset":
+        size = 1 + abs(rc[0]) + sum(abs(c) for c in rc[1].values())
+        e = Fraction(draw(st.sampled_from([1, -1])),
+                     2 ** draw(st.integers(45, 70))) * size
+        p = draw(st.sampled_from([None] + SMALL_PRIMES))
+        rc = oracles.surd_add(rc, oracles.surd(e) if p is None
+                              else oracles.surd(0, {p: e}))
+    elif how == "free":
+        rc = oracles.surd(*operand())
+    values = [SurdValue(*r) for r in (rc, ra, rb)]
+    want = oracles.surd_sign(oracles.surd_add(rc, oracles.surd_add(ra, rb),
+                                              -1))
+    return (*values, want)
+
+
+@given(sum_triples())
+# an irrational tie, and one over a shared denominator that b decides
+@example((SurdValue(3, {2: 1}), SurdValue(1), SurdValue(2, {2: 1}), 0))
+@example((SurdValue(Fraction(5, 3)), SurdValue(Fraction(1, 3)),
+          SurdValue(Fraction(4, 3)), 0))
+@settings(max_examples=300, deadline=None)
+def test_vs_sum_is_the_sign_of_the_reference(triple):
+    c, a, b, want = triple
+    assert _vs_sum(c, a, b) == want
+    assert _vs_sum(c, b, a) == want
 
 
 @given(value_pairs())

@@ -5,7 +5,10 @@ Run tier-1 under it from the repository root:
     PYTHONPATH=src:tools python -m pytest -q -p linetrace
 
 The tracer makes tier-1 about three times slower, so CI runs it as a job
-of its own, outside tier-1. When pytest finishes it prints every statement
+of its own, outside tier-1. A code object is traced line by line only
+until every statement with a line in it has run; about half of the
+remaining cost is `sys.settrace` calling the tracer at every Python call.
+When pytest finishes it prints every statement
 inside a function body in `src/banakh/` that no test ran in this process.
 A statement right below a comment block that holds `# untraced: <reason>`
 is listed as kept, with its reason; any other is a statement with neither
@@ -13,6 +16,7 @@ a test nor a reason, and one such statement makes the run exit with
 status 1, even when every test passed. Subprocess tests are not traced.
 """
 import ast
+import functools
 import sys
 import threading
 from pathlib import Path
@@ -21,20 +25,54 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "banakh"
 MARK = "untraced:"
 _PREFIX = str(SRC) + "/"
 _hits: dict = {}
+# id(code) -> (code, its local tracer, its settled test), or (code, None,
+# None) once settled; holding the code keeps its id from being reused
+_codes: dict = {}
 
 
-def _local(frame, event, arg):
-    if event == "line":
-        _hits[frame.f_code.co_filename].add(frame.f_lineno)
-    return _local
+def _tracer(code):
+    """The local tracer of a code object in SRC, and the test of whether
+    it may stop: whether every statement with a header line in the code
+    has a hit header line.  From then on a line event of the code can only
+    hit such a statement again, and the report reads one hit per
+    statement, so the code is traced no more. The test runs again only
+    once the file has a new hit line."""
+    hit = _hits.setdefault(code.co_filename, set())
+    on_line = _statements(code.co_filename)
+    needs = {header for _, _, line in code.co_lines()
+             for header in on_line.get(line, ())}
+    checked = [-1]      # len(hit) at the last test
+
+    def settled():
+        if len(hit) == checked[0]:
+            return False
+        checked[0] = len(hit)
+        if any(header.isdisjoint(hit) for header in needs):
+            return False
+        _codes[id(code)] = (code, None, None)
+        return True
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add(frame.f_lineno)
+            if len(hit) != checked[0] and settled():
+                return None
+        return local
+
+    return local, settled
 
 
 def _call(frame, event, arg):
-    name = frame.f_code.co_filename
-    if not name.startswith(_PREFIX):
+    code = frame.f_code
+    entry = _codes.get(id(code))
+    if entry is None:
+        if not code.co_filename.startswith(_PREFIX):
+            return None
+        entry = _codes[id(code)] = (code, *_tracer(code))
+    _, local, settled = entry
+    if local is None or settled():
         return None
-    _hits.setdefault(name, set())
-    return _local
+    return local
 
 
 def pytest_configure(config):
@@ -69,6 +107,30 @@ def _body_statements(tree):
                         yield stmt
 
 
+def _headers(source: str, path: str) -> list:
+    """(line, header) of each function-body statement in ``source``, by
+    line: its header lines that carry bytecode.  A statement with none (a
+    docstring, or one that compiles to nothing) is left out."""
+    executable = _code_lines(compile(source, path, "exec"))
+    found = []
+    for stmt in sorted(set(_body_statements(ast.parse(source))),
+                       key=lambda s: s.lineno):
+        header = frozenset(_header(stmt)) & executable
+        if header:
+            found.append((stmt.lineno, header))
+    return found
+
+
+@functools.cache
+def _statements(path: str) -> dict:
+    """Line -> the headers of the statements in ``path`` that hold it."""
+    on_line: dict = {}
+    for _, header in _headers(Path(path).read_text(), path):
+        for line in header:
+            on_line.setdefault(line, []).append(header)
+    return on_line
+
+
 def _reason(lines: list, lineno: int):
     """The text after MARK in the comment block right above line
     ``lineno``, or None."""
@@ -86,17 +148,10 @@ def unrun(path: Path, hit: set):
     reason or None) for each one whose lines are not in ``hit``."""
     source = path.read_text()
     lines = source.splitlines()
-    executable = _code_lines(compile(source, str(path), "exec"))
-    total, missed = 0, []
-    for stmt in sorted(set(_body_statements(ast.parse(source))),
-                       key=lambda s: s.lineno):
-        header = set(_header(stmt)) & executable
-        if not header:
-            continue  # a docstring, or a statement that compiles to nothing
-        total += 1
-        if not header & hit:
-            missed.append((stmt.lineno, _reason(lines, stmt.lineno)))
-    return total, missed
+    headers = _headers(source, str(path))
+    missed = [(line, _reason(lines, line)) for line, header in headers
+              if header.isdisjoint(hit)]
+    return len(headers), missed
 
 
 def pytest_sessionfinish(session):
