@@ -47,8 +47,8 @@ from operator import sub
 from typing import Callable, NamedTuple, Optional
 
 from .monoid_algebra import MonoidDesc, _check_pairs
-from .values import (SurdValue, ZERO, primes_from, rat, _between,
-                     _lowest, _pivots, _sum, _sum3, _vs_sum, format_rat)
+from .values import (SurdValue, ZERO, primes_from, rat, _pivots, _sample,
+                     _sum3, _tol, _vs_sum, format_rat)
 
 __all__ = [
     "GraphMetric",
@@ -535,36 +535,9 @@ class ExtensionResult(NamedTuple):
 def _default_sample(lo: SurdValue, hi: SurdValue, rng: random.Random,
                     prime: int) -> SurdValue:
     """c + eps*sqrt(prime) strictly inside (lo, hi), c random inside the
-    certified rational core of the interval.  The rationals are int pairs
-    (num, den), and the sum is built on them in the int-vector format of
-    :mod:`banakh.values`; c is a value only for its exact gaps to lo and
-    hi."""
-    a, da = _between(lo, hi)                          # core_lo = a/da
-    b, db = _between(SurdValue._raw(da, a, ()), hi)   # core_hi = b/db
-    # a seeded c = core_lo + (core_hi - core_lo)*k/256 in the core
-    k = rng.randrange(0, 256)
-    dc, c, _ = _lowest(da * db << 8, (a * db << 8) + (b * da - a * db) * k, ())
-    gap = _nearer_gap(SurdValue._raw(dc, c, ()), lo, hi)
-    # half a rational below gap, over an integer above sqrt(prime): so
-    # eps*sqrt(prime) < gap/2 for eps = e/de
-    e, de = _between(ZERO, gap)
-    eps = _lowest(de * (isqrt(prime) + 1), 0, ((prime, e),))
-    return SurdValue._raw(*_sum(dc, c, (), *eps))
-
-
-def _nearer_gap(c: SurdValue, lo: SurdValue, hi: SurdValue) -> SurdValue:
-    """min(c - lo, hi - c), ties going to c - lo, building only that one
-    difference when the enclosures decide 2c against lo + hi (error bound
-    in _DistanceTable); both, and exactly, only when they cannot."""
-    l_lo, l_hi = _enclosure(lo)
-    h_lo, h_hi = _enclosure(hi)
-    c_lo, c_hi = _enclosure(c)
-    tol = _tol(max(-l_lo, l_hi, -h_lo, h_hi, -c_lo, c_hi))
-    if 2.0 * c_hi - (l_lo + h_lo) < -tol:
-        return c - lo
-    if 2.0 * c_lo - (l_hi + h_hi) > tol:
-        return hi - c
-    return min(c - lo, hi - c)
+    certified rational core of the interval (:func:`banakh.values._sample`
+    for a seeded draw)."""
+    return _sample(lo, hi, rng.randrange(0, 256), prime)
 
 
 def extend_to_full(g: GraphMetric, policy: ExtensionPolicy) -> ExtensionResult:
@@ -672,12 +645,6 @@ def _assign(g: GraphMetric, missing: list, policy: ExtensionPolicy):
 
 # the one enclosure, read through a module name that the filter tests patch
 _enclosure = SurdValue._enclosure
-
-
-def _tol(bound: float) -> float:
-    """The filters' margin for ends of magnitude at most ``bound`` (see
-    _DistanceTable)."""
-    return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 else math.inf
 
 
 class _Sum:
@@ -795,11 +762,13 @@ class _DistanceTable:
       an earlier, larger entry bounds w - d(p,x) at that entry, with a B no
       larger than now, so it is no larger than the current candidate up to
       the same error: the column adds no error term;
-    * the completion sampler (``_nearer_gap``) compares 2c with lo + hi:
-      doubling is exact, so 2c's end misses by 2u*B and the two others by
-      u*B each, and the roundings of their sum (below 2B) and of the
-      difference (below 4B) add 6u*B: off by < 10u*B, and it compares the
-      difference with -tol and tol themselves, with no further rounding;
+    * the completion sampler picks its nearer gap, which it never builds
+      (its brackets are lo's and hi's, shifted: see
+      :func:`banakh.values._sample`), by :func:`banakh.values._nearer_gap`'s
+      test of 2c against lo + hi: doubling is exact, so 2c's end misses by
+      2u*B and the two others by u*B each, and the roundings of their sum
+      (below 2B) and of the difference (below 4B) add 6u*B: off by
+      < 10u*B, and it compares the difference with -tol and tol themselves;
     * the comparison itself is exact, and rounding to nearest is monotone,
       so the final addition of a test cannot turn a false one true.
 

@@ -28,14 +28,15 @@ Outside the two modules, :mod:`banakh.serialize` reads the fields in
 ``value_to_json`` and builds through ``_from_ints``, the validating
 constructor on the ints of ``_ratio``, in ``value_from_json``;
 :mod:`banakh.graph_metric` reads them in ``_exact`` (through ``_sum3``),
-``_default_sample`` (``_raw``, ``_lowest``, ``_sum``) and ``_line_ints``
-(``_pivots``).  The exact test of a value against a sum of two, for
-every layer, is ``_vs_sum``.
+``_line_ints`` (``_pivots``), and its completion sampler draws through
+``_sample``.  The exact test of a value against a sum of two, for every
+layer, is ``_vs_sum``.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 
 from fractions import Fraction
 from functools import total_ordering
@@ -103,32 +104,91 @@ class InputTooLarge(ValueError):
     allows; raised before the work starts."""
 
 
-# trial division decides primality up to here in a few milliseconds
+# the largest number whose primality is decided
 PRIME_CAP = 2 ** 32
 
+# the sieve: _FLAGS[n] is 1 when n is prime, for 0 <= n < len(_FLAGS).
+# It holds 0 and 1 at import.  _grow builds a longer one whole and then
+# binds it, one growth at a time, so it never shrinks and a reader needs
+# no lock
+_FLAGS = bytearray(2)
+_GROWING = threading.Lock()
+# the sieve reaches no further than this (a 4 MB bytearray); completion at
+# the pair cap draws about 10**5 fresh primes, all below 1.5 * 10**6
+_SIEVE_END = 1 << 22
 
-def is_prime(n: int) -> bool:
-    """Trial division; InputTooLarge above PRIME_CAP."""
-    if n > PRIME_CAP:
-        raise InputTooLarge(f"{n} is above {PRIME_CAP}, the largest number "
-                            "whose primality is decided")
-    if n < 2:
-        return False
-    if n < 4:
-        return True
+
+def _grow(n: int) -> None:
+    """Sieve afresh up to min(max(n, 2 * len(_FLAGS) - 1, 4095),
+    _SIEVE_END) when n <= _SIEVE_END is beyond the sieve.  Each growth at
+    least doubles the sieve, so all the sieving done up to a length is
+    less than twice that of the last growth."""
+    global _FLAGS
+    with _GROWING:
+        if n < len(_FLAGS):
+            return
+        size = min(max(n + 1, 2 * len(_FLAGS), 4096), _SIEVE_END + 1)
+        flags = bytearray([1]) * size
+        flags[:2] = bytes(2)
+        for p in range(2, isqrt(size - 1) + 1):
+            if flags[p]:
+                flags[p * p::p] = bytes(len(range(p * p, size, p)))
+        _FLAGS = flags
+
+
+def _strong_probable_prime(n: int) -> bool:
+    """Primality of 2 <= n < 4,759,123,141 by the strong probable-prime
+    tests to bases 2, 7 and 61, which no composite in that range passes
+    (G. Jaeschke, "On strong pseudoprimes to several bases", Math. Comp.
+    61, 1993).  A base that n divides is skipped: n is then 7 or 61."""
     if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
+        return n == 2
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = d * 2**s, d odd
+    d = (n - 1) >> s
+    for a in (2, 7, 61):
+        if a % n == 0:
+            continue
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        f += 2
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Exact primality: read from the sieve where it reaches n, decided
+    by :func:`_strong_probable_prime` above; InputTooLarge above
+    PRIME_CAP."""
+    if n > PRIME_CAP:
+        raise InputTooLarge(f"{n} is above {PRIME_CAP}, the largest number "
+                            "whose primality is decided")
+    flags = _FLAGS
+    if n < len(flags):
+        return n >= 0 and flags[n] == 1
+    return _strong_probable_prime(n)
+
+
 def primes_from(start: int = 2):
-    """Endless ascending prime generator (trial division; inputs stay small)."""
-    n = max(2, start)
+    """Endless ascending generator of the primes >= start: read from the
+    module's sieve, which is grown first to reach start and then as the
+    walk comes to its end; above _SIEVE_END, by :func:`is_prime` on each
+    number (InputTooLarge above PRIME_CAP)."""
+    n, flags = max(2, start), _FLAGS
+    while n <= _SIEVE_END:
+        if n >= len(flags):
+            _grow(n)
+            flags = _FLAGS
+        k = flags.find(1, n)
+        if k < 0:
+            n = len(flags)
+        else:
+            yield k
+            n = k + 1
     while True:
         if is_prime(n):
             yield n
@@ -575,32 +635,110 @@ def _vs_sum(c: SurdValue, a: SurdValue, b: SurdValue) -> int:
         if c == s:
             return 0
         return -1 if c < s else 1
-    da, db, dc = a._den, b._den, c._den
-    if da == db == dc:
-        t = c._num - a._num - b._num
+    dc = c._den
+    if a._den == dc and b._den == dc:
+        cn, s = c._num, a._num + b._num
     else:
-        t = c._num * da * db - (a._num * db + b._num * da) * dc
-    return (t > 0) - (t < 0)
+        da, db = a._den, b._den
+        cn, s = c._num * da * db, (a._num * db + b._num * da) * dc
+    return (cn > s) - (cn < s)
+
+
+def _gap_brackets(lo: SurdValue, hi: SurdValue) -> list:
+    """The rows (scale, up, down) at scales 8, 16, 32, ..., up to the
+    first gap up/(lo's den << scale) < down/(hi's den << scale), the last
+    row, between the upper bracket of lo and the lower bracket of hi, for
+    a nonempty open interval (lo, hi).  A gap proves lo < hi, so the order
+    is decided exactly only when the first brackets overlap."""
+    d_lo, d_hi = lo._den, hi._den
+    rows = []
+    scale = 8
+    while True:
+        up, down = lo._bracket_ints(scale)[1], hi._bracket_ints(scale)[0]
+        rows.append((scale, up, down))
+        if up * d_hi < down * d_lo:
+            return rows
+        if scale == 8 and not lo < hi:
+            raise ValueError("empty interval")
+        scale *= 2
 
 
 def _between(lo: SurdValue, hi: SurdValue) -> tuple[int, int]:
     """The reduced (num, den) of a rational strictly inside the nonempty
-    open interval (lo, hi): the midpoint of the first gap, at scales 8, 16,
-    32, ..., between the upper bracket of lo and the lower bracket of hi,
-    both over (lo's den) * (hi's den) << scale.  A gap proves lo < hi, so
-    the order is decided exactly only when the first brackets overlap."""
+    open interval (lo, hi): the midpoint of the first gap of
+    :func:`_gap_brackets`."""
+    scale, up, down = _gap_brackets(lo, hi)[-1]
+    num = up * hi._den + down * lo._den
+    den = (lo._den * hi._den) << (scale + 1)
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _tol(bound: float) -> float:
+    """The float filters' margin for ends of magnitude at most ``bound``
+    (see :class:`banakh.graph_metric._DistanceTable`)."""
+    return bound * 2.0 ** -48 if 2.0 ** -900 < bound < 2.0 ** 900 else math.inf
+
+
+def _nearer_gap(c: SurdValue, lo: SurdValue, hi: SurdValue) -> bool:
+    """Whether c - lo <= hi - c, that is 2c <= lo + hi: on the enclosures
+    when they decide it (error bound in
+    :class:`banakh.graph_metric._DistanceTable`), else by :func:`_vs_sum`;
+    no difference is built."""
+    l_lo, l_hi = lo._enclosure()
+    h_lo, h_hi = hi._enclosure()
+    c_lo, c_hi = c._enclosure()
+    tol = _tol(max(-l_lo, l_hi, -h_lo, h_hi, -c_lo, c_hi))
+    if 2.0 * c_hi - (l_lo + h_lo) < -tol:
+        return True
+    if 2.0 * c_lo - (l_hi + h_hi) > tol:
+        return False
+    return _vs_sum(c + c, lo, hi) <= 0
+
+
+def _sample(lo: SurdValue, hi: SurdValue, k: int, prime: int) -> SurdValue:
+    """c + eps*sqrt(prime) strictly inside the nonempty open interval
+    (lo, hi), for a draw 0 <= k < 256: c = core_lo + (core_hi - core_lo) *
+    k/256 for core_lo = ``_between(lo, hi)`` and core_hi =
+    ``_between(core_lo, hi)``, and eps = ``_between(ZERO, gap)`` over
+    isqrt(prime) + 1, so eps*sqrt(prime) < gap/2, for gap the nearer of
+    c - lo and hi - c, ties going to c - lo (:func:`_nearer_gap`).  The
+    completion sampler of :mod:`banakh.graph_metric`.
+
+    The three searches read one table, the rows of :func:`_gap_brackets`,
+    and no gap is built.  A bracket, as a rational, does not depend on
+    how the value is written: a surd term q*sqrt(p) adds
+    q*floor(sqrt(p)*2**s)/2**s to both brackets, and q/2**s more to the
+    upper one when q > 0, to the lower one when q < 0.  Negating q swaps
+    the two, and a rational adds itself to both, so the lower bracket of
+    c - lo is c less lo's upper bracket, and that of hi - c is hi's lower
+    bracket less c; ZERO's upper bracket is 0, so each search takes the
+    first row that puts its lower bracket above its lower end, and the
+    midpoint, as ``_between`` does.  Each ends within the table: c >=
+    core_lo lies above lo's last upper bracket, and c < core_hi below hi's
+    lower bracket L at core_hi's scale.  c is (512 - k)/512 * core_lo +
+    k/512 * L, and the sum is reduced once, at the end."""
+    rows = _gap_brackets(lo, hi)
     d_lo, d_hi = lo._den, hi._den
-    scale = 8
-    while True:
-        above_lo = lo._bracket_ints(scale)[1] * d_hi
-        below_hi = hi._bracket_ints(scale)[0] * d_lo
-        if above_lo < below_hi:
-            num, den = above_lo + below_hi, (d_lo * d_hi) << (scale + 1)
-            g = gcd(num, den)
-            return num // g, den // g
-        if scale == 8 and not lo < hi:
-            raise ValueError("empty interval")
-        scale *= 2
+    top, up, down = rows[-1]
+    # core_lo = mid / (d_lo*d_hi << top + 1), the first gap's midpoint
+    mid = up * d_hi + down * d_lo
+    for s, _, down in rows:
+        if mid << s < down * d_lo << (top + 1):
+            break
+    dc, c, _ = _lowest((d_lo * d_hi) << (top + 10),
+                       (512 - k) * mid + (k * down * d_lo << (top + 1 - s)),
+                       ())
+    # e/(dc*d << s): the nearer gap's first positive lower bracket, for d
+    # the den of its end lo or hi
+    low = _nearer_gap(SurdValue._raw(dc, c, ()), lo, hi)
+    for s, up, down in rows:
+        e = c * (d_lo << s) - up * dc if low else down * dc - c * (d_hi << s)
+        if e > 0:
+            break
+    # eps = e/(dc*m): half that bracket over isqrt(prime) + 1
+    m = ((d_lo if low else d_hi) << (s + 1)) * (isqrt(prime) + 1)
+    return SurdValue._reduced(dc * m, c * m, ((prime, e),))
 
 
 def rational_between(lo: SurdValue, hi: SurdValue) -> Fraction:

@@ -34,6 +34,18 @@ def factorize(n: int) -> dict:
     return out
 
 
+def is_prime(n: int) -> bool:
+    """Primality by trial division over every d with d*d <= n."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
 def p_free_part(n: int, p: int) -> int:
     """Rebuild n from its factorization, leaving out every factor of p."""
     result = 1

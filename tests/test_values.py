@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -8,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from banakh.graph_metric import _default_sample, _nearer_gap
+from banakh import values
+from banakh.graph_metric import _default_sample
 from banakh.values import (PRIME_CAP, InputTooLarge, SurdValue, ZERO, rat,
                            format_rat, is_prime, primes_from, rational_between,
                            _sum3, _vs_sum)
@@ -380,8 +383,178 @@ def test_primes_from_skips_composites():
     assert is_prime(2) and not is_prime(1) and not is_prime(91)
 
 
+@pytest.fixture
+def fresh_sieve(monkeypatch):
+    """The sieve as at import, of 0 and 1, so a test sees every growth."""
+    monkeypatch.setattr(values, "_FLAGS", bytearray(2))
+
+
+def assert_sieve_is_exact():
+    flags = values._FLAGS
+    assert [n for n in range(len(flags)) if flags[n]] == \
+        [n for n in range(len(flags)) if oracles.is_prime(n)]
+
+
+def oracle_primes(start: int, count: int) -> list:
+    out, n = [], max(2, start)
+    while len(out) < count:
+        if oracles.is_prime(n):
+            out.append(n)
+        n += 1
+    return out
+
+
+def test_primes_from_grows_the_sieve_to_reach_its_start(fresh_sieve):
+    # a walk that read the sieve before growing it to 90 yielded 17
+    gen = primes_from(90)
+    assert [next(gen) for _ in range(3)] == [97, 101, 103]
+    assert len(values._FLAGS) > 90
+    # a start beyond the reach, once the sieve holds primes
+    gen = primes_from(50_000)
+    assert [next(gen), next(gen)] == oracle_primes(50_000, 2)
+    assert len(values._FLAGS) > 50_000
+
+
+def test_primes_from_walks_through_several_growths(fresh_sieve):
+    gen = primes_from(2)
+    reaches = set()
+    got = []
+    for _ in range(3000):
+        got.append(next(gen))
+        reaches.add(len(values._FLAGS))
+    assert got == oracle_primes(2, 3000)
+    # 4096, 8192, 16384 and 32768: each growth doubles the reach
+    assert len(reaches) >= 4
+    assert_sieve_is_exact()
+
+
+def test_two_walks_read_one_sieve(fresh_sieve):
+    low, high = primes_from(2), primes_from(9000)
+    got_low, got_high = [], []
+    for _ in range(1200):
+        # the high walk grows the sieve under the low one, and back
+        got_high.append(next(high))
+        got_low.append(next(low))
+    assert got_low == oracle_primes(2, 1200)
+    assert got_high == oracle_primes(9000, 1200)
+
+
+def test_walks_in_threads_grow_one_sieve(fresh_sieve):
+    # eight walks start at once on the sieve of 0 and 1, each growing it,
+    # with switches forced often
+    starts = [2, 3000, 7000, 15000, 31000, 2, 5000, 60000]
+    for _ in range(3):
+        values._FLAGS = bytearray(2)
+        got = {}
+        ready = threading.Barrier(len(starts), timeout=60)
+
+        def walk(i, start):
+            ready.wait()
+            gen = primes_from(start)
+            got[i] = [next(gen) for _ in range(300)]
+
+        threads = [threading.Thread(target=walk, args=(i, s))
+                   for i, s in enumerate(starts)]
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert_sieve_is_exact()
+        for i, start in enumerate(starts):
+            assert got[i] == oracle_primes(start, 300), start
+
+
+def test_a_growth_waits_for_the_one_in_progress(fresh_sieve, monkeypatch):
+    # a small growth is held inside its sieving while a walk from 60,000
+    # grows the sieve: were the two growths not taken one at a time, the
+    # small one would be bound last and the sieve would shrink
+    held, release = threading.Event(), threading.Event()
+    calls = []
+
+    def held_isqrt(n):
+        calls.append(n)
+        if len(calls) == 1:
+            held.set()
+            release.wait(timeout=60)
+        return math.isqrt(n)
+
+    monkeypatch.setattr(values, "isqrt", held_isqrt)
+    got = []
+    small = threading.Thread(target=values._grow, args=(5000,))
+    large = threading.Thread(
+        target=lambda: got.append(next(primes_from(60_000))))
+    small.start()
+    assert held.wait(timeout=60)
+    large.start()
+    large.join(timeout=0.5)       # it waits for the small growth's lock
+    release.set()
+    for t in (small, large):
+        t.join(timeout=60)
+        assert not t.is_alive()
+    assert got == oracle_primes(60_000, 1)
+    assert len(values._FLAGS) > 60_000
+    assert_sieve_is_exact()
+
+
+def test_a_new_walk_within_the_reach_does_not_grow_it(fresh_sieve):
+    gen = primes_from(2)
+    [next(gen) for _ in range(100)]
+    reach = len(values._FLAGS)
+    # down to a start whose next prime is the sieve's last one
+    last = values._FLAGS.rindex(1)
+    for start in (2, 97, values._FLAGS.rindex(1, 0, last) + 1):
+        walk = primes_from(start)
+        next(walk)
+        assert len(values._FLAGS) == reach, start
+
+
+def test_primes_from_walks_on_past_the_sieve_end(fresh_sieve, monkeypatch):
+    # the sieve stops at its end, and the walk goes on by is_prime
+    monkeypatch.setattr(values, "_SIEVE_END", 5000)
+    for start in (4900, 5000, 5001, 7000):
+        gen = primes_from(start)
+        assert [next(gen) for _ in range(30)] == oracle_primes(start, 30)
+        assert len(values._FLAGS) <= 5001
+
+
+@given(st.integers(-5, 40_000), st.integers(1, 40))
+@settings(max_examples=60, deadline=None)
+def test_primes_from_matches_trial_division(start, count):
+    gen = primes_from(start)
+    assert [next(gen) for _ in range(count)] == oracle_primes(start, count)
+
+
+def test_primality_matches_trial_division_to_20000(fresh_sieve):
+    want = [oracles.is_prime(n) for n in range(20_000)]
+    # the strong probable-prime tests alone, then is_prime with no sieve
+    # (those tests again) and with a sieve that reaches past 20,000
+    assert [values._strong_probable_prime(n) for n in range(2, 20_000)] == \
+        want[2:]
+    assert [is_prime(n) for n in range(20_000)] == want
+    next(primes_from(20_000))
+    assert len(values._FLAGS) > 20_000
+    assert [is_prime(n) for n in range(-3, 20_000)] == [False] * 3 + want
+
+
+def test_primality_at_strong_pseudoprimes_and_near_the_cap(fresh_sieve):
+    # the strong pseudoprimes to base 2 below 10,000, and one to the
+    # bases 2, 3, 5 and 7 (151 * 751 * 28351): bases 7 and 61 refute them
+    for n in (2047, 3277, 4033, 4681, 8321, 3215031751):
+        assert not is_prime(n) and not values._strong_probable_prime(n), n
+    top = range(2 ** 32 - 40, 2 ** 32 + 1)
+    assert [is_prime(n) for n in top] == [oracles.is_prime(n) for n in top]
+    assert is_prime(4294967291) and not is_prime(4294967295)
+
+
 def test_primality_is_capped_above_two_to_the_32():
-    # trial division at the cap takes milliseconds; far above it, hours
+    # decided up to the cap, where the three bases are proven; above it,
+    # refused before any work
     assert PRIME_CAP == 2 ** 32
     assert is_prime(4294967291)          # the largest prime below 2**32
     with pytest.raises(InputTooLarge):
@@ -489,8 +662,30 @@ class OneDraw:
         return self.k
 
 
+def with_refs(a: SurdValue, b: SurdValue) -> tuple:
+    """A pair as value_pairs draws it: each value beside its reference."""
+    return a, oracles.surd_of(a), b, oracles.surd_of(b)
+
+
+R2 = SurdValue.sqrt(2)
+
+
 @given(value_pairs(), st.integers(0, 255),
        st.sampled_from([17, 101, 65537, 4294967291]))
+# one path of the sampler each.  2c = lo + hi exactly: core_lo is 3, the
+# enclosures cannot decide, and the exact tie goes to c - lo
+@example(with_refs(3 - R2, 3 + R2), 0, 17)
+# a wide interval whose first brackets part at scale 8: c - lo, then
+# hi - c, decided on the enclosures
+@example(with_refs(SurdValue.of(1), 1 + 100 * R2), 0, 17)
+@example(with_refs(SurdValue.of(1), 1 + 100 * R2), 255, 17)
+# intervals whose brackets still meet at scale 8 in all three searches
+# (the core's two ends and eps): c - lo and hi - c decided on the
+# enclosures, then each side decided exactly where they cannot
+@example(with_refs(R2, R2 + Fraction(3, 10 ** 10)), 0, 101)
+@example(with_refs(R2, R2 + Fraction(1, 10 ** 10)), 255, 101)
+@example(with_refs(R2, R2 + Fraction(1, 10 ** 10)), 0, 101)
+@example(with_refs(R2, R2 + Fraction(1, 10 ** 20)), 0, 101)
 @settings(max_examples=200, deadline=None)
 def test_sampler_matches_the_fraction_composition(pair, k, prime):
     # the int sampler against c + eps*sqrt(p) composed in Fractions, on the
@@ -506,32 +701,36 @@ def test_sampler_matches_the_fraction_composition(pair, k, prime):
     assert value == SurdValue(*want) and lo < value < hi
 
 
-def test_nearer_gap_builds_one_difference_when_the_enclosures_decide(
+def test_nearer_gap_builds_no_difference_when_the_enclosures_decide(
         monkeypatch):
     r2 = SurdValue.sqrt(2)
     lo, hi = 3 - r2, 3 + r2
-    # (c, lo, hi, decided on the enclosures): undecided ones build both
-    # differences and compare them exactly
+    # (c, lo, hi, decided on the enclosures): undecided ones compare 2c
+    # with lo + hi exactly, building the two sums c + c and lo + hi
     cases = [
         (3, lo, hi, False),                          # 2c = lo + hi exactly
         (3, lo, hi + Fraction(1, 10 ** 30), False),  # inside the margin
+        (3, lo - Fraction(1, 10 ** 30), hi, False),
         (Fraction(5, 2), lo, hi, True),              # c - lo is the smaller
         (Fraction(7, 2), lo, hi, True),              # hi - c is the smaller
     ]
-    real = SurdValue.__sub__
-    subs = []
+    add, sub = SurdValue.__add__, SurdValue.__sub__
+    built = []
 
-    def counting(self, other):
-        subs.append(other)
-        return real(self, other)
+    def counting(real):
+        def op(self, other):
+            built.append(other)
+            return real(self, other)
+        return op
 
-    monkeypatch.setattr(SurdValue, "__sub__", counting)
+    monkeypatch.setattr(SurdValue, "__add__", counting(add))
+    monkeypatch.setattr(SurdValue, "__sub__", counting(sub))
     for c, lo, hi, decided in cases:
         c = SurdValue.of(c)
-        want = min(real(c, lo), real(hi, c))
-        subs.clear()
-        assert _nearer_gap(c, lo, hi) == want
-        assert (len(subs) == 1) == decided and len(subs) >= 1, c
+        want = not sub(hi, c) < sub(c, lo)          # ties go to c - lo
+        built.clear()
+        assert values._nearer_gap(c, lo, hi) == want
+        assert len(built) == (0 if decided else 2), c
 
 
 @given(value_pairs())
